@@ -1,16 +1,21 @@
 """Exact sparse linear algebra over the rationals.
 
-All coefficients are ``fractions.Fraction`` (arbitrary-precision, always
-reduced).  Elimination is fraction-free Bareiss pivoting with a final
-normalization pass; pivots are chosen deterministically (lowest column, then
-lowest row), so every derived basis is reproducible bit for bit.  Subspaces
-are kept in reduced column echelon form, which makes subspace equality a
-syntactic comparison.
+Matrices hold ``fractions.Fraction`` entries (arbitrary precision, always
+reduced) in a sparse dict.  Every rank, echelon form, kernel, image and solve
+goes through one elimination kernel on sparse integer rows ``{col: int}``:
+each row is scaled to integers by the lcm of its denominators, the forward
+pass clears one lowest column at a time by integer row combinations divided
+by the gcd of their entries, and only the final back-substitution's
+normalization divides by the pivots to produce Fractions.  The reduced row
+echelon form is unique, so every derived basis is reproducible bit for bit
+whatever order the kernel eliminates in.  Subspaces are kept in reduced
+column echelon form, which makes subspace equality a syntactic comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple  # tuple[Fraction, ...]
@@ -20,7 +25,7 @@ ONE = Fraction(1)
 
 
 def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def vec_is_zero(a: Vector) -> bool:
@@ -46,8 +51,8 @@ class RationalMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                f = Fraction(v)
-                if f != 0:
+                f = v if type(v) is Fraction else Fraction(v)
+                if f:
                     clean[(i, j)] = f
         self.entries = dict(sorted(clean.items()))
 
@@ -61,8 +66,8 @@ class RationalMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                f = Fraction(v)
-                if f != 0:
+                f = v if type(v) is Fraction else Fraction(v)
+                if f:
                     entries[(i, j)] = f
         return cls(rows, cols, entries)
 
@@ -73,10 +78,19 @@ class RationalMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for i, v in enumerate(col):
-                f = Fraction(v)
-                if f != 0:
+                f = v if type(v) is Fraction else Fraction(v)
+                if f:
                     entries[(i, j)] = f
         return cls(rows, len(columns), entries)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
+        """Wrap ``entries`` as they are: nonzero Fractions in bounds, row-major."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -185,65 +199,90 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
     def rank(self) -> int:
-        return len(rref(self)[0])
+        return len(_forward(_integer_rows(self, False), self.cols)[0])
 
 
-def _forward_bareiss(work, rows, cols, pivot_cols):
-    """Fraction-free forward elimination on ``work`` (list of row lists).
+def _integer_rows(m: RationalMatrix, transform: bool) -> list:
+    """The rows of ``m`` as sparse ``{col: int}`` dicts.
 
-    Only the first ``cols`` columns drive pivot selection; any extra columns
-    (augmentations) just ride along.  Returns nothing; mutates ``work`` and
-    appends pivot column indices to ``pivot_cols``.
+    Each row is scaled by the lcm of its denominators, which never changes
+    the RREF.  With ``transform`` the identity rides along at columns
+    ``m.cols + i``, scaled with its row.
     """
-    width = len(work[0]) if rows else 0
-    prev = ONE
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_row = None
-        for i in range(r, rows):
-            if work[i][c] != 0:
-                pivot_row = i
+    rows = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        rows[i][j] = v
+    out = []
+    for i, row in enumerate(rows):
+        den = 1
+        for v in row.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        if transform:
+            ints[m.cols + i] = den
+        out.append(ints)
+    return out
+
+
+def _divide_content(row: dict) -> None:
+    """Divide a nonempty integer row by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def _eliminate(row: dict, piv: dict, c: int) -> None:
+    """row <- p*row - a*piv with a/p = row[c]/piv[c] in lowest terms.
+
+    Clears column ``c`` of ``row`` in integers; when the row had to be
+    scaled, it is divided by the gcd of its entries to keep them small.
+    """
+    a = row[c]
+    p = piv[c]
+    g = gcd(a, p)
+    if g != 1:
+        a //= g
+        p //= g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, v in piv.items():
+        w = row.get(k, 0) - a * v
+        if w:
+            row[k] = w
+        else:
+            del row[k]
+    if p != 1 and p != -1 and row:
+        _divide_content(row)
+
+
+def _forward(rows: list, cols: int):
+    """Integer forward elimination of sparse rows (consumes ``rows``).
+
+    Rows enter one at a time.  A row is reduced at its lowest column by the
+    pivot row of that column until it either has no entry below ``cols``
+    left or leads at a column without a pivot, where it becomes the pivot.
+    Returns ``(pivots, rest)``: ``pivots`` maps each pivot column to its row,
+    ``rest`` holds the rows left with entries only at columns >= ``cols``
+    (the transform part of a zero row).
+    """
+    pivots = {}
+    rest = []
+    for row in rows:
+        while row:
+            c = min(row)
+            if c >= cols:
+                rest.append(row)
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        pivot = work[r][c]
-        for i in range(r + 1, rows):
-            fi = work[i][c]
-            if fi == 0:
-                # Pure row-scaling step; skipping it never changes the RREF.
-                continue
-            row_i = work[i]
-            row_r = work[r]
-            for j in range(width):
-                row_i[j] = (pivot * row_i[j] - fi * row_r[j]) / prev
-        prev = pivot
-        pivot_cols.append(c)
-        r += 1
-
-
-def _normalize_rref(work, cols, pivot_cols):
-    """Scale pivots to 1 and clear above them (the final normalization pass)."""
-    width = len(work[0]) if work else 0
-    for idx in range(len(pivot_cols) - 1, -1, -1):
-        c = pivot_cols[idx]
-        pivot = work[idx][c]
-        if pivot != 1:
-            row = work[idx]
-            for j in range(width):
-                if row[j] != 0:
-                    row[j] = row[j] / pivot
-        for i in range(idx):
-            f = work[i][c]
-            if f != 0:
-                row_i = work[i]
-                row_p = work[idx]
-                for j in range(width):
-                    if row_p[j] != 0:
-                        row_i[j] = row_i[j] - f * row_p[j]
+            piv = pivots.get(c)
+            if piv is None:
+                _divide_content(row)
+                pivots[c] = row
+                break
+            _eliminate(row, piv, c)
+    return pivots, rest
 
 
 def rref(m: RationalMatrix, transform: bool = False):
@@ -252,21 +291,36 @@ def rref(m: RationalMatrix, transform: bool = False):
     Returns (pivot_columns, reduced) or, with ``transform=True``,
     (pivot_columns, reduced, T) where T is invertible and T @ m == reduced.
     """
-    rows, cols = m.rows, m.cols
-    work = [list(m.row(i)) for i in range(rows)]
-    if transform:
-        for i in range(rows):
-            work[i].extend(ONE if j == i else ZERO for j in range(rows))
-    pivot_cols: list[int] = []
-    if rows and cols:
-        _forward_bareiss(work, rows, cols, pivot_cols)
-    _normalize_rref(work, cols, pivot_cols)
-    reduced = RationalMatrix.from_rows([row[:cols] for row in work]) if rows else RationalMatrix(0, cols)
-    pivots = tuple(pivot_cols)
+    cols = m.cols
+    pivots, rest = _forward(_integer_rows(m, transform), cols)
+    order = sorted(pivots)
+    # Back-substitution, last pivot first: every later pivot row is already
+    # zero at all pivot columns but its own, so clearing one entry never
+    # refills another.
+    for c in reversed(order):
+        row = pivots[c]
+        for k in [k for k in row if k in pivots and k != c]:
+            _eliminate(row, pivots[k], k)
+    reduced = {}
+    t = {}
+    for r, c in enumerate(order):
+        row = pivots[c]
+        lead = row[c]
+        for k in sorted(row):
+            v = Fraction(row[k], lead)
+            if k < cols:
+                reduced[(r, k)] = v
+            else:
+                t[(r, k - cols)] = v
+    pivot_cols = tuple(order)
+    reduced = RationalMatrix._trusted(m.rows, cols, reduced)
     if not transform:
-        return pivots, reduced
-    t = RationalMatrix.from_rows([row[cols:] for row in work]) if rows else RationalMatrix(0, 0)
-    return pivots, reduced, t
+        return pivot_cols, reduced
+    for r, row in enumerate(rest, len(order)):
+        _divide_content(row)
+        for k in sorted(row):
+            t[(r, k - cols)] = Fraction(row[k])
+    return pivot_cols, reduced, RationalMatrix._trusted(m.rows, m.rows, t)
 
 
 class SubspaceBasis:
@@ -293,11 +347,21 @@ class SubspaceBasis:
                 raise ValueError("vector does not live in the ambient space")
         if not vectors:
             return cls(ambient_dim, (), ())
-        pivots, reduced = rref(RationalMatrix.from_rows(vectors))
-        canon = [reduced.row(i) for i in range(len(pivots))]
-        if require_independent and len(pivots) != len(vectors):
+        return cls.row_space(RationalMatrix.from_rows(vectors), require_independent)
+
+    @classmethod
+    def row_space(cls, m: RationalMatrix,
+                  require_independent: bool = True) -> "SubspaceBasis":
+        """Canonical basis of the span of the rows of ``m``."""
+        if not m.rows:
+            return cls(m.cols, (), ())
+        pivots, reduced = rref(m)
+        if require_independent and len(pivots) != m.rows:
             raise ValueError("vectors are linearly dependent")
-        return cls(ambient_dim, canon, pivots)
+        canon = [[ZERO] * m.cols for _ in pivots]
+        for (i, j), v in reduced.entries.items():
+            canon[i][j] = v
+        return cls(m.cols, canon, pivots)
 
     @property
     def count(self) -> int:
@@ -336,22 +400,19 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the kernel (null space) of m."""
     pivots, reduced = rref(m)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            coeff = reduced.entry(r, f)
-            if coeff != 0:
-                v[p] = -coeff
-        vectors.append(tuple(v))
-    return SubspaceBasis.from_vectors(m.cols, vectors)
+    # Free column f gives the vector e_f - sum_r reduced[r, f] e_{pivots[r]}.
+    free = {f: i for i, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
+    entries = {(i, f): ONE for f, i in free.items()}
+    for (r, f), v in reduced.entries.items():
+        i = free.get(f)
+        if i is not None:
+            entries[(i, pivots[r])] = -v
+    return SubspaceBasis.row_space(RationalMatrix(len(free), m.cols, entries))
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column space of m."""
-    return SubspaceBasis.from_vectors(m.rows, m.columns(), require_independent=False)
+    return SubspaceBasis.row_space(m.transpose(), require_independent=False)
 
 
 def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis:

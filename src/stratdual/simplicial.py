@@ -24,6 +24,11 @@ from .rational import RationalMatrix, kernel_basis
 Simplex = tuple  # tuple[int, ...], strictly increasing vertex ids
 
 
+def _is_int(v) -> bool:
+    """True for a JSON integer; bools and floats such as 2.0 are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 class SimplicialComplex:
     """Finite pure simplicial complex, immutable after construction."""
 
@@ -46,7 +51,7 @@ class SimplicialComplex:
                 raise ParseError(f"{name}: repeated vertex within facet {fl}")
             if not fl:
                 raise ParseError(f"{name}: empty facet")
-            if any((not isinstance(v, int)) or isinstance(v, bool) or v < 0 for v in fl):
+            if any(not _is_int(v) or v < 0 for v in fl):
                 raise ParseError(f"{name}: vertex ids must be non-negative integers, got {fl}")
             norm.append(tuple(sorted(fl)))
         if not norm:
@@ -132,6 +137,8 @@ def parse_complex(document: dict) -> SimplicialComplex:
     facets = document["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise ParseError("facets must be a list of vertex-id lists")
+    if not _is_int(document["dimension"]):
+        raise ParseError(f"dimension must be an integer, got {document['dimension']!r}")
     complex_ = SimplicialComplex.from_facets(facets, name=name)
     if complex_.dimension != document["dimension"]:
         raise ParseError(
@@ -185,6 +192,8 @@ def _check_closed_pseudomanifold(L: SimplicialComplex, context: str):
 
 def decompose(X: SimplicialComplex, x: int) -> PseudomanifoldDecomposition:
     """Split X into exterior M and link L of x, validating all invariants."""
+    if not _is_int(x):
+        raise ParseError(f"singular vertex must be an integer vertex id, got {x!r}")
     n = X.dimension
     if n < 2:
         raise NotPseudomanifoldError(f"{X.name}: dimension {n} < 2")

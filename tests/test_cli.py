@@ -126,3 +126,23 @@ def test_csv_and_text_render():
     assert "overall: pass" in text_out
     with pytest.raises(Exception):
         render_report(report, "yaml")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("singular_vertex", False),
+    ("singular_vertex", True),
+    ("singular_vertex", 0.0),
+    ("dimension", 2.0),
+])
+def test_non_integer_vertex_or_dimension_rejected(tmp_path, capsys, key, value):
+    # JSON false/true/0.0/2.0 compare equal to integers in Python, so they
+    # must be rejected by type, as facet vertex ids are.
+    doc = dict(examples.get_document("disk-cone-s1"))
+    doc[key] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report, status = run_verification(str(path), checks=["model"])
+    assert status == 2
+    assert report["error"]["code"] == "PARSE"
+    assert main(["verify", str(path), "--checks", "model"]) == 2
+    capsys.readouterr()

@@ -13,6 +13,7 @@ from stratdual.rational import (
     rref,
     solve,
     vec,
+    vec_is_zero,
 )
 
 
@@ -186,3 +187,135 @@ def test_subspace_reduce_is_canonical_coset_rep():
 def test_subspace_dependence_rejected():
     with pytest.raises(ValueError):
         SubspaceBasis.from_vectors(2, [vec([1, 1]), vec([2, 2])])
+
+
+# -- the kernel against a dense Gauss-Jordan oracle -------------------------
+
+def _oracle_rref(rows, ncols):
+    """Textbook dense Gauss-Jordan on Fraction lists; pivots among the first
+    ``ncols`` columns only, so augmented columns just ride along."""
+    a = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), a
+
+
+def _oracle_row_space(vectors, dim):
+    """Canonical (RREF) basis of the span of ``vectors`` in Q^dim."""
+    pivots, a = _oracle_rref(vectors, dim)
+    return tuple(tuple(row) for row in a[:len(pivots)])
+
+
+def _random_entry(rng):
+    if rng.random() < 0.3:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Fraction(rng.randint(-3, 3))
+
+
+def _random_dense(rng):
+    """A random matrix with the awkward cases mixed in: non-integer entries,
+    zero rows and columns, empty shapes, duplicate and dependent rows."""
+    rows = rng.choice([0, rng.randint(1, 4), rng.randint(1, 9)])
+    cols = rng.choice([0, rng.randint(1, 4), rng.randint(1, 9)])
+    density = rng.random()
+    a = [[_random_entry(rng) if rng.random() < density else Fraction(0)
+          for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2:
+        kind = rng.randrange(5)
+        i, j = rng.sample(range(rows), 2)
+        if kind == 0:                       # duplicate row
+            a[j] = list(a[i])
+        elif kind == 1:                     # rational multiple of another row
+            c = _random_entry(rng)
+            a[j] = [c * x for x in a[i]]
+        elif kind == 2:                     # combination of two rows
+            k = rng.randrange(rows)
+            a[j] = [x + _random_entry(rng) * y for x, y in zip(a[i], a[k])]
+        elif kind == 3:                     # zero row
+            a[j] = [Fraction(0)] * cols
+    if cols and rng.random() < 0.3:         # zero column
+        c = rng.randrange(cols)
+        for row in a:
+            row[c] = Fraction(0)
+    return a
+
+
+def _as_matrix(a, cols):
+    return RationalMatrix(len(a), cols, {
+        (i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if v})
+
+
+def _matvec(a, x):
+    return tuple(sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a)
+
+
+def test_kernel_matches_dense_oracle():
+    rng = random.Random(2024)
+    shapes = set()
+    for _ in range(400):
+        a = _random_dense(rng)
+        rows = len(a)
+        cols = len(a[0]) if rows else rng.randint(0, 5)
+        shapes.add((rows == 0, cols == 0))
+        m = _as_matrix(a, cols)
+        want_pivots, want = _oracle_rref(a, cols)
+        rank = len(want_pivots)
+
+        pivots, reduced = rref(m)
+        assert pivots == want_pivots
+        assert reduced == _as_matrix(want, cols)
+        assert m.rank() == rank
+
+        t_pivots, t_reduced, t = rref(m, transform=True)
+        assert (t_pivots, t_reduced) == (pivots, reduced)
+        assert (t.rows, t.cols) == (rows, rows)
+        assert t @ m == reduced
+        assert len(_oracle_rref(t.dense(), rows)[0]) == rows
+
+        solver = Solver(m)
+        x = tuple(_random_entry(rng) for _ in range(cols))
+        rhs = _matvec(a, x)
+        for b in (rhs, tuple(_random_entry(rng) for _ in range(rows))):
+            aug_pivots, aug = _oracle_rref([row + [v] for row, v in zip(a, b)], cols + 1)
+            got = solver.solve(b)
+            if cols in aug_pivots:          # b is outside the column space
+                assert got is None
+                continue
+            expected = [Fraction(0)] * cols
+            for r, p in enumerate(aug_pivots):
+                expected[p] = aug[r][cols]
+            assert got == tuple(expected)
+        assert solver.solve(rhs) is not None
+
+        kernel = kernel_basis(m)
+        assert kernel.count == cols - rank
+        free = [j for j in range(cols) if j not in want_pivots]
+        oracle_kernel = []
+        for f in free:
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for r, p in enumerate(want_pivots):
+                v[p] = -want[r][f]
+            oracle_kernel.append(v)
+        assert kernel.vectors == _oracle_row_space(oracle_kernel, cols)
+        for v in kernel.vectors:
+            assert vec_is_zero(m.apply(v))
+
+        image = image_basis(m)
+        columns = [[a[i][j] for i in range(rows)] for j in range(cols)]
+        assert image.count == rank
+        assert image.vectors == _oracle_row_space(columns, rows)
+    assert shapes == {(False, False), (True, False), (False, True), (True, True)}
