@@ -52,7 +52,7 @@ def resolve_input(ref: str):
     if path.exists():
         try:
             document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read input document: {exc}") from exc
         return document, path.name
     if ref in examples.DECOMPOSITION_DOCUMENTS:
@@ -138,13 +138,12 @@ def _check_truncated_duality(D, pair, mu, strategy):
 
     c = D.n - 1
     lam = boundary_link_chain(pair, mu)
-    sub_unpadded = simplicial_cochains(D.L)
     windows = {}
     ok = True
     for k in range(1, c + 1):
         l = c + 1 - k
         report = truncated_duality(D.L, k, l, lam=lam, strategy=strategy,
-                                   cochains=sub_unpadded)
+                                   cochains=(pair.sub, pair.sub_cup))
         ok = ok and report.passed
         windows[f"k={k},l={l}"] = report.to_jsonable()
     return {"pass": ok, "windows": windows}
@@ -153,33 +152,31 @@ def _check_truncated_duality(D, pair, mu, strategy):
 def _check_properties(D, pair, mp, mq, seed):
     rng = random.Random(seed)
     stokes_failures = 0
-    complexes = {"X": D.X, "M": D.M, "L": D.L}
-    for K in complexes.values():
-        C, _ = simplicial_cochains(K)
+    complexes = ((D.X, simplicial_cochains(D.X)[0]), (D.M, pair.full), (D.L, pair.sub))
+    for K, C in complexes:
+        boundaries = [K.boundary_matrix(r + 1) for r in range(max(C.top, 1))]
         for _ in range(1000):
             r = rng.randint(0, max(C.top - 1, 0))
             x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(C.dim(r)))
             xi = tuple(Fraction(rng.randint(-3, 3)) for _ in range(C.dim(r + 1)))
             lhs = integrate(C.diff(r).apply(x), xi)
-            rhs = integrate(x, K.boundary_matrix(r + 1).apply(xi))
+            rhs = integrate(x, boundaries[r].apply(xi))
             if lhs != -((-1) ** r) * rhs:
                 stokes_failures += 1
-    sub, sub_cup = simplicial_cochains(D.L)
     c = D.L.dimension
     vanishing_ok = True
-    cts = {k: cotruncate(sub, k) for k in range(1, c + 2)}
+    cts = {k: cotruncate(pair.sub, k) for k in range(1, c + 2)}
     for k in cts:
         for l in cts:
             for r in range(1, c + 1):
                 for s in range(1, c + 1):
                     if k + l > r + s:
-                        if not check_product_vanishing(sub_cup, cts[k], cts[l], r, s):
+                        if not check_product_vanishing(pair.sub_cup, cts[k], cts[l], r, s):
                             vanishing_ok = False
     boundary_products_vanish = stokes_vanishing_probe(mp, mq, trials=50, seed=seed)
     euler_ok = all(
-        K.euler_characteristic() == sum(
-            (-1) ** r * b for r, b in enumerate(simplicial_cochains(K)[0].betti()))
-        for K in complexes.values())
+        K.euler_characteristic() == sum((-1) ** r * b for r, b in enumerate(C.betti()))
+        for K, C in complexes)
     ok = (stokes_failures == 0 and vanishing_ok and boundary_products_vanish
           and euler_ok)
     return {

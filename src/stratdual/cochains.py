@@ -12,6 +12,9 @@ Conventions, fixed once for the whole engine:
 * ``integrate`` is plain bilinear evaluation of a cochain on a chain, so the
   Stokes identity carries the induced sign:
   integrate(dx, xi) = -(-1)^{deg x} integrate(x, ∂xi).
+* Every duality pairing is one intersection form on cochains,
+  CupStructure.evaluation_form: (a, b) -> pair_against_chain(n, a ∪ b, chain)
+  as a matrix G read off the cup table; pairing_matrix returns A^T G B.
 
 Cohomology representatives are canonical: the kernel echelon basis is
 filtered to a basis modulo the image and reduced against the canonical image
@@ -37,13 +40,12 @@ from .simplicial import SimplicialComplex
 class CochainComplex:
     """Finite rational cochain complex in degrees 0..top."""
 
-    __slots__ = ("name", "dims", "d", "labels", "_cohomology_cache", "_solver_cache")
+    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_solver_cache")
 
-    def __init__(self, name, dims, d, labels=None, check=True):
+    def __init__(self, name, dims, d, check=True):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
-        self.labels = tuple(labels) if labels is not None else None
         self._cohomology_cache = {}
         self._solver_cache = {}
         if len(self.d) != len(self.dims):
@@ -76,10 +78,7 @@ class CochainComplex:
             return self
         dims = list(self.dims) + [0] * (top - self.top)
         d = list(self.d) + [RationalMatrix.zeros(0, dims[r]) for r in range(self.top + 1, top + 1)]
-        labels = None
-        if self.labels is not None:
-            labels = list(self.labels) + [()] * (top - self.top)
-        return CochainComplex(self.name, dims, d, labels, check=False)
+        return CochainComplex(self.name, dims, d, check=False)
 
     def cohomology(self, r: int) -> "CohomologyBasis":
         if r not in self._cohomology_cache:
@@ -89,11 +88,14 @@ class CochainComplex:
     def betti(self):
         return tuple(self.cohomology(r).dimension for r in range(self.top + 1))
 
+    def representative_matrix(self, r: int) -> RationalMatrix:
+        """The degree-r cohomology representatives as columns (dim(r) x b_r)."""
+        return RationalMatrix.from_columns(self.cohomology(r).representatives, self.dim(r))
+
     def class_solver(self, r: int) -> Solver:
         """Solver for [representatives | image basis] used to express classes."""
         if r not in self._solver_cache:
-            basis = self.cohomology(r)
-            reps = RationalMatrix.from_columns(basis.representatives, self.dim(r))
+            reps = self.representative_matrix(r)
             img = image_basis(self.diff(r - 1)).matrix() if r > 0 else RationalMatrix.zeros(self.dim(r), 0)
             self._solver_cache[r] = Solver(reps.hstack(img))
         return self._solver_cache[r]
@@ -171,6 +173,35 @@ class CupStructure:
                         out[k] += ai * bj * coeff
         return tuple(out)
 
+    def evaluation_form(self, n: int, r: int, chain) -> RationalMatrix:
+        """Gram matrix of (a, b) -> pair_against_chain(n, a ∪ b, chain).
+
+        Shape dim C^r x dim C^{n-r}; G[i, j] = (-1)^{n(n+1)/2} sum_k c_k chain[k]
+        over the cup table entry e_i ∪ e_j = sum_k c_k e_k.  Every duality
+        pairing is a product A^T G B of this one form.
+        """
+        C = self.complex
+        sign = koszul_evaluation_sign(n)
+        entries = {}
+        for (i, j), cell in self.tables.get((r, n - r), {}).items():
+            value = sum(coeff * chain[k] for k, coeff in cell.items())
+            if value:
+                entries[(i, j)] = sign * value
+        return RationalMatrix(C.dim(r), C.dim(n - r), entries)
+
+
+def pairing_matrix(cup: CupStructure, n: int, r: int, chain,
+                   left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    """left^T G right for G = cup.evaluation_form(n, r, chain).
+
+    The columns of ``left`` are degree-r cochains and those of ``right``
+    degree-(n-r) cochains of the cup's complex.  A side without columns
+    gives the zero matrix without reading the other side's shape.
+    """
+    if left.cols == 0 or right.cols == 0:
+        return RationalMatrix.zeros(left.cols, right.cols)
+    return left.transpose() @ cup.evaluation_form(n, r, chain) @ right
+
 
 def simplicial_cochains(K: SimplicialComplex):
     """Cochain complex plus cup structure of a pure simplicial complex."""
@@ -181,8 +212,7 @@ def simplicial_cochains(K: SimplicialComplex):
         sign = Fraction(-1) ** (r + 1)       # -(-1)^r
         boundary = K.boundary_matrix(r + 1)  # C_{r+1} -> C_r
         d.append(boundary.transpose().scaled(sign))
-    labels = [K.simplices(r) for r in range(top + 1)]
-    complex_ = CochainComplex(f"C*({K.name})", dims, d, labels)
+    complex_ = CochainComplex(f"C*({K.name})", dims, d)
 
     tables = {}
     for total in range(top + 1):
@@ -239,7 +269,7 @@ def relative_complex(K: SimplicialComplex, A: SimplicialComplex):
                 if tau in positions[r + 1] and sigma in positions[r]:
                     entries[(positions[r + 1][tau], positions[r][sigma])] = v
         d.append(RationalMatrix(target, dims[r], entries))
-    rel = CochainComplex(f"C*({K.name},{A.name})", dims, d, rel_simplices)
+    rel = CochainComplex(f"C*({K.name},{A.name})", dims, d)
     return rel, include
 
 

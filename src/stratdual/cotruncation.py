@@ -14,6 +14,7 @@ from .cochains import (
     CochainComplex,
     CupStructure,
     pair_against_chain,
+    pairing_matrix,
     simplicial_cochains,
 )
 from .errors import InternalExactnessError
@@ -189,11 +190,6 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
     return quotient, pi, section
 
 
-def included_basis(ct: StandardCotruncation, r: int):
-    """Columns of theta at degree r: the included cotruncation subspace."""
-    return ct.inclusion[r].columns()
-
-
 def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
                             ct_l: StandardCotruncation, r: int, s: int) -> bool:
     """Degree-window vanishing of included cotruncation products.
@@ -205,8 +201,8 @@ def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
         raise ValueError("degrees and cutoffs must be positive")
     if ct_k.k + ct_l.k <= r + s:
         raise ValueError("outside the vanishing window: need k + l > r + s")
-    for a in included_basis(ct_k, r):
-        for b in included_basis(ct_l, s):
+    for a in ct_k.inclusion[r].columns():
+        for b in ct_l.inclusion[s].columns():
             if not vec_is_zero(cup.cup(r, a, s, b)):
                 return False
     return True
@@ -241,17 +237,9 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
     quotient, pi, section = quotient_by_cotruncation(C, ct_k)
     pairings = []
     for r in range(c + 1):
-        left = quotient.cohomology(r)
-        right = ct_l.complex.cohomology(c - r)
-        entries = {}
-        for i, u in enumerate(left.representatives):
-            alpha = section[r].apply(u)
-            for j, t in enumerate(right.representatives):
-                beta = ct_l.inclusion[c - r].apply(t)
-                value = pair_against_chain(c, cup.cup(r, alpha, c - r, beta), lam_vec)
-                if value != 0:
-                    entries[(i, j)] = value
-        matrix = RationalMatrix(left.dimension, right.dimension, entries)
-        pairings.append(PairingMatrix(r, left.dimension, right.dimension, matrix))
+        lifts = section[r] @ quotient.representative_matrix(r)
+        included = ct_l.inclusion[c - r] @ ct_l.complex.representative_matrix(c - r)
+        matrix = pairing_matrix(cup, c, r, lam_vec, lifts, included)
+        pairings.append(PairingMatrix(r, matrix.rows, matrix.cols, matrix))
     return DualityReport("truncated-duality", pairings,
                          quotient.betti(), ct_l.complex.betti())

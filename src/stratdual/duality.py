@@ -1,17 +1,22 @@
 """Duality pairings and the ladder-diagram verification.
 
-Three pairings are built here, all as matrices P with P[i][j] =
-pairing(left_i, right_j) in canonical cohomology bases:
+Every pairing comes from one bilinear form on cochains: the evaluation
+form G_r(chain)[i, j] = pair_against_chain(n, e_i ∪ e_j, chain) of
+CupStructure.evaluation_form.  With the representatives of the two
+cohomology bases mapped into the ambient cochains as the columns of A and
+B, the pairing matrix is A^T G B (cochains.pairing_matrix):
 
-* Lefschetz:  H^r(C*(M)) x H^{n-r}(C*(M,∂M)) -> Q, entries ∫_mu a ∪ j*(b);
-* main:       H^r(A_p)   x H^{n-r}(A_q)     -> Q, entries ∫_mu iota_p(a) ∪ iota_q(b);
-* boundary:   H^r(C*(L)/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q over ∂mu
-  (the truncated pairing, consumed by the ladder rows).
+* Lefschetz:  H^r(C*(M)) x H^{n-r}(C*(M,∂M)) -> Q, A = reps, B = j* reps, over mu;
+* main:       H^r(A_p)   x H^{n-r}(A_q)     -> Q, A = iota_p reps, B = iota_q reps, over mu;
+* boundary:   H^r(C*(L)/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q,
+  A = section reps, B = theta reps, over ∂mu (the truncated pairing,
+  consumed by the ladder rows).
 
-Evaluation uses pair_against_chain, whose Koszul sign makes Stokes sign-free
-at pairing level; with that convention the top and middle ladder squares
-commute exactly and the bottom square commutes up to (-1)^r per degree.
-Dual maps are transposes composed through the stored pairing matrices.
+The form carries the Koszul sign of pair_against_chain, which makes Stokes
+sign-free at pairing level; with that convention the top and middle ladder
+squares commute exactly and the bottom square commutes up to (-1)^r per
+degree.  Dual maps are transposes composed through the stored pairing
+matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cochains import chain_vector, induced_map, pair_against_chain
+from .cochains import (
+    chain_vector,
+    induced_map,
+    integrate,
+    pair_against_chain,
+    pairing_matrix,
+)
 from .errors import NotComplementaryError, NotPseudomanifoldError
 from .model import IntersectionModel
 from .rational import RationalMatrix, vec_is_zero
@@ -50,19 +61,21 @@ def boundary_link_chain(pair, mu: FundamentalChain):
     return chain_vector(pair.A, pair.K.dimension - 1, support)
 
 
+def _mapped(maps, complex_, r: int) -> RationalMatrix:
+    """maps[r] applied to the degree-r cohomology representatives, as columns.
+
+    Without classes the result has no columns and maps[r] is not read: the
+    ladder asks for degrees -1 and n+1, where it wraps around or is absent.
+    """
+    reps = complex_.representative_matrix(r)
+    return maps[r] @ reps if reps.cols else reps
+
+
 def _lefschetz_matrix(pair, mu: FundamentalChain, r: int) -> RationalMatrix:
     n = pair.K.dimension
-    left = pair.full.cohomology(r)
-    right = pair.rel.cohomology(n - r)
-    entries = {}
-    for i, a in enumerate(left.representatives):
-        for j, b in enumerate(right.representatives):
-            included = pair.include_rel[n - r].apply(b)
-            value = pair_against_chain(n, pair.cup.cup(r, a, n - r, included),
-                                       mu.coefficients)
-            if value != 0:
-                entries[(i, j)] = value
-    return RationalMatrix(left.dimension, right.dimension, entries)
+    return pairing_matrix(pair.cup, n, r, mu.coefficients,
+                          pair.full.representative_matrix(r),
+                          _mapped(pair.include_rel, pair.rel, n - r))
 
 
 def lefschetz_pairing(pair, mu: FundamentalChain) -> DualityReport:
@@ -92,18 +105,9 @@ def _require_compatible(mp: IntersectionModel, mq: IntersectionModel):
 def _main_matrix(mp: IntersectionModel, mq: IntersectionModel,
                  mu: FundamentalChain, r: int) -> RationalMatrix:
     n = mp.decomposition.n
-    cup = mp.pair.cup
-    left = mp.complex.cohomology(r)
-    right = mq.complex.cohomology(n - r)
-    entries = {}
-    for i, a in enumerate(left.representatives):
-        ia = mp.iota[r].apply(a)
-        for j, b in enumerate(right.representatives):
-            ib = mq.iota[n - r].apply(b)
-            value = pair_against_chain(n, cup.cup(r, ia, n - r, ib), mu.coefficients)
-            if value != 0:
-                entries[(i, j)] = value
-    return RationalMatrix(left.dimension, right.dimension, entries)
+    return pairing_matrix(mp.pair.cup, n, r, mu.coefficients,
+                          _mapped(mp.iota, mp.complex, r),
+                          _mapped(mq.iota, mq.complex, n - r))
 
 
 def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
@@ -122,29 +126,28 @@ def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
 def well_definedness_probe(mp: IntersectionModel, mq: IntersectionModel,
                            mu: FundamentalChain, trials: int = 100,
                            seed: int = 0) -> bool:
-    """Random coboundary perturbations must leave every entry bit-identical."""
+    """Random coboundary perturbations must leave every entry bit-identical.
+
+    Each value is a^T G b with G the evaluation form over mu pulled back to
+    the two models' cochains, built once per degree.
+    """
     _require_compatible(mp, mq)
     n = mp.decomposition.n
-    cup = mp.pair.cup
     rng = random.Random(seed)
     for r in range(n + 1):
         left = mp.complex.cohomology(r)
         right = mq.complex.cohomology(n - r)
         if left.dimension == 0 or right.dimension == 0:
             continue
+        form = pairing_matrix(mp.pair.cup, n, r, mu.coefficients,
+                              mp.iota[r], mq.iota[n - r])
         for a in left.representatives:
             for b in right.representatives:
-                ia = mp.iota[r].apply(a)
-                ib = mq.iota[n - r].apply(b)
-                base = pair_against_chain(n, cup.cup(r, ia, n - r, ib), mu.coefficients)
+                base = integrate(a, form.apply(b))
                 for _ in range(trials):
                     a2 = _perturb(mp, r, a, rng)
                     b2 = _perturb(mq, n - r, b, rng)
-                    ia2 = mp.iota[r].apply(a2)
-                    ib2 = mq.iota[n - r].apply(b2)
-                    value = pair_against_chain(
-                        n, cup.cup(r, ia2, n - r, ib2), mu.coefficients)
-                    if value != base:
+                    if integrate(a2, form.apply(b2)) != base:
                         return False
     return True
 
@@ -193,18 +196,10 @@ def _boundary_pairing(mp: IntersectionModel, mq: IntersectionModel, lam,
                       degree: int) -> RationalMatrix:
     """Truncated pairing H^degree(quotient_p) x H^{c-degree}(tau_q) over lam."""
     c = mp.decomposition.n - 1
-    cup = mp.pair.sub_cup
-    left = mp.quotient.cohomology(degree)
-    right = mq.cotruncation.complex.cohomology(c - degree)
-    entries = {}
-    for i, u in enumerate(left.representatives):
-        alpha = mp.section[degree].apply(u)
-        for j, t in enumerate(right.representatives):
-            beta = mq.cotruncation.inclusion[c - degree].apply(t)
-            value = pair_against_chain(c, cup.cup(degree, alpha, c - degree, beta), lam)
-            if value != 0:
-                entries[(i, j)] = value
-    return RationalMatrix(left.dimension, right.dimension, entries)
+    return pairing_matrix(mp.pair.sub_cup, c, degree, lam,
+                          _mapped(mp.section, mp.quotient, degree),
+                          _mapped(mq.cotruncation.inclusion,
+                                  mq.cotruncation.complex, c - degree))
 
 
 def _match_up_to_sign(a: RationalMatrix, b: RationalMatrix):

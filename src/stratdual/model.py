@@ -117,9 +117,25 @@ class IntersectionModel:
                  "cotruncation", "complex", "iota", "rho", "eta", "kappa",
                  "quotient", "pi", "section", "ses_eta_rho", "ses_iota_kappa")
 
-    def __init__(self, **kw):
-        for slot in self.__slots__:
-            setattr(self, slot, kw[slot])
+    def __init__(self, decomposition, perversity, k, strategy, pair, cotruncation,
+                 complex_, iota, rho, eta, kappa, quotient, pi, section,
+                 ses_eta_rho, ses_iota_kappa):
+        self.decomposition = decomposition
+        self.perversity = perversity
+        self.k = k
+        self.strategy = strategy
+        self.pair = pair
+        self.cotruncation = cotruncation
+        self.complex = complex_
+        self.iota = iota
+        self.rho = rho
+        self.eta = eta
+        self.kappa = kappa
+        self.quotient = quotient
+        self.pi = pi
+        self.section = section
+        self.ses_eta_rho = ses_eta_rho
+        self.ses_iota_kappa = ses_iota_kappa
 
     def betti(self):
         return self.complex.betti()
@@ -198,7 +214,7 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
 
     return IntersectionModel(
         decomposition=D, perversity=p, k=k, strategy=strategy, pair=pair,
-        cotruncation=ct, complex=complex_, iota=iota, rho=rho, eta=eta,
+        cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, pi=pi, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
 

@@ -121,11 +121,6 @@ class SimplicialComplex:
         return f"SimplicialComplex({self.name!r}, dim {self.dimension}, {len(self.facets)} facets)"
 
 
-def empty_complex(name: str = "empty") -> SimplicialComplex:
-    """The empty subcomplex (no faces in any degree)."""
-    return SimplicialComplex(name, -1, (), (), {}, {})
-
-
 def parse_complex(document: dict) -> SimplicialComplex:
     """Build a complex from the JSON-shaped input document."""
     if not isinstance(document, dict):

@@ -71,6 +71,16 @@ def test_malformed_file_input(tmp_path):
     assert report["error"]["code"] == "PARSE"
 
 
+def test_non_utf8_file_input(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    report, status = run_verification(str(path))
+    assert status == 2
+    assert report["error"]["code"] == "PARSE"
+    assert main(["verify", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "PARSE"
+
+
 def test_disconnected_link_error(tmp_path):
     doc = {
         "name": "wedge",

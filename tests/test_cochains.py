@@ -12,13 +12,14 @@ from stratdual.cochains import (
     induced_map,
     integrate,
     pair_against_chain,
+    pairing_matrix,
     relative_complex,
     restriction_map,
     simplicial_cochains,
 )
-from stratdual.errors import InternalExactnessError, ParseError
+from stratdual.errors import InternalExactnessError, NonOrientableError, ParseError
 from stratdual.rational import RationalMatrix, kernel_basis, vec
-from stratdual.simplicial import SimplicialComplex
+from stratdual.simplicial import SimplicialComplex, orient_top_chain
 
 
 def betti(K):
@@ -331,3 +332,51 @@ def test_stokes_identity_randomized():
             lhs = integrate(C.d[r].apply(x), xi)
             rhs = integrate(x, K.boundary_matrix(r + 1).apply(xi))
             assert lhs == -((-1) ** r) * rhs
+
+
+def test_evaluation_form_matches_cup_then_evaluate():
+    # a^T G b must equal the reference path: the dense cup product evaluated
+    # by pair_against_chain, for every complex, degree and both kinds of chain.
+    rng = random.Random(47)
+
+    def random_vector(size):
+        return tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(size))
+
+    for name in examples.complex_names():
+        K = examples.get_complex(name)
+        C, cup = simplicial_cochains(K)
+        n = K.dimension
+        chains = [random_vector(C.dim(n))]
+        try:
+            chains.append(orient_top_chain(K).coefficients)
+        except NonOrientableError:
+            assert name == "mobius"
+        for chain in chains:
+            for r in range(n + 1):
+                G = cup.evaluation_form(n, r, chain)
+                assert (G.rows, G.cols) == (C.dim(r), C.dim(n - r))
+                for _ in range(5):
+                    a = random_vector(C.dim(r))
+                    b = random_vector(C.dim(n - r))
+                    expected = pair_against_chain(n, cup.cup(r, a, n - r, b), chain)
+                    assert integrate(a, G.apply(b)) == expected
+                left = [random_vector(C.dim(r)) for _ in range(3)]
+                right = [random_vector(C.dim(n - r)) for _ in range(2)]
+                P = pairing_matrix(cup, n, r, chain,
+                                   RationalMatrix.from_columns(left, C.dim(r)),
+                                   RationalMatrix.from_columns(right, C.dim(n - r)))
+                assert P.dense() == [
+                    [pair_against_chain(n, cup.cup(r, a, n - r, b), chain) for b in right]
+                    for a in left]
+
+
+def test_pairing_matrix_with_an_empty_side():
+    K = examples.get_complex("t2-7")
+    C, cup = simplicial_cochains(K)
+    chain = orient_top_chain(K).coefficients
+    some = RationalMatrix.identity(C.dim(1))
+    # The empty side's row count is not read, as for degrees -1 and n+1.
+    assert pairing_matrix(cup, 2, 1, chain, RationalMatrix.zeros(0, 0), some) == \
+        RationalMatrix.zeros(0, C.dim(1))
+    assert pairing_matrix(cup, 2, -1, chain, some, RationalMatrix.zeros(5, 0)) == \
+        RationalMatrix.zeros(C.dim(1), 0)
