@@ -151,32 +151,30 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
 def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
     """Quotient C / theta(tau_{>=k}) with projection and canonical section.
 
-    Realized on the complementary summand: full below k, im d^{k-1} in
-    degree k, zero above.  Returns (quotient, pi, section); the composite
-    tau_{<k} -> C -> quotient is checked to be an isomorphism of complexes.
+    Realized on the complementary summand, which is the truncation tau_{<k}:
+    full below k, im d^{k-1} in degree k, zero above.  Returns
+    (quotient, pi, section) with section the truncation's inclusion; the
+    composite tau_{<k} -> C -> quotient is checked to be the identity.
     """
     k = ct.k
     top = C.top
     trunc = truncate_below(C, k)
-    quotient = CochainComplex(f"{C.name}/tau_>={k}", trunc.complex.dims, trunc.complex.d)
+    quotient = trunc.complex
+    section = trunc.inclusion[:top + 1]
     pi = []
-    section = []
     for r in range(top + 1):
         if r < k:
             pi.append(RationalMatrix.identity(C.dim(r)))
-            section.append(RationalMatrix.identity(C.dim(r)))
-        elif r == k and k <= top:
-            img = image_basis(C.diff(k - 1))
-            split = Solver(img.matrix().hstack(ct.D.matrix()))
+        elif r == k:
+            img = section[k]
+            split = Solver(img.hstack(ct.D.matrix()))
             full = split.solve_matrix(RationalMatrix.identity(C.dim(k)))
             if full is None:
                 raise InternalExactnessError("quotient projection unsolvable")
-            entries = {(i, j): v for (i, j), v in full.entries.items() if i < img.count}
-            pi.append(RationalMatrix(img.count, C.dim(k), entries))
-            section.append(img.matrix())
+            entries = {(i, j): v for (i, j), v in full.entries.items() if i < img.cols}
+            pi.append(RationalMatrix(img.cols, C.dim(k), entries))
         else:
             pi.append(RationalMatrix.zeros(0, C.dim(r)))
-            section.append(RationalMatrix.zeros(C.dim(r), 0))
     pi.append(RationalMatrix.zeros(0, 0))
     # pi is a surjective cochain map and pi ∘ theta_{<k} is the identity.
     for r in range(top + 1):
@@ -184,7 +182,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
             raise InternalExactnessError(f"quotient projection not surjective at {r}")
         if pi[r + 1] @ C.diff(r) != quotient.diff(r) @ pi[r]:
             raise InternalExactnessError(f"quotient projection not a cochain map at {r}")
-        composite = pi[r] @ trunc.inclusion[r]
+        composite = pi[r] @ section[r]
         if composite != RationalMatrix.identity(quotient.dim(r)):
             raise InternalExactnessError(f"truncation-to-quotient composite not identity at {r}")
     return quotient, pi, section

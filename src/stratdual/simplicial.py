@@ -47,12 +47,13 @@ class SimplicialComplex:
         norm = []
         for f in facets:
             fl = list(f)
+            # Ids are checked before the set below, which unhashable ids break.
+            if any(not _is_int(v) or v < 0 for v in fl):
+                raise ParseError(f"{name}: vertex ids must be non-negative integers, got {fl}")
             if len(set(fl)) != len(fl):
                 raise ParseError(f"{name}: repeated vertex within facet {fl}")
             if not fl:
                 raise ParseError(f"{name}: empty facet")
-            if any(not _is_int(v) or v < 0 for v in fl):
-                raise ParseError(f"{name}: vertex ids must be non-negative integers, got {fl}")
             norm.append(tuple(sorted(fl)))
         if not norm:
             raise ParseError(f"{name}: no facets")
