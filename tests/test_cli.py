@@ -171,3 +171,36 @@ def test_unhashable_vertex_id_rejected(tmp_path, capsys, bad_vertex):
     assert report["error"]["code"] == "PARSE"
     assert main(["verify", str(path), "--checks", "model"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "PARSE"
+
+
+def test_stokes_identity_detects_a_wrong_coboundary_sign(monkeypatch):
+    # Negating d^0 of X keeps d∘d = 0, so the complex is valid but has the
+    # wrong sign for Stokes; the exact identity must see it.
+    from stratdual import cli
+    from stratdual.cochains import CochainComplex, simplicial_cochains
+
+    def flipped(K):
+        C, cup = simplicial_cochains(K)
+        d = (C.d[0].scaled(-1),) + C.d[1:]
+        return CochainComplex(C.name, C.dims, d), cup
+
+    monkeypatch.setattr(cli, "simplicial_cochains", flipped)
+    report, status = run_verification("x2-cone-torus", checks=["properties"])
+    assert status == 1
+    properties = report["checks"]["properties"]
+    assert properties["stokes_identity"] is False
+    assert properties["pass"] is False
+    assert properties["euler_characteristic"] is True
+
+
+@pytest.mark.parametrize("name", examples.decomposition_names())
+def test_schema_v2_properties_keys(name):
+    report, status = run_verification(name, checks=["properties"])
+    assert report["schema_version"] == 2
+    if status == 2:
+        assert report["error"]["code"] == "NON_ORIENTABLE"
+        return
+    assert status == 0
+    assert set(report["checks"]["properties"]) == {
+        "pass", "stokes_identity", "product_vanishing",
+        "boundary_products_vanish", "euler_characteristic"}
