@@ -30,7 +30,6 @@ from .model import (
     build_model,
     complementary,
     cutoff_degree,
-    model_betti,
     model_les,
     named_perversity,
     validate_perversity,

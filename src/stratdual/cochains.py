@@ -18,7 +18,9 @@ Conventions, fixed once for the whole engine:
 
 Cohomology representatives are canonical: the kernel echelon basis is
 filtered to a basis modulo the image and reduced against the canonical image
-echelon, so reports are reproducible bit for bit.
+echelon, so reports are reproducible bit for bit.  They are kept as the
+columns of one sparse matrix per degree; induced maps and connecting
+homomorphisms are matrix solves on those columns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .rational import (
     image_basis,
     kernel_basis,
     rref,
-    vec_is_zero,
 )
 from .simplicial import SimplicialComplex
 
@@ -90,7 +91,7 @@ class CochainComplex:
 
     def representative_matrix(self, r: int) -> RationalMatrix:
         """The degree-r cohomology representatives as columns (dim(r) x b_r)."""
-        return RationalMatrix.from_columns(self.cohomology(r).representatives, self.dim(r))
+        return self.cohomology(r).matrix
 
     def class_solver(self, r: int) -> Solver:
         """Solver for [representatives | image basis] used to express classes."""
@@ -100,28 +101,42 @@ class CochainComplex:
             self._solver_cache[r] = Solver(reps.hstack(img))
         return self._solver_cache[r]
 
-    def express_class(self, z, r: int):
-        """Coordinates of the cocycle z in the degree-r cohomology basis."""
-        if not vec_is_zero(self.diff(r).apply(z)):
+    def express_class(self, z: RationalMatrix, r: int) -> RationalMatrix:
+        """Coordinates of the cocycle columns of z in the degree-r cohomology basis."""
+        classes = self.cohomology(r).dimension
+        if not z.cols:
+            return RationalMatrix.zeros(classes, 0)
+        if not (self.diff(r) @ z).is_zero():
             raise InternalExactnessError(f"{self.name}: vector is not a cocycle in degree {r}")
-        sol = self.class_solver(r).solve(z)
+        sol = self.class_solver(r).solve_matrix(z)
         if sol is None:
             raise InternalExactnessError(f"{self.name}: cocycle outside kernel span in degree {r}")
-        return sol[: self.cohomology(r).dimension]
+        return sol.rows_at(range(classes))
 
     def __repr__(self):
         return f"CochainComplex({self.name!r}, dims={self.dims})"
 
 
 class CohomologyBasis:
-    """Chosen cocycle representatives of H^r, canonical per complex."""
+    """Chosen cocycle representatives of H^r, canonical per complex.
 
-    __slots__ = ("degree", "representatives", "dimension")
+    ``matrix`` holds them as columns; ``representatives`` lists them as
+    dense cochains for the cup product and evaluation on chains.
+    """
 
-    def __init__(self, degree, representatives):
+    __slots__ = ("degree", "matrix")
+
+    def __init__(self, degree, matrix: RationalMatrix):
         self.degree = degree
-        self.representatives = tuple(representatives)
-        self.dimension = len(self.representatives)
+        self.matrix = matrix
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.cols
+
+    @property
+    def representatives(self):
+        return tuple(self.matrix.columns())
 
     def __repr__(self):
         return f"CohomologyBasis(degree {self.degree}, dim {self.dimension})"
@@ -129,20 +144,14 @@ class CohomologyBasis:
 
 def _cohomology_basis(C: CochainComplex, r: int) -> CohomologyBasis:
     if r < 0 or r > C.top:
-        return CohomologyBasis(r, ())
-    kernel = kernel_basis(C.diff(r))
+        return CohomologyBasis(r, RationalMatrix.zeros(0, 0))
+    kernel = kernel_basis(C.diff(r)).matrix()
     image = image_basis(C.diff(r - 1)) if r > 0 else None
     if image is None or image.count == 0:
-        return CohomologyBasis(r, kernel.vectors)
-    stacked = image.matrix().hstack(kernel.matrix())
-    pivots, _ = rref(stacked)
-    chosen = [kernel.vectors[j - image.count] for j in pivots if j >= image.count]
-    reps = [image.reduce(v) for v in chosen]
-    return CohomologyBasis(r, reps)
-
-
-def cohomology(C: CochainComplex, r: int) -> CohomologyBasis:
-    return C.cohomology(r)
+        return CohomologyBasis(r, kernel)
+    pivots, _ = rref(image.matrix().hstack(kernel))
+    chosen = kernel.columns_at([j - image.count for j in pivots if j >= image.count])
+    return CohomologyBasis(r, image.reduce(chosen))
 
 
 class CupStructure:
@@ -243,9 +252,10 @@ def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
     return mats
 
 
-def relative_complex(K: SimplicialComplex, A: SimplicialComplex):
+def relative_complex(K: SimplicialComplex, A: SimplicialComplex, full: CochainComplex):
     """Kernel of the restriction: duals of simplices of K not in A.
 
+    ``full`` is C*(K), whose coboundary the relative one is cut from.
     Returns (complex, inclusion matrices into C*(K)).
     """
     top = K.dimension
@@ -253,7 +263,6 @@ def relative_complex(K: SimplicialComplex, A: SimplicialComplex):
                      for r in range(top + 1)]
     positions = [{s: i for i, s in enumerate(rel_simplices[r])} for r in range(top + 1)]
     dims = [len(rel_simplices[r]) for r in range(top + 1)]
-    full, _ = simplicial_cochains(K)
     d = []
     include = []
     for r in range(top + 1):
@@ -288,7 +297,7 @@ class PairComplexes:
         self.A = A
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
-        self.rel, self.include_rel = relative_complex(K, A)
+        self.rel, self.include_rel = relative_complex(K, A, self.full)
         self.restrict = restriction_map(K, A)
         top = K.dimension
         sub_padded = self.sub.padded(top)
@@ -317,10 +326,8 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
         if fk1 @ source.diff(k) != target.diff(k) @ fk:
             raise InternalExactnessError(
                 f"map {source.name} -> {target.name} is not a cochain map at degree {k}")
-    basis = source.cohomology(r)
     fr = f[r] if r < len(f) else RationalMatrix.zeros(target.dim(r), source.dim(r))
-    cols = [target.express_class(fr.apply(rep), r) for rep in basis.representatives]
-    return RationalMatrix.from_columns(cols, target.cohomology(r).dimension)
+    return target.express_class(fr @ source.representative_matrix(r), r)
 
 
 class ShortExactSequence:
@@ -371,21 +378,15 @@ class ShortExactSequence:
         Lift each representative through beta, apply d, pull back through
         alpha; the class of the result is independent of the lift.
         """
-        basis = self.W.cohomology(r)
-        target_dim = self.U.cohomology(r + 1).dimension
-        cols = []
         beta_solver = self._solver(("beta", r), self.beta_mat(r))
         alpha_solver = self._solver(("alpha", r + 1), self.alpha_mat(r + 1))
-        for w in basis.representatives:
-            v = beta_solver.solve(w)
-            if v is None:
-                raise InternalExactnessError("SES: surjection lift failed")
-            dv = self.V.diff(r).apply(v)
-            u = alpha_solver.solve(dv)
-            if u is None:
-                raise InternalExactnessError("SES: boundary not in the subcomplex")
-            cols.append(self.U.express_class(u, r + 1))
-        return RationalMatrix.from_columns(cols, target_dim)
+        v = beta_solver.solve_matrix(self.W.representative_matrix(r))
+        if v is None:
+            raise InternalExactnessError("SES: surjection lift failed")
+        u = alpha_solver.solve_matrix(self.V.diff(r) @ v)
+        if u is None:
+            raise InternalExactnessError("SES: boundary not in the subcomplex")
+        return self.U.express_class(u, r + 1)
 
 
 def integrate(phi, xi) -> Fraction:

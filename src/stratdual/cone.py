@@ -15,6 +15,7 @@ from .rational import (
     complement_basis,
     image_basis,
     kernel_basis,
+    rref,
 )
 from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
@@ -50,25 +51,24 @@ class ChainComplex:
         return tuple(kernel_basis(self.bnd(r)).count - self.bnd(r + 1).rank()
                      for r in range(self.top + 1))
 
-    def homology_basis(self, r):
-        """Canonical cycle representatives of H_r."""
-        cycles = kernel_basis(self.bnd(r))
+    def homology_basis(self, r) -> RationalMatrix:
+        """Canonical cycle representatives of H_r, as columns."""
+        cycles = kernel_basis(self.bnd(r)).matrix()
         boundaries = image_basis(self.bnd(r + 1))
         if boundaries.count == 0:
-            return cycles.vectors
-        from .rational import rref
-        stacked = boundaries.matrix().hstack(cycles.matrix())
-        pivots, _ = rref(stacked)
-        chosen = [cycles.vectors[j - boundaries.count] for j in pivots if j >= boundaries.count]
-        return tuple(boundaries.reduce(v) for v in chosen)
+            return cycles
+        pivots, _ = rref(boundaries.matrix().hstack(cycles))
+        chosen = cycles.columns_at([j - boundaries.count for j in pivots if j >= boundaries.count])
+        return boundaries.reduce(chosen)
 
-    def express_class(self, z, r):
-        reps = RationalMatrix.from_columns(self.homology_basis(r), self.dim(r))
+    def express_class(self, z: RationalMatrix, r) -> RationalMatrix:
+        """Coordinates of the cycle columns of z in the H_r basis."""
+        reps = self.homology_basis(r)
         bnds = image_basis(self.bnd(r + 1)).matrix()
-        sol = Solver(reps.hstack(bnds)).solve(z)
+        sol = Solver(reps.hstack(bnds)).solve_matrix(z)
         if sol is None:
             raise InternalExactnessError(f"{self.name}: vector is not a cycle in degree {r}")
-        return sol[: reps.cols]
+        return sol.rows_at(range(reps.cols))
 
 
 def simplicial_chains(K: SimplicialComplex) -> ChainComplex:
@@ -142,9 +142,7 @@ def _verify_truncation_signature(t: ChainTruncation, L: SimplicialComplex):
                 raise InternalExactnessError(
                     f"truncation changes H_{r} of {L.name}")
             # The inclusion must induce an isomorphism, not just equal dims.
-            reps = t.complex.homology_basis(r)
-            cols = [t.ambient.express_class(t.inclusion[r].apply(z), r) for z in reps]
-            mat = RationalMatrix.from_columns(cols, ambient_h[r])
+            mat = t.ambient.express_class(t.inclusion[r] @ t.complex.homology_basis(r), r)
             if mat.rank() != ambient_h[r]:
                 raise InternalExactnessError(
                     f"truncation inclusion not iso on H_{r} of {L.name}")

@@ -171,8 +171,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
             full = split.solve_matrix(RationalMatrix.identity(C.dim(k)))
             if full is None:
                 raise InternalExactnessError("quotient projection unsolvable")
-            entries = {(i, j): v for (i, j), v in full.entries.items() if i < img.cols}
-            pi.append(RationalMatrix(img.cols, C.dim(k), entries))
+            pi.append(full.rows_at(range(img.cols)))
         else:
             pi.append(RationalMatrix.zeros(0, C.dim(r)))
     pi.append(RationalMatrix.zeros(0, 0))
@@ -238,6 +237,6 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
         lifts = section[r] @ quotient.representative_matrix(r)
         included = ct_l.inclusion[c - r] @ ct_l.complex.representative_matrix(c - r)
         matrix = pairing_matrix(cup, c, r, lam_vec, lifts, included)
-        pairings.append(PairingMatrix(r, matrix.rows, matrix.cols, matrix))
+        pairings.append(PairingMatrix(r, matrix))
     return DualityReport("truncated-duality", pairings,
                          quotient.betti(), ct_l.complex.betti())

@@ -84,8 +84,7 @@ def lefschetz_pairing(pair, mu: FundamentalChain) -> DualityReport:
     n = pair.K.dimension
     pairings = []
     for r in range(n + 1):
-        matrix = _lefschetz_matrix(pair, mu, r)
-        pairings.append(PairingMatrix(r, matrix.rows, matrix.cols, matrix))
+        pairings.append(PairingMatrix(r, _lefschetz_matrix(pair, mu, r)))
     return DualityReport("lefschetz", pairings, pair.full.betti(), pair.rel.betti())
 
 
@@ -118,8 +117,7 @@ def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
     n = mp.decomposition.n
     pairings = []
     for r in range(n + 1):
-        matrix = _main_matrix(mp, mq, mu, r)
-        pairings.append(PairingMatrix(r, matrix.rows, matrix.cols, matrix))
+        pairings.append(PairingMatrix(r, _main_matrix(mp, mq, mu, r)))
     return DualityReport("main", pairings, mp.betti(), mq.betti())
 
 

@@ -223,11 +223,6 @@ def _pname(p: Perversity) -> str:
     return p.name or ",".join(str(v) for _, v in sorted(p.values.items()))
 
 
-def model_betti(m: IntersectionModel):
-    """Per-degree dimensions of the model cohomology."""
-    return m.betti()
-
-
 def model_les(m: IntersectionModel, which: str):
     """Long exact sequence record for one of the two model sequences.
 

@@ -8,8 +8,9 @@ pass clears one lowest column at a time by integer row combinations divided
 by the gcd of their entries, and only the final back-substitution's
 normalization divides by the pivots to produce Fractions.  The reduced row
 echelon form is unique, so every derived basis is reproducible bit for bit
-whatever order the kernel eliminates in.  Subspaces are kept in reduced
-column echelon form, which makes subspace equality a syntactic comparison.
+whatever order the kernel eliminates in.  Subspaces are kept as one sparse
+matrix in reduced column echelon form, which makes subspace equality a
+syntactic comparison; solves take a matrix of right-hand sides.
 """
 
 from __future__ import annotations
@@ -112,6 +113,18 @@ class RationalMatrix:
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
+
+    def rows_at(self, indices) -> "RationalMatrix":
+        """The rows at ``indices`` (strictly increasing), in that order."""
+        position = {i: r for r, i in enumerate(indices)}
+        return RationalMatrix._trusted(len(position), self.cols, {
+            (position[i], j): v for (i, j), v in self.entries.items() if i in position})
+
+    def columns_at(self, indices) -> "RationalMatrix":
+        """The columns at ``indices`` (strictly increasing), in that order."""
+        position = {j: c for c, j in enumerate(indices)}
+        return RationalMatrix._trusted(self.rows, len(position), {
+            (i, position[j]): v for (i, j), v in self.entries.items() if j in position})
 
     def dense(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -326,16 +339,15 @@ def rref(m: RationalMatrix, transform: bool = False):
 class SubspaceBasis:
     """Canonical basis of a subspace of Q^ambient_dim.
 
-    Vectors are the columns of the reduced column echelon form with pivot
-    rows strictly increasing, so two SubspaceBasis objects describe the same
-    subspace iff they compare equal.
+    The basis is the reduced column echelon form, one ``RationalMatrix``
+    with pivot rows strictly increasing, so two SubspaceBasis objects
+    describe the same subspace iff they compare equal.
     """
 
-    __slots__ = ("ambient_dim", "vectors", "pivot_rows")
+    __slots__ = ("_matrix", "pivot_rows")
 
-    def __init__(self, ambient_dim: int, vectors, pivot_rows):
-        self.ambient_dim = ambient_dim
-        self.vectors = tuple(tuple(v) for v in vectors)
+    def __init__(self, matrix: RationalMatrix, pivot_rows):
+        self._matrix = matrix
         self.pivot_rows = tuple(pivot_rows)
 
     @classmethod
@@ -346,51 +358,42 @@ class SubspaceBasis:
             if len(v) != ambient_dim:
                 raise ValueError("vector does not live in the ambient space")
         if not vectors:
-            return cls(ambient_dim, (), ())
+            return cls(RationalMatrix.zeros(ambient_dim, 0), ())
         return cls.row_space(RationalMatrix.from_rows(vectors), require_independent)
 
     @classmethod
     def row_space(cls, m: RationalMatrix,
                   require_independent: bool = True) -> "SubspaceBasis":
         """Canonical basis of the span of the rows of ``m``."""
-        if not m.rows:
-            return cls(m.cols, (), ())
         pivots, reduced = rref(m)
         if require_independent and len(pivots) != m.rows:
             raise ValueError("vectors are linearly dependent")
-        canon = [[ZERO] * m.cols for _ in pivots]
-        for (i, j), v in reduced.entries.items():
-            canon[i][j] = v
-        return cls(m.cols, canon, pivots)
+        return cls(reduced.rows_at(range(len(pivots))).transpose(), pivots)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._matrix.rows
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return self._matrix.cols
 
     def matrix(self) -> RationalMatrix:
-        return RationalMatrix.from_columns(self.vectors, self.ambient_dim)
+        return self._matrix
 
-    def reduce(self, v: Vector) -> Vector:
-        """Canonical coset representative of v modulo this subspace."""
-        out = list(v)
-        for w, p in zip(self.vectors, self.pivot_rows):
-            c = out[p]
-            if c != 0:
-                for i, wi in enumerate(w):
-                    if wi != 0:
-                        out[i] -= c * wi
-        return tuple(out)
+    def reduce(self, m: RationalMatrix) -> RationalMatrix:
+        """Canonical coset representatives of the columns of m modulo this subspace.
 
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+        The basis is the identity at its pivot rows, so ``m - B @ m[pivots]``
+        clears every pivot row and changes m only by elements of the span.
+        """
+        return m - self._matrix @ m.rows_at(self.pivot_rows)
 
     def __eq__(self, other):
-        return (isinstance(other, SubspaceBasis)
-                and self.ambient_dim == other.ambient_dim
-                and self.vectors == other.vectors)
+        return isinstance(other, SubspaceBasis) and self._matrix == other._matrix
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.vectors))
+        return hash(self._matrix)
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.count} in Q^{self.ambient_dim})"
@@ -426,18 +429,14 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     if strategy == "lex":
         pivot_rows = set(sub.pivot_rows)
     elif strategy == "reverse-lex":
-        flipped = [tuple(reversed(v)) for v in sub.vectors]
-        flipped_basis = SubspaceBasis.from_vectors(n, flipped)
-        pivot_rows = {n - 1 - p for p in flipped_basis.pivot_rows}
+        flipped = {(j, n - 1 - i): v for (i, j), v in sub.matrix().entries.items()}
+        pivots, _ = rref(RationalMatrix(sub.count, n, flipped))
+        pivot_rows = {n - 1 - p for p in pivots}
     else:
         raise ValueError(f"unknown complement strategy {strategy!r}")
-    vectors = []
-    for i in range(n):
-        if i not in pivot_rows:
-            v = [ZERO] * n
-            v[i] = ONE
-            vectors.append(tuple(v))
-    return SubspaceBasis.from_vectors(n, vectors)
+    free = [i for i in range(n) if i not in pivot_rows]
+    units = RationalMatrix._trusted(n, len(free), {(i, c): ONE for c, i in enumerate(free)})
+    return SubspaceBasis(units, free)
 
 
 class Solver:
@@ -458,25 +457,25 @@ class Solver:
     def solve(self, rhs: Vector) -> Optional[Vector]:
         if len(rhs) != self.matrix.rows:
             raise ValueError("rhs length mismatch")
-        y = self.transform.apply(rhs)
-        for i in range(self.rank, self.matrix.rows):
-            if y[i] != 0:
-                return None
-        x = [ZERO] * self.matrix.cols
-        for r, p in enumerate(self.pivots):
-            x[p] = y[r]
-        return tuple(x)
+        x = self.solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
+        return None if x is None else x.column(0)
 
     def solve_matrix(self, b: RationalMatrix) -> Optional[RationalMatrix]:
+        """X with matrix @ X == b, free variables zero; None if any column is inconsistent.
+
+        ``transform @ b`` is the right-hand side carried through the
+        elimination: its rows from ``rank`` on must vanish, and its row r
+        is the value of the pivot variable ``pivots[r]``.
+        """
         if b.rows != self.matrix.rows:
             raise ValueError("shape mismatch")
-        cols = []
-        for j in range(b.cols):
-            x = self.solve(b.column(j))
-            if x is None:
+        y = self.transform @ b
+        x = {}
+        for (r, j), v in y.entries.items():
+            if r >= self.rank:
                 return None
-            cols.append(x)
-        return RationalMatrix.from_columns(cols, self.matrix.cols)
+            x[(self.pivots[r], j)] = v
+        return RationalMatrix._trusted(self.matrix.cols, b.cols, x)
 
 
 def solve(m: RationalMatrix, rhs: Vector) -> Optional[Vector]:

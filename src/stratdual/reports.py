@@ -28,21 +28,19 @@ def matrix_jsonable(m: RationalMatrix) -> dict:
 
 
 class PairingMatrix:
-    __slots__ = ("degree", "left_dim", "right_dim", "matrix", "rank", "nondegenerate")
+    __slots__ = ("degree", "matrix", "rank", "nondegenerate")
 
-    def __init__(self, degree: int, left_dim: int, right_dim: int, matrix: RationalMatrix):
+    def __init__(self, degree: int, matrix: RationalMatrix):
         self.degree = degree
-        self.left_dim = left_dim
-        self.right_dim = right_dim
         self.matrix = matrix
         self.rank = matrix.rank()
-        self.nondegenerate = (left_dim == right_dim == self.rank)
+        self.nondegenerate = (matrix.rows == matrix.cols == self.rank)
 
     def to_jsonable(self) -> dict:
         return {
             "degree": self.degree,
-            "left_dim": self.left_dim,
-            "right_dim": self.right_dim,
+            "left_dim": self.matrix.rows,
+            "right_dim": self.matrix.cols,
             "rank": self.rank,
             "nondegenerate": self.nondegenerate,
             "matrix": matrix_jsonable(self.matrix),

@@ -68,10 +68,10 @@ def test_criterion_1_duality_reproduction():
             ok = ok and report.passed
             if name == "x2-cone-torus" and p.values[3] == 0:
                 p2 = report.pairing(2)
-                ok = ok and (p2.left_dim, p2.right_dim) == (1, 1)
+                ok = ok and (p2.matrix.rows, p2.matrix.cols) == (1, 1)
                 ok = ok and p2.matrix.entry(0, 0) != 0
                 ok = ok and all(
-                    (report.pairing(r).left_dim, report.pairing(r).right_dim) == (0, 0)
+                    (report.pairing(r).matrix.rows, report.pairing(r).matrix.cols) == (0, 0)
                     for r in (0, 1, 3))
     _verdict(1, "main pairing square and full-rank in every degree, "
                 "expected dims on x2-cone-torus", ok)

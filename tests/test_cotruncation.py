@@ -148,7 +148,7 @@ def test_truncated_duality_circle():
     report = truncated_duality(circle(), 1, 1)
     assert report.passed
     p0 = report.pairing(0)
-    assert (p0.left_dim, p0.right_dim) == (1, 1)
+    assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
     assert p0.matrix.entry(0, 0) != 0
 
 
@@ -158,8 +158,8 @@ def test_truncated_duality_torus():
         assert report.passed
     report = truncated_duality(torus(), 2, 1)
     p0, p1 = report.pairing(0), report.pairing(1)
-    assert (p0.left_dim, p0.right_dim) == (1, 1)
-    assert (p1.left_dim, p1.right_dim) == (2, 2)
+    assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
+    assert (p1.matrix.rows, p1.matrix.cols) == (2, 2)
     det = (p1.matrix.entry(0, 0) * p1.matrix.entry(1, 1)
            - p1.matrix.entry(0, 1) * p1.matrix.entry(1, 0))
     assert det != 0

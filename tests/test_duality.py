@@ -46,7 +46,7 @@ def test_lefschetz_disk():
     report = lefschetz_pairing(pair, mu)
     assert report.passed
     p0 = report.pairing(0)
-    assert (p0.left_dim, p0.right_dim) == (1, 1)
+    assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
     assert p0.matrix.entry(0, 0) != 0
 
 
@@ -55,7 +55,7 @@ def test_lefschetz_annulus():
     report = lefschetz_pairing(pair, mu)
     assert report.passed
     p1 = report.pairing(1)
-    assert (p1.left_dim, p1.right_dim) == (1, 1)
+    assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
     assert p1.matrix.entry(0, 0) != 0
 
 
@@ -67,7 +67,7 @@ def test_lefschetz_solid_torus():
     assert report.passed
     for r, dims in ((0, (1, 1)), (1, (1, 1)), (2, (0, 0)), (3, (0, 0))):
         p = report.pairing(r)
-        assert (p.left_dim, p.right_dim) == dims
+        assert (p.matrix.rows, p.matrix.cols) == dims
     # Degree-1 block of the torus-boundary fixture is the classical ±1.
     assert report.pairing(1).matrix.entry(0, 0) in (1, -1)
 
@@ -84,11 +84,11 @@ def test_main_pairing_x2():
     report = main_pairing(mp, mq, mu)
     assert report.passed
     p2 = report.pairing(2)
-    assert (p2.left_dim, p2.right_dim) == (1, 1)
+    assert (p2.matrix.rows, p2.matrix.cols) == (1, 1)
     assert p2.matrix.entry(0, 0) != 0
     for r in (0, 1, 3):
         p = report.pairing(r)
-        assert (p.left_dim, p.right_dim) == (0, 0)
+        assert (p.matrix.rows, p.matrix.cols) == (0, 0)
 
 
 def test_main_pairing_x2_swapped():
@@ -96,7 +96,7 @@ def test_main_pairing_x2_swapped():
     report = main_pairing(mp, mq, mu)
     assert report.passed
     p1 = report.pairing(1)
-    assert (p1.left_dim, p1.right_dim) == (1, 1)
+    assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
     assert p1.matrix.entry(0, 0) != 0
 
 
@@ -104,7 +104,7 @@ def test_main_pairing_octahedron():
     D, pair, mu, mp, mq = models_for("octahedron-marked")
     report = main_pairing(mp, mq, mu)
     assert report.passed
-    assert all((p.left_dim, p.right_dim) == (0, 0) for p in report.pairings)
+    assert all((p.matrix.rows, p.matrix.cols) == (0, 0) for p in report.pairings)
 
 
 def test_main_pairing_rejects_non_complementary():

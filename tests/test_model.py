@@ -7,7 +7,6 @@ from stratdual.model import (
     build_model,
     complementary,
     cutoff_degree,
-    model_betti,
     model_les,
     named_perversity,
     validate_perversity,
@@ -57,14 +56,14 @@ def test_model_x2_zero_perversity():
     D = examples.get_decomposition("x2-cone-torus")
     m = build_model(D, named_perversity("zero", 3))
     assert m.k == 2
-    assert model_betti(m) == (0, 0, 1, 0)
+    assert m.betti() == (0, 0, 1, 0)
 
 
 def test_model_x2_top_perversity():
     D = examples.get_decomposition("x2-cone-torus")
     m = build_model(D, named_perversity("top", 3))
     assert m.k == 1
-    assert model_betti(m) == (0, 1, 0, 0)
+    assert m.betti() == (0, 1, 0, 0)
 
 
 def test_model_octahedron():
@@ -73,13 +72,13 @@ def test_model_octahedron():
     assert m.k == 1
     # The connecting map H^1(tau_{>=1}) -> H^2(M, ∂M) is an isomorphism, so
     # the model is acyclic; the oracle module confirms this independently.
-    assert model_betti(m) == (0, 0, 0)
+    assert m.betti() == (0, 0, 0)
 
 
 def test_model_disk_cone():
     D = examples.get_decomposition("disk-cone-s1")
     m = build_model(D, named_perversity("zero", 2))
-    assert model_betti(m) == (0, 0, 0)
+    assert m.betti() == (0, 0, 0)
 
 
 def test_model_h0_vanishes():
@@ -87,7 +86,7 @@ def test_model_h0_vanishes():
         D = examples.get_decomposition(name)
         for pname in ("zero", "top"):
             m = build_model(D, named_perversity(pname, D.n))
-            assert model_betti(m)[0] == 0
+            assert m.betti()[0] == 0
 
 
 def test_model_dimension_count_fiber_product():
@@ -107,15 +106,15 @@ def test_model_strategy_independence():
             p = named_perversity(pname, D.n)
             lex = build_model(D, p, "lex")
             rev = build_model(D, p, "reverse-lex")
-            assert model_betti(lex) == model_betti(rev)
+            assert lex.betti() == rev.betti()
 
 
 def test_model_complementarity_symmetry():
     D = examples.get_decomposition("x2-cone-torus")
     p = named_perversity("zero", 3)
     q = complementary(p)
-    bp = model_betti(build_model(D, p))
-    bq = model_betti(build_model(D, q))
+    bp = build_model(D, p).betti()
+    bq = build_model(D, q).betti()
     for r in range(D.n + 1):
         assert bp[r] == bq[D.n - r]
 

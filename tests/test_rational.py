@@ -76,7 +76,7 @@ def test_kernel_zero_full():
 
 def test_kernel_one_equation():
     k = kernel_basis(M([[1, 1]]))
-    assert k.vectors == (vec([1, -1]),)
+    assert k.matrix() == M([[1], [-1]])
 
 
 def test_image_identity_and_zero():
@@ -86,7 +86,7 @@ def test_image_identity_and_zero():
 
 def test_image_rank_one():
     b = image_basis(M([[1, 2], [2, 4]]))
-    assert b.vectors == (vec([1, 2]),)
+    assert b.matrix() == M([[1], [2]])
 
 
 def test_rank_nullity_exact():
@@ -103,7 +103,7 @@ def test_rank_nullity_exact():
 
 def test_complement_lex_simple():
     sub = SubspaceBasis.from_vectors(2, [vec([1, 0])])
-    assert complement_basis(sub, "lex").vectors == (vec([0, 1]),)
+    assert complement_basis(sub, "lex").matrix() == M([[0], [1]])
 
 
 def test_complement_empty_sub():
@@ -115,8 +115,8 @@ def test_complement_strategies_differ():
     sub = SubspaceBasis.from_vectors(2, [vec([1, 1])])
     lex = complement_basis(sub, "lex")
     rev = complement_basis(sub, "reverse-lex")
-    assert lex.vectors == (vec([0, 1]),)
-    assert rev.vectors == (vec([1, 0]),)
+    assert lex.matrix() == M([[0], [1]])
+    assert rev.matrix() == M([[1], [0]])
     for comp in (lex, rev):
         assembled = sub.matrix().hstack(comp.matrix())
         assert assembled.rank() == 2
@@ -178,10 +178,10 @@ def test_zero_dimension_edges():
 
 def test_subspace_reduce_is_canonical_coset_rep():
     sub = SubspaceBasis.from_vectors(3, [vec([1, 0, 2]), vec([0, 1, 1])])
-    v = vec([3, 5, Fraction(1, 2)])
+    v = M([[3], [5], [Fraction(1, 2)]])
     r = sub.reduce(v)
-    assert r[0] == 0 and r[1] == 0
-    assert sub.contains(tuple(a - b for a, b in zip(v, r)))
+    assert r.entry(0, 0) == 0 and r.entry(1, 0) == 0
+    assert sub.reduce(v - r).is_zero()
 
 
 def test_subspace_dependence_rejected():
@@ -262,8 +262,25 @@ def _matvec(a, x):
     return tuple(sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a)
 
 
+def _oracle_coset(basis_rows, v):
+    """v reduced against RREF rows: zero at every pivot, equal to v modulo the span."""
+    out = list(v)
+    for w in basis_rows:
+        p = next(j for j, x in enumerate(w) if x != 0)
+        c = out[p]
+        out = [x - c * y for x, y in zip(out, w)]
+    return tuple(out)
+
+
+def _columns(vectors, dim):
+    return RationalMatrix.from_columns(list(vectors), dim)
+
+
 def test_kernel_matches_dense_oracle():
     rng = random.Random(2024)
+    # The matrix right-hand sides and reduce inputs draw from their own
+    # stream, so the 400 matrices stay the same as without them.
+    extra = random.Random(2025)
     shapes = set()
     for _ in range(400):
         a = _random_dense(rng)
@@ -300,6 +317,26 @@ def test_kernel_matches_dense_oracle():
             assert got == tuple(expected)
         assert solver.solve(rhs) is not None
 
+        # A multi-column right-hand side solves column by column, and one
+        # inconsistent column (a unit vector off the column space's pivot
+        # rows) makes the whole solve None.
+        columns = [[a[i][j] for i in range(rows)] for j in range(cols)]
+        column_pivots, _ = _oracle_rref(columns, rows)
+        consistent = [rhs] + [_matvec(a, [_random_entry(extra) for _ in range(cols)])
+                              for _ in range(extra.randint(0, 3))]
+        b = _columns(consistent, rows)
+        got = solver.solve_matrix(b)
+        assert got == _columns([solver.solve(v) for v in consistent], cols)
+        assert m @ got == b
+        outside = [i for i in range(rows) if i not in column_pivots]
+        assert bool(outside) == (rank < rows)
+        if outside:
+            bad = tuple(Fraction(int(i == outside[0])) for i in range(rows))
+            assert solver.solve(bad) is None
+            mixed = list(consistent)
+            mixed.insert(extra.randint(0, len(mixed)), bad)
+            assert solver.solve_matrix(_columns(mixed, rows)) is None
+
         kernel = kernel_basis(m)
         assert kernel.count == cols - rank
         free = [j for j in range(cols) if j not in want_pivots]
@@ -310,12 +347,26 @@ def test_kernel_matches_dense_oracle():
             for r, p in enumerate(want_pivots):
                 v[p] = -want[r][f]
             oracle_kernel.append(v)
-        assert kernel.vectors == _oracle_row_space(oracle_kernel, cols)
-        for v in kernel.vectors:
-            assert vec_is_zero(m.apply(v))
+        kernel_rows = _oracle_row_space(oracle_kernel, cols)
+        assert kernel.matrix() == _as_matrix(kernel_rows, cols).transpose()
+        assert (m @ kernel.matrix()).is_zero()
 
         image = image_basis(m)
-        columns = [[a[i][j] for i in range(rows)] for j in range(cols)]
         assert image.count == rank
-        assert image.vectors == _oracle_row_space(columns, rows)
+        image_rows = _oracle_row_space(columns, rows)
+        assert image.matrix() == _as_matrix(image_rows, rows).transpose()
+
+        # reduce on a matrix of columns: the oracle's coset representatives,
+        # and zero on members of the subspace.
+        for sub, basis_rows, dim in ((kernel, kernel_rows, cols), (image, image_rows, rows)):
+            vectors = [tuple(_random_entry(extra) for _ in range(dim))
+                       for _ in range(extra.randint(0, 3))]
+            if basis_rows:
+                coeffs = [_random_entry(extra) for _ in basis_rows]
+                vectors.append(tuple(sum((c * w[i] for c, w in zip(coeffs, basis_rows)),
+                                         Fraction(0)) for i in range(dim)))
+            want_reps = [_oracle_coset(basis_rows, v) for v in vectors]
+            assert sub.reduce(_columns(vectors, dim)) == _columns(want_reps, dim)
+            if basis_rows:
+                assert vec_is_zero(want_reps[-1])
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
