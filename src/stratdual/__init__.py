@@ -22,7 +22,13 @@ from .cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from .duality import ladder_check, lefschetz_pairing, main_pairing, well_definedness_probe
+from .duality import (
+    ladder_check,
+    lefschetz_pairing,
+    main_pairing,
+    well_definedness_identity,
+    well_definedness_probe,
+)
 from .errors import StratdualError
 from .model import (
     IntersectionModel,

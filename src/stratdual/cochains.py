@@ -16,11 +16,15 @@ Conventions, fixed once for the whole engine:
   CupStructure.evaluation_form: (a, b) -> pair_against_chain(n, a ∪ b, chain)
   as a matrix G read off the cup table; pairing_matrix returns A^T G B.
 
-Cohomology representatives are canonical: the kernel echelon basis is
-filtered to a basis modulo the image and reduced against the canonical image
-echelon, so reports are reproducible bit for bit.  They are kept as the
-columns of one sparse matrix per degree; induced maps and connecting
-homomorphisms are matrix solves on those columns.
+Cohomology representatives are canonical, so reports are reproducible bit
+for bit: in degree r they are the cocycles that vanish at the pivot rows P of
+the coboundaries and whose class coordinates are unit vectors.  One forward
+pass per degree on d^r with its columns reversed gives rank d^r (so the
+Betti numbers), the lead positions of the cocycles, and the pivot rows of
+im d^r in degree r + 1.  A class's coordinates are its cocycle's normal form
+modulo the coboundaries, read at the lead positions; no kernel is reduced.
+Representatives are kept as the columns of one sparse matrix per degree;
+induced maps and connecting homomorphisms are matrix products on them.
 """
 
 from __future__ import annotations
@@ -28,27 +32,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalExactnessError, ParseError
-from .rational import (
-    RationalMatrix,
-    Solver,
-    image_basis,
-    kernel_basis,
-    rref,
-)
+from .rational import Echelon, RationalMatrix, Solver, kernel_basis
 from .simplicial import SimplicialComplex
 
 
 class CochainComplex:
     """Finite rational cochain complex in degrees 0..top."""
 
-    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_solver_cache")
+    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_cochain_maps")
 
     def __init__(self, name, dims, d, check=True):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
         self._cohomology_cache = {}
-        self._solver_cache = {}
+        self._echelon_cache = {}
+        self._cochain_maps = []  # (f, source) pairs checked by induced_map
         if len(self.d) != len(self.dims):
             raise ValueError("need one differential per degree (top maps to 0)")
         for r, mat in enumerate(self.d):
@@ -81,37 +80,41 @@ class CochainComplex:
         d = list(self.d) + [RationalMatrix.zeros(0, dims[r]) for r in range(self.top + 1, top + 1)]
         return CochainComplex(self.name, dims, d, check=False)
 
+    def echelon(self, r: int) -> Echelon:
+        """Forward pass on d^r with its columns reversed, once per degree.
+
+        Its rank is rank d^r; its non-pivot columns, read back in the original
+        order, are the lead positions of the kernel's reduced echelon basis;
+        its pivot rows are the pivot rows of im d^r in degree r + 1.
+        """
+        if r not in self._echelon_cache:
+            self._echelon_cache[r] = Echelon(self.diff(r).reversed_columns())
+        return self._echelon_cache[r]
+
     def cohomology(self, r: int) -> "CohomologyBasis":
         if r not in self._cohomology_cache:
             self._cohomology_cache[r] = _cohomology_basis(self, r)
         return self._cohomology_cache[r]
 
+    def betti_number(self, r: int) -> int:
+        """dim H^r = dim C^r - rank d^r - rank d^{r-1}."""
+        return self.dim(r) - self.echelon(r).rank - self.echelon(r - 1).rank
+
     def betti(self):
-        return tuple(self.cohomology(r).dimension for r in range(self.top + 1))
+        return tuple(self.betti_number(r) for r in range(self.top + 1))
 
     def representative_matrix(self, r: int) -> RationalMatrix:
         """The degree-r cohomology representatives as columns (dim(r) x b_r)."""
         return self.cohomology(r).matrix
 
-    def class_solver(self, r: int) -> Solver:
-        """Solver for [representatives | image basis] used to express classes."""
-        if r not in self._solver_cache:
-            reps = self.representative_matrix(r)
-            img = image_basis(self.diff(r - 1)).matrix() if r > 0 else RationalMatrix.zeros(self.dim(r), 0)
-            self._solver_cache[r] = Solver(reps.hstack(img))
-        return self._solver_cache[r]
-
     def express_class(self, z: RationalMatrix, r: int) -> RationalMatrix:
         """Coordinates of the cocycle columns of z in the degree-r cohomology basis."""
-        classes = self.cohomology(r).dimension
+        basis = self.cohomology(r)
         if not z.cols:
-            return RationalMatrix.zeros(classes, 0)
+            return RationalMatrix.zeros(basis.dimension, 0)
         if not (self.diff(r) @ z).is_zero():
             raise InternalExactnessError(f"{self.name}: vector is not a cocycle in degree {r}")
-        sol = self.class_solver(r).solve_matrix(z)
-        if sol is None:
-            raise InternalExactnessError(f"{self.name}: cocycle outside kernel span in degree {r}")
-        return sol.rows_at(range(classes))
+        return basis.coordinates(z)
 
     def __repr__(self):
         return f"CochainComplex({self.name!r}, dims={self.dims})"
@@ -121,14 +124,22 @@ class CohomologyBasis:
     """Chosen cocycle representatives of H^r, canonical per complex.
 
     ``matrix`` holds them as columns; ``representatives`` lists them as
-    dense cochains for the cup product and evaluation on chains.
+    dense cochains for the cup product and evaluation on chains.  A cocycle
+    is read at the kernel's lead positions ``lead``, where cocycles are
+    determined by their values.  There, ``boundaries`` is the echelon form of
+    the coboundaries with trailing pivots, and a cocycle's normal form
+    modulo it is supported on the ``chosen`` positions (indices into
+    ``lead``): its values there are the cocycle's class coordinates.
     """
 
-    __slots__ = ("degree", "matrix")
+    __slots__ = ("degree", "matrix", "lead", "boundaries", "chosen")
 
-    def __init__(self, degree, matrix: RationalMatrix):
+    def __init__(self, degree, matrix: RationalMatrix, lead=(), boundaries=None, chosen=()):
         self.degree = degree
         self.matrix = matrix
+        self.lead = lead
+        self.boundaries = boundaries
+        self.chosen = chosen
 
     @property
     def dimension(self) -> int:
@@ -138,20 +149,52 @@ class CohomologyBasis:
     def representatives(self):
         return tuple(self.matrix.columns())
 
+    def coordinates(self, z: RationalMatrix) -> RationalMatrix:
+        """Class coordinates of the cocycle columns of z (not checked to be cocycles)."""
+        if not self.chosen:
+            return RationalMatrix.zeros(0, z.cols)
+        rows = z.rows_at(self.lead).transpose().reversed_columns()
+        normal = self.boundaries.normal_form(rows).reversed_columns()
+        return normal.columns_at(self.chosen).transpose()
+
     def __repr__(self):
         return f"CohomologyBasis(degree {self.degree}, dim {self.dimension})"
 
 
 def _cohomology_basis(C: CochainComplex, r: int) -> CohomologyBasis:
+    """Representatives from the forward passes on d^r and d^{r-1}.
+
+    W = ker(d^r) ∩ {x_P = 0}, with P the pivot rows of im d^{r-1}, is the
+    complement of the coboundaries in the cocycles that the canonical
+    representatives span.  With Q the class coordinates of W's columns, the
+    representatives are W Q^{-1}: the elements of W whose coordinates are
+    unit vectors.
+    """
     if r < 0 or r > C.top:
         return CohomologyBasis(r, RationalMatrix.zeros(0, 0))
-    kernel = kernel_basis(C.diff(r)).matrix()
-    image = image_basis(C.diff(r - 1)) if r > 0 else None
-    if image is None or image.count == 0:
-        return CohomologyBasis(r, kernel)
-    pivots, _ = rref(image.matrix().hstack(kernel))
-    chosen = kernel.columns_at([j - image.count for j in pivots if j >= image.count])
-    return CohomologyBasis(r, image.reduce(chosen))
+    dim = C.dim(r)
+    if C.betti_number(r) == 0:
+        return CohomologyBasis(r, RationalMatrix.zeros(dim, 0))
+    last = dim - 1
+    reversed_pivots = set(C.echelon(r).pivots)
+    lead = [j for j in range(dim) if last - j not in reversed_pivots]
+    image_rows = set(C.echelon(r - 1).pivot_rows)
+    outside = [j for j in range(dim) if j not in image_rows]
+    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
+    w = kernel_basis(C.diff(r).columns_at(outside).reversed_columns()).matrix()
+    flip = len(outside) - 1
+    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
+    boundaries = Echelon(C.diff(r - 1).rows_at(lead).transpose().reversed_columns())
+    trailing = set(boundaries.pivots)
+    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
+    basis = CohomologyBasis(r, None, lead, boundaries, chosen)
+    if not (len(chosen) == W.cols == C.betti_number(r)):
+        raise InternalExactnessError(f"{C.name}: cohomology split fails in degree {r}")
+    inverse = Solver(basis.coordinates(W)).solve_matrix(RationalMatrix.identity(W.cols))
+    if inverse is None:
+        raise InternalExactnessError(f"{C.name}: complement misses classes in degree {r}")
+    basis.matrix = W @ inverse
+    return basis
 
 
 class CupStructure:
@@ -317,15 +360,19 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
     """Matrix of H^r(f) in the chosen cohomology bases.
 
     ``f`` is the per-degree list of matrices; it must commute with the
-    differentials (checked exactly over the full degree range).
+    differentials.  That is checked exactly over the full degree range the
+    first time ``f`` maps ``source`` into ``target``; the lists are never
+    mutated, so the check is not repeated for their other degrees.
     """
-    top = max(source.top, target.top)
-    for k in range(top + 1):
-        fk = f[k] if k < len(f) else RationalMatrix.zeros(target.dim(k), source.dim(k))
-        fk1 = f[k + 1] if k + 1 < len(f) else RationalMatrix.zeros(target.dim(k + 1), source.dim(k + 1))
-        if fk1 @ source.diff(k) != target.diff(k) @ fk:
-            raise InternalExactnessError(
-                f"map {source.name} -> {target.name} is not a cochain map at degree {k}")
+    if not any(g is f and s is source for g, s in target._cochain_maps):
+        top = max(source.top, target.top)
+        for k in range(top + 1):
+            fk = f[k] if k < len(f) else RationalMatrix.zeros(target.dim(k), source.dim(k))
+            fk1 = f[k + 1] if k + 1 < len(f) else RationalMatrix.zeros(target.dim(k + 1), source.dim(k + 1))
+            if fk1 @ source.diff(k) != target.diff(k) @ fk:
+                raise InternalExactnessError(
+                    f"map {source.name} -> {target.name} is not a cochain map at degree {k}")
+        target._cochain_maps.append((f, source))
     fr = f[r] if r < len(f) else RationalMatrix.zeros(target.dim(r), source.dim(r))
     return target.express_class(fr @ source.representative_matrix(r), r)
 

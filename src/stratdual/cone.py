@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from .errors import InternalExactnessError
 from .rational import (
+    Echelon,
     RationalMatrix,
     Solver,
     complement_basis,
-    image_basis,
     kernel_basis,
-    rref,
 )
 from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
@@ -23,12 +22,14 @@ from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 class ChainComplex:
     """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}."""
 
-    __slots__ = ("name", "dims", "boundary")
+    __slots__ = ("name", "dims", "boundary", "_echelon_cache", "_homology_cache")
 
     def __init__(self, name, dims, boundary, check=True):
         self.name = name
         self.dims = tuple(dims)
         self.boundary = tuple(boundary)
+        self._echelon_cache = {}
+        self._homology_cache = {}
         if check:
             for r in range(1, self.top):
                 if not (self.boundary[r] @ self.boundary[r + 1]).is_zero():
@@ -47,28 +48,89 @@ class ChainComplex:
             return self.boundary[r]
         return RationalMatrix.zeros(self.dim(r - 1), self.dim(r))
 
+    def echelon(self, r) -> Echelon:
+        """Forward pass on the transpose of ∂_r, last r-cell first, once per degree.
+
+        Its rank is rank ∂_r and its pivots are the pivot rows of the
+        boundaries im ∂_r in degree r - 1.  The r-cells that are not pivot
+        rows, read back in order, are the lead positions of the cycles.
+        """
+        if r not in self._echelon_cache:
+            self._echelon_cache[r] = Echelon(self.bnd(r).reversed_columns().transpose())
+        return self._echelon_cache[r]
+
     def homology_dims(self):
-        return tuple(kernel_basis(self.bnd(r)).count - self.bnd(r + 1).rank()
+        return tuple(self.dim(r) - self.echelon(r).rank - self.echelon(r + 1).rank
                      for r in range(self.top + 1))
+
+    def homology(self, r) -> "Homology":
+        if r not in self._homology_cache:
+            self._homology_cache[r] = _homology(self, r)
+        return self._homology_cache[r]
 
     def homology_basis(self, r) -> RationalMatrix:
         """Canonical cycle representatives of H_r, as columns."""
-        cycles = kernel_basis(self.bnd(r)).matrix()
-        boundaries = image_basis(self.bnd(r + 1))
-        if boundaries.count == 0:
-            return cycles
-        pivots, _ = rref(boundaries.matrix().hstack(cycles))
-        chosen = cycles.columns_at([j - boundaries.count for j in pivots if j >= boundaries.count])
-        return boundaries.reduce(chosen)
+        return self.homology(r).matrix
 
     def express_class(self, z: RationalMatrix, r) -> RationalMatrix:
         """Coordinates of the cycle columns of z in the H_r basis."""
-        reps = self.homology_basis(r)
-        bnds = image_basis(self.bnd(r + 1)).matrix()
-        sol = Solver(reps.hstack(bnds)).solve_matrix(z)
-        if sol is None:
+        if not (self.bnd(r) @ z).is_zero():
             raise InternalExactnessError(f"{self.name}: vector is not a cycle in degree {r}")
-        return sol.rows_at(range(reps.cols))
+        return self.homology(r).coordinates(z)
+
+
+class Homology:
+    """Cycle representatives of H_r and the positions their classes are read at.
+
+    Cycles are determined by their values at the lead positions ``lead``.
+    There the boundaries, in echelon form with trailing pivots, leave every
+    cycle a normal form supported on ``chosen`` (indices into ``lead``),
+    whose values are its class coordinates.
+    """
+
+    __slots__ = ("matrix", "lead", "boundaries", "chosen")
+
+    def __init__(self, matrix, lead=(), boundaries=None, chosen=()):
+        self.matrix = matrix
+        self.lead = lead
+        self.boundaries = boundaries
+        self.chosen = chosen
+
+    def coordinates(self, z: RationalMatrix) -> RationalMatrix:
+        if not self.chosen:
+            return RationalMatrix.zeros(0, z.cols)
+        rows = z.rows_at(self.lead).transpose().reversed_columns()
+        normal = self.boundaries.normal_form(rows).reversed_columns()
+        return normal.columns_at(self.chosen).transpose()
+
+
+def _homology(C: ChainComplex, r) -> Homology:
+    """Representatives W Q^{-1}, with W = ker ∂_r ∩ {x_P = 0} for P the pivot
+    rows of im ∂_{r+1} and Q the class coordinates of W's columns."""
+    dim = C.dim(r)
+    b = dim - C.echelon(r).rank - C.echelon(r + 1).rank
+    if b == 0:
+        return Homology(RationalMatrix.zeros(dim, 0))
+    last = dim - 1
+    independent = set(C.echelon(r).pivot_rows)
+    lead = [j for j in range(dim) if last - j not in independent]
+    boundary_rows = set(C.echelon(r + 1).pivots)
+    outside = [j for j in range(dim) if j not in boundary_rows]
+    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
+    w = kernel_basis(C.bnd(r).columns_at(outside).reversed_columns()).matrix()
+    flip = len(outside) - 1
+    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
+    boundaries = Echelon(C.bnd(r + 1).rows_at(lead).transpose().reversed_columns())
+    trailing = set(boundaries.pivots)
+    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
+    h = Homology(None, lead, boundaries, chosen)
+    if not (len(chosen) == W.cols == b):
+        raise InternalExactnessError(f"{C.name}: homology split fails in degree {r}")
+    inverse = Solver(h.coordinates(W)).solve_matrix(RationalMatrix.identity(b))
+    if inverse is None:
+        raise InternalExactnessError(f"{C.name}: complement misses classes in degree {r}")
+    h.matrix = W @ inverse
+    return h
 
 
 def simplicial_chains(K: SimplicialComplex) -> ChainComplex:

@@ -8,6 +8,8 @@ under a second.
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 from .simplicial import SimplicialComplex, decompose, parse_complex
 
 
@@ -127,3 +129,31 @@ _LINK_TYPES = {
     "x2-cone-torus": "torus (7 vertices)",
     "mobius-marked": "circle (5 vertices)",
 }
+
+
+def subdivide(document: dict, times: int = 1) -> dict:
+    """Barycentric subdivision of an input document, applied ``times`` times.
+
+    Old vertices keep their ids, so the marked vertex survives and its link
+    becomes the subdivided link.  The barycentre of each simplex of dimension
+    at least one gets a fresh id above the old maximum, in (dimension,
+    vertex tuple) order.  Each facet splits into one facet per ordering of
+    its vertices: the flag {v0} < {v0, v1} < ... < facet.
+    """
+    for _ in range(times):
+        facets = [tuple(sorted(f)) for f in document["facets"]]
+        faces = sorted({face for f in facets for size in range(2, len(f) + 1)
+                        for face in combinations(f, size)},
+                       key=lambda face: (len(face), face))
+        fresh = max(v for f in facets for v in f) + 1
+        ids = {face: fresh + i for i, face in enumerate(faces)}
+        ids.update({(v,): v for f in facets for v in f})
+        flags = {tuple(sorted(ids[tuple(sorted(order[:i]))] for i in range(1, len(order) + 1)))
+                 for f in facets for order in permutations(f)}
+        document = {
+            "name": document["name"],
+            "dimension": document["dimension"],
+            "facets": [list(f) for f in sorted(flags)],
+            "singular_vertex": document["singular_vertex"],
+        }
+    return document

@@ -158,28 +158,29 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     quotient, pi, section = quotient_by_cotruncation(sub, ct)
 
     # Model basis per degree: kernel of (project-out-theta) ∘ restriction.
-    iota = []
-    dims = []
+    bases = []
+    kappa = []
     for r in range(n + 1):
-        condition = pi[r] @ pair.restrict[r]
-        basis = kernel_basis(condition)
-        iota.append(basis.matrix())
-        dims.append(basis.count)
+        kappa.append(pi[r] @ pair.restrict[r])
+        basis = kernel_basis(kappa[r])
+        bases.append(basis)
         # Fiber product dimension count: dim A^r = dim ker i* + dim tau^r.
-        expected = kernel_basis(pair.restrict[r]).count + ct.complex.dim(r)
+        restrict = pair.restrict[r]
+        expected = restrict.cols - restrict.rank() + ct.complex.dim(r)
         if basis.count != expected:
             raise InternalExactnessError(
                 f"model dimension {basis.count} != ker + cotruncation {expected} at degree {r}")
+    iota = [basis.matrix() for basis in bases]
+    dims = [basis.count for basis in bases]
 
+    # Coordinates in the echelon bases are read at their pivot rows and
+    # checked by multiplying back, so no basis is eliminated again.
     d = []
     for r in range(n + 1):
-        target = dims[r + 1] if r + 1 <= n else 0
-        solver = Solver(iota[r + 1]) if r + 1 <= n else None
-        image = pair.full.diff(r) @ iota[r]
-        if solver is None:
+        if r + 1 > n:
             d.append(RationalMatrix.zeros(0, dims[r]))
             continue
-        coords = solver.solve_matrix(image)
+        coords = bases[r + 1].coordinates(pair.full.diff(r) @ iota[r])
         if coords is None:
             raise InternalExactnessError(f"model is not d-closed at degree {r}")
         d.append(coords)
@@ -187,27 +188,21 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
 
     rho = []
     eta = []
-    kappa = []
     for r in range(n + 1):
         restricted = pair.restrict[r] @ iota[r]
         theta_solver = Solver(ct.inclusion[r])
         rho_r = theta_solver.solve_matrix(restricted)
         if rho_r is None:
             raise InternalExactnessError(f"restriction escapes the cotruncation at degree {r}")
+        # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.
+        if restricted != ct.inclusion[r] @ rho_r:
+            raise InternalExactnessError(f"fiber square does not commute at degree {r}")
         rho.append(rho_r)
-        eta_solver = Solver(iota[r])
-        eta_r = eta_solver.solve_matrix(pair.include_rel[r])
+        # iota ∘ eta = j*, checked by coordinates.
+        eta_r = bases[r].coordinates(pair.include_rel[r])
         if eta_r is None:
             raise InternalExactnessError(f"relative cochains escape the model at degree {r}")
         eta.append(eta_r)
-        kappa.append(pi[r] @ pair.restrict[r])
-
-    # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.
-    for r in range(n + 1):
-        if pair.restrict[r] @ iota[r] != ct.inclusion[r] @ rho[r]:
-            raise InternalExactnessError(f"fiber square does not commute at degree {r}")
-        if pair.include_rel[r] != iota[r] @ eta[r]:
-            raise InternalExactnessError(f"iota ∘ eta != j* at degree {r}")
 
     ses_eta_rho = ShortExactSequence(pair.rel, complex_, ct.complex, eta, rho)
     ses_iota_kappa = ShortExactSequence(complex_, pair.full, quotient, iota, kappa)
@@ -221,6 +216,10 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
 
 def _pname(p: Perversity) -> str:
     return p.name or ",".join(str(v) for _, v in sorted(p.values.items()))
+
+
+def _nullity(m: RationalMatrix) -> int:
+    return m.cols - m.rank()
 
 
 def model_les(m: IntersectionModel, which: str):
@@ -251,14 +250,14 @@ def model_les(m: IntersectionModel, which: str):
     for r in range(top + 1):
         incoming_v = maps_uv[r]
         outgoing_v = maps_vw[r]
-        if incoming_v.rank() != kernel_basis(outgoing_v).count:
+        if incoming_v.rank() != _nullity(outgoing_v):
             exact = False
         incoming_w = maps_vw[r]
-        if incoming_w.rank() != kernel_basis(connecting[r]).count:
+        if incoming_w.rank() != _nullity(connecting[r]):
             exact = False
         delta_in = connecting[r]
         next_uv = maps_uv.get(r + 1, RationalMatrix.zeros(0, U.cohomology(r + 1).dimension))
-        if delta_in.rank() != kernel_basis(next_uv).count:
+        if delta_in.rank() != _nullity(next_uv):
             exact = False
     if not exact:
         raise InternalExactnessError(f"long exact sequence of {which} fails exactness")

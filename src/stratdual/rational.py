@@ -16,6 +16,7 @@ syntactic comparison; solves take a matrix of right-hand sides.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -142,16 +143,28 @@ class RationalMatrix:
         other_rows = {}
         for (k, j), w in other.entries.items():
             other_rows.setdefault(k, []).append((j, w))
+        # self's entries are row-major, so rows come out in ascending order.
         entries = {}
         for i, terms in by_row.items():
             acc = {}
             for k, v in terms:
-                for j, w in other_rows.get(k, ()):
-                    acc[j] = acc.get(j, ZERO) + v * w
-            for j, s in acc.items():
-                if s != 0:
+                # Unit entries, the most common ones, need no multiplication.
+                if v == 1:
+                    products = other_rows.get(k, ())
+                elif v == -1:
+                    products = [(j, -w) for j, w in other_rows.get(k, ())]
+                else:
+                    products = [(j, v * w) for j, w in other_rows.get(k, ())]
+                for j, p in products:
+                    if j in acc:
+                        acc[j] += p
+                    else:
+                        acc[j] = p
+            for j in sorted(acc):
+                s = acc[j]
+                if s:
                     entries[(i, j)] = s
-        return RationalMatrix(self.rows, other.cols, entries)
+        return RationalMatrix._trusted(self.rows, other.cols, entries)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -163,9 +176,15 @@ class RationalMatrix:
                 out[i] += a * x
         return tuple(out)
 
+    def reversed_columns(self) -> "RationalMatrix":
+        """The same matrix with its columns in reverse order."""
+        last = self.cols - 1
+        return RationalMatrix._trusted(self.rows, self.cols, dict(sorted(
+            ((i, last - j), v) for (i, j), v in self.entries.items())))
+
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self.entries.items()})
+        return RationalMatrix._trusted(self.cols, self.rows, dict(sorted(
+            ((j, i), v) for (i, j), v in self.entries.items())))
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
@@ -179,8 +198,11 @@ class RationalMatrix:
         c = Fraction(c)
         if c == 0:
             return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix(self.rows, self.cols,
-                              {k: c * v for k, v in self.entries.items()})
+        if c == -1:
+            entries = {k: -v for k, v in self.entries.items()}
+        else:
+            entries = {k: c * v for k, v in self.entries.items()}
+        return RationalMatrix._trusted(self.rows, self.cols, entries)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -231,7 +253,10 @@ def _integer_rows(m: RationalMatrix, transform: bool) -> list:
         for v in row.values():
             if v.denominator != 1:
                 den = lcm(den, v.denominator)
-        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        if den == 1:
+            ints = {j: v.numerator for j, v in row.items()}
+        else:
+            ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         if transform:
             ints[m.cols + i] = den
         out.append(ints)
@@ -336,6 +361,60 @@ def rref(m: RationalMatrix, transform: bool = False):
     return pivot_cols, reduced, RationalMatrix._trusted(m.rows, m.rows, t)
 
 
+class Echelon:
+    """Row echelon form of a matrix from the forward pass alone.
+
+    One integer pivot row per pivot column, each led by its lowest column,
+    with no back-substitution.  ``pivots`` are the pivot columns of ``rref``.
+    ``pivot_rows`` are the rows of the matrix independent of the rows before
+    them, which are the pivot columns of the transpose's ``rref``.
+    """
+
+    __slots__ = ("cols", "pivots", "pivot_rows", "_rows")
+
+    def __init__(self, m: RationalMatrix):
+        rows = _integer_rows(m, False)
+        self._rows, _ = _forward(rows, m.cols)
+        self.cols = m.cols
+        self.pivots = tuple(sorted(self._rows))
+        # A row that depends on the rows before it is reduced to empty.
+        self.pivot_rows = tuple(i for i, row in enumerate(rows) if row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def normal_form(self, m: RationalMatrix) -> RationalMatrix:
+        """The rows of m reduced modulo the row space.
+
+        Each row's pivot entries are cleared lowest column first; a pivot row
+        reaches only columns above its own, so a cleared entry never refills.
+        The result vanishes at every pivot column, which makes it the unique
+        such representative of the row's coset.
+        """
+        if m.cols != self.cols:
+            raise ValueError("normal form of rows of the wrong length")
+        cols = self.cols
+        pivots = self._rows
+        out = {}
+        for i, row in enumerate(_integer_rows(m, True)):
+            # The transform entry at cols + i carries the row's integer scale.
+            todo = [k for k in row if k in pivots]
+            heapify(todo)
+            while todo:
+                c = heappop(todo)
+                if c in row:
+                    piv = pivots[c]
+                    _eliminate(row, piv, c)
+                    for k in piv:
+                        if k != c and k in pivots:
+                            heappush(todo, k)
+            scale = row.pop(cols + i)
+            for k in sorted(row):
+                out[(i, k)] = Fraction(row[k], scale)
+        return RationalMatrix._trusted(m.rows, cols, out)
+
+
 class SubspaceBasis:
     """Canonical basis of a subspace of Q^ambient_dim.
 
@@ -388,6 +467,15 @@ class SubspaceBasis:
         clears every pivot row and changes m only by elements of the span.
         """
         return m - self._matrix @ m.rows_at(self.pivot_rows)
+
+    def coordinates(self, m: RationalMatrix) -> Optional[RationalMatrix]:
+        """X with basis @ X == m, or None when a column of m is outside the span.
+
+        The basis is the identity at its pivot rows, so X is m at those rows;
+        the product checks it.
+        """
+        x = m.rows_at(self.pivot_rows)
+        return x if self._matrix @ x == m else None
 
     def __eq__(self, other):
         return isinstance(other, SubspaceBasis) and self._matrix == other._matrix

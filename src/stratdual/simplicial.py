@@ -19,7 +19,7 @@ from .errors import (
     NotPseudomanifoldError,
     ParseError,
 )
-from .rational import RationalMatrix, kernel_basis
+from .rational import RationalMatrix
 
 Simplex = tuple  # tuple[int, ...], strictly increasing vertex ids
 
@@ -319,7 +319,9 @@ def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
         (interior_rows[i], j): v
         for (i, j), v in full.entries.items() if i in interior_rows
     })
-    if kernel_basis(rel).count != 1:
+    # rank(rel) from its transpose: eliminating n-simplex rows stays sparse,
+    # while face rows with two entries each chain along long paths.
+    if rel.cols - rel.transpose().rank() != 1:
         raise NotPseudomanifoldError(
             f"{D.name}: relative top cycles have dimension != 1")
     return mu

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from stratdual import examples
@@ -8,15 +10,19 @@ from stratdual.duality import (
     lefschetz_pairing,
     main_pairing,
     stokes_vanishing_probe,
+    well_definedness_identity,
     well_definedness_probe,
 )
 from stratdual.errors import NotComplementaryError, NotPseudomanifoldError
 from stratdual.model import build_model, complementary, named_perversity
+from stratdual.rational import RationalMatrix
 from stratdual.simplicial import (
     SimplicialComplex,
     FundamentalChain,
+    decompose,
     fundamental_chain,
     orient_top_chain,
+    parse_complex,
 )
 
 
@@ -141,6 +147,28 @@ def test_well_definedness_probe():
     for name in ("octahedron-marked", "x2-cone-torus"):
         D, pair, mu, mp, mq = models_for(name)
         assert well_definedness_probe(mp, mq, mu, trials=25, seed=7)
+
+
+def test_well_definedness_identity_detects_a_corrupted_iota():
+    # No bundled model has cochains one degree below a paired class, which
+    # leaves the coboundary terms empty; one subdivision gives them columns.
+    document = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
+    D = decompose(parse_complex(document), document["singular_vertex"])
+    pair = PairComplexes(D.M, D.L)
+    mu = fundamental_chain(D)
+    p = named_perversity("zero", D.n)
+    mp = build_model(D, p, pair=pair)
+    mq = build_model(D, complementary(p), pair=pair)
+    assert (mp.betti()[2], mq.betti()[1]) == (1, 1)
+    assert mp.complex.dim(1) and mq.complex.dim(0)
+    assert well_definedness_identity(mp, mq, mu)
+    # Every model cochain of degree 2 also lands on the first 2-simplex of M.
+    bad = copy.copy(mp)
+    bad.iota = list(mp.iota)
+    iota = bad.iota[2]
+    bad.iota[2] = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
+    assert not well_definedness_identity(bad, mq, mu)
+    assert not well_definedness_probe(bad, mq, mu, trials=3)
 
 
 def test_stokes_vanishing_probe():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stratdual.rational import (
+    Echelon,
     RationalMatrix,
     Solver,
     SubspaceBasis,
@@ -281,6 +282,8 @@ def test_kernel_matches_dense_oracle():
     # The matrix right-hand sides and reduce inputs draw from their own
     # stream, so the 400 matrices stay the same as without them.
     extra = random.Random(2025)
+    # Products, forward-pass echelons and normal forms draw from a third.
+    third = random.Random(2026)
     shapes = set()
     for _ in range(400):
         a = _random_dense(rng)
@@ -369,4 +372,30 @@ def test_kernel_matches_dense_oracle():
             assert sub.reduce(_columns(vectors, dim)) == _columns(want_reps, dim)
             if basis_rows:
                 assert vec_is_zero(want_reps[-1])
+
+        # A product equals the dense one, entry order and hash included.
+        width = third.randint(0, 5)
+        b = [[_random_entry(third) if third.random() < 0.5 else Fraction(0)
+              for _ in range(width)] for _ in range(cols)]
+        product = m @ _as_matrix(b, width)
+        want_product = _as_matrix([[sum((a[i][t] * b[t][j] for t in range(cols)), Fraction(0))
+                                    for j in range(width)] for i in range(rows)], width)
+        assert product == want_product
+        assert list(product.entries) == list(want_product.entries)
+        assert hash(product) == hash(want_product)
+
+        # The forward pass alone: rref's pivots, the rows independent of the
+        # rows before them, and normal forms modulo the row space.
+        echelon = Echelon(m)
+        assert (echelon.pivots, echelon.rank) == (want_pivots, rank)
+        assert echelon.pivot_rows == column_pivots
+        row_basis = want[:rank]
+        vectors = [tuple(_random_entry(third) for _ in range(cols))
+                   for _ in range(third.randint(0, 3))]
+        if rank:
+            vectors.append(tuple(sum((c * w[i] for c, w in zip(
+                [_random_entry(third) for _ in row_basis], row_basis)), Fraction(0))
+                for i in range(cols)))
+        want_normal = [_oracle_coset(row_basis, v) for v in vectors]
+        assert echelon.normal_form(_as_matrix(vectors, cols)) == _as_matrix(want_normal, cols)
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}

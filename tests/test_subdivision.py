@@ -1,0 +1,60 @@
+"""Everything a report states but its matrix entries survives subdivision.
+
+Betti vectors, pairing dimensions and ranks, ladder signs and every verdict
+are invariants of the pseudomanifold, so one barycentric subdivision must
+leave them unchanged; only the entries of the pairing matrices depend on
+the cohomology bases the triangulation induces.
+"""
+
+import json
+
+import pytest
+
+from stratdual import examples
+from stratdual.cli import run_verification
+
+STRUCTURAL_CHECKS = ["model", "duality", "ladder", "lefschetz", "truncated-duality", "oracle"]
+
+
+def without_entries(report):
+    """The report minus matrix entries and the input file name."""
+    if isinstance(report, dict):
+        return {key: without_entries(value) for key, value in report.items()
+                if key not in ("entries", "input")}
+    if isinstance(report, list):
+        return [without_entries(value) for value in report]
+    return report
+
+
+def verify_subdivided(name, level, tmp_path, perversity, strategy):
+    path = tmp_path / f"{name}-sd{level}.json"
+    path.write_text(json.dumps(examples.subdivide(examples.get_document(name), level)))
+    return run_verification(str(path), perversity, strategy, STRUCTURAL_CHECKS, 0)
+
+
+def test_subdivide_keeps_old_vertices_and_splits_facets():
+    document = examples.get_document("disk-cone-s1")
+    once = examples.subdivide(document, 1)
+    # Each triangle splits into 3! = 6; the new vertex ids start above the old ones.
+    assert len(once["facets"]) == 6 * len(document["facets"])
+    assert once["singular_vertex"] == document["singular_vertex"]
+    old = {v for f in document["facets"] for v in f}
+    new = {v for f in once["facets"] for v in f}
+    assert old <= new and min(new - old) > max(old)
+    assert examples.subdivide(once, 1) == examples.subdivide(document, 2)
+    assert examples.subdivide(document, 0) == document
+
+
+@pytest.mark.parametrize("name", ["disk-cone-s1", "octahedron-marked", "x2-cone-torus"])
+@pytest.mark.parametrize("perversity, strategy", [("zero", "lex"), ("top", "reverse-lex")])
+def test_subdivision_keeps_every_invariant(name, perversity, strategy, tmp_path):
+    before, status_before = verify_subdivided(name, 0, tmp_path, perversity, strategy)
+    after, status_after = verify_subdivided(name, 1, tmp_path, perversity, strategy)
+    assert status_before == status_after == 0
+    assert without_entries(after) == without_entries(before)
+
+
+def test_subdivided_non_orientable_input_is_rejected(tmp_path):
+    report, status = verify_subdivided("mobius-marked", 1, tmp_path, "zero", "lex")
+    assert status == 2
+    assert report["error"]["code"] == "NON_ORIENTABLE"
