@@ -137,6 +137,8 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if not self.entries or not other.entries:
+            return RationalMatrix._trusted(self.rows, other.cols, {})
         by_row = {}
         for (i, k), v in self.entries.items():
             by_row.setdefault(i, []).append((k, v))
@@ -172,8 +174,8 @@ class RationalMatrix:
         out = [ZERO] * self.rows
         for (i, j), a in self.entries.items():
             x = v[j]
-            if x != 0:
-                out[i] += a * x
+            if x:
+                out[i] += x if a == 1 else (-x if a == -1 else a * x)
         return tuple(out)
 
     def reversed_columns(self) -> "RationalMatrix":

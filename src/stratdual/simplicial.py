@@ -92,11 +92,11 @@ class SimplicialComplex:
         if r <= 0 or r > self.dimension:
             return RationalMatrix.zeros(self.n_simplices(r - 1), self.n_simplices(r))
         lower = self.index
+        signs = [Fraction((-1) ** i) for i in range(r + 1)]
         entries = {}
         for j, s in enumerate(self.faces[r]):
             for i in range(r + 1):
-                face = s[:i] + s[i + 1:]
-                entries[(lower[face], j)] = Fraction(-1) ** i
+                entries[(lower[s[:i] + s[i + 1:]], j)] = signs[i]
         return RationalMatrix(self.n_simplices(r - 1), self.n_simplices(r), entries)
 
     def euler_characteristic(self) -> int:
