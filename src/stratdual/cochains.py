@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalExactnessError, ParseError
-from .rational import Echelon, RationalMatrix, Solver, kernel_basis
+from .rational import Echelon, QuotientBasis, RationalMatrix, Solver, quotient_basis
 from .simplicial import SimplicialComplex
 
 
@@ -47,7 +47,7 @@ class CochainComplex:
         self.d = tuple(d)
         self._cohomology_cache = {}
         self._echelon_cache = {}
-        self._cochain_maps = []  # (f, source) pairs checked by induced_map
+        self._cochain_maps = []  # (f, source) tuple maps checked by induced_map
         if len(self.d) != len(self.dims):
             raise ValueError("need one differential per degree (top maps to 0)")
         for r, mat in enumerate(self.d):
@@ -120,80 +120,26 @@ class CochainComplex:
         return f"CochainComplex({self.name!r}, dims={self.dims})"
 
 
-class CohomologyBasis:
-    """Chosen cocycle representatives of H^r, canonical per complex.
-
-    ``matrix`` holds them as columns; ``representatives`` lists them as
-    dense cochains for the cup product and evaluation on chains.  A cocycle
-    is read at the kernel's lead positions ``lead``, where cocycles are
-    determined by their values.  There, ``boundaries`` is the echelon form of
-    the coboundaries with trailing pivots, and a cocycle's normal form
-    modulo it is supported on the ``chosen`` positions (indices into
-    ``lead``): its values there are the cocycle's class coordinates.
-    """
-
-    __slots__ = ("degree", "matrix", "lead", "boundaries", "chosen")
-
-    def __init__(self, degree, matrix: RationalMatrix, lead=(), boundaries=None, chosen=()):
-        self.degree = degree
-        self.matrix = matrix
-        self.lead = lead
-        self.boundaries = boundaries
-        self.chosen = chosen
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def representatives(self):
-        return tuple(self.matrix.columns())
-
-    def coordinates(self, z: RationalMatrix) -> RationalMatrix:
-        """Class coordinates of the cocycle columns of z (not checked to be cocycles)."""
-        if not self.chosen:
-            return RationalMatrix.zeros(0, z.cols)
-        rows = z.rows_at(self.lead).transpose().reversed_columns()
-        normal = self.boundaries.normal_form(rows).reversed_columns()
-        return normal.columns_at(self.chosen).transpose()
-
-    def __repr__(self):
-        return f"CohomologyBasis(degree {self.degree}, dim {self.dimension})"
+# H^r's basis: canonical cocycle representatives modulo the coboundaries.
+CohomologyBasis = QuotientBasis
 
 
 def _cohomology_basis(C: CochainComplex, r: int) -> CohomologyBasis:
-    """Representatives from the forward passes on d^r and d^{r-1}.
-
-    W = ker(d^r) ∩ {x_P = 0}, with P the pivot rows of im d^{r-1}, is the
-    complement of the coboundaries in the cocycles that the canonical
-    representatives span.  With Q the class coordinates of W's columns, the
-    representatives are W Q^{-1}: the elements of W whose coordinates are
-    unit vectors.
-    """
+    """Representatives of ker d^r / im d^{r-1} from the forward passes on
+    d^r and d^{r-1}: the lead positions of the cocycles and the pivot rows P
+    of the coboundaries."""
     if r < 0 or r > C.top:
-        return CohomologyBasis(r, RationalMatrix.zeros(0, 0))
+        return CohomologyBasis(RationalMatrix.zeros(0, 0))
     dim = C.dim(r)
-    if C.betti_number(r) == 0:
-        return CohomologyBasis(r, RationalMatrix.zeros(dim, 0))
+    b = C.betti_number(r)
+    if b == 0:
+        return CohomologyBasis(RationalMatrix.zeros(dim, 0))
     last = dim - 1
     reversed_pivots = set(C.echelon(r).pivots)
     lead = [j for j in range(dim) if last - j not in reversed_pivots]
-    image_rows = set(C.echelon(r - 1).pivot_rows)
-    outside = [j for j in range(dim) if j not in image_rows]
-    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
-    w = kernel_basis(C.diff(r).columns_at(outside).reversed_columns()).matrix()
-    flip = len(outside) - 1
-    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
-    boundaries = Echelon(C.diff(r - 1).rows_at(lead).transpose().reversed_columns())
-    trailing = set(boundaries.pivots)
-    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
-    basis = CohomologyBasis(r, None, lead, boundaries, chosen)
-    if not (len(chosen) == W.cols == C.betti_number(r)):
+    basis = quotient_basis(C.diff(r), C.diff(r - 1), lead, set(C.echelon(r - 1).pivot_rows))
+    if basis is None or basis.dimension != b:
         raise InternalExactnessError(f"{C.name}: cohomology split fails in degree {r}")
-    inverse = Solver(basis.coordinates(W)).solve_matrix(RationalMatrix.identity(W.cols))
-    if inverse is None:
-        raise InternalExactnessError(f"{C.name}: complement misses classes in degree {r}")
-    basis.matrix = W @ inverse
     return basis
 
 
@@ -359,12 +305,13 @@ class PairComplexes:
 def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> RationalMatrix:
     """Matrix of H^r(f) in the chosen cohomology bases.
 
-    ``f`` is the per-degree list of matrices; it must commute with the
-    differentials.  That is checked exactly over the full degree range the
-    first time ``f`` maps ``source`` into ``target``; the lists are never
-    mutated, so the check is not repeated for their other degrees.
+    ``f`` is the per-degree sequence of matrices; it must commute with the
+    differentials, which is checked exactly over the full degree range.  A
+    tuple cannot change, so for a tuple the check runs once per (f, source,
+    target) and not again for its other degrees.
     """
-    if not any(g is f and s is source for g, s in target._cochain_maps):
+    frozen = type(f) is tuple
+    if not (frozen and any(g is f and s is source for g, s in target._cochain_maps)):
         top = max(source.top, target.top)
         for k in range(top + 1):
             fk = f[k] if k < len(f) else RationalMatrix.zeros(target.dim(k), source.dim(k))
@@ -372,7 +319,8 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
             if fk1 @ source.diff(k) != target.diff(k) @ fk:
                 raise InternalExactnessError(
                     f"map {source.name} -> {target.name} is not a cochain map at degree {k}")
-        target._cochain_maps.append((f, source))
+        if frozen:
+            target._cochain_maps.append((f, source))
     fr = f[r] if r < len(f) else RationalMatrix.zeros(target.dim(r), source.dim(r))
     return target.express_class(fr @ source.representative_matrix(r), r)
 
@@ -386,8 +334,8 @@ class ShortExactSequence:
         self.U = U
         self.V = V
         self.W = W
-        self.alpha = alpha
-        self.beta = beta
+        self.alpha = tuple(alpha)
+        self.beta = tuple(beta)
         self._solvers = {}
         top = max(U.top, V.top, W.top)
         for r in range(top + 1):

@@ -11,10 +11,11 @@ from __future__ import annotations
 from .errors import InternalExactnessError
 from .rational import (
     Echelon,
+    QuotientBasis,
     RationalMatrix,
-    Solver,
     complement_basis,
     kernel_basis,
+    quotient_basis,
 )
 from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
@@ -63,7 +64,7 @@ class ChainComplex:
         return tuple(self.dim(r) - self.echelon(r).rank - self.echelon(r + 1).rank
                      for r in range(self.top + 1))
 
-    def homology(self, r) -> "Homology":
+    def homology(self, r) -> QuotientBasis:
         if r not in self._homology_cache:
             self._homology_cache[r] = _homology(self, r)
         return self._homology_cache[r]
@@ -79,57 +80,20 @@ class ChainComplex:
         return self.homology(r).coordinates(z)
 
 
-class Homology:
-    """Cycle representatives of H_r and the positions their classes are read at.
-
-    Cycles are determined by their values at the lead positions ``lead``.
-    There the boundaries, in echelon form with trailing pivots, leave every
-    cycle a normal form supported on ``chosen`` (indices into ``lead``),
-    whose values are its class coordinates.
-    """
-
-    __slots__ = ("matrix", "lead", "boundaries", "chosen")
-
-    def __init__(self, matrix, lead=(), boundaries=None, chosen=()):
-        self.matrix = matrix
-        self.lead = lead
-        self.boundaries = boundaries
-        self.chosen = chosen
-
-    def coordinates(self, z: RationalMatrix) -> RationalMatrix:
-        if not self.chosen:
-            return RationalMatrix.zeros(0, z.cols)
-        rows = z.rows_at(self.lead).transpose().reversed_columns()
-        normal = self.boundaries.normal_form(rows).reversed_columns()
-        return normal.columns_at(self.chosen).transpose()
-
-
-def _homology(C: ChainComplex, r) -> Homology:
-    """Representatives W Q^{-1}, with W = ker ∂_r ∩ {x_P = 0} for P the pivot
-    rows of im ∂_{r+1} and Q the class coordinates of W's columns."""
+def _homology(C: ChainComplex, r) -> QuotientBasis:
+    """Representatives of ker ∂_r / im ∂_{r+1} from the forward passes on
+    ∂_r and ∂_{r+1}: the lead positions of the cycles and the pivot rows P
+    of the boundaries."""
     dim = C.dim(r)
     b = dim - C.echelon(r).rank - C.echelon(r + 1).rank
     if b == 0:
-        return Homology(RationalMatrix.zeros(dim, 0))
+        return QuotientBasis(RationalMatrix.zeros(dim, 0))
     last = dim - 1
     independent = set(C.echelon(r).pivot_rows)
     lead = [j for j in range(dim) if last - j not in independent]
-    boundary_rows = set(C.echelon(r + 1).pivots)
-    outside = [j for j in range(dim) if j not in boundary_rows]
-    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
-    w = kernel_basis(C.bnd(r).columns_at(outside).reversed_columns()).matrix()
-    flip = len(outside) - 1
-    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
-    boundaries = Echelon(C.bnd(r + 1).rows_at(lead).transpose().reversed_columns())
-    trailing = set(boundaries.pivots)
-    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
-    h = Homology(None, lead, boundaries, chosen)
-    if not (len(chosen) == W.cols == b):
+    h = quotient_basis(C.bnd(r), C.bnd(r + 1), lead, set(C.echelon(r + 1).pivots))
+    if h is None or h.dimension != b:
         raise InternalExactnessError(f"{C.name}: homology split fails in degree {r}")
-    inverse = Solver(h.coordinates(W)).solve_matrix(RationalMatrix.identity(b))
-    if inverse is None:
-        raise InternalExactnessError(f"{C.name}: complement misses classes in degree {r}")
-    h.matrix = W @ inverse
     return h
 
 

@@ -170,7 +170,8 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         if basis.count != expected:
             raise InternalExactnessError(
                 f"model dimension {basis.count} != ker + cotruncation {expected} at degree {r}")
-    iota = [basis.matrix() for basis in bases]
+    iota = tuple(basis.matrix() for basis in bases)
+    kappa = tuple(kappa)
     dims = [basis.count for basis in bases]
 
     # Coordinates in the echelon bases are read at their pivot rows and
@@ -203,6 +204,7 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         if eta_r is None:
             raise InternalExactnessError(f"relative cochains escape the model at degree {r}")
         eta.append(eta_r)
+    rho, eta = tuple(rho), tuple(eta)
 
     ses_eta_rho = ShortExactSequence(pair.rel, complex_, ct.complex, eta, rho)
     ses_iota_kappa = ShortExactSequence(complex_, pair.full, quotient, iota, kappa)

@@ -137,8 +137,6 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if not self.entries or not other.entries:
-            return RationalMatrix._trusted(self.rows, other.cols, {})
         by_row = {}
         for (i, k), v in self.entries.items():
             by_row.setdefault(i, []).append((k, v))
@@ -150,18 +148,8 @@ class RationalMatrix:
         for i, terms in by_row.items():
             acc = {}
             for k, v in terms:
-                # Unit entries, the most common ones, need no multiplication.
-                if v == 1:
-                    products = other_rows.get(k, ())
-                elif v == -1:
-                    products = [(j, -w) for j, w in other_rows.get(k, ())]
-                else:
-                    products = [(j, v * w) for j, w in other_rows.get(k, ())]
-                for j, p in products:
-                    if j in acc:
-                        acc[j] += p
-                    else:
-                        acc[j] = p
+                for j, w in other_rows.get(k, ()):
+                    acc[j] = acc.get(j, ZERO) + v * w
             for j in sorted(acc):
                 s = acc[j]
                 if s:
@@ -174,8 +162,8 @@ class RationalMatrix:
         out = [ZERO] * self.rows
         for (i, j), a in self.entries.items():
             x = v[j]
-            if x:
-                out[i] += x if a == 1 else (-x if a == -1 else a * x)
+            if x != 0:
+                out[i] += a * x
         return tuple(out)
 
     def reversed_columns(self) -> "RationalMatrix":
@@ -200,11 +188,8 @@ class RationalMatrix:
         c = Fraction(c)
         if c == 0:
             return RationalMatrix(self.rows, self.cols)
-        if c == -1:
-            entries = {k: -v for k, v in self.entries.items()}
-        else:
-            entries = {k: c * v for k, v in self.entries.items()}
-        return RationalMatrix._trusted(self.rows, self.cols, entries)
+        return RationalMatrix._trusted(self.rows, self.cols,
+                                       {k: c * v for k, v in self.entries.items()})
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -255,10 +240,7 @@ def _integer_rows(m: RationalMatrix, transform: bool) -> list:
         for v in row.values():
             if v.denominator != 1:
                 den = lcm(den, v.denominator)
-        if den == 1:
-            ints = {j: v.numerator for j, v in row.items()}
-        else:
-            ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
         if transform:
             ints[m.cols + i] = den
         out.append(ints)
@@ -566,6 +548,76 @@ class Solver:
                 return None
             x[(self.pivots[r], j)] = v
         return RationalMatrix._trusted(self.matrix.cols, b.cols, x)
+
+
+class QuotientBasis:
+    """Canonical representatives of ker d / im e in one degree of a complex.
+
+    ``matrix`` holds them as columns; ``representatives`` lists them as
+    dense vectors.  A vector of ker d is read at the kernel's lead positions
+    ``lead``, where kernel vectors are determined by their values.  There,
+    ``boundaries`` is the echelon form of im e with trailing pivots, and a
+    vector's normal form modulo it is supported on the ``chosen`` positions
+    (indices into ``lead``): its values there are the vector's class
+    coordinates.
+    """
+
+    __slots__ = ("matrix", "lead", "boundaries", "chosen")
+
+    def __init__(self, matrix: RationalMatrix, lead=(), boundaries=None, chosen=()):
+        self.matrix = matrix
+        self.lead = lead
+        self.boundaries = boundaries
+        self.chosen = chosen
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.cols
+
+    @property
+    def representatives(self):
+        return tuple(self.matrix.columns())
+
+    def coordinates(self, z: RationalMatrix) -> RationalMatrix:
+        """Class coordinates of the columns of z (not checked to lie in ker d)."""
+        if not self.chosen:
+            return RationalMatrix.zeros(0, z.cols)
+        rows = z.rows_at(self.lead).transpose().reversed_columns()
+        normal = self.boundaries.normal_form(rows).reversed_columns()
+        return normal.columns_at(self.chosen).transpose()
+
+    def __repr__(self):
+        return f"QuotientBasis(dim {self.dimension} in Q^{self.matrix.rows})"
+
+
+def quotient_basis(d: RationalMatrix, e: RationalMatrix, lead,
+                   image_rows) -> Optional[QuotientBasis]:
+    """Representatives of ker d / im e from forward-pass pivots.
+
+    ``lead`` are the lead positions of ker d's reduced echelon basis and
+    ``image_rows`` the pivot rows P of im e.  W = ker d ∩ {x_P = 0}
+    complements im e in ker d.  With Q the class coordinates of W's columns,
+    the representatives are W Q^{-1}: the elements of W whose coordinates
+    are unit vectors.  None when W and the chosen positions differ in count
+    or Q is singular, which d∘e = 0 and correct pivots rule out.
+    """
+    dim = d.cols
+    outside = [j for j in range(dim) if j not in image_rows]
+    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
+    w = kernel_basis(d.columns_at(outside).reversed_columns()).matrix()
+    flip = len(outside) - 1
+    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
+    boundaries = Echelon(e.rows_at(lead).transpose().reversed_columns())
+    trailing = set(boundaries.pivots)
+    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
+    basis = QuotientBasis(None, lead, boundaries, chosen)
+    if len(chosen) != W.cols:
+        return None
+    inverse = Solver(basis.coordinates(W)).solve_matrix(RationalMatrix.identity(W.cols))
+    if inverse is None:
+        return None
+    basis.matrix = W @ inverse
+    return basis
 
 
 def solve(m: RationalMatrix, rhs: Vector) -> Optional[Vector]:

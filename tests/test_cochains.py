@@ -214,6 +214,20 @@ def test_induced_map_rejects_non_cochain_map():
         induced_map(bad, C, C, 0)
 
 
+def test_induced_map_rechecks_a_list_edited_in_place():
+    C, _ = simplicial_cochains(examples.get_complex("s1-triangle"))
+    f = [RationalMatrix.identity(3), RationalMatrix.identity(3)]
+    induced_map(f, C, C, 0)
+    f[0] = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(InternalExactnessError):
+        induced_map(f, C, C, 1)
+    # A tuple cannot be edited, so it is checked once per source and target.
+    frozen = tuple(RationalMatrix.identity(3) for _ in range(2))
+    induced_map(frozen, C, C, 0)
+    assert any(g is frozen for g, _ in C._cochain_maps)
+    assert not any(g is f for g, _ in C._cochain_maps)
+
+
 def test_induced_restriction_solid_torus_to_boundary():
     # Degree 1: rank one (the longitude survives, the meridian dies).
     D = examples.get_decomposition("x2-cone-torus")

@@ -164,9 +164,9 @@ def test_well_definedness_identity_detects_a_corrupted_iota():
     assert well_definedness_identity(mp, mq, mu)
     # Every model cochain of degree 2 also lands on the first 2-simplex of M.
     bad = copy.copy(mp)
-    bad.iota = list(mp.iota)
-    iota = bad.iota[2]
-    bad.iota[2] = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
+    iota = mp.iota[2]
+    shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
+    bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
     assert not well_definedness_identity(bad, mq, mu)
     assert not well_definedness_probe(bad, mq, mu, trials=3)
 
