@@ -148,8 +148,19 @@ class RationalMatrix:
         for i, terms in by_row.items():
             acc = {}
             for k, v in terms:
-                for j, w in other_rows.get(k, ()):
-                    acc[j] = acc.get(j, ZERO) + v * w
+                # On the bundled examples and their subdivisions every
+                # factor measured is ±1: copy or negate instead of multiplying.
+                if v == 1:
+                    products = other_rows.get(k, ())
+                elif v == -1:
+                    products = [(j, -w) for j, w in other_rows.get(k, ())]
+                else:
+                    products = [(j, v * w) for j, w in other_rows.get(k, ())]
+                for j, p in products:
+                    if j in acc:
+                        acc[j] += p
+                    else:
+                        acc[j] = p
             for j in sorted(acc):
                 s = acc[j]
                 if s:
