@@ -5,7 +5,6 @@ generalized Poincare duality together with all of its supporting structure
 
 from .cochains import (
     CochainComplex,
-    CohomologyBasis,
     CupStructure,
     PairComplexes,
     ShortExactSequence,
@@ -41,6 +40,7 @@ from .model import (
     validate_perversity,
 )
 from .rational import (
+    QuotientBasis,
     RationalMatrix,
     SubspaceBasis,
     complement_basis,

@@ -91,7 +91,7 @@ class CochainComplex:
             self._echelon_cache[r] = Echelon(self.diff(r).reversed_columns())
         return self._echelon_cache[r]
 
-    def cohomology(self, r: int) -> "CohomologyBasis":
+    def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:
             self._cohomology_cache[r] = _cohomology_basis(self, r)
         return self._cohomology_cache[r]
@@ -120,20 +120,16 @@ class CochainComplex:
         return f"CochainComplex({self.name!r}, dims={self.dims})"
 
 
-# H^r's basis: canonical cocycle representatives modulo the coboundaries.
-CohomologyBasis = QuotientBasis
-
-
-def _cohomology_basis(C: CochainComplex, r: int) -> CohomologyBasis:
+def _cohomology_basis(C: CochainComplex, r: int) -> QuotientBasis:
     """Representatives of ker d^r / im d^{r-1} from the forward passes on
     d^r and d^{r-1}: the lead positions of the cocycles and the pivot rows P
     of the coboundaries."""
     if r < 0 or r > C.top:
-        return CohomologyBasis(RationalMatrix.zeros(0, 0))
+        return QuotientBasis(RationalMatrix.zeros(0, 0))
     dim = C.dim(r)
     b = C.betti_number(r)
     if b == 0:
-        return CohomologyBasis(RationalMatrix.zeros(dim, 0))
+        return QuotientBasis(RationalMatrix.zeros(dim, 0))
     last = dim - 1
     reversed_pivots = set(C.echelon(r).pivots)
     lead = [j for j in range(dim) if last - j not in reversed_pivots]
