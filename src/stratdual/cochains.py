@@ -203,7 +203,7 @@ def simplicial_cochains(K: SimplicialComplex):
     dims = [K.n_simplices(r) for r in range(top + 1)]
     d = []
     for r in range(top + 1):
-        sign = Fraction(-1) ** (r + 1)       # -(-1)^r
+        sign = (-1) ** (r + 1)               # -(-1)^r
         boundary = K.boundary_matrix(r + 1)  # C_{r+1} -> C_r
         d.append(boundary.transpose().scaled(sign))
     complex_ = CochainComplex(f"C*({K.name})", dims, d)
@@ -232,7 +232,7 @@ def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
     for r in range(K.dimension + 1):
         entries = {}
         for i, s in enumerate(A.simplices(r)):
-            entries[(i, K.index[s])] = Fraction(1)
+            entries[(i, K.index[s])] = 1
         mats.append(RationalMatrix(A.n_simplices(r), K.n_simplices(r), entries))
     return mats
 
@@ -244,25 +244,14 @@ def relative_complex(K: SimplicialComplex, A: SimplicialComplex, full: CochainCo
     Returns (complex, inclusion matrices into C*(K)).
     """
     top = K.dimension
-    rel_simplices = [tuple(s for s in K.simplices(r) if not A.has_simplex(s))
-                     for r in range(top + 1)]
-    positions = [{s: i for i, s in enumerate(rel_simplices[r])} for r in range(top + 1)]
-    dims = [len(rel_simplices[r]) for r in range(top + 1)]
-    d = []
-    include = []
-    for r in range(top + 1):
-        inc_entries = {(K.index[s], i): Fraction(1) for i, s in enumerate(rel_simplices[r])}
-        include.append(RationalMatrix(K.n_simplices(r), dims[r], inc_entries))
-    for r in range(top + 1):
-        target = dims[r + 1] if r + 1 <= top else 0
-        entries = {}
-        if target:
-            for (i, j), v in full.d[r].entries.items():
-                tau = K.simplices(r + 1)[i]
-                sigma = K.simplices(r)[j]
-                if tau in positions[r + 1] and sigma in positions[r]:
-                    entries[(positions[r + 1][tau], positions[r][sigma])] = v
-        d.append(RationalMatrix(target, dims[r], entries))
+    # Positions in K.simplices(r) of the simplices outside A, in order.
+    kept = [[i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
+            for r in range(top + 2)]
+    dims = [len(kept[r]) for r in range(top + 1)]
+    include = [RationalMatrix(K.n_simplices(r), dims[r],
+                              {(k, i): 1 for i, k in enumerate(kept[r])})
+               for r in range(top + 1)]
+    d = [full.d[r].rows_at(kept[r + 1]).columns_at(kept[r]) for r in range(top + 1)]
     rel = CochainComplex(f"C*({K.name},{A.name})", dims, d)
     return rel, include
 

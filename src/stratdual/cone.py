@@ -213,18 +213,12 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
     dims = [t_dims[r] + m_dims[r] for r in range(top + 1)]
     boundary = [RationalMatrix.zeros(0, dims[0])]
     for r in range(1, top + 1):
-        entries = {}
-        # -∂ on the shifted truncation block.
-        for (i, j), v in tc.bnd(r - 1).entries.items():
-            entries[(i, j)] = -v
-        # g lands in the target block.
-        if r - 1 < len(g):
-            for (i, j), v in g[r - 1].entries.items():
-                entries[(t_dims[r - 1] + i, j)] = v
-        # ∂ on the target block.
-        for (i, j), v in target.bnd(r).entries.items():
-            entries[(t_dims[r - 1] + i, t_dims[r] + j)] = v
-        boundary.append(RationalMatrix(dims[r - 1], dims[r], entries))
+        # [[-∂, 0], [g, ∂]]: -∂ on the shifted truncation block, g into the
+        # target block and ∂ on it; rows are stacked as transposed columns.
+        g_lower = g[r - 1] if r - 1 < len(g) else RationalMatrix.zeros(m_dims[r - 1], t_dims[r])
+        upper = (-tc.bnd(r - 1)).hstack(RationalMatrix.zeros(t_dims[r - 1], m_dims[r]))
+        lower = g_lower.hstack(target.bnd(r))
+        boundary.append(upper.transpose().hstack(lower.transpose()).transpose())
     cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
     return ConeComplex(cone, tuple(t_dims), tuple(m_dims))
 

@@ -1,29 +1,29 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices hold ``fractions.Fraction`` entries (arbitrary precision, always
-reduced) in a sparse dict.  Every rank, echelon form, kernel, image and solve
-goes through one elimination kernel on sparse integer rows ``{col: int}``:
-each row is scaled to integers by the lcm of its denominators, the forward
-pass clears one lowest column at a time by integer row combinations divided
-by the gcd of their entries, and only the final back-substitution's
-normalization divides by the pivots to produce Fractions.  The reduced row
-echelon form is unique, so every derived basis is reproducible bit for bit
-whatever order the kernel eliminates in.  Subspaces are kept as one sparse
-matrix in reduced column echelon form, which makes subspace equality a
-syntactic comparison; solves take a matrix of right-hand sides.
+A matrix holds sparse integer numerators over one positive denominator, so
+products, sums and ``apply`` run in ints with one gcd normalization per
+result; ``fractions.Fraction`` appears only in the public constructors and
+the entry, row, column and ``apply`` outputs.  Every rank, echelon form,
+kernel, image and solve goes through one elimination kernel on the
+numerators as sparse integer rows ``{col: int}``: the forward pass clears one
+lowest column at a time by integer row combinations divided by the gcd of
+their entries, and reduced rows come out over the lcm of their leads.  The
+reduced row echelon form is unique, so every derived basis is reproducible
+bit for bit.  Subspaces are one sparse matrix in reduced column echelon form,
+which makes subspace equality a syntactic comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple  # tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def vec(values: Iterable) -> Vector:
@@ -35,68 +35,66 @@ def vec_is_zero(a: Vector) -> bool:
 
 
 class RationalMatrix:
-    """Immutable sparse rational matrix.
+    """Immutable sparse rational matrix: entry (i, j) is ``entries[(i, j)] / den``.
 
-    Entries are stored in a dict keyed by (row, col); zeros are never stored
-    and iteration is row-major with ascending columns.
+    ``entries`` holds nonzero int numerators, row-major with ascending
+    columns; ``den`` is positive and shares no factor with all of them, so
+    equal matrices are equal field by field.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "den", "entries")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        self.rows = rows
-        self.cols = cols
         clean = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-                f = v if type(v) is Fraction else Fraction(v)
-                if f:
-                    clean[(i, j)] = f
-        self.entries = dict(sorted(clean.items()))
+                if type(v) is not int and type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
+                    clean[(i, j)] = v
+        # Numerators over the lcm of reduced denominators share no factor with it.
+        self.den = den = lcm(*(v.denominator for v in clean.values()))
+        self.rows = rows
+        self.cols = cols
+        self.entries = {k: v.numerator * (den // v.denominator) for k, v in sorted(clean.items())}
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_rows(cls, rows_of_values: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(rows_of_values)
-        cols = len(rows_of_values[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows_of_values):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                f = v if type(v) is Fraction else Fraction(v)
-                if f:
-                    entries[(i, j)] = f
-        return cls(rows, cols, entries)
+        cols = len(rows_of_values[0]) if rows_of_values else 0
+        if any(len(row) != cols for row in rows_of_values):
+            raise ValueError("ragged rows")
+        return cls(len(rows_of_values), cols, {
+            (i, j): v for i, row in enumerate(rows_of_values) for j, v in enumerate(row)})
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "RationalMatrix":
-        entries = {}
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for i, v in enumerate(col):
-                f = v if type(v) is Fraction else Fraction(v)
-                if f:
-                    entries[(i, j)] = f
-        return cls(rows, len(columns), entries)
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch")
+        return cls.from_rows(columns).transpose() if columns else cls(rows, 0)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RationalMatrix":
-        """Wrap ``entries`` as they are: nonzero Fractions in bounds, row-major."""
+    def _wrap(cls, rows: int, cols: int, entries: dict, den: int = 1) -> "RationalMatrix":
+        """Wrap nonzero int numerators (in bounds, row-major) over ``den`` > 0, in lowest terms."""
+        if den != 1:
+            g = gcd(den, *entries.values())
+            if g != 1:
+                den //= g
+                entries = {k: v // g for k, v in entries.items()}
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols
+        m.den = den
         m.entries = entries
         return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -104,13 +102,14 @@ class RationalMatrix:
 
     # -- access -------------------------------------------------------
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), ZERO)
+        v = self.entries.get((i, j))
+        return ZERO if v is None else Fraction(v, self.den)
 
     def row(self, i: int) -> Vector:
-        return tuple(self.entries.get((i, j), ZERO) for j in range(self.cols))
+        return tuple(self.entry(i, j) for j in range(self.cols))
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries.get((i, j), ZERO) for i in range(self.rows))
+        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
@@ -118,14 +117,16 @@ class RationalMatrix:
     def rows_at(self, indices) -> "RationalMatrix":
         """The rows at ``indices`` (strictly increasing), in that order."""
         position = {i: r for r, i in enumerate(indices)}
-        return RationalMatrix._trusted(len(position), self.cols, {
-            (position[i], j): v for (i, j), v in self.entries.items() if i in position})
+        return RationalMatrix._wrap(len(position), self.cols, {
+            (position[i], j): v for (i, j), v in self.entries.items() if i in position},
+            self.den)
 
     def columns_at(self, indices) -> "RationalMatrix":
         """The columns at ``indices`` (strictly increasing), in that order."""
         position = {j: c for c, j in enumerate(indices)}
-        return RationalMatrix._trusted(self.rows, len(position), {
-            (i, position[j]): v for (i, j), v in self.entries.items() if j in position})
+        return RationalMatrix._wrap(self.rows, len(position), {
+            (i, position[j]): v for (i, j), v in self.entries.items() if j in position},
+            self.den)
 
     def dense(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -137,85 +138,92 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, []).append((k, v))
         other_rows = {}
         for (k, j), w in other.entries.items():
             other_rows.setdefault(k, []).append((j, w))
-        # self's entries are row-major, so rows come out in ascending order.
+        get = other_rows.get
+        # self's entries are row-major: one row's products are summed in acc,
+        # then flushed with sorted columns when the next row (or the
+        # sentinel row None, which has no terms) starts.
         entries = {}
-        for i, terms in by_row.items():
-            acc = {}
-            for k, v in terms:
-                # On the bundled examples and their subdivisions every
-                # factor measured is ±1: copy or negate instead of multiplying.
-                if v == 1:
-                    products = other_rows.get(k, ())
-                elif v == -1:
-                    products = [(j, -w) for j, w in other_rows.get(k, ())]
+        acc = {}
+        row = None
+        for (i, k), v in chain(self.entries.items(), (((None, None), 0),)):
+            if i != row:
+                for j in sorted(acc):
+                    if acc[j]:
+                        entries[(row, j)] = acc[j]
+                acc = {}
+                row = i
+            for j, w in get(k, ()):
+                if j in acc:
+                    acc[j] += v * w
                 else:
-                    products = [(j, v * w) for j, w in other_rows.get(k, ())]
-                for j, p in products:
-                    if j in acc:
-                        acc[j] += p
-                    else:
-                        acc[j] = p
-            for j in sorted(acc):
-                s = acc[j]
-                if s:
-                    entries[(i, j)] = s
-        return RationalMatrix._trusted(self.rows, other.cols, entries)
+                    acc[j] = v * w
+        return RationalMatrix._wrap(self.rows, other.cols, entries, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * self.rows
+        v = vec(v)
+        vden = lcm(*(x.denominator for x in v))
+        nums = [x.numerator * (vden // x.denominator) for x in v]
+        out = [0] * self.rows
         for (i, j), a in self.entries.items():
-            x = v[j]
-            if x != 0:
+            x = nums[j]
+            if x:
                 out[i] += a * x
-        return tuple(out)
+        den = self.den * vden
+        return tuple(Fraction(x, den) if x else ZERO for x in out)
 
     def reversed_columns(self) -> "RationalMatrix":
         """The same matrix with its columns in reverse order."""
         last = self.cols - 1
-        return RationalMatrix._trusted(self.rows, self.cols, dict(sorted(
-            ((i, last - j), v) for (i, j), v in self.entries.items())))
+        return RationalMatrix._wrap(self.rows, self.cols, dict(sorted(
+            ((i, last - j), v) for (i, j), v in self.entries.items())), self.den)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._trusted(self.cols, self.rows, dict(sorted(
-            ((j, i), v) for (i, j), v in self.entries.items())))
+        return RationalMatrix._wrap(self.cols, self.rows, dict(sorted(
+            ((j, i), v) for (i, j), v in self.entries.items())), self.den)
+
+    def _common(self, other: "RationalMatrix"):
+        """Both matrices' numerators over the lcm of their denominators."""
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return (den, {k: a * v for k, v in self.entries.items()},
+                {k: b * v for k, v in other.entries.items()})
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
+        den, entries, right = self._common(other)
+        for (i, j), v in right.items():
             entries[(i, j + self.cols)] = v
-        return RationalMatrix(self.rows, self.cols + other.cols, entries)
+        return RationalMatrix._wrap(self.rows, self.cols + other.cols,
+                                    dict(sorted(entries.items())), den)
 
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
         if c == 0:
             return RationalMatrix(self.rows, self.cols)
-        return RationalMatrix._trusted(self.rows, self.cols,
-                                       {k: c * v for k, v in self.entries.items()})
+        n = c.numerator
+        return RationalMatrix._wrap(self.rows, self.cols, {
+            k: n * v for k, v in self.entries.items()}, self.den * c.denominator)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            s = entries.get(k, ZERO) + v
-            if s == 0:
-                entries.pop(k, None)
-            else:
+        den, entries, right = self._common(other)
+        for k, v in right.items():
+            s = entries.get(k, 0) + v
+            if s:
                 entries[k] = s
-        return RationalMatrix(self.rows, self.cols, entries)
+            else:
+                del entries[k]
+        return RationalMatrix._wrap(self.rows, self.cols, dict(sorted(entries.items())), den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scaled(-1)
+        return self + (-other)
 
     def __neg__(self) -> "RationalMatrix":
         return self.scaled(-1)
@@ -223,10 +231,10 @@ class RationalMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.den == other.den and self.entries == other.entries)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries.items())))
+        return hash((self.rows, self.cols, self.den, tuple(self.entries.items())))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
@@ -236,26 +244,18 @@ class RationalMatrix:
 
 
 def _integer_rows(m: RationalMatrix, transform: bool) -> list:
-    """The rows of ``m`` as sparse ``{col: int}`` dicts.
+    """The numerators of ``m``, i.e. ``m`` scaled by ``den``, as ``{col: int}`` rows.
 
-    Each row is scaled by the lcm of its denominators, which never changes
-    the RREF.  With ``transform`` the identity rides along at columns
-    ``m.cols + i``, scaled with its row.
+    With ``transform`` the identity rides along at columns ``m.cols + i``,
+    scaled by ``den`` like its row.
     """
     rows = [{} for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         rows[i][j] = v
-    out = []
-    for i, row in enumerate(rows):
-        den = 1
-        for v in row.values():
-            if v.denominator != 1:
-                den = lcm(den, v.denominator)
-        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-        if transform:
-            ints[m.cols + i] = den
-        out.append(ints)
-    return out
+    if transform:
+        for i, row in enumerate(rows):
+            row[m.cols + i] = m.den
+    return rows
 
 
 def _divide_content(row: dict) -> None:
@@ -318,6 +318,18 @@ def _forward(rows: list, cols: int):
     return pivots, rest
 
 
+def _scaled_rows(rows: int, cols: int, scaled: list, offset: int = 0) -> RationalMatrix:
+    """The matrix whose row r is ``row / scale`` for the r-th ``(scale, row)``
+    in ``scaled``, read at columns ``offset`` to ``offset + cols - 1``.
+
+    The numerators are over the lcm of the scales, one normalization for all.
+    """
+    den = lcm(*(scale for scale, _ in scaled))
+    return RationalMatrix._wrap(rows, cols, {
+        (r, k - offset): row[k] * (den // scale) for r, (scale, row) in enumerate(scaled)
+        for k in sorted(row) if offset <= k < offset + cols}, den)
+
+
 def rref(m: RationalMatrix, transform: bool = False):
     """Unique reduced row echelon form of ``m``.
 
@@ -334,26 +346,15 @@ def rref(m: RationalMatrix, transform: bool = False):
         row = pivots[c]
         for k in [k for k in row if k in pivots and k != c]:
             _eliminate(row, pivots[k], k)
-    reduced = {}
-    t = {}
-    for r, c in enumerate(order):
-        row = pivots[c]
-        lead = row[c]
-        for k in sorted(row):
-            v = Fraction(row[k], lead)
-            if k < cols:
-                reduced[(r, k)] = v
-            else:
-                t[(r, k - cols)] = v
-    pivot_cols = tuple(order)
-    reduced = RationalMatrix._trusted(m.rows, cols, reduced)
+    # Each pivot row divided by its lead; the rows of T ride along past cols.
+    led = [(pivots[c][c], pivots[c]) for c in order]
+    reduced = _scaled_rows(m.rows, cols, led)
     if not transform:
-        return pivot_cols, reduced
-    for r, row in enumerate(rest, len(order)):
+        return tuple(order), reduced
+    for row in rest:
         _divide_content(row)
-        for k in sorted(row):
-            t[(r, k - cols)] = Fraction(row[k])
-    return pivot_cols, reduced, RationalMatrix._trusted(m.rows, m.rows, t)
+    t = _scaled_rows(m.rows, m.rows, led + [(1, row) for row in rest], cols)
+    return tuple(order), reduced, t
 
 
 class Echelon:
@@ -391,7 +392,7 @@ class Echelon:
             raise ValueError("normal form of rows of the wrong length")
         cols = self.cols
         pivots = self._rows
-        out = {}
+        reduced = []
         for i, row in enumerate(_integer_rows(m, True)):
             # The transform entry at cols + i carries the row's integer scale.
             todo = [k for k in row if k in pivots]
@@ -404,10 +405,8 @@ class Echelon:
                     for k in piv:
                         if k != c and k in pivots:
                             heappush(todo, k)
-            scale = row.pop(cols + i)
-            for k in sorted(row):
-                out[(i, k)] = Fraction(row[k], scale)
-        return RationalMatrix._trusted(m.rows, cols, out)
+            reduced.append((row.pop(cols + i), row))
+        return _scaled_rows(m.rows, cols, reduced)
 
 
 class SubspaceBasis:
@@ -428,9 +427,8 @@ class SubspaceBasis:
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector],
                      require_independent: bool = True) -> "SubspaceBasis":
         vectors = [vec(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector does not live in the ambient space")
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector does not live in the ambient space")
         if not vectors:
             return cls(RationalMatrix.zeros(ambient_dim, 0), ())
         return cls.row_space(RationalMatrix.from_rows(vectors), require_independent)
@@ -488,12 +486,13 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     pivot_set = set(pivots)
     # Free column f gives the vector e_f - sum_r reduced[r, f] e_{pivots[r]}.
     free = {f: i for i, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
-    entries = {(i, f): ONE for f, i in free.items()}
+    entries = {(i, f): reduced.den for f, i in free.items()}
     for (r, f), v in reduced.entries.items():
         i = free.get(f)
         if i is not None:
             entries[(i, pivots[r])] = -v
-    return SubspaceBasis.row_space(RationalMatrix(len(free), m.cols, entries))
+    return SubspaceBasis.row_space(RationalMatrix._wrap(
+        len(free), m.cols, dict(sorted(entries.items())), reduced.den))
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
@@ -512,13 +511,12 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     if strategy == "lex":
         pivot_rows = set(sub.pivot_rows)
     elif strategy == "reverse-lex":
-        flipped = {(j, n - 1 - i): v for (i, j), v in sub.matrix().entries.items()}
-        pivots, _ = rref(RationalMatrix(sub.count, n, flipped))
+        pivots, _ = rref(sub.matrix().transpose().reversed_columns())
         pivot_rows = {n - 1 - p for p in pivots}
     else:
         raise ValueError(f"unknown complement strategy {strategy!r}")
     free = [i for i in range(n) if i not in pivot_rows]
-    units = RationalMatrix._trusted(n, len(free), {(i, c): ONE for c, i in enumerate(free)})
+    units = RationalMatrix._wrap(n, len(free), {(i, c): 1 for c, i in enumerate(free)})
     return SubspaceBasis(units, free)
 
 
@@ -558,7 +556,7 @@ class Solver:
             if r >= self.rank:
                 return None
             x[(self.pivots[r], j)] = v
-        return RationalMatrix._trusted(self.matrix.cols, b.cols, x)
+        return RationalMatrix._wrap(self.matrix.cols, b.cols, x, y.den)
 
 
 class QuotientBasis:
@@ -617,7 +615,8 @@ def quotient_basis(d: RationalMatrix, e: RationalMatrix, lead,
     # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
     w = kernel_basis(d.columns_at(outside).reversed_columns()).matrix()
     flip = len(outside) - 1
-    W = RationalMatrix(dim, w.cols, {(outside[flip - i], j): v for (i, j), v in w.entries.items()})
+    W = RationalMatrix._wrap(dim, w.cols, dict(sorted(
+        ((outside[flip - i], j), v) for (i, j), v in w.entries.items())), w.den)
     boundaries = Echelon(e.rows_at(lead).transpose().reversed_columns())
     trailing = set(boundaries.pivots)
     chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]

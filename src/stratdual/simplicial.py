@@ -32,7 +32,7 @@ def _is_int(v) -> bool:
 class SimplicialComplex:
     """Finite pure simplicial complex, immutable after construction."""
 
-    __slots__ = ("name", "dimension", "vertices", "facets", "faces", "index")
+    __slots__ = ("name", "dimension", "vertices", "facets", "faces", "index", "_boundary")
 
     def __init__(self, name, dimension, vertices, facets, faces, index):
         self.name = name
@@ -41,6 +41,7 @@ class SimplicialComplex:
         self.facets = facets
         self.faces = faces          # degree -> tuple of simplices
         self.index = index          # simplex -> position within its degree
+        self._boundary = {}         # degree -> boundary_matrix, built on first call
 
     @classmethod
     def from_facets(cls, facets, name="complex") -> "SimplicialComplex":
@@ -89,15 +90,18 @@ class SimplicialComplex:
 
     def boundary_matrix(self, r: int) -> RationalMatrix:
         """Chain boundary C_r -> C_{r-1} with the usual alternating signs."""
-        if r <= 0 or r > self.dimension:
-            return RationalMatrix.zeros(self.n_simplices(r - 1), self.n_simplices(r))
-        lower = self.index
-        signs = [Fraction((-1) ** i) for i in range(r + 1)]
+        m = self._boundary.get(r)
+        if m is not None:
+            return m
         entries = {}
-        for j, s in enumerate(self.faces[r]):
-            for i in range(r + 1):
-                entries[(lower[s[:i] + s[i + 1:]], j)] = signs[i]
-        return RationalMatrix(self.n_simplices(r - 1), self.n_simplices(r), entries)
+        if 0 < r <= self.dimension:
+            lower = self.index
+            for j, s in enumerate(self.faces[r]):
+                for i in range(r + 1):
+                    entries[(lower[s[:i] + s[i + 1:]], j)] = (-1) ** i
+        m = self._boundary[r] = RationalMatrix(
+            self.n_simplices(r - 1), self.n_simplices(r), entries)
+        return m
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** r * self.n_simplices(r) for r in range(self.dimension + 1))
@@ -313,12 +317,8 @@ def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
                 f"{D.name}: ∂mu touches interior simplex {s}")
     # Relative n-cycles: chains whose boundary lives on L.
     full = D.M.boundary_matrix(n)
-    interior_rows = {i: k for k, i in enumerate(
-        i for i, s in enumerate(D.M.simplices(n - 1)) if s not in link_faces)}
-    rel = RationalMatrix(len(interior_rows), D.M.n_simplices(n), {
-        (interior_rows[i], j): v
-        for (i, j), v in full.entries.items() if i in interior_rows
-    })
+    rel = full.rows_at([i for i, s in enumerate(D.M.simplices(n - 1))
+                        if s not in link_faces])
     # rank(rel) from its transpose: eliminating n-simplex rows stays sparse,
     # while face rows with two entries each chain along long paths.
     if rel.cols - rel.transpose().rank() != 1:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from stratdual import examples
@@ -131,6 +133,41 @@ def test_cone_les_rank_identities():
             coker = hr_m - rk
             ker_prev = (t_h[r - 1] if r - 1 >= 0 and r - 1 < len(t_h) else 0) - rk_prev
             assert cone_h[r] == coker + ker_prev
+
+
+def test_cone_of_half_scaled_map_matches_fraction_blocks():
+    # Every bundled comparison map has ±1 entries; g/2 is still a chain map,
+    # and its cone joins blocks over the denominators 1 and 2.
+    D = examples.get_decomposition("x2-cone-torus")
+    m_chains = simplicial_chains(D.M)
+    for k in (1, 2):
+        t = chain_truncate(D.L, k)
+        tc = t.complex
+        g = []
+        for r in range(D.M.dimension + 1):
+            include = RationalMatrix(D.M.n_simplices(r), D.L.n_simplices(r), {
+                (D.M.index[s], j): 1 for j, s in enumerate(D.L.simplices(r))})
+            t_part = t.inclusion[r] if r <= tc.top else RationalMatrix.zeros(
+                D.L.n_simplices(r), 0)
+            g.append(include @ t_part)
+        half = [m.scaled(Fraction(1, 2)) for m in g]
+        cone = mapping_cone(t, half, m_chains)
+        dims = cone.complex.dims
+        for r in range(1, cone.complex.top + 1):
+            # [[-∂, 0], [g/2, ∂]] from Fraction entries.
+            shift, width = cone.t_dims[r - 1], cone.t_dims[r]
+            blocks = [(tc.bnd(r - 1), 0, 0, -1), (m_chains.bnd(r), shift, width, 1)]
+            if r - 1 < len(half):
+                blocks.append((half[r - 1], shift, 0, 1))
+            want = {}
+            for block, top, left, sign in blocks:
+                for i, row in enumerate(block.dense()):
+                    for j, v in enumerate(row):
+                        if v:
+                            want[(top + i, left + j)] = sign * v
+            assert cone.complex.bnd(r) == RationalMatrix(dims[r - 1], dims[r], want)
+        assert any(cone.complex.bnd(r).den == 2 for r in range(1, cone.complex.top + 1))
+        assert cone.homology_dims() == mapping_cone(t, g, m_chains).homology_dims()
 
 
 def test_chain_truncate_rejects_bad_cutoff():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -277,6 +278,56 @@ def _columns(vectors, dim):
     return RationalMatrix.from_columns(list(vectors), dim)
 
 
+def _fraction_entry(rng):
+    """Zero, or a fraction that is mostly not an integer."""
+    if rng.random() < 0.3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _assert_matches(got, want, cols):
+    """``got`` holds the dense Fraction rows ``want`` and is stored canonically:
+    equal, hash included, to the matrix built through ``__init__``, over a
+    positive denominator in lowest terms, with row-major numerators."""
+    assert got.dense() == [list(row) for row in want]
+    built = _as_matrix(want, cols)
+    assert got == built and hash(got) == hash(built)
+    assert (got.rows, got.cols) == (len(want), cols)
+    assert got.den > 0 and gcd(got.den, *got.entries.values()) == 1
+    assert all(type(v) is int and v for v in got.entries.values())
+    assert list(got.entries) == sorted(got.entries)
+
+
+def _check_arithmetic(rng, a, m, rows, cols):
+    """Products, sums, scaling, stacking, restriction and ``apply`` of ``m``
+    (dense rows ``a``) against the dense Fraction oracle."""
+    b = [[_fraction_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    other = _as_matrix(b, cols)
+    _assert_matches(m + other, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], cols)
+    _assert_matches(m - other, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], cols)
+    _assert_matches(m - m, [[Fraction(0)] * cols for _ in range(rows)], cols)
+    _assert_matches(-other, [[-y for y in s] for s in b], cols)
+    c = _fraction_entry(rng)
+    _assert_matches(m.scaled(c), [[c * x for x in r] for r in a], cols)
+    assert m.is_zero() or m.scaled(Fraction(1, 2)) != m   # == reads den too
+    width = rng.randint(0, 5)
+    p = [[_fraction_entry(rng) for _ in range(width)] for _ in range(cols)]
+    _assert_matches(m @ _as_matrix(p, width),
+                    [[sum((a[i][t] * p[t][j] for t in range(cols)), Fraction(0))
+                      for j in range(width)] for i in range(rows)], width)
+    q = [[_fraction_entry(rng) for _ in range(width)] for _ in range(rows)]
+    _assert_matches(m.hstack(_as_matrix(q, width)), [r + s for r, s in zip(a, q)], cols + width)
+    _assert_matches(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)], rows)
+    kept_rows = sorted(rng.sample(range(rows), rng.randint(0, rows)))
+    kept_cols = sorted(rng.sample(range(cols), rng.randint(0, cols)))
+    _assert_matches(m.rows_at(kept_rows), [a[i] for i in kept_rows], cols)
+    _assert_matches(m.columns_at(kept_cols), [[r[j] for j in kept_cols] for r in a],
+                    len(kept_cols))
+    x = tuple(_fraction_entry(rng) for _ in range(cols))
+    got = m.apply(x)
+    assert got == _matvec(a, x) and all(type(v) is Fraction for v in got)
+
+
 def test_kernel_matches_dense_oracle():
     rng = random.Random(2024)
     # The matrix right-hand sides and reduce inputs draw from their own
@@ -284,6 +335,8 @@ def test_kernel_matches_dense_oracle():
     extra = random.Random(2025)
     # Products, forward-pass echelons and normal forms draw from a third.
     third = random.Random(2026)
+    # Arithmetic on numerators over one denominator draws from a fourth.
+    fourth = random.Random(2027)
     shapes = set()
     for _ in range(400):
         a = _random_dense(rng)
@@ -398,4 +451,6 @@ def test_kernel_matches_dense_oracle():
                 for i in range(cols)))
         want_normal = [_oracle_coset(row_basis, v) for v in vectors]
         assert echelon.normal_form(_as_matrix(vectors, cols)) == _as_matrix(want_normal, cols)
+
+        _check_arithmetic(fourth, a, m, rows, cols)
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
