@@ -22,6 +22,7 @@ from .cotruncation import (
     truncated_duality,
 )
 from .duality import (
+    PairingForms,
     ladder_check,
     lefschetz_pairing,
     main_pairing,
@@ -59,5 +60,7 @@ from .simplicial import (
     link_of_vertex,
     parse_complex,
 )
+
+from .workspace import Workspace
 
 __version__ = "0.1.0"

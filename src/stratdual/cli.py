@@ -19,9 +19,9 @@ import sys
 from pathlib import Path
 
 from . import examples
-from .cochains import PairComplexes, simplicial_cochains
-from .cone import compare, intersection_space_cone
-from .cotruncation import check_product_vanishing, cotruncate, truncated_duality
+from .cochains import simplicial_cochains
+from .cone import compare
+from .cotruncation import check_product_vanishing, cotruncate
 from .duality import (
     ladder_check,
     lefschetz_pairing,
@@ -31,14 +31,13 @@ from .duality import (
 from .errors import BadPerversityError, ParseError, StratdualError
 from .model import (
     NAMED_PERVERSITIES,
-    build_model,
     complementary,
     cutoff_degree,
     named_perversity,
     validate_perversity,
 )
 from .rational import vec_is_zero
-from .simplicial import decompose, fundamental_chain, parse_complex
+from .workspace import Workspace, document_key
 
 SCHEMA_VERSION = 2
 ALL_CHECKS = ("model", "duality", "ladder", "lefschetz",
@@ -71,10 +70,11 @@ def resolve_perversity(text: str, n: int):
     return validate_perversity(values)
 
 
-def _check_model(D, mp, mq, strategy):
+def _check_model(ws, mp, mq, strategy):
+    D = mp.decomposition
     other = "reverse-lex" if strategy == "lex" else "lex"
-    mp_other = build_model(D, mp.perversity, other, pair=mp.pair)
-    mq_other = build_model(D, mq.perversity, other, pair=mq.pair)
+    mp_other = ws.model(mp.perversity, other)
+    mq_other = ws.model(mq.perversity, other)
     betti_p, betti_q = list(mp.betti()), list(mq.betti())
     choice_independent = (mp_other.betti() == mp.betti()
                           and mq_other.betti() == mq.betti())
@@ -93,11 +93,11 @@ def _check_model(D, mp, mq, strategy):
     }
 
 
-def _check_oracle(D, mp, mq, strategy):
+def _check_oracle(ws, mp, mq, strategy):
     results = {}
     ok = True
     for tag, model in (("p", mp), ("q", mq)):
-        cone = intersection_space_cone(D, model.k, strategy)
+        cone = ws.cone(model.k, strategy)
         match, model_b, cone_b = compare(model, cone)
         ok = ok and match
         results[tag] = {
@@ -108,9 +108,9 @@ def _check_oracle(D, mp, mq, strategy):
     return {"pass": ok, "sides": results}
 
 
-def _check_duality(mp, mq, mu):
-    report = main_pairing(mp, mq, mu)
-    stable = well_definedness_identity(mp, mq, mu)
+def _check_duality(mp, mq, forms):
+    report = main_pairing(mp, mq, forms.mu, forms=forms)
+    stable = well_definedness_identity(mp, mq, forms.mu, forms=forms)
     return {
         "pass": report.passed and stable,
         "well_defined": stable,
@@ -118,32 +118,28 @@ def _check_duality(mp, mq, mu):
     }
 
 
-def _check_ladder(mp, mq, mu):
-    records = [ladder_check(mp, mq, mu, r) for r in range(mp.decomposition.n + 1)]
+def _check_ladder(mp, mq, forms):
+    records = [ladder_check(mp, mq, forms.mu, r, forms=forms)
+               for r in range(mp.decomposition.n + 1)]
     return {
         "pass": all(rec.passed for rec in records),
         "degrees": [rec.to_jsonable() for rec in records],
     }
 
 
-def _check_lefschetz(pair, mu):
-    report = lefschetz_pairing(pair, mu)
+def _check_lefschetz(forms):
+    report = lefschetz_pairing(forms.pair, forms.mu, forms=forms)
     return {"pass": report.passed, "pairing": report.to_jsonable()}
 
 
-def _check_truncated_duality(D, pair, mu, strategy):
-    from .duality import boundary_link_chain
-
-    c = D.n - 1
-    lam = boundary_link_chain(pair, mu)
+def _check_truncated_duality(ws, strategy):
+    c = ws.decomposition().n - 1
     windows = {}
     ok = True
     for k in range(1, c + 1):
-        l = c + 1 - k
-        report = truncated_duality(D.L, k, l, lam=lam, strategy=strategy,
-                                   cochains=(pair.sub, pair.sub_cup))
+        report = ws.truncated_duality(k, strategy)
         ok = ok and report.passed
-        windows[f"k={k},l={l}"] = report.to_jsonable()
+        windows[f"k={k},l={c + 1 - k}"] = report.to_jsonable()
     return {"pass": ok, "windows": windows}
 
 
@@ -190,9 +186,27 @@ def _check_properties(D, pair, mp, mq):
     }
 
 
+# The workspace of the last document run_verification saw: a call on a
+# document with the same content reuses it, any other call replaces it
+# before building anything, so one document's objects are held at a time.
+_workspace = None
+
+
+def _workspace_for(document) -> Workspace:
+    global _workspace
+    key = document_key(document)
+    if _workspace is None or _workspace.key != key:
+        _workspace = Workspace(document, key)
+    return _workspace
+
+
 def run_verification(target: str, perversity: str = "zero",
                      strategy: str = "lex", checks=None, seed: int = 0):
-    """Run the requested checks; returns (report dict, exit status)."""
+    """Run the requested checks; returns (report dict, exit status).
+
+    Everything derived from the input document is kept until a call on a
+    document with other content, so calls on one document build it once.
+    """
     checks = list(checks) if checks else list(ALL_CHECKS)
     config = {
         "input": target,
@@ -208,10 +222,8 @@ def run_verification(target: str, perversity: str = "zero",
             raise ParseError(f"unknown checks: {unknown}")
         document, name = resolve_input(target)
         report["input"] = name
-        X = parse_complex(document)
-        if "singular_vertex" not in document:
-            raise ParseError("document missing key: singular_vertex")
-        D = decompose(X, document["singular_vertex"])
+        ws = _workspace_for(document)
+        D = ws.decomposition()
         p = resolve_perversity(perversity, D.n)
         q = complementary(p)
         report["perversity_values"] = {
@@ -220,24 +232,24 @@ def run_verification(target: str, perversity: str = "zero",
             "cutoff_p": cutoff_degree(p, D.n),
             "cutoff_q": cutoff_degree(q, D.n),
         }
-        mu = fundamental_chain(D)
-        pair = PairComplexes(D.M, D.L)
-        mp = build_model(D, p, strategy, pair=pair)
-        mq = build_model(D, q, strategy, pair=pair)
+        ws.mu()  # before the pair, so that a bad mu is reported first
+        pair = ws.pair()
+        mp = ws.model(p, strategy)
+        mq = ws.model(q, strategy)
         results = {}
         for check in checks:
             if check == "model":
-                results[check] = _check_model(D, mp, mq, strategy)
+                results[check] = _check_model(ws, mp, mq, strategy)
             elif check == "oracle":
-                results[check] = _check_oracle(D, mp, mq, strategy)
+                results[check] = _check_oracle(ws, mp, mq, strategy)
             elif check == "duality":
-                results[check] = _check_duality(mp, mq, mu)
+                results[check] = _check_duality(mp, mq, ws.forms())
             elif check == "ladder":
-                results[check] = _check_ladder(mp, mq, mu)
+                results[check] = _check_ladder(mp, mq, ws.forms())
             elif check == "lefschetz":
-                results[check] = _check_lefschetz(pair, mu)
+                results[check] = _check_lefschetz(ws.forms())
             elif check == "truncated-duality":
-                results[check] = _check_truncated_duality(D, pair, mu, strategy)
+                results[check] = _check_truncated_duality(ws, strategy)
             elif check == "properties":
                 results[check] = _check_properties(D, pair, mp, mq)
         report["checks"] = results

@@ -234,7 +234,7 @@ def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
         for i, s in enumerate(A.simplices(r)):
             entries[(i, K.index[s])] = 1
         mats.append(RationalMatrix(A.n_simplices(r), K.n_simplices(r), entries))
-    return mats
+    return tuple(mats)
 
 
 def relative_complex(K: SimplicialComplex, A: SimplicialComplex, full: CochainComplex):
@@ -248,9 +248,9 @@ def relative_complex(K: SimplicialComplex, A: SimplicialComplex, full: CochainCo
     kept = [[i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
             for r in range(top + 2)]
     dims = [len(kept[r]) for r in range(top + 1)]
-    include = [RationalMatrix(K.n_simplices(r), dims[r],
-                              {(k, i): 1 for i, k in enumerate(kept[r])})
-               for r in range(top + 1)]
+    include = tuple(RationalMatrix(K.n_simplices(r), dims[r],
+                                   {(k, i): 1 for i, k in enumerate(kept[r])})
+                    for r in range(top + 1))
     d = [full.d[r].rows_at(kept[r + 1]).columns_at(kept[r]) for r in range(top + 1)]
     rel = CochainComplex(f"C*({K.name},{A.name})", dims, d)
     return rel, include
@@ -313,7 +313,7 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
 class ShortExactSequence:
     """0 -> U -> V -> W -> 0 of cochain complexes, checked degreewise."""
 
-    __slots__ = ("U", "V", "W", "alpha", "beta", "_solvers")
+    __slots__ = ("U", "V", "W", "alpha", "beta", "_connecting")
 
     def __init__(self, U, V, W, alpha, beta):
         self.U = U
@@ -321,7 +321,7 @@ class ShortExactSequence:
         self.W = W
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
-        self._solvers = {}
+        self._connecting = {}
         top = max(U.top, V.top, W.top)
         for r in range(top + 1):
             a = self._mat(alpha, r, U, V)
@@ -332,7 +332,8 @@ class ShortExactSequence:
                 raise InternalExactnessError(f"SES: surjectivity fails in degree {r}")
             if not (b @ a).is_zero():
                 raise InternalExactnessError(f"SES: composite nonzero in degree {r}")
-            if a.rank() + b.rank() != V.dim(r):
+            # rank a + rank b = dim V, with the two ranks checked just above.
+            if U.dim(r) + W.dim(r) != V.dim(r):
                 raise InternalExactnessError(f"SES: exactness fails in degree {r}")
 
     @staticmethod
@@ -347,23 +348,22 @@ class ShortExactSequence:
     def beta_mat(self, r):
         return self._mat(self.beta, r, self.V, self.W)
 
-    def _solver(self, key, matrix):
-        if key not in self._solvers:
-            self._solvers[key] = Solver(matrix)
-        return self._solvers[key]
-
     def connecting(self, r: int) -> RationalMatrix:
         """Connecting homomorphism H^r(W) -> H^{r+1}(U).
 
         Lift each representative through beta, apply d, pull back through
-        alpha; the class of the result is independent of the lift.
+        alpha; the class of the result is independent of the lift.  Built
+        once per degree: the sequence and its complexes do not change.
         """
-        beta_solver = self._solver(("beta", r), self.beta_mat(r))
-        alpha_solver = self._solver(("alpha", r + 1), self.alpha_mat(r + 1))
-        v = beta_solver.solve_matrix(self.W.representative_matrix(r))
+        if r not in self._connecting:
+            self._connecting[r] = self._connecting_matrix(r)
+        return self._connecting[r]
+
+    def _connecting_matrix(self, r: int) -> RationalMatrix:
+        v = Solver(self.beta_mat(r)).solve_matrix(self.W.representative_matrix(r))
         if v is None:
             raise InternalExactnessError("SES: surjection lift failed")
-        u = alpha_solver.solve_matrix(self.V.diff(r) @ v)
+        u = Solver(self.alpha_mat(r + 1)).solve_matrix(self.V.diff(r) @ v)
         if u is None:
             raise InternalExactnessError("SES: boundary not in the subcomplex")
         return self.U.express_class(u, r + 1)

@@ -116,11 +116,15 @@ class ChainTruncation:
         self.ambient = ambient
 
 
-def chain_truncate(L: SimplicialComplex, k: int, strategy: str = "lex") -> ChainTruncation:
-    """Moore-style truncation: H_r iso below k, zero at and above k."""
+def chain_truncate(L: SimplicialComplex, k: int, strategy: str = "lex",
+                   chains: ChainComplex | None = None) -> ChainTruncation:
+    """Moore-style truncation: H_r iso below k, zero at and above k.
+
+    ``chains`` is simplicial_chains(L), built here when not given.
+    """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
-    C = simplicial_chains(L)
+    C = simplicial_chains(L) if chains is None else chains
     top = C.top
     if k <= top:
         cycles = kernel_basis(C.bnd(k))
@@ -154,7 +158,7 @@ def chain_truncate(L: SimplicialComplex, k: int, strategy: str = "lex") -> Chain
         else:
             inclusion.append(RationalMatrix.zeros(C.dim(r), 0))
     truncated = ChainComplex(f"t_<{k}({L.name})", dims, boundary)
-    t = ChainTruncation(k, truncated, inclusion, C)
+    t = ChainTruncation(k, truncated, tuple(inclusion), C)
     _verify_truncation_signature(t, L)
     return t
 
@@ -224,10 +228,16 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
 
 
 def intersection_space_cone(D: PseudomanifoldDecomposition, k: int,
-                            strategy: str = "lex") -> ConeComplex:
-    """Cone over L_{<k} -> L = ∂M -> M for a decomposition."""
-    t = chain_truncate(D.L, k, strategy)
-    m_chains = simplicial_chains(D.M)
+                            strategy: str = "lex", m_chains: ChainComplex | None = None,
+                            l_chains: ChainComplex | None = None) -> ConeComplex:
+    """Cone over L_{<k} -> L = ∂M -> M for a decomposition.
+
+    ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, built
+    here when not given.
+    """
+    t = chain_truncate(D.L, k, strategy, l_chains)
+    if m_chains is None:
+        m_chains = simplicial_chains(D.M)
     include = []
     for r in range(D.M.dimension + 1):
         entries = {}

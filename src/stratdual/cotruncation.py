@@ -100,7 +100,7 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
     theta.append(RationalMatrix.zeros(0, 0))
     sub = CochainComplex(f"tau_<{k}({C.name})", dims, d)
     _check_inclusion_is_cochain_map(sub.name, sub, C, theta)
-    return Truncation(k, sub, theta)
+    return Truncation(k, sub, tuple(theta))
 
 
 def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotruncation:
@@ -145,22 +145,27 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     theta.append(RationalMatrix.zeros(0, 0))
     sub = CochainComplex(f"tau_>={k}({C.name})", dims, d)
     _check_inclusion_is_cochain_map(sub.name, sub, C, theta)
-    return StandardCotruncation(k, D, sub, theta, strategy)
+    return StandardCotruncation(k, D, sub, tuple(theta), strategy)
 
 
-def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
+def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
+                             truncation: Truncation | None = None):
     """Quotient C / theta(tau_{>=k}) with projection and canonical section.
 
     Realized on the complementary summand, which is the truncation tau_{<k}:
     full below k, im d^{k-1} in degree k, zero above.  Returns
     (quotient, pi, section) with section the truncation's inclusion; the
     composite tau_{<k} -> C -> quotient is checked to be the identity.
+    ``truncation`` is truncate_below(C, k), built here when not given.
     """
     k = ct.k
     top = C.top
-    trunc = truncate_below(C, k)
-    quotient = trunc.complex
-    section = trunc.inclusion[:top + 1]
+    if truncation is None:
+        truncation = truncate_below(C, k)
+    elif truncation.k != k:
+        raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
+    quotient = truncation.complex
+    section = truncation.inclusion[:top + 1]
     pi = []
     for r in range(top + 1):
         if r < k:
@@ -184,7 +189,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation):
         composite = pi[r] @ section[r]
         if composite != RationalMatrix.identity(quotient.dim(r)):
             raise InternalExactnessError(f"truncation-to-quotient composite not identity at {r}")
-    return quotient, pi, section
+    return quotient, tuple(pi), section
 
 
 def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,

@@ -4,7 +4,8 @@ Every pairing comes from one bilinear form on cochains: the evaluation
 form G_r(chain)[i, j] = pair_against_chain(n, e_i ∪ e_j, chain) of
 CupStructure.evaluation_form.  With the representatives of the two
 cohomology bases mapped into the ambient cochains as the columns of A and
-B, the pairing matrix is A^T G B (cochains.pairing_matrix):
+B, the pairing matrix is A^T G B.  A PairingForms object validates mu once
+and builds each form and each pairing matrix once:
 
 * Lefschetz:  H^r(C*(M)) x H^{n-r}(C*(M,∂M)) -> Q, A = reps, B = j* reps, over mu;
 * main:       H^r(A_p)   x H^{n-r}(A_q)     -> Q, A = iota_p reps, B = iota_q reps, over mu;
@@ -61,6 +62,88 @@ def boundary_link_chain(pair, mu: FundamentalChain):
     return chain_vector(pair.A, pair.K.dimension - 1, support)
 
 
+class PairingForms:
+    """The evaluation forms of one pair over mu and over ∂mu, and the pairing
+    matrices read from them, each built on first use and kept.
+
+    Construction validates mu, once for every pairing built from it.  The
+    forms are keyed on degree and the pairings on degree and on the models
+    they pair, so a caller that keeps one PairingForms for its pair and
+    models pays for each form and each matrix once.
+    """
+
+    __slots__ = ("pair", "mu", "lam", "_built")
+
+    def __init__(self, pair, mu: FundamentalChain):
+        _validate_mu(pair, mu)
+        self.pair = pair
+        self.mu = mu
+        self.lam = boundary_link_chain(pair, mu)
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def form(self, r: int) -> RationalMatrix:
+        """Evaluation form over mu on C^r(M) x C^{n-r}(M)."""
+        n = self.pair.K.dimension
+        return self._once(("form", r), lambda: self.pair.cup.evaluation_form(
+            n, r, self.mu.coefficients))
+
+    def boundary_form(self, r: int) -> RationalMatrix:
+        """Evaluation form over ∂mu on C^r(L) x C^{c-r}(L), c = n - 1."""
+        c = self.pair.K.dimension - 1
+        return self._once(("boundary form", r), lambda: self.pair.sub_cup.evaluation_form(
+            c, r, self.lam))
+
+    def lefschetz(self, r: int) -> RationalMatrix:
+        """H^r(C*(M)) x H^{n-r}(C*(M,∂M)) over mu."""
+        pair = self.pair
+        n = pair.K.dimension
+        return self._once(("lefschetz", r), lambda: _through(
+            self.form, r, pair.full.representative_matrix(r),
+            _mapped(pair.include_rel, pair.rel, n - r)))
+
+    def main(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
+        """H^r(A_p) x H^{n-r}(A_q) over mu."""
+        n = self.pair.K.dimension
+        return self._once(("main", mp, mq, r), lambda: _through(
+            self.form, r, _mapped(mp.iota, mp.complex, r),
+            _mapped(mq.iota, mq.complex, n - r)))
+
+    def model_form(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
+        """The form over mu on A_p^r x A_q^{n-r}: iota_p^T G iota_q."""
+        n = self.pair.K.dimension
+        return self._once(("model form", mp, mq, r), lambda: _through(
+            self.form, r, mp.iota[r], mq.iota[n - r]))
+
+    def boundary(self, mp: IntersectionModel, mq: IntersectionModel,
+                 degree: int) -> RationalMatrix:
+        """Truncated pairing H^degree(quotient_p) x H^{c-degree}(tau_q) over ∂mu."""
+        c = self.pair.K.dimension - 1
+        return self._once(("boundary", mp, mq, degree), lambda: _through(
+            self.boundary_form, degree, _mapped(mp.section, mp.quotient, degree),
+            _mapped(mq.cotruncation.inclusion, mq.cotruncation.complex, c - degree)))
+
+
+def _through(form, r: int, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    """left^T form(r) right; a side without columns gives the zero matrix
+    without building the form."""
+    if left.cols == 0 or right.cols == 0:
+        return RationalMatrix.zeros(left.cols, right.cols)
+    return left.transpose() @ form(r) @ right
+
+
+def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> PairingForms:
+    if forms is None:
+        return PairingForms(pair, mu)
+    if forms.pair is not pair or forms.mu is not mu:
+        raise ValueError("pairing forms of another pair or fundamental chain")
+    return forms
+
+
 def _mapped(maps, complex_, r: int) -> RationalMatrix:
     """maps[r] applied to the degree-r cohomology representatives, as columns.
 
@@ -71,20 +154,14 @@ def _mapped(maps, complex_, r: int) -> RationalMatrix:
     return maps[r] @ reps if reps.cols else reps
 
 
-def _lefschetz_matrix(pair, mu: FundamentalChain, r: int) -> RationalMatrix:
-    n = pair.K.dimension
-    return pairing_matrix(pair.cup, n, r, mu.coefficients,
-                          pair.full.representative_matrix(r),
-                          _mapped(pair.include_rel, pair.rel, n - r))
-
-
-def lefschetz_pairing(pair, mu: FundamentalChain) -> DualityReport:
+def lefschetz_pairing(pair, mu: FundamentalChain,
+                      forms: PairingForms | None = None) -> DualityReport:
     """Poincare-Lefschetz pairing of the pair (M, ∂M) against mu."""
-    _validate_mu(pair, mu)
+    forms = _forms_for(pair, mu, forms)
     n = pair.K.dimension
     pairings = []
     for r in range(n + 1):
-        pairings.append(PairingMatrix(r, _lefschetz_matrix(pair, mu, r)))
+        pairings.append(PairingMatrix(r, forms.lefschetz(r)))
     return DualityReport("lefschetz", pairings, pair.full.betti(), pair.rel.betti())
 
 
@@ -101,28 +178,21 @@ def _require_compatible(mp: IntersectionModel, mq: IntersectionModel):
         raise NotComplementaryError("cutoffs do not satisfy k + l = n")
 
 
-def _main_matrix(mp: IntersectionModel, mq: IntersectionModel,
-                 mu: FundamentalChain, r: int) -> RationalMatrix:
-    n = mp.decomposition.n
-    return pairing_matrix(mp.pair.cup, n, r, mu.coefficients,
-                          _mapped(mp.iota, mp.complex, r),
-                          _mapped(mq.iota, mq.complex, n - r))
-
-
 def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
-                 mu: FundamentalChain) -> DualityReport:
+                 mu: FundamentalChain, forms: PairingForms | None = None) -> DualityReport:
     """The generalized Poincare duality pairing of the two models."""
     _require_compatible(mp, mq)
-    _validate_mu(mp.pair, mu)
+    forms = _forms_for(mp.pair, mu, forms)
     n = mp.decomposition.n
     pairings = []
     for r in range(n + 1):
-        pairings.append(PairingMatrix(r, _main_matrix(mp, mq, mu, r)))
+        pairings.append(PairingMatrix(r, forms.main(mp, mq, r)))
     return DualityReport("main", pairings, mp.betti(), mq.betti())
 
 
 def well_definedness_identity(mp: IntersectionModel, mq: IntersectionModel,
-                              mu: FundamentalChain) -> bool:
+                              mu: FundamentalChain,
+                              forms: PairingForms | None = None) -> bool:
     """The main pairing is independent of the representatives, exactly.
 
     With F = iota_p^T G iota_q in degrees (r, n - r), D_p, D_q the model
@@ -132,14 +202,14 @@ def well_definedness_identity(mp: IntersectionModel, mq: IntersectionModel,
     where both sides have classes, as well_definedness_probe samples it.
     """
     _require_compatible(mp, mq)
+    forms = _forms_for(mp.pair, mu, forms)
     n = mp.decomposition.n
     for r in range(n + 1):
         rp = mp.complex.representative_matrix(r)
         rq = mq.complex.representative_matrix(n - r)
         if rp.cols == 0 or rq.cols == 0:
             continue
-        form = pairing_matrix(mp.pair.cup, n, r, mu.coefficients,
-                              mp.iota[r], mq.iota[n - r])
+        form = forms.model_form(mp, mq, r)
         dp = mp.complex.diff(r - 1)
         dq = mq.complex.diff(n - r - 1)
         if not (dp.transpose() @ form @ rq.hstack(dq)).is_zero():
@@ -219,16 +289,6 @@ class LadderRecord:
         }
 
 
-def _boundary_pairing(mp: IntersectionModel, mq: IntersectionModel, lam,
-                      degree: int) -> RationalMatrix:
-    """Truncated pairing H^degree(quotient_p) x H^{c-degree}(tau_q) over lam."""
-    c = mp.decomposition.n - 1
-    return pairing_matrix(mp.pair.sub_cup, c, degree, lam,
-                          _mapped(mp.section, mp.quotient, degree),
-                          _mapped(mq.cotruncation.inclusion,
-                                  mq.cotruncation.complex, c - degree))
-
-
 def _match_up_to_sign(a: RationalMatrix, b: RationalMatrix):
     """(matches, sign): a == sign * b with one global sign, +1 when both zero."""
     if a.is_zero() and b.is_zero():
@@ -241,7 +301,8 @@ def _match_up_to_sign(a: RationalMatrix, b: RationalMatrix):
 
 
 def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
-                 mu: FundamentalChain, r: int) -> LadderRecord:
+                 mu: FundamentalChain, r: int,
+                 forms: PairingForms | None = None) -> LadderRecord:
     """Verify the three ladder squares at degree r as exact matrix identities.
 
     With P_main, P_lef the mu-pairings and P_top, P_bot the ∂mu-pairings:
@@ -255,14 +316,13 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
     at degree n-r-1.
     """
     _require_compatible(mp, mq)
-    _validate_mu(mp.pair, mu)
+    forms = _forms_for(mp.pair, mu, forms)
     n = mp.decomposition.n
-    lam = boundary_link_chain(mp.pair, mu)
 
-    p_top = _boundary_pairing(mp, mq, lam, r - 1)
-    p_bot = _boundary_pairing(mp, mq, lam, r)
-    p_main = _main_matrix(mp, mq, mu, r)
-    p_lef = _lefschetz_matrix(mp.pair, mu, r)
+    p_top = forms.boundary(mp, mq, r - 1)
+    p_bot = forms.boundary(mp, mq, r)
+    p_main = forms.main(mp, mq, r)
+    p_lef = forms.lefschetz(r)
 
     delta_1 = mp.ses_iota_kappa.connecting(r - 1)
     h_iota = induced_map(mp.iota, mp.complex, mp.pair.full, r)
@@ -280,7 +340,7 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
         outer_square = (
             _square_full_rank(p_top) and _square_full_rank(p_bot)
             and _square_full_rank(p_lef)
-            and _square_full_rank(_lefschetz_matrix(mp.pair, mu, r - 1)))
+            and _square_full_rank(forms.lefschetz(r - 1)))
         if outer_square:
             five_lemma = _square_full_rank(p_main)
     return LadderRecord(r, ts, ms, bs, bs_sign, five_lemma)

@@ -35,11 +35,10 @@ NAMED_PERVERSITIES = ("zero", "top", "lower-middle", "upper-middle")
 class Perversity:
     """Goresky-MacPherson perversity on codimensions 2..n."""
 
-    __slots__ = ("values", "name")
+    __slots__ = ("values",)
 
-    def __init__(self, values: dict, name=None):
+    def __init__(self, values: dict):
         self.values = dict(sorted(values.items()))
-        self.name = name
 
     def __call__(self, s: int) -> int:
         return self.values[s]
@@ -91,7 +90,7 @@ def named_perversity(name: str, n: int) -> Perversity:
     }
     if name not in formulas:
         raise BadPerversityError(f"unknown perversity name {name!r}")
-    return Perversity({s: formulas[name](s) for s in range(2, n + 1)}, name=name)
+    return Perversity({s: formulas[name](s) for s in range(2, n + 1)})
 
 
 def complementary(p: Perversity) -> Perversity:
@@ -146,16 +145,30 @@ class IntersectionModel:
 
 
 def build_model(D: PseudomanifoldDecomposition, p: Perversity,
-                strategy: str = "lex", pair: PairComplexes | None = None) -> IntersectionModel:
-    """Construct the intersection model as a preimage subcomplex, verified."""
+                strategy: str = "lex", pair: PairComplexes | None = None,
+                cotruncation=None, quotient=None) -> IntersectionModel:
+    """Construct the intersection model as a preimage subcomplex, verified.
+
+    ``cotruncation`` and ``quotient`` are those of the link's cochains padded
+    to degree n, at the model's cutoff and strategy, as ``cotruncate`` and
+    ``quotient_by_cotruncation`` return them; what is not given is built here.
+    """
     p = validate_perversity(p)
     n = D.n
     k = cutoff_degree(p, n)
     if pair is None:
         pair = PairComplexes(D.M, D.L)
-    sub = pair.sub.padded(n)
-    ct = cotruncate(sub, k, strategy)
-    quotient, pi, section = quotient_by_cotruncation(sub, ct)
+    if cotruncation is None or quotient is None:
+        sub = pair.sub.padded(n)
+        if cotruncation is None:
+            cotruncation = cotruncate(sub, k, strategy)
+        if quotient is None:
+            quotient = quotient_by_cotruncation(sub, cotruncation)
+    ct = cotruncation
+    if (ct.k, ct.strategy) != (k, strategy):
+        raise ValueError(f"cotruncation at cutoff {ct.k} ({ct.strategy}) given for a "
+                         f"model at cutoff {k} ({strategy})")
+    quotient, pi, section = quotient
 
     # Model basis per degree: kernel of (project-out-theta) ∘ restriction.
     bases = []
@@ -164,9 +177,9 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         kappa.append(pi[r] @ pair.restrict[r])
         basis = kernel_basis(kappa[r])
         bases.append(basis)
-        # Fiber product dimension count: dim A^r = dim ker i* + dim tau^r.
-        restrict = pair.restrict[r]
-        expected = restrict.cols - restrict.rank() + ct.complex.dim(r)
+        # Fiber product dimension count: dim A^r = dim ker i* + dim tau^r,
+        # where ker i* = C^r(M, L), as PairComplexes checked.
+        expected = pair.rel.dim(r) + ct.complex.dim(r)
         if basis.count != expected:
             raise InternalExactnessError(
                 f"model dimension {basis.count} != ker + cotruncation {expected} at degree {r}")
@@ -185,7 +198,8 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         if coords is None:
             raise InternalExactnessError(f"model is not d-closed at degree {r}")
         d.append(coords)
-    complex_ = CochainComplex(f"model[{_pname(p)}]({D.name})", dims, d)
+    values = ",".join(str(v) for v in p.values.values())
+    complex_ = CochainComplex(f"model[{values}]({D.name})", dims, d)
 
     rho = []
     eta = []
@@ -214,10 +228,6 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, pi=pi, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
-
-
-def _pname(p: Perversity) -> str:
-    return p.name or ",".join(str(v) for _, v in sorted(p.values.items()))
 
 
 def _nullity(m: RationalMatrix) -> int:

@@ -1,0 +1,112 @@
+"""Everything derived from one input document, each object built once.
+
+A ``Workspace`` holds what the checks of ``verify`` derive from one parsed
+document: the complex, its decomposition, the fundamental chain, the pair
+complexes, and per cutoff and strategy the link's truncations,
+cotruncations and quotients, the models, the chain complexes and cones of
+the oracle, the pairing forms and the link's truncated pairings.  Each is built on first request by the
+same library call that builds it without a workspace, and kept only once
+that call returns: an error leaves nothing behind, so asking again raises
+it again, in the same order.  Every kept object is immutable or fills only
+caches of its own, so reusing it gives the same bytes as building it anew.
+"""
+
+from __future__ import annotations
+
+import json
+
+from .cochains import PairComplexes
+from .cone import intersection_space_cone, simplicial_chains
+from .cotruncation import (
+    cotruncate,
+    quotient_by_cotruncation,
+    truncate_below,
+    truncated_duality,
+)
+from .duality import PairingForms
+from .errors import ParseError
+from .model import Perversity, build_model, cutoff_degree
+from .simplicial import decompose, fundamental_chain, parse_complex
+
+
+def document_key(document) -> str:
+    """Canonical JSON text of a document: documents with equal content get equal keys."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+class Workspace:
+    """Lazily built objects derived from one input document."""
+
+    def __init__(self, document, key: str | None = None):
+        self.document = document
+        self.key = document_key(document) if key is None else key
+        self._built = {}
+
+    def _once(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def complex(self):
+        return self._once("X", lambda: parse_complex(self.document))
+
+    def decomposition(self):
+        def build():
+            X = self.complex()
+            if "singular_vertex" not in self.document:
+                raise ParseError("document missing key: singular_vertex")
+            return decompose(X, self.document["singular_vertex"])
+        return self._once("D", build)
+
+    def mu(self):
+        return self._once("mu", lambda: fundamental_chain(self.decomposition()))
+
+    def pair(self) -> PairComplexes:
+        D = self.decomposition()
+        return self._once("pair", lambda: PairComplexes(D.M, D.L))
+
+    def link_cochains(self):
+        """C*(L) padded to degree n, the ambient of the models' cotruncations."""
+        return self._once("sub", lambda: self.pair().sub.padded(self.decomposition().n))
+
+    def truncation(self, k: int):
+        return self._once(("truncation", k), lambda: truncate_below(self.link_cochains(), k))
+
+    def cotruncation(self, k: int, strategy: str):
+        return self._once(("cotruncation", k, strategy),
+                          lambda: cotruncate(self.link_cochains(), k, strategy))
+
+    def quotient(self, k: int, strategy: str):
+        return self._once(("quotient", k, strategy), lambda: quotient_by_cotruncation(
+            self.link_cochains(), self.cotruncation(k, strategy), self.truncation(k)))
+
+    def model(self, p: Perversity, strategy: str):
+        """The model of p, keyed on p's values, so equal perversities share it."""
+        def build():
+            D = self.decomposition()
+            k = cutoff_degree(p, D.n)
+            return build_model(D, p, strategy, pair=self.pair(),
+                               cotruncation=self.cotruncation(k, strategy),
+                               quotient=self.quotient(k, strategy))
+        return self._once(("model", tuple(p.values.items()), strategy), build)
+
+    def chains(self, which: str):
+        """C_*(M) or C_*(L), which is "M" or "L"."""
+        return self._once(("chains", which), lambda: simplicial_chains(
+            getattr(self.decomposition(), which)))
+
+    def cone(self, k: int, strategy: str):
+        return self._once(("cone", k, strategy), lambda: intersection_space_cone(
+            self.decomposition(), k, strategy, self.chains("M"), self.chains("L")))
+
+    def forms(self) -> PairingForms:
+        return self._once("forms", lambda: PairingForms(self.pair(), self.mu()))
+
+    def truncated_duality(self, k: int, strategy: str):
+        """The link's truncated pairing at cutoffs k and c + 1 - k, over ∂mu."""
+        def build():
+            pair = self.pair()
+            c = self.decomposition().n - 1
+            return truncated_duality(pair.A, k, c + 1 - k, lam=self.forms().lam,
+                                     strategy=strategy, cochains=(pair.sub, pair.sub_cup))
+        return self._once(("truncated duality", k, strategy), build)

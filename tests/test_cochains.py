@@ -262,9 +262,10 @@ def test_connecting_zero_for_acyclic_third_term():
     dims = [U.dim(r) + W.dim(r) for r in range(2)]
     d = []
     for r in range(2):
-        entries = dict(U.d[r].entries)
-        for (i, j), v in W.d[r].entries.items():
-            entries[(U.dim(r + 1) + i, U.dim(r) + j)] = v
+        # Values through entry(), since `entries` holds numerators over `den`.
+        entries = {(i, j): U.d[r].entry(i, j) for i, j in U.d[r].entries}
+        for i, j in W.d[r].entries:
+            entries[(U.dim(r + 1) + i, U.dim(r) + j)] = W.d[r].entry(i, j)
         d.append(RationalMatrix(dims[r + 1] if r + 1 < 2 else 0, dims[r], entries))
     V = CochainComplex("sum", dims, d)
     alpha = [RationalMatrix(dims[r], U.dim(r),

@@ -1,0 +1,101 @@
+"""Reuse of derived objects across calls on one document.
+
+``run_verification`` keeps the objects derived from the last input document
+and reuses them when the next call's document has the same content.  A run
+on a warm workspace must render the same bytes as the same run made cold.
+"""
+
+import gc
+import json
+import weakref
+
+import pytest
+
+from stratdual import cli, examples
+from stratdual.cli import render_report, run_verification
+from stratdual.examples import decomposition_names
+from stratdual.model import NAMED_PERVERSITIES
+from stratdual.workspace import document_key
+
+STRUCTURAL_CHECKS = ["model", "duality", "ladder", "lefschetz",
+                     "truncated-duality", "oracle"]
+
+# The eight structural configurations of tests/test_report_hashes.py, then
+# the all-check default run.
+CONFIGS = [(perversity, strategy, STRUCTURAL_CHECKS)
+           for perversity in NAMED_PERVERSITIES
+           for strategy in ("lex", "reverse-lex")] + [("zero", "lex", None)]
+
+
+def _bytes(target, perversity="zero", strategy="lex", checks=None):
+    report, status = run_verification(target, perversity, strategy, checks)
+    return status, render_report(report, "json")
+
+
+def _held_key():
+    return cli._workspace.key if cli._workspace is not None else None
+
+
+@pytest.mark.parametrize("name", decomposition_names())
+def test_cold_run_renders_the_bytes_of_a_warm_run(name):
+    other = next(n for n in decomposition_names() if n != name)
+    key = document_key(examples.get_document(name))
+    for i, config in enumerate(CONFIGS):
+        _bytes(other, checks=["model"])
+        assert _held_key() != key
+        cold = _bytes(name, *config)
+        # Warm: a fresh workspace that the other configurations build first.
+        _bytes(other, checks=["model"])
+        for j, warm_up in enumerate(CONFIGS):
+            if j != i:
+                _bytes(name, *warm_up)
+        assert _held_key() == key
+        assert _bytes(name, *config) == cold, config
+
+
+def test_a_rewritten_file_is_read_anew(tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(examples.get_document("x2-cone-torus")), encoding="utf-8")
+    first = _bytes(str(path))
+    path.write_text(json.dumps(examples.get_document("octahedron-marked")), encoding="utf-8")
+    second = _bytes(str(path))
+    # The same path and document again, cold: another document ran between.
+    _bytes("disk-cone-s1", checks=["model"])
+    assert _bytes(str(path)) == second != first
+
+
+def test_same_content_under_another_path_reuses_the_workspace(tmp_path):
+    document = examples.get_document("disk-cone-s1")
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(document, indent=1), encoding="utf-8")
+    _bytes("disk-cone-s1", checks=["model"])
+    held = cli._workspace
+    _bytes(str(path), checks=["model"])
+    assert cli._workspace is held
+
+
+def test_a_failing_document_fails_alike_twice_and_keeps_no_partial_object():
+    first = _bytes("mobius-marked")
+    assert first[0] == 2
+    assert json.loads(first[1])["error"]["code"] == "NON_ORIENTABLE"
+    assert "D" in cli._workspace._built
+    assert "mu" not in cli._workspace._built
+    assert _bytes("mobius-marked") == first
+    assert "mu" not in cli._workspace._built
+
+
+def test_only_the_last_documents_workspace_is_held():
+    _bytes("disk-cone-s1", checks=["model"])
+    first = weakref.ref(cli._workspace)
+    _bytes("octahedron-marked", checks=["model"])
+    gc.collect()
+    assert first() is None
+    assert _held_key() == document_key(examples.get_document("octahedron-marked"))
+
+
+def test_equal_perversity_values_share_one_model():
+    _bytes("x2-cone-torus", "zero", "lex", ["model"])
+    _bytes("x2-cone-torus", "0,0", "lex", ["model"])
+    models = [key for key in cli._workspace._built if key[0] == "model"]
+    # p = zero and q = top, each for both strategies (the model check builds both).
+    assert len(models) == 4
