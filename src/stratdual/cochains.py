@@ -41,7 +41,7 @@ class CochainComplex:
 
     __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_cochain_maps")
 
-    def __init__(self, name, dims, d, check=True):
+    def __init__(self, name, dims, d):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
@@ -55,10 +55,9 @@ class CochainComplex:
             if (mat.rows, mat.cols) != (target, self.dims[r]):
                 raise ValueError(f"{name}: d[{r}] has shape {mat.rows}x{mat.cols}, "
                                  f"expected {target}x{self.dims[r]}")
-        if check:
-            for r in range(self.top):
-                if not (self.d[r + 1] @ self.d[r]).is_zero():
-                    raise InternalExactnessError(f"{name}: d∘d != 0 at degree {r}")
+        for r in range(self.top):
+            if not (self.d[r + 1] @ self.d[r]).is_zero():
+                raise InternalExactnessError(f"{name}: d∘d != 0 at degree {r}")
 
     @property
     def top(self) -> int:
@@ -71,14 +70,6 @@ class CochainComplex:
         if 0 <= r <= self.top:
             return self.d[r]
         return RationalMatrix.zeros(self.dim(r + 1), self.dim(r))
-
-    def padded(self, top: int) -> "CochainComplex":
-        """Same complex, dims extended by zeros up to the given top degree."""
-        if top <= self.top:
-            return self
-        dims = list(self.dims) + [0] * (top - self.top)
-        d = list(self.d) + [RationalMatrix.zeros(0, dims[r]) for r in range(self.top + 1, top + 1)]
-        return CochainComplex(self.name, dims, d, check=False)
 
     def echelon(self, r: int) -> Echelon:
         """Forward pass on d^r with its columns reversed, once per degree.
@@ -197,6 +188,16 @@ def pairing_matrix(cup: CupStructure, n: int, r: int, chain,
     return left.transpose() @ cup.evaluation_form(n, r, chain) @ right
 
 
+def mapped_representatives(maps, complex_: "CochainComplex", r: int) -> RationalMatrix:
+    """maps[r] applied to the degree-r cohomology representatives, as columns.
+
+    Without classes the result has no columns and maps[r] is not read, so r
+    may lie outside the complex and past the end of maps.
+    """
+    reps = complex_.representative_matrix(r)
+    return maps[r] @ reps if reps.cols else reps
+
+
 def simplicial_cochains(K: SimplicialComplex):
     """Cochain complex plus cup structure of a pure simplicial complex."""
     top = K.dimension
@@ -273,17 +274,12 @@ class PairComplexes:
         self.sub, self.sub_cup = simplicial_cochains(A)
         self.rel, self.include_rel = relative_complex(K, A, self.full)
         self.restrict = restriction_map(K, A)
-        top = K.dimension
-        sub_padded = self.sub.padded(top)
-        for r in range(top + 1):
-            rest = self.restrict[r] if r < len(self.restrict) else None
-            if rest is None:
-                continue
-            if rest.rank() != sub_padded.dim(r):
+        for r, rest in enumerate(self.restrict):
+            if rest.rank() != self.sub.dim(r):
                 raise InternalExactnessError(f"restriction not surjective in degree {r}")
             if not (rest @ self.include_rel[r]).is_zero():
                 raise InternalExactnessError(f"pair sequence not a complex in degree {r}")
-            if self.rel.dim(r) + sub_padded.dim(r) != self.full.dim(r):
+            if self.rel.dim(r) + self.sub.dim(r) != self.full.dim(r):
                 raise InternalExactnessError(f"pair sequence not exact in degree {r}")
 
 

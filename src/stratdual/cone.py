@@ -188,12 +188,11 @@ class ConeComplex:
     Differential (x, m) -> (-∂x, g(x) + ∂m).
     """
 
-    __slots__ = ("complex", "t_dims", "m_dims")
+    __slots__ = ("complex", "t_dims")
 
-    def __init__(self, complex_, t_dims, m_dims):
+    def __init__(self, complex_, t_dims):
         self.complex = complex_
         self.t_dims = t_dims
-        self.m_dims = m_dims
 
     def homology_dims(self):
         return self.complex.homology_dims()
@@ -224,7 +223,7 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
         lower = g_lower.hstack(target.bnd(r))
         boundary.append(upper.transpose().hstack(lower.transpose()).transpose())
     cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
-    return ConeComplex(cone, tuple(t_dims), tuple(m_dims))
+    return ConeComplex(cone, tuple(t_dims))
 
 
 def intersection_space_cone(D: PseudomanifoldDecomposition, k: int,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .cochains import (
     CochainComplex,
     CupStructure,
+    mapped_representatives,
     pair_against_chain,
     pairing_matrix,
     simplicial_cochains,
@@ -198,6 +199,9 @@ def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
 
     Requires k + l > r + s with all four positive; multiplies every basis
     pair of the two included cotruncations and asserts the zero cochain.
+    For standard cotruncations this is true by construction and multiplies
+    no pair: tau_{>=k} is zero below k, so a product needs r >= k and
+    s >= l, hence r + s >= k + l, outside the window.
     """
     if min(ct_k.k, ct_l.k, r, s) <= 0:
         raise ValueError("degrees and cutoffs must be positive")
@@ -210,6 +214,20 @@ def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
     return True
 
 
+def truncated_pairing(cup: CupStructure, lam, quotient: CochainComplex, section,
+                      ct: StandardCotruncation, r: int) -> RationalMatrix:
+    """The truncated pairing H^r(C/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q.
+
+    C is the cup's complex, of top degree c, and lam a closed c-chain.  The
+    section lifts the quotient classes into C, theta includes the
+    cotruncation classes, and the entries are their evaluation form over
+    lam.  A degree outside 0..c gives the empty matrix.
+    """
+    c = cup.complex.top
+    return pairing_matrix(cup, c, r, lam, mapped_representatives(section, quotient, r),
+                          mapped_representatives(ct.inclusion, ct.complex, c - r))
+
+
 def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
                       strategy: str = "lex", cochains=None) -> DualityReport:
     """Nondegenerate pairing between H(C/theta(tau_{>=k})) and H(tau_{>=l}).
@@ -217,7 +235,15 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
     Entries are integrals over the fundamental cycle lam of the link:
     ([pi(alpha)], [beta]) -> ∫_lam alpha ∪ theta_{>=l}(beta), with alpha any
     lift of the quotient class (well defined by the vanishing window
-    k + l = c + 1 > c).
+    k + l = c + 1 > c); see ``truncated_pairing``.
+
+    lam comes from the caller, so it is checked here: it must be closed and
+    pair nonzero with H^c(L), or a bare ValueError (not a StratdualError) is
+    raised.  For lam = ∂mu of a mu that ``duality.PairingForms`` accepted,
+    neither check can fail: that mu is a nonzero multiple of the relative
+    fundamental class, so ∂mu is closed and is the same multiple of the
+    fundamental cycle of the connected link, ±1 per facet for the mu of
+    ``fundamental_chain``.
     """
     if k <= 0 or l <= 0:
         raise ValueError("cutoffs must be positive (k, l > 0)")
@@ -235,13 +261,9 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
            for rep in C.cohomology(c).representatives):
         raise ValueError("chain does not represent a fundamental class")
     ct_k = cotruncate(C, k, strategy)
-    ct_l = cotruncate(C, l, strategy)
-    quotient, pi, section = quotient_by_cotruncation(C, ct_k)
-    pairings = []
-    for r in range(c + 1):
-        lifts = section[r] @ quotient.representative_matrix(r)
-        included = ct_l.inclusion[c - r] @ ct_l.complex.representative_matrix(c - r)
-        matrix = pairing_matrix(cup, c, r, lam_vec, lifts, included)
-        pairings.append(PairingMatrix(r, matrix))
+    ct_l = ct_k if l == k else cotruncate(C, l, strategy)
+    quotient, _, section = quotient_by_cotruncation(C, ct_k)
+    pairings = [PairingMatrix(r, truncated_pairing(cup, lam_vec, quotient, section, ct_l, r))
+                for r in range(c + 1)]
     return DualityReport("truncated-duality", pairings,
                          quotient.betti(), ct_l.complex.betti())

@@ -4,14 +4,14 @@ Every pairing comes from one bilinear form on cochains: the evaluation
 form G_r(chain)[i, j] = pair_against_chain(n, e_i ∪ e_j, chain) of
 CupStructure.evaluation_form.  With the representatives of the two
 cohomology bases mapped into the ambient cochains as the columns of A and
-B, the pairing matrix is A^T G B.  A PairingForms object validates mu once
-and builds each form and each pairing matrix once:
+B, the pairing matrix is A^T G B (cochains.pairing_matrix).  A PairingForms
+object validates mu once and builds each pairing matrix once:
 
 * Lefschetz:  H^r(C*(M)) x H^{n-r}(C*(M,∂M)) -> Q, A = reps, B = j* reps, over mu;
 * main:       H^r(A_p)   x H^{n-r}(A_q)     -> Q, A = iota_p reps, B = iota_q reps, over mu;
-* boundary:   H^r(C*(L)/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q,
-  A = section reps, B = theta reps, over ∂mu (the truncated pairing,
-  consumed by the ladder rows).
+* truncated:  H^r(C*(L)/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q,
+  A = section reps, B = theta reps, over ∂mu (cotruncation.truncated_pairing,
+  the boundary rows of the ladder and the truncated-duality check).
 
 The form carries the Koszul sign of pair_against_chain, which makes Stokes
 sign-free at pairing level; with that convention the top and middle ladder
@@ -29,9 +29,11 @@ from .cochains import (
     chain_vector,
     induced_map,
     integrate,
+    mapped_representatives,
     pair_against_chain,
     pairing_matrix,
 )
+from .cotruncation import truncated_pairing
 from .errors import NotComplementaryError, NotPseudomanifoldError
 from .model import IntersectionModel
 from .rational import RationalMatrix, vec_is_zero
@@ -63,13 +65,13 @@ def boundary_link_chain(pair, mu: FundamentalChain):
 
 
 class PairingForms:
-    """The evaluation forms of one pair over mu and over ∂mu, and the pairing
-    matrices read from them, each built on first use and kept.
+    """The pairing matrices of one pair over mu and over ∂mu, each built on
+    first use and kept.
 
     Construction validates mu, once for every pairing built from it.  The
-    forms are keyed on degree and the pairings on degree and on the models
-    they pair, so a caller that keeps one PairingForms for its pair and
-    models pays for each form and each matrix once.
+    pairings are keyed on degree and on the complexes they pair (the two
+    models, or the link's quotient and cotruncation), so a caller that keeps
+    one PairingForms for its pair pays for each matrix once.
     """
 
     __slots__ = ("pair", "mu", "lam", "_built")
@@ -86,54 +88,36 @@ class PairingForms:
             self._built[key] = build()
         return self._built[key]
 
-    def form(self, r: int) -> RationalMatrix:
-        """Evaluation form over mu on C^r(M) x C^{n-r}(M)."""
-        n = self.pair.K.dimension
-        return self._once(("form", r), lambda: self.pair.cup.evaluation_form(
-            n, r, self.mu.coefficients))
-
-    def boundary_form(self, r: int) -> RationalMatrix:
-        """Evaluation form over ∂mu on C^r(L) x C^{c-r}(L), c = n - 1."""
-        c = self.pair.K.dimension - 1
-        return self._once(("boundary form", r), lambda: self.pair.sub_cup.evaluation_form(
-            c, r, self.lam))
+    def _over_mu(self, r: int, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+        return pairing_matrix(self.pair.cup, self.pair.K.dimension, r,
+                              self.mu.coefficients, left, right)
 
     def lefschetz(self, r: int) -> RationalMatrix:
         """H^r(C*(M)) x H^{n-r}(C*(M,∂M)) over mu."""
         pair = self.pair
         n = pair.K.dimension
-        return self._once(("lefschetz", r), lambda: _through(
-            self.form, r, pair.full.representative_matrix(r),
-            _mapped(pair.include_rel, pair.rel, n - r)))
+        return self._once(("lefschetz", r), lambda: self._over_mu(
+            r, pair.full.representative_matrix(r),
+            mapped_representatives(pair.include_rel, pair.rel, n - r)))
 
     def main(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
         """H^r(A_p) x H^{n-r}(A_q) over mu."""
         n = self.pair.K.dimension
-        return self._once(("main", mp, mq, r), lambda: _through(
-            self.form, r, _mapped(mp.iota, mp.complex, r),
-            _mapped(mq.iota, mq.complex, n - r)))
+        return self._once(("main", mp, mq, r), lambda: self._over_mu(
+            r, mapped_representatives(mp.iota, mp.complex, r),
+            mapped_representatives(mq.iota, mq.complex, n - r)))
 
     def model_form(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
         """The form over mu on A_p^r x A_q^{n-r}: iota_p^T G iota_q."""
         n = self.pair.K.dimension
-        return self._once(("model form", mp, mq, r), lambda: _through(
-            self.form, r, mp.iota[r], mq.iota[n - r]))
+        return self._once(("model form", mp, mq, r), lambda: self._over_mu(
+            r, mp.iota[r], mq.iota[n - r]))
 
-    def boundary(self, mp: IntersectionModel, mq: IntersectionModel,
-                 degree: int) -> RationalMatrix:
-        """Truncated pairing H^degree(quotient_p) x H^{c-degree}(tau_q) over ∂mu."""
-        c = self.pair.K.dimension - 1
-        return self._once(("boundary", mp, mq, degree), lambda: _through(
-            self.boundary_form, degree, _mapped(mp.section, mp.quotient, degree),
-            _mapped(mq.cotruncation.inclusion, mq.cotruncation.complex, c - degree)))
-
-
-def _through(form, r: int, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-    """left^T form(r) right; a side without columns gives the zero matrix
-    without building the form."""
-    if left.cols == 0 or right.cols == 0:
-        return RationalMatrix.zeros(left.cols, right.cols)
-    return left.transpose() @ form(r) @ right
+    def truncated(self, quotient, section, ct, degree: int) -> RationalMatrix:
+        """The link's truncated pairing H^degree(quotient) x H^{c-degree}(ct)
+        over ∂mu, as ``cotruncation.truncated_pairing`` builds it."""
+        return self._once(("truncated", quotient, ct, degree), lambda: truncated_pairing(
+            self.pair.sub_cup, self.lam, quotient, section, ct, degree))
 
 
 def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> PairingForms:
@@ -142,16 +126,6 @@ def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> Pairin
     if forms.pair is not pair or forms.mu is not mu:
         raise ValueError("pairing forms of another pair or fundamental chain")
     return forms
-
-
-def _mapped(maps, complex_, r: int) -> RationalMatrix:
-    """maps[r] applied to the degree-r cohomology representatives, as columns.
-
-    Without classes the result has no columns and maps[r] is not read: the
-    ladder asks for degrees -1 and n+1, where it wraps around or is absent.
-    """
-    reps = complex_.representative_matrix(r)
-    return maps[r] @ reps if reps.cols else reps
 
 
 def lefschetz_pairing(pair, mu: FundamentalChain,
@@ -319,8 +293,8 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
     forms = _forms_for(mp.pair, mu, forms)
     n = mp.decomposition.n
 
-    p_top = forms.boundary(mp, mq, r - 1)
-    p_bot = forms.boundary(mp, mq, r)
+    p_top = forms.truncated(mp.quotient, mp.section, mq.cotruncation, r - 1)
+    p_bot = forms.truncated(mp.quotient, mp.section, mq.cotruncation, r)
     p_main = forms.main(mp, mq, r)
     p_lef = forms.lefschetz(r)
 

@@ -114,10 +114,10 @@ class IntersectionModel:
 
     __slots__ = ("decomposition", "perversity", "k", "strategy", "pair",
                  "cotruncation", "complex", "iota", "rho", "eta", "kappa",
-                 "quotient", "pi", "section", "ses_eta_rho", "ses_iota_kappa")
+                 "quotient", "section", "ses_eta_rho", "ses_iota_kappa")
 
     def __init__(self, decomposition, perversity, k, strategy, pair, cotruncation,
-                 complex_, iota, rho, eta, kappa, quotient, pi, section,
+                 complex_, iota, rho, eta, kappa, quotient, section,
                  ses_eta_rho, ses_iota_kappa):
         self.decomposition = decomposition
         self.perversity = perversity
@@ -131,7 +131,6 @@ class IntersectionModel:
         self.eta = eta
         self.kappa = kappa
         self.quotient = quotient
-        self.pi = pi
         self.section = section
         self.ses_eta_rho = ses_eta_rho
         self.ses_iota_kappa = ses_iota_kappa
@@ -149,9 +148,11 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
                 cotruncation=None, quotient=None) -> IntersectionModel:
     """Construct the intersection model as a preimage subcomplex, verified.
 
-    ``cotruncation`` and ``quotient`` are those of the link's cochains padded
-    to degree n, at the model's cutoff and strategy, as ``cotruncate`` and
+    ``cotruncation`` and ``quotient`` are those of the link's cochains
+    ``pair.sub`` at the model's cutoff and strategy, as ``cotruncate`` and
     ``quotient_by_cotruncation`` return them; what is not given is built here.
+    They stop at the link's top degree n - 1: in degree n the link has no
+    cochains, so every map there is the empty matrix.
     """
     p = validate_perversity(p)
     n = D.n
@@ -159,11 +160,10 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     if pair is None:
         pair = PairComplexes(D.M, D.L)
     if cotruncation is None or quotient is None:
-        sub = pair.sub.padded(n)
         if cotruncation is None:
-            cotruncation = cotruncate(sub, k, strategy)
+            cotruncation = cotruncate(pair.sub, k, strategy)
         if quotient is None:
-            quotient = quotient_by_cotruncation(sub, cotruncation)
+            quotient = quotient_by_cotruncation(pair.sub, cotruncation)
     ct = cotruncation
     if (ct.k, ct.strategy) != (k, strategy):
         raise ValueError(f"cotruncation at cutoff {ct.k} ({ct.strategy}) given for a "
@@ -226,7 +226,7 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     return IntersectionModel(
         decomposition=D, perversity=p, k=k, strategy=strategy, pair=pair,
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
-        kappa=kappa, quotient=quotient, pi=pi, section=section,
+        kappa=kappa, quotient=quotient, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
 
 

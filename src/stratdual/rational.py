@@ -528,11 +528,11 @@ class Solver:
     zero, or None when the system is inconsistent.
     """
 
-    __slots__ = ("matrix", "pivots", "reduced", "transform", "rank")
+    __slots__ = ("matrix", "pivots", "transform", "rank")
 
     def __init__(self, m: RationalMatrix):
         self.matrix = m
-        self.pivots, self.reduced, self.transform = rref(m, transform=True)
+        self.pivots, _, self.transform = rref(m, transform=True)
         self.rank = len(self.pivots)
 
     def solve(self, rhs: Vector) -> Optional[Vector]:

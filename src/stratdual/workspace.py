@@ -2,13 +2,14 @@
 
 A ``Workspace`` holds what the checks of ``verify`` derive from one parsed
 document: the complex, its decomposition, the fundamental chain, the pair
-complexes, and per cutoff and strategy the link's truncations,
-cotruncations and quotients, the models, the chain complexes and cones of
-the oracle, the pairing forms and the link's truncated pairings.  Each is built on first request by the
-same library call that builds it without a workspace, and kept only once
-that call returns: an error leaves nothing behind, so asking again raises
-it again, in the same order.  Every kept object is immutable or fills only
-caches of its own, so reusing it gives the same bytes as building it anew.
+complexes, and per cutoff and strategy the truncations, cotruncations and
+quotients of the link's cochains, the models, the chain complexes and
+cones of the oracle, the pairing forms and the link's truncated pairings.
+Each is built on first request by the same library code that builds it
+without a workspace, and kept only once that code returns: an error leaves
+nothing behind, so asking again raises it again, in the same order.  Every
+kept object is immutable or fills only caches of its own, so reusing it
+gives the same bytes as building it anew.
 """
 
 from __future__ import annotations
@@ -17,15 +18,11 @@ import json
 
 from .cochains import PairComplexes
 from .cone import intersection_space_cone, simplicial_chains
-from .cotruncation import (
-    cotruncate,
-    quotient_by_cotruncation,
-    truncate_below,
-    truncated_duality,
-)
+from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
 from .model import Perversity, build_model, cutoff_degree
+from .reports import DualityReport, PairingMatrix
 from .simplicial import decompose, fundamental_chain, parse_complex
 
 
@@ -65,20 +62,17 @@ class Workspace:
         D = self.decomposition()
         return self._once("pair", lambda: PairComplexes(D.M, D.L))
 
-    def link_cochains(self):
-        """C*(L) padded to degree n, the ambient of the models' cotruncations."""
-        return self._once("sub", lambda: self.pair().sub.padded(self.decomposition().n))
-
     def truncation(self, k: int):
-        return self._once(("truncation", k), lambda: truncate_below(self.link_cochains(), k))
+        """tau_{<k} of the link's cochains C*(L), which is ``pair().sub``."""
+        return self._once(("truncation", k), lambda: truncate_below(self.pair().sub, k))
 
     def cotruncation(self, k: int, strategy: str):
         return self._once(("cotruncation", k, strategy),
-                          lambda: cotruncate(self.link_cochains(), k, strategy))
+                          lambda: cotruncate(self.pair().sub, k, strategy))
 
     def quotient(self, k: int, strategy: str):
         return self._once(("quotient", k, strategy), lambda: quotient_by_cotruncation(
-            self.link_cochains(), self.cotruncation(k, strategy), self.truncation(k)))
+            self.pair().sub, self.cotruncation(k, strategy), self.truncation(k)))
 
     def model(self, p: Perversity, strategy: str):
         """The model of p, keyed on p's values, so equal perversities share it."""
@@ -102,11 +96,16 @@ class Workspace:
     def forms(self) -> PairingForms:
         return self._once("forms", lambda: PairingForms(self.pair(), self.mu()))
 
-    def truncated_duality(self, k: int, strategy: str):
-        """The link's truncated pairing at cutoffs k and c + 1 - k, over ∂mu."""
+    def truncated_duality(self, k: int, strategy: str) -> DualityReport:
+        """The link's truncated pairing at cutoffs k and c + 1 - k, over ∂mu,
+        with the matrices the ladder reads."""
         def build():
-            pair = self.pair()
             c = self.decomposition().n - 1
-            return truncated_duality(pair.A, k, c + 1 - k, lam=self.forms().lam,
-                                     strategy=strategy, cochains=(pair.sub, pair.sub_cup))
+            quotient, _, section = self.quotient(k, strategy)
+            ct = self.cotruncation(c + 1 - k, strategy)
+            forms = self.forms()
+            pairings = [PairingMatrix(r, forms.truncated(quotient, section, ct, r))
+                        for r in range(c + 1)]
+            return DualityReport("truncated-duality", pairings,
+                                 quotient.betti(), ct.complex.betti())
         return self._once(("truncated duality", k, strategy), build)

@@ -232,7 +232,7 @@ def test_induced_restriction_solid_torus_to_boundary():
     # Degree 1: rank one (the longitude survives, the meridian dies).
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
-    sub = pair.sub.padded(D.n)
+    sub = pair.sub
     h = induced_map(pair.restrict, pair.full, sub, 1)
     assert (h.rows, h.cols) == (2, 1)
     assert h.rank() == 1
@@ -241,7 +241,7 @@ def test_induced_restriction_solid_torus_to_boundary():
 def test_connecting_homomorphism_solid_torus():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
-    ses = ShortExactSequence(pair.rel, pair.full, pair.sub.padded(D.n),
+    ses = ShortExactSequence(pair.rel, pair.full, pair.sub,
                              pair.include_rel, pair.restrict)
     # r=2: H^2(T^2) -> H^3(M, ∂M) is an isomorphism Q -> Q.
     delta2 = ses.connecting(2)
@@ -282,7 +282,7 @@ def test_connecting_zero_in_degree_zero_for_disk_pair():
     # Constants extend over the disk, so the degree-0 connecting map is zero.
     D = examples.get_decomposition("disk-cone-s1")
     pair = PairComplexes(D.M, D.L)
-    ses = ShortExactSequence(pair.rel, pair.full, pair.sub.padded(D.n),
+    ses = ShortExactSequence(pair.rel, pair.full, pair.sub,
                              pair.include_rel, pair.restrict)
     assert ses.connecting(0).is_zero()
 
@@ -290,7 +290,7 @@ def test_connecting_zero_in_degree_zero_for_disk_pair():
 def test_connecting_independent_of_lift():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
-    sub = pair.sub.padded(D.n)
+    sub = pair.sub
     ses = ShortExactSequence(pair.rel, pair.full, sub, pair.include_rel, pair.restrict)
     rng = random.Random(2)
     for r in (1, 2):

@@ -3,19 +3,25 @@
 ``run_verification`` keeps the objects derived from the last input document
 and reuses them when the next call's document has the same content.  A run
 on a warm workspace must render the same bytes as the same run made cold.
+Within one run each object of the link is built once, and the checks read
+the same truncated pairing as the standalone ``truncated_duality``.
 """
 
+import collections
 import gc
 import json
+import sys
 import weakref
 
 import pytest
 
-from stratdual import cli, examples
+from stratdual import cli, cotruncation, examples
 from stratdual.cli import render_report, run_verification
+from stratdual.cotruncation import truncated_duality
+from stratdual.errors import StratdualError
 from stratdual.examples import decomposition_names
 from stratdual.model import NAMED_PERVERSITIES
-from stratdual.workspace import document_key
+from stratdual.workspace import Workspace, document_key
 
 STRUCTURAL_CHECKS = ["model", "duality", "ladder", "lefschetz",
                      "truncated-duality", "oracle"]
@@ -99,3 +105,57 @@ def test_equal_perversity_values_share_one_model():
     models = [key for key in cli._workspace._built if key[0] == "model"]
     # p = zero and q = top, each for both strategies (the model check builds both).
     assert len(models) == 4
+
+
+def _count_link_builds(monkeypatch):
+    """Count the calls of cotruncate, truncate_below and quotient_by_cotruncation
+    per (k, strategy), through every stratdual module that binds them."""
+    counts = collections.Counter()
+    keys = {
+        cotruncation.cotruncate:
+            lambda C, k, strategy="lex": ("cotruncate", k, strategy),
+        cotruncation.truncate_below:
+            lambda C, k: ("truncate_below", k),
+        cotruncation.quotient_by_cotruncation:
+            lambda C, ct, truncation=None: ("quotient", ct.k, ct.strategy),
+    }
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            counts[keys[f](*args, **kwargs)] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "stratdual" or name.startswith("stratdual."):
+            for attribute, value in list(vars(module).items()):
+                for f in keys:
+                    if value is f:
+                        monkeypatch.setattr(module, attribute, counted(f))
+    return counts
+
+
+@pytest.mark.parametrize("name", decomposition_names())
+def test_an_all_check_run_builds_each_link_object_once(name, monkeypatch):
+    monkeypatch.setattr(cli, "_workspace", None)
+    counts = _count_link_builds(monkeypatch)
+    _, status = run_verification(name)
+    if status != 2:
+        assert counts
+    assert all(n == 1 for n in counts.values()), counts
+
+
+@pytest.mark.parametrize("name", decomposition_names())
+def test_workspace_truncated_duality_equals_the_standalone_report(name):
+    ws = Workspace(examples.get_document(name))
+    try:
+        forms = ws.forms()
+    except StratdualError:
+        pytest.skip("the fundamental chain is rejected")
+    pair = ws.pair()
+    c = ws.decomposition().n - 1
+    for k in range(1, c + 1):
+        for strategy in ("lex", "reverse-lex"):
+            alone = truncated_duality(pair.A, k, c + 1 - k, lam=forms.lam, strategy=strategy,
+                                      cochains=(pair.sub, pair.sub_cup))
+            assert ws.truncated_duality(k, strategy).to_jsonable() == alone.to_jsonable()
