@@ -19,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import examples
-from .cochains import simplicial_cochains
 from .cone import compare
 from .cotruncation import check_product_vanishing
 from .duality import (
@@ -145,7 +144,7 @@ def _check_truncated_duality(ws, strategy):
 
 def _check_properties(ws, mp, mq):
     D, pair = ws.decomposition(), ws.pair()
-    complexes = ((D.X, simplicial_cochains(D.X)[0]), (D.M, pair.full), (D.L, pair.sub))
+    complexes = ((D.X, ws.cochains()), (D.M, pair.full), (D.L, pair.sub))
     # Stokes, integrate(d x, xi) = -(-1)^r integrate(x, ∂xi) for all x, xi:
     # integrate is bilinear evaluation, so this is one matrix identity per degree.
     stokes_identity = all(

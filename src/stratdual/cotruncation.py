@@ -199,16 +199,19 @@ def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
 
     Requires k + l > r + s with all four positive; multiplies every basis
     pair of the two included cotruncations and asserts the zero cochain.
-    For standard cotruncations this is true by construction and multiplies
-    no pair: tau_{>=k} is zero below k, so a product needs r >= k and
+    For standard cotruncations this is true by construction and builds no
+    column: tau_{>=k} is zero below k, so a product needs r >= k and
     s >= l, hence r + s >= k + l, outside the window.
     """
     if min(ct_k.k, ct_l.k, r, s) <= 0:
         raise ValueError("degrees and cutoffs must be positive")
     if ct_k.k + ct_l.k <= r + s:
         raise ValueError("outside the vanishing window: need k + l > r + s")
-    for a in ct_k.inclusion[r].columns():
-        for b in ct_l.inclusion[s].columns():
+    left, right = ct_k.inclusion[r], ct_l.inclusion[s]
+    if not left.cols or not right.cols:
+        return True
+    for a in left.columns():
+        for b in right.columns():
             if not vec_is_zero(cup.cup(r, a, s, b)):
                 return False
     return True

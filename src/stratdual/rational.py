@@ -1,16 +1,20 @@
 """Exact sparse linear algebra over the rationals.
 
-A matrix holds sparse integer numerators over one positive denominator, so
-products, sums and ``apply`` run in ints with one gcd normalization per
-result; ``fractions.Fraction`` appears only in the public constructors and
-the entry, row, column and ``apply`` outputs.  Every rank, echelon form,
-kernel, image and solve goes through one elimination kernel on the
-numerators as sparse integer rows ``{col: int}``: the forward pass clears one
-lowest column at a time by integer row combinations divided by the gcd of
-their entries, and reduced rows come out over the lcm of their leads.  The
-reduced row echelon form is unique, so every derived basis is reproducible
-bit for bit.  Subspaces are one sparse matrix in reduced column echelon form,
-which makes subspace equality a syntactic comparison.
+A matrix is a tuple of sparse rows ``{col: int}`` of nonzero integer
+numerators over one positive denominator, which is the layout the elimination
+kernel works on: an elimination copies each row once, a product walks the
+right factor's rows directly, and products, sums and ``apply`` run in ints
+with one gcd normalization per result.  Matrices share rows (a restriction to
+rows, a unit factor, a solve), so no row is ever mutated once a matrix holds
+it; the kernel works on copies.  ``fractions.Fraction`` appears only in the
+public constructors and the entry, row, column and ``apply`` outputs.  Every
+rank, echelon form, kernel, image and solve goes through one elimination
+kernel: the forward pass clears one lowest column at a time by integer row
+combinations divided by the gcd of their entries, and reduced rows come out
+over the lcm of their leads.  The reduced row echelon form is unique, so
+every derived basis is reproducible bit for bit.  Subspaces are one sparse
+matrix in reduced column echelon form, which makes subspace equality a
+syntactic comparison.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple  # tuple[Fraction, ...]
@@ -35,14 +40,17 @@ def vec_is_zero(a: Vector) -> bool:
 
 
 class RationalMatrix:
-    """Immutable sparse rational matrix: entry (i, j) is ``entries[(i, j)] / den``.
+    """Immutable sparse rational matrix: entry (i, j) is ``data[i][j] / den``.
 
-    ``entries`` holds nonzero int numerators, row-major with ascending
-    columns; ``den`` is positive and shares no factor with all of them, so
-    equal matrices are equal field by field.
+    ``data`` holds one dict ``{col: int}`` of nonzero int numerators per
+    row; ``den`` is positive and shares no factor with all of them, so equal
+    matrices are equal field by field (dict equality ignores column order,
+    and the hash reads each row sorted).  A row dict may be shared with
+    other matrices, and empty rows with each other, because no row is ever
+    mutated once a matrix holds it.
     """
 
-    __slots__ = ("rows", "cols", "den", "entries")
+    __slots__ = ("rows", "cols", "den", "data")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
@@ -60,7 +68,10 @@ class RationalMatrix:
         self.den = den = lcm(*(v.denominator for v in clean.values()))
         self.rows = rows
         self.cols = cols
-        self.entries = {k: v.numerator * (den // v.denominator) for k, v in sorted(clean.items())}
+        data = [{} for _ in range(rows)]
+        for (i, j), v in clean.items():
+            data[i][j] = v.numerator * (den // v.denominator)
+        self.data = tuple(data)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -78,31 +89,39 @@ class RationalMatrix:
         return cls.from_rows(columns).transpose() if columns else cls(rows, 0)
 
     @classmethod
-    def _wrap(cls, rows: int, cols: int, entries: dict, den: int = 1) -> "RationalMatrix":
-        """Wrap nonzero int numerators (in bounds, row-major) over ``den`` > 0, in lowest terms."""
+    def _wrap(cls, cols: int, data, den: int = 1) -> "RationalMatrix":
+        """Wrap rows of nonzero int numerators (columns below ``cols``) over
+        ``den`` > 0, in lowest terms.  The rows are the matrix's from then on."""
         if den != 1:
-            g = gcd(den, *entries.values())
+            g = gcd(den, *chain.from_iterable(row.values() for row in data))
             if g != 1:
                 den //= g
-                entries = {k: v // g for k, v in entries.items()}
+                data = [{k: v // g for k, v in row.items()} for row in data]
         m = cls.__new__(cls)
-        m.rows = rows
+        m.rows = len(data)
         m.cols = cols
         m.den = den
-        m.entries = entries
+        m.data = tuple(data)
         return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._wrap(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols)
+        # One empty dict for every row: rows are never mutated.
+        return cls._wrap(cols, [{}] * rows)
 
     # -- access -------------------------------------------------------
+    @property
+    def entries(self):
+        """The numerators as a read-only row-major ``{(i, j): int}``, columns ascending."""
+        return MappingProxyType({(i, j): row[j] for i, row in enumerate(self.data)
+                                 for j in sorted(row)})
+
     def entry(self, i: int, j: int) -> Fraction:
-        v = self.entries.get((i, j))
+        v = self.data[i].get(j)
         return ZERO if v is None else Fraction(v, self.den)
 
     def row(self, i: int) -> Vector:
@@ -115,52 +134,48 @@ class RationalMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def rows_at(self, indices) -> "RationalMatrix":
-        """The rows at ``indices`` (strictly increasing), in that order."""
-        position = {i: r for r, i in enumerate(indices)}
-        return RationalMatrix._wrap(len(position), self.cols, {
-            (position[i], j): v for (i, j), v in self.entries.items() if i in position},
-            self.den)
+        """The rows at ``indices``, in that order, sharing this matrix's rows."""
+        data = self.data
+        return RationalMatrix._wrap(self.cols, [data[i] for i in indices], self.den)
 
     def columns_at(self, indices) -> "RationalMatrix":
         """The columns at ``indices`` (strictly increasing), in that order."""
         position = {j: c for c, j in enumerate(indices)}
-        return RationalMatrix._wrap(self.rows, len(position), {
-            (i, position[j]): v for (i, j), v in self.entries.items() if j in position},
+        return RationalMatrix._wrap(len(position), [
+            {position[j]: v for j, v in row.items() if j in position} for row in self.data],
             self.den)
 
     def dense(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.data)
 
     # -- arithmetic ---------------------------------------------------
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        other_rows = {}
-        for (k, j), w in other.entries.items():
-            other_rows.setdefault(k, []).append((j, w))
-        get = other_rows.get
-        # self's entries are row-major: one row's products are summed in acc,
-        # then flushed with sorted columns when the next row (or the
-        # sentinel row None, which has no terms) starts.
-        entries = {}
-        acc = {}
-        row = None
-        for (i, k), v in chain(self.entries.items(), (((None, None), 0),)):
-            if i != row:
-                for j in sorted(acc):
-                    if acc[j]:
-                        entries[(row, j)] = acc[j]
-                acc = {}
-                row = i
-            for j, w in get(k, ()):
-                if j in acc:
-                    acc[j] += v * w
-                else:
-                    acc[j] = v * w
-        return RationalMatrix._wrap(self.rows, other.cols, entries, self.den * other.den)
+        right = other.data
+        if not any(right) or not any(self.data):
+            return RationalMatrix.zeros(self.rows, other.cols)
+        data = []
+        for row in self.data:
+            if len(row) == 1:
+                # One term: the right factor's row, scaled (shared when the factor is 1).
+                (k, v), = row.items()
+                data.append(right[k] if v == 1 else {j: v * w for j, w in right[k].items()})
+                continue
+            acc = {}
+            for k, v in row.items():
+                for j, w in right[k].items():
+                    if j in acc:
+                        acc[j] += v * w
+                    else:
+                        acc[j] = v * w
+            if 0 in acc.values():
+                acc = {j: x for j, x in acc.items() if x}
+            data.append(acc)
+        return RationalMatrix._wrap(other.cols, data, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -168,59 +183,65 @@ class RationalMatrix:
         v = vec(v)
         vden = lcm(*(x.denominator for x in v))
         nums = [x.numerator * (vden // x.denominator) for x in v]
-        out = [0] * self.rows
-        for (i, j), a in self.entries.items():
-            x = nums[j]
-            if x:
-                out[i] += a * x
         den = self.den * vden
-        return tuple(Fraction(x, den) if x else ZERO for x in out)
+        out = []
+        for row in self.data:
+            x = sum(a * nums[j] for j, a in row.items())
+            out.append(Fraction(x, den) if x else ZERO)
+        return tuple(out)
 
     def reversed_columns(self) -> "RationalMatrix":
         """The same matrix with its columns in reverse order."""
         last = self.cols - 1
-        return RationalMatrix._wrap(self.rows, self.cols, dict(sorted(
-            ((i, last - j), v) for (i, j), v in self.entries.items())), self.den)
+        return RationalMatrix._wrap(self.cols, [
+            {last - j: v for j, v in row.items()} for row in self.data], self.den)
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._wrap(self.cols, self.rows, dict(sorted(
-            ((j, i), v) for (i, j), v in self.entries.items())), self.den)
+        data = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                data[j][i] = v
+        return RationalMatrix._wrap(self.rows, data, self.den)
 
     def _common(self, other: "RationalMatrix"):
-        """Both matrices' numerators over the lcm of their denominators."""
+        """Both matrices' numerator rows over the lcm of their denominators."""
         den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        return (den, {k: a * v for k, v in self.entries.items()},
-                {k: b * v for k, v in other.entries.items()})
+        return den, _times(self.data, den // self.den), _times(other.data, den // other.den)
 
     def hstack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        den, entries, right = self._common(other)
-        for (i, j), v in right.items():
-            entries[(i, j + self.cols)] = v
-        return RationalMatrix._wrap(self.rows, self.cols + other.cols,
-                                    dict(sorted(entries.items())), den)
+        den, left, right = self._common(other)
+        shift = self.cols
+        return RationalMatrix._wrap(self.cols + other.cols, [
+            {**a, **{j + shift: v for j, v in b.items()}} if b else a
+            for a, b in zip(left, right)], den)
 
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
         if c == 0:
-            return RationalMatrix(self.rows, self.cols)
-        n = c.numerator
-        return RationalMatrix._wrap(self.rows, self.cols, {
-            k: n * v for k, v in self.entries.items()}, self.den * c.denominator)
+            return RationalMatrix.zeros(self.rows, self.cols)
+        return RationalMatrix._wrap(self.cols, _times(self.data, c.numerator),
+                                    self.den * c.denominator)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        den, entries, right = self._common(other)
-        for k, v in right.items():
-            s = entries.get(k, 0) + v
-            if s:
-                entries[k] = s
-            else:
-                del entries[k]
-        return RationalMatrix._wrap(self.rows, self.cols, dict(sorted(entries.items())), den)
+        den, left, right = self._common(other)
+        data = []
+        for a, b in zip(left, right):
+            if not a or not b:
+                data.append(a or b)
+                continue
+            a = dict(a)
+            for k, v in b.items():
+                s = a.get(k, 0) + v
+                if s:
+                    a[k] = s
+                else:
+                    del a[k]
+            data.append(a)
+        return RationalMatrix._wrap(self.cols, data, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -230,28 +251,33 @@ class RationalMatrix:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.den == other.den and self.entries == other.entries)
+                and self.cols == other.cols and self.den == other.den
+                and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.den, tuple(self.entries.items())))
+        return hash((self.rows, self.cols, self.den,
+                     tuple(tuple(sorted(row.items())) for row in self.data)))
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        return f"RationalMatrix({self.rows}x{self.cols}, {sum(map(len, self.data))} entries)"
 
     def rank(self) -> int:
         return len(_forward(_integer_rows(self, False), self.cols)[0])
 
 
+def _times(data, c: int):
+    """The rows ``data`` scaled by the int ``c`` (the same rows when c is 1)."""
+    return data if c == 1 else [{k: c * v for k, v in row.items()} for row in data]
+
+
 def _integer_rows(m: RationalMatrix, transform: bool) -> list:
-    """The numerators of ``m``, i.e. ``m`` scaled by ``den``, as ``{col: int}`` rows.
+    """Copies of the numerator rows of ``m``, i.e. ``m`` scaled by ``den``,
+    for the kernel to consume.
 
     With ``transform`` the identity rides along at columns ``m.cols + i``,
     scaled by ``den`` like its row.
     """
-    rows = [{} for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
+    rows = [dict(row) for row in m.data]
     if transform:
         for i, row in enumerate(rows):
             row[m.cols + i] = m.den
@@ -319,15 +345,20 @@ def _forward(rows: list, cols: int):
 
 
 def _scaled_rows(rows: int, cols: int, scaled: list, offset: int = 0) -> RationalMatrix:
-    """The matrix whose row r is ``row / scale`` for the r-th ``(scale, row)``
-    in ``scaled``, read at columns ``offset`` to ``offset + cols - 1``.
+    """The ``rows``-row matrix whose row r is ``row / scale`` for the r-th
+    ``(scale, row)`` in ``scaled``, read at columns ``offset`` to
+    ``offset + cols - 1``, and zero past ``len(scaled)``.
 
     The numerators are over the lcm of the scales, one normalization for all.
     """
     den = lcm(*(scale for scale, _ in scaled))
-    return RationalMatrix._wrap(rows, cols, {
-        (r, k - offset): row[k] * (den // scale) for r, (scale, row) in enumerate(scaled)
-        for k in sorted(row) if offset <= k < offset + cols}, den)
+    end = offset + cols
+    data = []
+    for scale, row in scaled:
+        f = den // scale
+        data.append({k - offset: f * v for k, v in row.items() if offset <= k < end})
+    data += [{}] * (rows - len(scaled))
+    return RationalMatrix._wrap(cols, data, den)
 
 
 def rref(m: RationalMatrix, transform: bool = False):
@@ -486,13 +517,13 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     pivot_set = set(pivots)
     # Free column f gives the vector e_f - sum_r reduced[r, f] e_{pivots[r]}.
     free = {f: i for i, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
-    entries = {(i, f): reduced.den for f, i in free.items()}
-    for (r, f), v in reduced.entries.items():
-        i = free.get(f)
-        if i is not None:
-            entries[(i, pivots[r])] = -v
-    return SubspaceBasis.row_space(RationalMatrix._wrap(
-        len(free), m.cols, dict(sorted(entries.items())), reduced.den))
+    data = [{f: reduced.den} for f in free]
+    for p, row in zip(pivots, reduced.data):
+        for f, v in row.items():
+            i = free.get(f)
+            if i is not None:
+                data[i][p] = -v
+    return SubspaceBasis.row_space(RationalMatrix._wrap(m.cols, data, reduced.den))
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
@@ -511,12 +542,14 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     if strategy == "lex":
         pivot_rows = set(sub.pivot_rows)
     elif strategy == "reverse-lex":
-        pivots, _ = rref(sub.matrix().transpose().reversed_columns())
+        pivots = Echelon(sub.matrix().transpose().reversed_columns()).pivots
         pivot_rows = {n - 1 - p for p in pivots}
     else:
         raise ValueError(f"unknown complement strategy {strategy!r}")
     free = [i for i in range(n) if i not in pivot_rows]
-    units = RationalMatrix._wrap(n, len(free), {(i, c): 1 for c, i in enumerate(free)})
+    position = {i: c for c, i in enumerate(free)}
+    units = RationalMatrix._wrap(len(free), [
+        {position[i]: 1} if i in position else {} for i in range(n)])
     return SubspaceBasis(units, free)
 
 
@@ -551,12 +584,12 @@ class Solver:
         if b.rows != self.matrix.rows:
             raise ValueError("shape mismatch")
         y = self.transform @ b
-        x = {}
-        for (r, j), v in y.entries.items():
-            if r >= self.rank:
-                return None
-            x[(self.pivots[r], j)] = v
-        return RationalMatrix._wrap(self.matrix.cols, b.cols, x, y.den)
+        if any(y.data[self.rank:]):
+            return None
+        x = [{}] * self.matrix.cols
+        for p, row in zip(self.pivots, y.data):
+            x[p] = row
+        return RationalMatrix._wrap(b.cols, x, y.den)
 
 
 class QuotientBasis:
@@ -615,8 +648,10 @@ def quotient_basis(d: RationalMatrix, e: RationalMatrix, lead,
     # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
     w = kernel_basis(d.columns_at(outside).reversed_columns()).matrix()
     flip = len(outside) - 1
-    W = RationalMatrix._wrap(dim, w.cols, dict(sorted(
-        ((outside[flip - i], j), v) for (i, j), v in w.entries.items())), w.den)
+    data = [{}] * dim
+    for i, row in enumerate(w.data):
+        data[outside[flip - i]] = row
+    W = RationalMatrix._wrap(w.cols, data, w.den)
     boundaries = Echelon(e.rows_at(lead).transpose().reversed_columns())
     trailing = set(boundaries.pivots)
     chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]

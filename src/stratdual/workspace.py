@@ -1,10 +1,11 @@
 """Everything derived from one input document, each object built once.
 
 A ``Workspace`` holds what the checks of ``verify`` derive from one parsed
-document: the complex, its decomposition, the fundamental chain, the pair
-complexes, and per cutoff and strategy the truncations, cotruncations and
-quotients of the link's cochains, the models, the chain complexes and
-cones of the oracle, the pairing forms and the link's truncated pairings.
+document: the complex, its decomposition, the fundamental chain, the
+complex's cochains, the pair complexes, and per cutoff and strategy the
+truncations, cotruncations and quotients of the link's cochains, the models,
+the chain complexes and cones of the oracle, the pairing forms and the
+link's truncated pairings.
 Each is built on first request by the same library code that builds it
 without a workspace, and kept only once that code returns: an error leaves
 nothing behind, so asking again raises it again, in the same order.  Every
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .cochains import PairComplexes
+from .cochains import PairComplexes, simplicial_cochains
 from .cone import intersection_space_cone, simplicial_chains
 from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
@@ -57,6 +58,10 @@ class Workspace:
 
     def mu(self):
         return self._once("mu", lambda: fundamental_chain(self.decomposition()))
+
+    def cochains(self):
+        """C*(X), the cochain complex of the whole complex."""
+        return self._once("cochains", lambda: simplicial_cochains(self.decomposition().X)[0])
 
     def pair(self) -> PairComplexes:
         D = self.decomposition()

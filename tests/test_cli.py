@@ -164,7 +164,7 @@ def test_non_integer_vertex_or_dimension_rejected(tmp_path, capsys, key, value):
 def test_stokes_identity_detects_a_wrong_coboundary_sign(monkeypatch):
     # Negating d^0 of X keeps d∘d = 0, so the complex is valid but has the
     # wrong sign for Stokes; the exact identity must see it.
-    from stratdual import cli
+    from stratdual import cli, workspace
     from stratdual.cochains import CochainComplex, simplicial_cochains
 
     def flipped(K):
@@ -172,7 +172,9 @@ def test_stokes_identity_detects_a_wrong_coboundary_sign(monkeypatch):
         d = (C.d[0].scaled(-1),) + C.d[1:]
         return CochainComplex(C.name, C.dims, d), cup
 
-    monkeypatch.setattr(cli, "simplicial_cochains", flipped)
+    # X's cochains are built once per workspace, so the run needs a fresh one.
+    monkeypatch.setattr(workspace, "simplicial_cochains", flipped)
+    monkeypatch.setattr(cli, "_workspace", None)
     report, status = run_verification("x2-cone-torus", checks=["properties"])
     assert status == 1
     properties = report["checks"]["properties"]

@@ -299,8 +299,9 @@ def _assert_matches(got, want, cols):
 
 
 def _check_arithmetic(rng, a, m, rows, cols):
-    """Products, sums, scaling, stacking, restriction and ``apply`` of ``m``
-    (dense rows ``a``) against the dense Fraction oracle."""
+    """Products, sums, scaling, stacking, restriction, column reversal and
+    ``apply`` of ``m`` (dense rows ``a``) against the dense Fraction oracle,
+    round trips back to ``m``, and inputs left unchanged by the kernel."""
     b = [[_fraction_entry(rng) for _ in range(cols)] for _ in range(rows)]
     other = _as_matrix(b, cols)
     _assert_matches(m + other, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], cols)
@@ -318,6 +319,7 @@ def _check_arithmetic(rng, a, m, rows, cols):
     q = [[_fraction_entry(rng) for _ in range(width)] for _ in range(rows)]
     _assert_matches(m.hstack(_as_matrix(q, width)), [r + s for r, s in zip(a, q)], cols + width)
     _assert_matches(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)], rows)
+    _assert_matches(m.reversed_columns(), [r[::-1] for r in a], cols)
     kept_rows = sorted(rng.sample(range(rows), rng.randint(0, rows)))
     kept_cols = sorted(rng.sample(range(cols), rng.randint(0, cols)))
     _assert_matches(m.rows_at(kept_rows), [a[i] for i in kept_rows], cols)
@@ -326,6 +328,23 @@ def _check_arithmetic(rng, a, m, rows, cols):
     x = tuple(_fraction_entry(rng) for _ in range(cols))
     got = m.apply(x)
     assert got == _matvec(a, x) and all(type(v) is Fraction for v in got)
+    # Round trips give m back, hash included.
+    half = rng.randint(0, cols)
+    for trip in (m.transpose().transpose(), m.reversed_columns().reversed_columns(),
+                 m.columns_at(range(half)).hstack(m.columns_at(range(half, cols)))):
+        assert trip == m and hash(trip) == hash(m)
+    # Matrices share rows (a row restriction, a unit factor's product), so
+    # eliminating, reducing or solving must leave its inputs' rows as they were.
+    kept = m.rows_at(kept_rows)
+    for n in (m, kept, RationalMatrix.identity(rows) @ m):
+        n.rank()
+        rref(n)
+        rref(n, transform=True)
+        Echelon(n).normal_form(n)
+        Solver(n).solve_matrix(n)
+        kernel_basis(n)
+    assert m == _as_matrix(a, cols)
+    assert kept == _as_matrix([a[i] for i in kept_rows], cols)
 
 
 def test_kernel_matches_dense_oracle():

@@ -6,12 +6,13 @@ leave them unchanged; only the entries of the pairing matrices depend on
 the cohomology bases the triangulation induces.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from stratdual import examples
-from stratdual.cli import run_verification
+from stratdual.cli import render_report, run_verification
 
 STRUCTURAL_CHECKS = ["model", "duality", "ladder", "lefschetz", "truncated-duality", "oracle"]
 
@@ -58,3 +59,17 @@ def test_subdivided_non_orientable_input_is_rejected(tmp_path):
     report, status = verify_subdivided("mobius-marked", 1, tmp_path, "zero", "lex")
     assert status == 2
     assert report["error"]["code"] == "NON_ORIENTABLE"
+
+
+def test_subdivided_report_bytes(tmp_path, monkeypatch):
+    # x2-cone-torus sd1 (504 tetrahedra), read from a fixed relative path so
+    # that the report's input name is stable.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "x2-cone-torus-sd1.json"
+    document = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
+    assert len(document["facets"]) == 504
+    path.write_text(json.dumps(document))
+    report, status = run_verification(path.name, "zero", "lex", STRUCTURAL_CHECKS, 0)
+    digest = hashlib.sha256(render_report(report, "json").encode("utf-8")).hexdigest()
+    assert (status, digest) == (
+        0, "9c4d3aebd259344d655b6c033d5dcee9d99e09478f11384b26f0059b85868a98")
