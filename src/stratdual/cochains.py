@@ -175,17 +175,17 @@ class CupStructure:
         return RationalMatrix(C.dim(r), C.dim(n - r), entries)
 
 
-def pairing_matrix(cup: CupStructure, n: int, r: int, chain,
-                   left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-    """left^T G right for G = cup.evaluation_form(n, r, chain).
+def pairing_matrix(form, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
+    """left^T G right for the evaluation form G = form().
 
-    The columns of ``left`` are degree-r cochains and those of ``right``
-    degree-(n-r) cochains of the cup's complex.  A side without columns
-    gives the zero matrix without reading the other side's shape.
+    ``form`` returns a ``cup.evaluation_form(n, r, chain)``; the columns of
+    ``left`` are degree-r cochains and those of ``right`` degree-(n-r)
+    cochains of the cup's complex.  A side without columns gives the zero
+    matrix without building the form or reading the other side's shape.
     """
     if left.cols == 0 or right.cols == 0:
         return RationalMatrix.zeros(left.cols, right.cols)
-    return left.transpose() @ cup.evaluation_form(n, r, chain) @ right
+    return left.transpose() @ form() @ right
 
 
 def mapped_representatives(maps, complex_: "CochainComplex", r: int) -> RationalMatrix:
@@ -265,22 +265,35 @@ class PairComplexes:
     """
 
     __slots__ = ("K", "A", "full", "cup", "sub", "sub_cup", "rel",
-                 "restrict", "include_rel")
+                 "restrict", "include_rel", "_units")
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex):
         self.K = K
         self.A = A
+        self._units = {}
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
         self.rel, self.include_rel = relative_complex(K, A, self.full)
         self.restrict = restriction_map(K, A)
         for r, rest in enumerate(self.restrict):
-            if rest.rank() != self.sub.dim(r):
+            # Extension by zero is a right inverse of a surjective restriction.
+            if (rest @ rest.transpose() != RationalMatrix.identity(self.sub.dim(r))
+                    and rest.rank() != self.sub.dim(r)):
                 raise InternalExactnessError(f"restriction not surjective in degree {r}")
             if not (rest @ self.include_rel[r]).is_zero():
                 raise InternalExactnessError(f"pair sequence not a complex in degree {r}")
             if self.rel.dim(r) + self.sub.dim(r) != self.full.dim(r):
                 raise InternalExactnessError(f"pair sequence not exact in degree {r}")
+
+    def unit_rows(self, r: int, rows) -> RationalMatrix:
+        """The rows at ``rows`` of the identity of C^r(K).
+
+        The identity is built once per degree and the result shares its rows,
+        so the selections of all models of the pair cost one identity.
+        """
+        if r not in self._units:
+            self._units[r] = RationalMatrix.identity(self.full.dim(r))
+        return self._units[r].rows_at(rows)
 
 
 def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> RationalMatrix:
@@ -307,11 +320,20 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
 
 
 class ShortExactSequence:
-    """0 -> U -> V -> W -> 0 of cochain complexes, checked degreewise."""
+    """0 -> U -> V -> W -> 0 of cochain complexes, checked degreewise.
 
-    __slots__ = ("U", "V", "W", "alpha", "beta", "_connecting")
+    ``left`` and ``right`` give, per degree, a left inverse of alpha and a
+    right inverse of beta when the caller has them.  Each is a certificate
+    checked by one product: left @ alpha == I proves alpha injective and
+    beta @ right == I proves beta surjective.  A degree without one, or
+    whose product fails, is checked by rank instead, with the same error.
+    ``connecting`` lifts through the certified right inverse and pulls back
+    through the certified left inverse, and solves where there is none.
+    """
 
-    def __init__(self, U, V, W, alpha, beta):
+    __slots__ = ("U", "V", "W", "alpha", "beta", "left", "right", "_connecting")
+
+    def __init__(self, U, V, W, alpha, beta, left=None, right=None):
         self.U = U
         self.V = V
         self.W = W
@@ -319,12 +341,19 @@ class ShortExactSequence:
         self.beta = tuple(beta)
         self._connecting = {}
         top = max(U.top, V.top, W.top)
+        # The inverses that passed their certificate, by degree.
+        self.left = {}
+        self.right = {}
         for r in range(top + 1):
             a = self._mat(alpha, r, U, V)
             b = self._mat(beta, r, V, W)
-            if a.rank() != U.dim(r):
+            if left is not None and left[r] @ a == RationalMatrix.identity(U.dim(r)):
+                self.left[r] = left[r]
+            elif a.rank() != U.dim(r):
                 raise InternalExactnessError(f"SES: injectivity fails in degree {r}")
-            if b.rank() != W.dim(r):
+            if right is not None and b @ right[r] == RationalMatrix.identity(W.dim(r)):
+                self.right[r] = right[r]
+            elif b.rank() != W.dim(r):
                 raise InternalExactnessError(f"SES: surjectivity fails in degree {r}")
             if not (b @ a).is_zero():
                 raise InternalExactnessError(f"SES: composite nonzero in degree {r}")
@@ -356,10 +385,22 @@ class ShortExactSequence:
         return self._connecting[r]
 
     def _connecting_matrix(self, r: int) -> RationalMatrix:
-        v = Solver(self.beta_mat(r)).solve_matrix(self.W.representative_matrix(r))
-        if v is None:
-            raise InternalExactnessError("SES: surjection lift failed")
-        u = Solver(self.alpha_mat(r + 1)).solve_matrix(self.V.diff(r) @ v)
+        reps = self.W.representative_matrix(r)
+        if not reps.cols:
+            return RationalMatrix.zeros(self.U.cohomology(r + 1).dimension, 0)
+        if r in self.right:
+            v = self.right[r] @ reps
+        else:
+            v = Solver(self.beta_mat(r)).solve_matrix(reps)
+            if v is None:
+                raise InternalExactnessError("SES: surjection lift failed")
+        dv = self.V.diff(r) @ v
+        if r + 1 in self.left:
+            u = self.left[r + 1] @ dv
+            if self.alpha_mat(r + 1) @ u != dv:
+                u = None
+        else:
+            u = Solver(self.alpha_mat(r + 1)).solve_matrix(dv)
         if u is None:
             raise InternalExactnessError("SES: boundary not in the subcomplex")
         return self.U.express_class(u, r + 1)

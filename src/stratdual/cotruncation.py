@@ -10,6 +10,8 @@ choices, which is what makes choice-independence a runnable test.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .cochains import (
     CochainComplex,
     CupStructure,
@@ -85,7 +87,7 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
         if r + 1 < k:
             d.append(C.diff(r))
         elif r + 1 == k and k <= top:
-            coords = Solver(img.matrix()).solve_matrix(C.diff(k - 1))
+            coords = img.coordinates(C.diff(k - 1))
             if coords is None:
                 raise InternalExactnessError("image coordinates unsolvable")
             d.append(coords)
@@ -167,8 +169,27 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
     quotient = truncation.complex
     section = truncation.inclusion[:top + 1]
-    pi = []
+    pi = _projection(C, ct, section)
+    # pi is a surjective cochain map and pi ∘ theta_{<k} is the identity,
+    # which is also the certificate that pi is surjective.
     for r in range(top + 1):
+        section_is_inverse = pi[r] @ section[r] == RationalMatrix.identity(quotient.dim(r))
+        if not section_is_inverse and pi[r].rank() != quotient.dim(r):
+            raise InternalExactnessError(f"quotient projection not surjective at {r}")
+        if pi[r + 1] @ C.diff(r) != quotient.diff(r) @ pi[r]:
+            raise InternalExactnessError(f"quotient projection not a cochain map at {r}")
+        if not section_is_inverse:
+            raise InternalExactnessError(f"truncation-to-quotient composite not identity at {r}")
+    return quotient, tuple(pi), section
+
+
+def _projection(C: CochainComplex, ct: StandardCotruncation, section):
+    """pi per degree, up to top + 1: the identity below k, the coordinates
+    along im d^{k-1} of the split C^k = im d^{k-1} ⊕ D in degree k, and zero
+    above."""
+    k = ct.k
+    pi = []
+    for r in range(C.top + 1):
         if r < k:
             pi.append(RationalMatrix.identity(C.dim(r)))
         elif r == k:
@@ -181,16 +202,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
         else:
             pi.append(RationalMatrix.zeros(0, C.dim(r)))
     pi.append(RationalMatrix.zeros(0, 0))
-    # pi is a surjective cochain map and pi ∘ theta_{<k} is the identity.
-    for r in range(top + 1):
-        if pi[r].rank() != quotient.dim(r):
-            raise InternalExactnessError(f"quotient projection not surjective at {r}")
-        if pi[r + 1] @ C.diff(r) != quotient.diff(r) @ pi[r]:
-            raise InternalExactnessError(f"quotient projection not a cochain map at {r}")
-        composite = pi[r] @ section[r]
-        if composite != RationalMatrix.identity(quotient.dim(r)):
-            raise InternalExactnessError(f"truncation-to-quotient composite not identity at {r}")
-    return quotient, tuple(pi), section
+    return pi
 
 
 def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
@@ -217,17 +229,19 @@ def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,
     return True
 
 
-def truncated_pairing(cup: CupStructure, lam, quotient: CochainComplex, section,
+def truncated_pairing(form, quotient: CochainComplex, section,
                       ct: StandardCotruncation, r: int) -> RationalMatrix:
     """The truncated pairing H^r(C/theta(tau_{>=k})) x H^{c-r}(tau_{>=l}) -> Q.
 
-    C is the cup's complex, of top degree c, and lam a closed c-chain.  The
-    section lifts the quotient classes into C, theta includes the
-    cotruncation classes, and the entries are their evaluation form over
-    lam.  A degree outside 0..c gives the empty matrix.
+    C is the ambient complex of the quotient, of top degree c, and ``form``
+    returns C's evaluation form over a closed c-chain lam in degrees
+    (r, c - r), built only when both sides have classes.  The section lifts
+    the quotient classes into C, theta includes the cotruncation classes,
+    and the entries are their evaluation form over lam.  A degree outside
+    0..c gives the empty matrix.
     """
-    c = cup.complex.top
-    return pairing_matrix(cup, c, r, lam, mapped_representatives(section, quotient, r),
+    c = quotient.top
+    return pairing_matrix(form, mapped_representatives(section, quotient, r),
                           mapped_representatives(ct.inclusion, ct.complex, c - r))
 
 
@@ -266,7 +280,8 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
     ct_k = cotruncate(C, k, strategy)
     ct_l = ct_k if l == k else cotruncate(C, l, strategy)
     quotient, _, section = quotient_by_cotruncation(C, ct_k)
-    pairings = [PairingMatrix(r, truncated_pairing(cup, lam_vec, quotient, section, ct_l, r))
+    pairings = [PairingMatrix(r, truncated_pairing(partial(cup.evaluation_form, c, r, lam_vec),
+                                                   quotient, section, ct_l, r))
                 for r in range(c + 1)]
     return DualityReport("truncated-duality", pairings,
                          quotient.betti(), ct_l.complex.betti())

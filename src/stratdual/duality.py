@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .cochains import (
     chain_vector,
@@ -71,7 +72,9 @@ class PairingForms:
     Construction validates mu, once for every pairing built from it.  The
     pairings are keyed on degree and on the complexes they pair (the two
     models, or the link's quotient and cotruncation), so a caller that keeps
-    one PairingForms for its pair pays for each matrix once.
+    one PairingForms for its pair pays for each matrix once.  So are the
+    evaluation forms they are built from: one per chain (mu or ∂mu) and
+    degree, shared by every pairing in that degree.
     """
 
     __slots__ = ("pair", "mu", "lam", "_built")
@@ -88,9 +91,18 @@ class PairingForms:
             self._built[key] = build()
         return self._built[key]
 
+    def _mu_form(self, r: int) -> RationalMatrix:
+        """The evaluation form of C*(M) over mu in degrees (r, n - r)."""
+        return self._once(("mu form", r), lambda: self.pair.cup.evaluation_form(
+            self.pair.K.dimension, r, self.mu.coefficients))
+
+    def _lam_form(self, r: int) -> RationalMatrix:
+        """The evaluation form of C*(L) over ∂mu in degrees (r, c - r)."""
+        return self._once(("lam form", r), lambda: self.pair.sub_cup.evaluation_form(
+            self.pair.sub.top, r, self.lam))
+
     def _over_mu(self, r: int, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
-        return pairing_matrix(self.pair.cup, self.pair.K.dimension, r,
-                              self.mu.coefficients, left, right)
+        return pairing_matrix(partial(self._mu_form, r), left, right)
 
     def lefschetz(self, r: int) -> RationalMatrix:
         """H^r(C*(M)) x H^{n-r}(C*(M,∂M)) over mu."""
@@ -117,7 +129,7 @@ class PairingForms:
         """The link's truncated pairing H^degree(quotient) x H^{c-degree}(ct)
         over ∂mu, as ``cotruncation.truncated_pairing`` builds it."""
         return self._once(("truncated", quotient, ct, degree), lambda: truncated_pairing(
-            self.pair.sub_cup, self.lam, quotient, section, ct, degree))
+            partial(self._lam_form, degree), quotient, section, ct, degree))
 
 
 def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> PairingForms:
@@ -210,7 +222,7 @@ def well_definedness_probe(mp: IntersectionModel, mq: IntersectionModel,
         right = mq.complex.cohomology(n - r)
         if left.dimension == 0 or right.dimension == 0:
             continue
-        form = pairing_matrix(mp.pair.cup, n, r, mu.coefficients,
+        form = pairing_matrix(partial(mp.pair.cup.evaluation_form, n, r, mu.coefficients),
                               mp.iota[r], mq.iota[n - r])
         for a in left.representatives:
             for b in right.representatives:

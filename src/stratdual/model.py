@@ -18,7 +18,12 @@ and two short exact sequences
     0 -> C*(M,L) --eta--> A --rho--> tau_{>=k} -> 0
     0 -> A --iota--> C*(M) --kappa--> C*(L)/theta(tau_{>=k}) -> 0
 
-all of which are verified exactly at build time.
+all of which are verified exactly at build time.  Both complement strategies
+pick unit cochains, so A^r is spanned by unit cochains: those of the simplices
+outside L and the cotruncation's columns placed on L.  The model basis is read
+off them with no elimination, and each structure map comes with a one-sided
+inverse the engine already holds, so every exactness statement is proved by
+one matrix product (a certificate) rather than a rank.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 from .cochains import CochainComplex, PairComplexes, ShortExactSequence, induced_map
 from .cotruncation import cotruncate, quotient_by_cotruncation
 from .errors import BadPerversityError, InternalExactnessError
-from .rational import RationalMatrix, Solver, kernel_basis
+from .rational import RationalMatrix, SubspaceBasis, kernel_basis
 from .simplicial import PseudomanifoldDecomposition
 
 NAMED_PERVERSITIES = ("zero", "top", "lower-middle", "upper-middle")
@@ -42,9 +47,6 @@ class Perversity:
 
     def __call__(self, s: int) -> int:
         return self.values[s]
-
-    def domain_top(self) -> int:
-        return max(self.values)
 
     def __eq__(self, other):
         return isinstance(other, Perversity) and self.values == other.values
@@ -148,6 +150,16 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
                 cotruncation=None, quotient=None) -> IntersectionModel:
     """Construct the intersection model as a preimage subcomplex, verified.
 
+    The basis of A^r is the unit cochains that span it, ordered by pivot row,
+    which is the reduced column echelon basis of ker kappa^r.  Its dimension
+    is certified by kappa ∘ iota = 0 and kappa ∘ (zero extension of the
+    section) = I; if that certificate fails, kappa is eliminated instead,
+    with the same error.  rho is read at the cotruncation's pivot rows, and
+    the fiber square theta ∘ rho = i* ∘ iota checks it.  Each sequence gets
+    its one-sided inverses: iota's and eta's read iota at known rows, rho is
+    split by the cotruncation's columns in A and kappa by the extended
+    section.
+
     ``cotruncation`` and ``quotient`` are those of the link's cochains
     ``pair.sub`` at the model's cutoff and strategy, as ``cotruncate`` and
     ``quotient_by_cotruncation`` return them; what is not given is built here.
@@ -170,19 +182,38 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
                          f"model at cutoff {k} ({strategy})")
     quotient, pi, section = quotient
 
-    # Model basis per degree: kernel of (project-out-theta) ∘ restriction.
+    # A^r is spanned by unit cochains: those of the simplices outside L and
+    # the cotruncation's columns placed on L.  Ordered by their pivot rows
+    # they are the reduced column echelon basis of ker kappa^r, so each
+    # degree's basis is the one an elimination of kappa^r would give.
     bases = []
     kappa = []
+    placed = []
+    lifts = []
     for r in range(n + 1):
-        kappa.append(pi[r] @ pair.restrict[r])
-        basis = kernel_basis(kappa[r])
-        bases.append(basis)
+        kappa_r = pi[r] @ pair.restrict[r]
+        extend = pair.restrict[r].transpose()
+        placed_r = extend @ ct.inclusion[r]
+        lift = (extend @ section[r] if r < len(section)
+                else RationalMatrix.zeros(pair.full.dim(r), 0))
+        basis = _echelon_basis(pair.include_rel[r].hstack(placed_r))
         # Fiber product dimension count: dim A^r = dim ker i* + dim tau^r,
-        # where ker i* = C^r(M, L), as PairComplexes checked.
+        # where ker i* = C^r(M, L), as PairComplexes checked.  Certified by
+        # kappa ∘ basis = 0 and kappa ∘ lift = I, so that rank kappa is
+        # dim quotient^r and the independent basis fills ker kappa.
         expected = pair.rel.dim(r) + ct.complex.dim(r)
-        if basis.count != expected:
-            raise InternalExactnessError(
-                f"model dimension {basis.count} != ker + cotruncation {expected} at degree {r}")
+        if not (basis is not None
+                and basis.count == expected == pair.full.dim(r) - quotient.dim(r)
+                and (kappa_r @ basis.matrix()).is_zero()
+                and kappa_r @ lift == RationalMatrix.identity(quotient.dim(r))):
+            basis = kernel_basis(kappa_r)
+            if basis.count != expected:
+                raise InternalExactnessError(
+                    f"model dimension {basis.count} != ker + cotruncation {expected} at degree {r}")
+        bases.append(basis)
+        kappa.append(kappa_r)
+        placed.append(placed_r)
+        lifts.append(lift)
     iota = tuple(basis.matrix() for basis in bases)
     kappa = tuple(kappa)
     dims = [basis.count for basis in bases]
@@ -205,13 +236,13 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     eta = []
     for r in range(n + 1):
         restricted = pair.restrict[r] @ iota[r]
-        theta_solver = Solver(ct.inclusion[r])
-        rho_r = theta_solver.solve_matrix(restricted)
+        # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.  The
+        # columns of theta are unit cochains at distinct rows, so rho is read
+        # at those rows and the product checks the square.
+        theta = ct.inclusion[r]
+        rho_r = SubspaceBasis(theta, _pivot_rows(theta)).coordinates(restricted)
         if rho_r is None:
             raise InternalExactnessError(f"restriction escapes the cotruncation at degree {r}")
-        # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.
-        if restricted != ct.inclusion[r] @ rho_r:
-            raise InternalExactnessError(f"fiber square does not commute at degree {r}")
         rho.append(rho_r)
         # iota ∘ eta = j*, checked by coordinates.
         eta_r = bases[r].coordinates(pair.include_rel[r])
@@ -220,14 +251,42 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         eta.append(eta_r)
     rho, eta = tuple(rho), tuple(eta)
 
-    ses_eta_rho = ShortExactSequence(pair.rel, complex_, ct.complex, eta, rho)
-    ses_iota_kappa = ShortExactSequence(complex_, pair.full, quotient, iota, kappa)
+    # One-sided inverses, each certified by the sequence.  iota is the
+    # identity at its pivot rows, and j*ᵀ ∘ iota inverts eta because
+    # iota ∘ eta = j*; both share rows already held.  rho is split by the
+    # cotruncation's columns in A, and kappa by the extended section.
+    ses_eta_rho = ShortExactSequence(
+        pair.rel, complex_, ct.complex, eta, rho,
+        left=[pair.include_rel[r].transpose() @ iota[r] for r in range(n + 1)],
+        right=[placed_r.rows_at(basis.pivot_rows) for placed_r, basis in zip(placed, bases)])
+    ses_iota_kappa = ShortExactSequence(
+        complex_, pair.full, quotient, iota, kappa,
+        left=[pair.unit_rows(r, basis.pivot_rows) for r, basis in enumerate(bases)],
+        right=lifts)
 
     return IntersectionModel(
         decomposition=D, perversity=p, k=k, strategy=strategy, pair=pair,
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
+
+
+def _pivot_rows(m: RationalMatrix):
+    """The first nonzero row of each column of m, which has no zero column."""
+    return [min(column) for column in m.transpose().data]
+
+
+def _echelon_basis(m: RationalMatrix) -> SubspaceBasis | None:
+    """The columns of m, ordered by their first nonzero rows, as the
+    canonical basis of their span; None unless they are the identity at
+    those rows, which makes them independent and reduced."""
+    pivots = _pivot_rows(m)
+    order = sorted(range(m.cols), key=pivots.__getitem__)
+    pivots = [pivots[j] for j in order]
+    matrix = m.columns_at(order)
+    if matrix.rows_at(pivots) != RationalMatrix.identity(len(pivots)):
+        return None
+    return SubspaceBasis(matrix, pivots)
 
 
 def _nullity(m: RationalMatrix) -> int:

@@ -139,7 +139,7 @@ class RationalMatrix:
         return RationalMatrix._wrap(self.cols, [data[i] for i in indices], self.den)
 
     def columns_at(self, indices) -> "RationalMatrix":
-        """The columns at ``indices`` (strictly increasing), in that order."""
+        """The columns at ``indices`` (distinct), in that order."""
         position = {j: c for c, j in enumerate(indices)}
         return RationalMatrix._wrap(len(position), [
             {position[j]: v for j, v in row.items() if j in position} for row in self.data],
@@ -160,6 +160,9 @@ class RationalMatrix:
             return RationalMatrix.zeros(self.rows, other.cols)
         data = []
         for row in self.data:
+            if not row:
+                data.append(row)
+                continue
             if len(row) == 1:
                 # One term: the right factor's row, scaled (shared when the factor is 1).
                 (k, v), = row.items()
@@ -201,7 +204,9 @@ class RationalMatrix:
         for i, row in enumerate(self.data):
             for j, v in row.items():
                 data[j][i] = v
-        return RationalMatrix._wrap(self.rows, data, self.den)
+        # Empty rows share one dict, which the products of the result keep.
+        empty = {}
+        return RationalMatrix._wrap(self.rows, [row or empty for row in data], self.den)
 
     def _common(self, other: "RationalMatrix"):
         """Both matrices' numerator rows over the lcm of their denominators."""

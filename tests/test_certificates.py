@@ -1,0 +1,230 @@
+"""Model maps by construction and exactness by certificate.
+
+``build_model`` reads the model basis off the unit cochains that span it and
+proves each exactness statement with a one-sided inverse.  The reference
+here is the elimination it replaced: the kernel of kappa, and solves against
+theta and the basis.  The corruption tests patch one entry of a certified
+map and show that the check still raises the error it raised when it was
+proved by rank.
+"""
+
+import pytest
+
+from stratdual import cochains, cotruncation, examples, model
+from stratdual.cochains import CochainComplex, PairComplexes, ShortExactSequence
+from stratdual.cotruncation import StandardCotruncation, cotruncate, quotient_by_cotruncation
+from stratdual.errors import InternalExactnessError
+from stratdual.model import (
+    NAMED_PERVERSITIES,
+    build_model,
+    cutoff_degree,
+    named_perversity,
+)
+from stratdual.rational import RationalMatrix, Solver, kernel_basis
+from stratdual.simplicial import decompose, parse_complex
+
+STRATEGIES = ("lex", "reverse-lex")
+
+
+def decomposition(name, level=0):
+    document = examples.subdivide(examples.get_document(name), level)
+    return decompose(parse_complex(document), document["singular_vertex"])
+
+
+def reference_maps(m):
+    """iota, d, rho and eta of a model by elimination: iota is the kernel
+    basis of kappa, and d, rho and eta are solves against iota and theta."""
+    pair, ct, n = m.pair, m.cotruncation, m.decomposition.n
+    iota = [kernel_basis(m.kappa[r]).matrix() for r in range(n + 1)]
+    d = [Solver(iota[r + 1]).solve_matrix(pair.full.diff(r) @ iota[r]) for r in range(n)]
+    d.append(RationalMatrix.zeros(0, iota[n].cols))
+    rho = [Solver(ct.inclusion[r]).solve_matrix(pair.restrict[r] @ iota[r])
+           for r in range(n + 1)]
+    eta = [Solver(iota[r]).solve_matrix(pair.include_rel[r]) for r in range(n + 1)]
+    return iota, d, rho, eta
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("an elimination ran where a certificate should hold")
+
+
+def check_models(monkeypatch, D, configurations):
+    pair = PairComplexes(D.M, D.L)
+    for pname, strategy in configurations:
+        p = named_perversity(pname, D.n)
+        k = cutoff_degree(p, D.n)
+        ct = cotruncate(pair.sub, k, strategy)
+        quotient = quotient_by_cotruncation(pair.sub, ct)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "kernel_basis", forbidden)
+            patch.setattr(cochains, "Solver", forbidden)
+            patch.setattr(RationalMatrix, "rank", forbidden)
+            m = build_model(D, p, strategy, pair=pair, cotruncation=ct, quotient=quotient)
+        iota, d, rho, eta = reference_maps(m)
+        assert list(m.iota) == iota, (pname, strategy)
+        assert list(m.complex.d) == d, (pname, strategy)
+        assert list(m.rho) == rho, (pname, strategy)
+        assert list(m.eta) == eta, (pname, strategy)
+        for ses in (m.ses_eta_rho, m.ses_iota_kappa):
+            top = max(ses.U.top, ses.V.top, ses.W.top)
+            assert sorted(ses.left) == sorted(ses.right) == list(range(top + 1))
+            plain = ShortExactSequence(ses.U, ses.V, ses.W, ses.alpha, ses.beta)
+            for r in range(-1, top + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cochains, "Solver", forbidden)
+                    certified = ses.connecting(r)
+                assert certified == plain.connecting(r), (pname, strategy, r)
+
+
+@pytest.mark.parametrize("name", examples.decomposition_names())
+def test_model_maps_match_elimination(monkeypatch, name):
+    configurations = [(p, s) for p in NAMED_PERVERSITIES for s in STRATEGIES]
+    check_models(monkeypatch, decomposition(name), configurations)
+
+
+def test_subdivided_model_maps_match_elimination(monkeypatch):
+    configurations = [(p, s) for p in NAMED_PERVERSITIES for s in STRATEGIES]
+    check_models(monkeypatch, decomposition("x2-cone-torus", 1), configurations)
+
+
+# -- corruption ---------------------------------------------------------
+
+def patched(m: RationalMatrix, i: int, j: int, value) -> RationalMatrix:
+    """m with entry (i, j) set to value."""
+    entries = {(a, b): m.entry(a, b) for a, row in enumerate(m.data) for b in row}
+    entries[(i, j)] = value
+    return RationalMatrix(m.rows, m.cols, entries)
+
+
+def patched_at(maps, r, i, j, value):
+    return tuple(patched(f, i, j, value) if s == r else f for s, f in enumerate(maps))
+
+
+def first_entry(m: RationalMatrix):
+    """(i, j) of the first nonzero entry of m in row-major order."""
+    i = next(i for i, row in enumerate(m.data) if row)
+    return i, min(m.data[i])
+
+
+def sequence_error(ses, alpha, beta, certified):
+    inverses = {"left": [ses.left[r] for r in sorted(ses.left)],
+                "right": [ses.right[r] for r in sorted(ses.right)]} if certified else {}
+    with pytest.raises(InternalExactnessError) as err:
+        ShortExactSequence(ses.U, ses.V, ses.W, alpha, beta, **inverses)
+    return str(err.value)
+
+
+@pytest.fixture(scope="module")
+def x2_zero():
+    return build_model(examples.get_decomposition("x2-cone-torus"), named_perversity("zero", 3))
+
+
+# Zeroing the entry of a unit column leaves a zero column, and zeroing the
+# entry of a unit row a zero row, so the patched map is not injective or not
+# surjective; the certificate fails and the rank it falls back to fails too.
+@pytest.mark.parametrize("sequence,side,degree,message", [
+    ("ses_iota_kappa", "alpha", 2, "SES: injectivity fails in degree 2"),
+    ("ses_iota_kappa", "beta", 0, "SES: surjectivity fails in degree 0"),
+    ("ses_eta_rho", "alpha", 2, "SES: injectivity fails in degree 2"),
+    ("ses_eta_rho", "beta", 2, "SES: surjectivity fails in degree 2"),
+])
+def test_corrupted_sequence_map_raises_as_by_rank(x2_zero, sequence, side, degree, message):
+    ses = getattr(x2_zero, sequence)
+    alpha, beta = ses.alpha, ses.beta
+    i, j = first_entry(getattr(ses, side)[degree])
+    if side == "alpha":
+        alpha = patched_at(alpha, degree, i, j, 0)
+    else:
+        beta = patched_at(beta, degree, i, j, 0)
+    assert sequence_error(ses, alpha, beta, certified=True) == message
+    assert sequence_error(ses, alpha, beta, certified=False) == message
+
+
+def test_corrupted_inverse_falls_back_to_rank(x2_zero):
+    # A wrong inverse is dropped, and the exact sequence still passes by rank.
+    ses = x2_zero.ses_iota_kappa
+    left = [ses.left[r] for r in sorted(ses.left)]
+    i, j = first_entry(left[2])
+    left[2] = patched(left[2], i, j, 2)
+    again = ShortExactSequence(ses.U, ses.V, ses.W, ses.alpha, ses.beta,
+                               left=left, right=[ses.right[r] for r in sorted(ses.right)])
+    assert 2 not in again.left and sorted(again.right) == sorted(ses.right)
+    for r in range(-1, ses.V.top + 1):
+        assert again.connecting(r) == ses.connecting(r)
+
+
+def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex():
+    # 0 -> U -> V -> W -> 0 with beta a cochain map, until W's d^0 is patched
+    # from 1 to 0: then W has a class whose lift's coboundary leaves alpha's image.
+    one = RationalMatrix.identity(1)
+    U = CochainComplex("U", (0, 1), (RationalMatrix.zeros(1, 0), RationalMatrix.zeros(0, 1)))
+    V = CochainComplex("V", (1, 2), (RationalMatrix.from_rows([[1], [1]]),
+                                     RationalMatrix.zeros(0, 2)))
+    W = CochainComplex("W", (1, 1), (RationalMatrix.zeros(1, 1), RationalMatrix.zeros(0, 1)))
+    alpha = (RationalMatrix.zeros(1, 0), RationalMatrix.from_rows([[1], [0]]))
+    beta = (one, RationalMatrix.from_rows([[0, 1]]))
+    left = (RationalMatrix.zeros(0, 1), RationalMatrix.from_rows([[1, 0]]))
+    right = (one, RationalMatrix.from_rows([[0], [1]]))
+    certified = ShortExactSequence(U, V, W, alpha, beta, left=left, right=right)
+    assert sorted(certified.left) == sorted(certified.right) == [0, 1]
+    for ses in (certified, ShortExactSequence(U, V, W, alpha, beta)):
+        with pytest.raises(InternalExactnessError, match="^SES: boundary not in the subcomplex$"):
+            ses.connecting(0)
+
+
+def test_corrupted_restriction_raises_as_by_rank(monkeypatch):
+    D = examples.get_decomposition("x2-cone-torus")
+    restriction_map = cochains.restriction_map
+
+    def corrupted(K, A):
+        maps = restriction_map(K, A)
+        return patched_at(maps, 1, *first_entry(maps[1]), 0)
+
+    monkeypatch.setattr(cochains, "restriction_map", corrupted)
+    with pytest.raises(InternalExactnessError, match="^restriction not surjective in degree 1$"):
+        PairComplexes(D.M, D.L)
+
+
+def test_corrupted_cotruncation_inclusion_raises_as_by_solve():
+    # A stray entry off theta's pivot rows takes its column out of ker kappa:
+    # the model basis falls back to the kernel of kappa, whose restriction
+    # then leaves the image of the corrupted theta.
+    D = examples.get_decomposition("x2-cone-torus")
+    pair = PairComplexes(D.M, D.L)
+    ct = cotruncate(pair.sub, 2, "lex")
+    theta = ct.inclusion[2]
+    pivots = {min(column) for column in theta.transpose().data}
+    row = max(set(range(theta.rows)) - pivots)
+    inclusion = patched_at(ct.inclusion, 2, row, theta.cols - 1, 1)
+    corrupted = StandardCotruncation(ct.k, ct.D, ct.complex, inclusion, ct.strategy)
+    with pytest.raises(InternalExactnessError,
+                       match="^restriction escapes the cotruncation at degree 2$"):
+        build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=corrupted,
+                    quotient=quotient_by_cotruncation(pair.sub, ct))
+
+
+def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
+    D = examples.get_decomposition("x2-cone-torus")
+    pair = PairComplexes(D.M, D.L)
+    ct = cotruncate(pair.sub, 2, "lex")
+    projection = cotruncation._projection
+
+    def corrupted(C, ct, section):
+        pi = projection(C, ct, section)
+        return list(patched_at(pi, 0, *first_entry(pi[0]), 0))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cotruncation, "_projection", corrupted)
+        with pytest.raises(InternalExactnessError,
+                           match="^quotient projection not surjective at 0$"):
+            quotient_by_cotruncation(pair.sub, ct)
+
+    # The model's dimension certificate reads the projection through kappa.
+    quotient, pi, section = quotient_by_cotruncation(pair.sub, ct)
+    pi = patched_at(pi, 1, *first_entry(pi[1]), 0)
+    with pytest.raises(InternalExactnessError) as err:
+        build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=ct,
+                    quotient=(quotient, pi, section))
+    expected = pair.rel.dim(1) + ct.complex.dim(1)
+    assert str(err.value) == (f"model dimension {expected + 1} != ker + cotruncation "
+                              f"{expected} at degree 1")

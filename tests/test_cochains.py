@@ -380,7 +380,7 @@ def test_evaluation_form_matches_cup_then_evaluate():
                     assert integrate(a, G.apply(b)) == expected
                 left = [random_vector(C.dim(r)) for _ in range(3)]
                 right = [random_vector(C.dim(n - r)) for _ in range(2)]
-                P = pairing_matrix(cup, n, r, chain,
+                P = pairing_matrix(lambda: G,
                                    RationalMatrix.from_columns(left, C.dim(r)),
                                    RationalMatrix.from_columns(right, C.dim(n - r)))
                 assert P.dense() == [
@@ -393,8 +393,15 @@ def test_pairing_matrix_with_an_empty_side():
     C, cup = simplicial_cochains(K)
     chain = orient_top_chain(K).coefficients
     some = RationalMatrix.identity(C.dim(1))
-    # The empty side's row count is not read, as for degrees -1 and n+1.
-    assert pairing_matrix(cup, 2, 1, chain, RationalMatrix.zeros(0, 0), some) == \
+
+    def unbuilt():
+        raise AssertionError("the form of a pairing with an empty side was built")
+
+    # Neither the form nor the empty side's row count is read, as for
+    # degrees -1 and n+1.
+    assert pairing_matrix(unbuilt, RationalMatrix.zeros(0, 0), some) == \
         RationalMatrix.zeros(0, C.dim(1))
-    assert pairing_matrix(cup, 2, -1, chain, some, RationalMatrix.zeros(5, 0)) == \
+    assert pairing_matrix(unbuilt, some, RationalMatrix.zeros(5, 0)) == \
         RationalMatrix.zeros(C.dim(1), 0)
+    assert pairing_matrix(lambda: cup.evaluation_form(2, 1, chain), some, some) == \
+        some.transpose() @ cup.evaluation_form(2, 1, chain) @ some

@@ -145,6 +145,25 @@ def test_an_all_check_run_builds_each_link_object_once(name, monkeypatch):
     assert all(n == 1 for n in counts.values()), counts
 
 
+def test_repeated_runs_build_each_evaluation_form_once(monkeypatch):
+    # Every pairing of one degree over mu, or over ∂mu, reads one form, and
+    # the workspace keeps it for the next call on the document.
+    from stratdual.cochains import CupStructure
+
+    counts = collections.Counter()
+    evaluation_form = CupStructure.evaluation_form
+
+    def counted(cup, n, r, chain):
+        counts[(id(cup), n, r)] += 1
+        return evaluation_form(cup, n, r, chain)
+
+    monkeypatch.setattr(CupStructure, "evaluation_form", counted)
+    monkeypatch.setattr(cli, "_workspace", None)
+    for perversity, strategy, checks in CONFIGS:
+        run_verification("x2-cone-torus", perversity, strategy, checks)
+    assert counts and all(n == 1 for n in counts.values()), counts
+
+
 @pytest.mark.parametrize("name", decomposition_names())
 def test_workspace_truncated_duality_equals_the_standalone_report(name):
     ws = Workspace(examples.get_document(name))
