@@ -19,10 +19,12 @@ Conventions, fixed once for the whole engine:
 Cohomology representatives are canonical, so reports are reproducible bit
 for bit: in degree r they are the cocycles that vanish at the pivot rows P of
 the coboundaries and whose class coordinates are unit vectors.  One forward
-pass per degree on d^r with its columns reversed gives rank d^r (so the
-Betti numbers), the lead positions of the cocycles, and the pivot rows of
-im d^r in degree r + 1.  A class's coordinates are its cocycle's normal form
-modulo the coboundaries, read at the lead positions; no kernel is reduced.
+pass per degree on d^r, led by its highest column and cleared of the columns
+at P, gives rank d^r (so the Betti numbers), the lead positions of the
+cocycles, the pivot rows of im d^r in degree r + 1, and, by back-substitution
+on its pivot rows, the cocycles that vanish at P.  A class's coordinates are
+its cocycle's normal form modulo the coboundaries, read at the lead
+positions.
 Representatives are kept as the columns of one sparse matrix per degree;
 induced maps and connecting homomorphisms are matrix products on them.
 """
@@ -32,14 +34,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InternalExactnessError, ParseError
-from .rational import Echelon, QuotientBasis, RationalMatrix, Solver, quotient_basis
+from .rational import (
+    Echelon,
+    QuotientBasis,
+    RationalMatrix,
+    Solver,
+    SubspaceBasis,
+    image_basis,
+    quotient_basis,
+)
 from .simplicial import SimplicialComplex
 
 
 class CochainComplex:
     """Finite rational cochain complex in degrees 0..top."""
 
-    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_cochain_maps")
+    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_image_cache",
+                 "_cochain_maps")
 
     def __init__(self, name, dims, d):
         self.name = name
@@ -47,6 +58,7 @@ class CochainComplex:
         self.d = tuple(d)
         self._cohomology_cache = {}
         self._echelon_cache = {}
+        self._image_cache = {}
         self._cochain_maps = []  # (f, source) tuple maps checked by induced_map
         if len(self.d) != len(self.dims):
             raise ValueError("need one differential per degree (top maps to 0)")
@@ -72,15 +84,26 @@ class CochainComplex:
         return RationalMatrix.zeros(self.dim(r + 1), self.dim(r))
 
     def echelon(self, r: int) -> Echelon:
-        """Forward pass on d^r with its columns reversed, once per degree.
+        """The one forward pass on d^r, led by its highest column, with
+        clearing; built once per degree, after the pass on d^{r-1}.
 
-        Its rank is rank d^r; its non-pivot columns, read back in the original
-        order, are the lead positions of the kernel's reduced echelon basis;
-        its pivot rows are the pivot rows of im d^r in degree r + 1.
+        The columns at the pivot rows P of im d^{r-1} are dropped: for i in
+        P some coboundary b has b_i != 0 and b_j = 0 for j < i, so d b = 0
+        puts column i in the span of the columns above it.  Its rank is
+        rank d^r; its non-pivot columns are the lead positions of the
+        kernel's reduced echelon basis; its pivot rows are the pivot rows
+        of im d^r in degree r + 1; its kernel is ker d^r ∩ {x_P = 0}.
         """
         if r not in self._echelon_cache:
-            self._echelon_cache[r] = Echelon(self.diff(r).reversed_columns())
+            cleared = frozenset(self.echelon(r - 1).pivot_rows) if r > 0 else frozenset()
+            self._echelon_cache[r] = Echelon(self.diff(r), max, cleared=cleared)
         return self._echelon_cache[r]
+
+    def image(self, r: int) -> SubspaceBasis:
+        """Canonical basis of im d^r in degree r + 1, built once per degree."""
+        if r not in self._image_cache:
+            self._image_cache[r] = image_basis(self.diff(r))
+        return self._image_cache[r]
 
     def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:
@@ -112,19 +135,19 @@ class CochainComplex:
 
 
 def _cohomology_basis(C: CochainComplex, r: int) -> QuotientBasis:
-    """Representatives of ker d^r / im d^{r-1} from the forward passes on
-    d^r and d^{r-1}: the lead positions of the cocycles and the pivot rows P
-    of the coboundaries."""
+    """Representatives of ker d^r / im d^{r-1} from the cleared forward pass
+    on d^r: the lead positions of the cocycles, and the cocycles that vanish
+    at the pivot rows P of the coboundaries."""
     if r < 0 or r > C.top:
         return QuotientBasis(RationalMatrix.zeros(0, 0))
     dim = C.dim(r)
     b = C.betti_number(r)
     if b == 0:
         return QuotientBasis(RationalMatrix.zeros(dim, 0))
-    last = dim - 1
-    reversed_pivots = set(C.echelon(r).pivots)
-    lead = [j for j in range(dim) if last - j not in reversed_pivots]
-    basis = quotient_basis(C.diff(r), C.diff(r - 1), lead, set(C.echelon(r - 1).pivot_rows))
+    cycles = C.echelon(r)
+    pivots = set(cycles.pivots)
+    lead = [j for j in range(dim) if j not in pivots]
+    basis = quotient_basis(cycles.kernel(), C.diff(r - 1), lead, C.echelon(r - 1).pivots)
     if basis is None or basis.dimension != b:
         raise InternalExactnessError(f"{C.name}: cohomology split fails in degree {r}")
     return basis

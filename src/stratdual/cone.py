@@ -50,14 +50,21 @@ class ChainComplex:
         return RationalMatrix.zeros(self.dim(r - 1), self.dim(r))
 
     def echelon(self, r) -> Echelon:
-        """Forward pass on the transpose of ∂_r, last r-cell first, once per degree.
+        """The forward pass on the transpose of ∂_r, last r-cell first, with
+        the twist; built once per degree, after the pass on ∂_{r+1}.
 
         Its rank is rank ∂_r and its pivots are the pivot rows of the
         boundaries im ∂_r in degree r - 1.  The r-cells that are not pivot
-        rows, read back in order, are the lead positions of the cycles.
+        rows are the lead positions of the cycles.  The r-cells at the
+        pivots of the pass on ∂_{r+1} are left out: for such an i some
+        boundary b has b_i != 0 and b_j = 0 for j < i, so ∂b = 0 puts ∂ of
+        cell i in the span of the later cells' boundaries, and its row would
+        reduce to zero.
         """
         if r not in self._echelon_cache:
-            self._echelon_cache[r] = Echelon(self.bnd(r).reversed_columns().transpose())
+            skipped = set(self.echelon(r + 1).pivots) if r <= self.top else ()
+            order = [i for i in range(self.dim(r) - 1, -1, -1) if i not in skipped]
+            self._echelon_cache[r] = Echelon(self.bnd(r).transpose(), order=order)
         return self._echelon_cache[r]
 
     def homology_dims(self):
@@ -81,17 +88,18 @@ class ChainComplex:
 
 
 def _homology(C: ChainComplex, r) -> QuotientBasis:
-    """Representatives of ker ∂_r / im ∂_{r+1} from the forward passes on
-    ∂_r and ∂_{r+1}: the lead positions of the cycles and the pivot rows P
-    of the boundaries."""
+    """Representatives of ker ∂_r / im ∂_{r+1}: the lead positions of the
+    cycles from the pass on ∂_r, and the cycles that vanish at the pivot
+    rows P of the boundaries, by back-substitution on one pass on ∂_r led
+    by its highest column with the columns at P cleared."""
     dim = C.dim(r)
     b = dim - C.echelon(r).rank - C.echelon(r + 1).rank
     if b == 0:
         return QuotientBasis(RationalMatrix.zeros(dim, 0))
-    last = dim - 1
     independent = set(C.echelon(r).pivot_rows)
-    lead = [j for j in range(dim) if last - j not in independent]
-    h = quotient_basis(C.bnd(r), C.bnd(r + 1), lead, set(C.echelon(r + 1).pivots))
+    lead = [j for j in range(dim) if j not in independent]
+    cycles = Echelon(C.bnd(r), max, cleared=frozenset(C.echelon(r + 1).pivots))
+    h = quotient_basis(cycles.kernel(), C.bnd(r + 1), lead, C.echelon(r + 1).pivot_rows)
     if h is None or h.dimension != b:
         raise InternalExactnessError(f"{C.name}: homology split fails in degree {r}")
     return h

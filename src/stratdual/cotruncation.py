@@ -26,7 +26,6 @@ from .rational import (
     Solver,
     SubspaceBasis,
     complement_basis,
-    image_basis,
     vec_is_zero,
 )
 from .reports import DualityReport, PairingMatrix
@@ -45,16 +44,21 @@ class Truncation:
 
 
 class StandardCotruncation:
-    """tau_{>=k}^D: zero below k, the complement D in degree k, full above."""
+    """tau_{>=k}^D: zero below k, the complement D in degree k, full above.
 
-    __slots__ = ("k", "D", "complex", "inclusion", "strategy")
+    ``split`` factors [im d^{k-1} | D] in degree k (None when k is past the
+    top degree).
+    """
 
-    def __init__(self, k, D, complex_, inclusion, strategy):
+    __slots__ = ("k", "D", "complex", "inclusion", "strategy", "split")
+
+    def __init__(self, k, D, complex_, inclusion, strategy, split=None):
         self.k = k
         self.D = D
         self.complex = complex_
         self.inclusion = inclusion
         self.strategy = strategy
+        self.split = split
 
 
 def _check_inclusion_is_cochain_map(name, sub: CochainComplex, amb: CochainComplex, theta):
@@ -71,7 +75,7 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
     top = C.top
-    img = image_basis(C.diff(k - 1)) if k <= top else None
+    img = C.image(k - 1) if k <= top else None
     dims = []
     for r in range(top + 1):
         if r < k:
@@ -111,12 +115,15 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     if k <= 0:
         raise ValueError("cotruncation cutoff must be positive")
     top = C.top
+    split = None
     if k <= top:
-        img = image_basis(C.diff(k - 1))
+        img = C.image(k - 1)
         D = complement_basis(img, strategy)
-        # D ⊕ im(d^{k-1}) = C^k, verified by rank.
-        if D.count + img.count != C.dim(k) or (
-                img.matrix().hstack(D.matrix()).rank() != C.dim(k)):
+        # D ⊕ im(d^{k-1}) = C^k, verified by the rank of one factorization,
+        # which the quotient's projection solves against.
+        if D.count + img.count == C.dim(k):
+            split = Solver(img.matrix().hstack(D.matrix()))
+        if split is None or split.rank != C.dim(k):
             raise InternalExactnessError("complement does not split the cotruncation degree")
     else:
         D = SubspaceBasis.from_vectors(0, [])
@@ -148,7 +155,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     theta.append(RationalMatrix.zeros(0, 0))
     sub = CochainComplex(f"tau_>={k}({C.name})", dims, d)
     _check_inclusion_is_cochain_map(sub.name, sub, C, theta)
-    return StandardCotruncation(k, D, sub, tuple(theta), strategy)
+    return StandardCotruncation(k, D, sub, tuple(theta), strategy, split)
 
 
 def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
@@ -193,12 +200,10 @@ def _projection(C: CochainComplex, ct: StandardCotruncation, section):
         if r < k:
             pi.append(RationalMatrix.identity(C.dim(r)))
         elif r == k:
-            img = section[k]
-            split = Solver(img.hstack(ct.D.matrix()))
-            full = split.solve_matrix(RationalMatrix.identity(C.dim(k)))
+            full = ct.split.solve_matrix(RationalMatrix.identity(C.dim(k)))
             if full is None:
                 raise InternalExactnessError("quotient projection unsolvable")
-            pi.append(full.rows_at(range(img.cols)))
+            pi.append(full.rows_at(range(section[k].cols)))
         else:
             pi.append(RationalMatrix.zeros(0, C.dim(r)))
     pi.append(RationalMatrix.zeros(0, 0))

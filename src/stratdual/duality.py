@@ -66,8 +66,8 @@ def boundary_link_chain(pair, mu: FundamentalChain):
 
 
 class PairingForms:
-    """The pairing matrices of one pair over mu and over ∂mu, each built on
-    first use and kept.
+    """The pairings of one pair over mu and over ∂mu, each built on first
+    use and kept as a ``PairingMatrix``, whose rank is computed once with it.
 
     Construction validates mu, once for every pairing built from it.  The
     pairings are keyed on degree and on the complexes they pair (the two
@@ -104,20 +104,20 @@ class PairingForms:
     def _over_mu(self, r: int, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
         return pairing_matrix(partial(self._mu_form, r), left, right)
 
-    def lefschetz(self, r: int) -> RationalMatrix:
+    def lefschetz(self, r: int) -> PairingMatrix:
         """H^r(C*(M)) x H^{n-r}(C*(M,∂M)) over mu."""
         pair = self.pair
         n = pair.K.dimension
-        return self._once(("lefschetz", r), lambda: self._over_mu(
+        return self._once(("lefschetz", r), lambda: PairingMatrix(r, self._over_mu(
             r, pair.full.representative_matrix(r),
-            mapped_representatives(pair.include_rel, pair.rel, n - r)))
+            mapped_representatives(pair.include_rel, pair.rel, n - r))))
 
-    def main(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
+    def main(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> PairingMatrix:
         """H^r(A_p) x H^{n-r}(A_q) over mu."""
         n = self.pair.K.dimension
-        return self._once(("main", mp, mq, r), lambda: self._over_mu(
+        return self._once(("main", mp, mq, r), lambda: PairingMatrix(r, self._over_mu(
             r, mapped_representatives(mp.iota, mp.complex, r),
-            mapped_representatives(mq.iota, mq.complex, n - r)))
+            mapped_representatives(mq.iota, mq.complex, n - r))))
 
     def model_form(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
         """The form over mu on A_p^r x A_q^{n-r}: iota_p^T G iota_q."""
@@ -125,11 +125,12 @@ class PairingForms:
         return self._once(("model form", mp, mq, r), lambda: self._over_mu(
             r, mp.iota[r], mq.iota[n - r]))
 
-    def truncated(self, quotient, section, ct, degree: int) -> RationalMatrix:
+    def truncated(self, quotient, section, ct, degree: int) -> PairingMatrix:
         """The link's truncated pairing H^degree(quotient) x H^{c-degree}(ct)
         over ∂mu, as ``cotruncation.truncated_pairing`` builds it."""
-        return self._once(("truncated", quotient, ct, degree), lambda: truncated_pairing(
-            partial(self._lam_form, degree), quotient, section, ct, degree))
+        return self._once(("truncated", quotient, ct, degree), lambda: PairingMatrix(
+            degree, truncated_pairing(partial(self._lam_form, degree),
+                                      quotient, section, ct, degree)))
 
 
 def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> PairingForms:
@@ -147,7 +148,7 @@ def lefschetz_pairing(pair, mu: FundamentalChain,
     n = pair.K.dimension
     pairings = []
     for r in range(n + 1):
-        pairings.append(PairingMatrix(r, forms.lefschetz(r)))
+        pairings.append(forms.lefschetz(r))
     return DualityReport("lefschetz", pairings, pair.full.betti(), pair.rel.betti())
 
 
@@ -172,7 +173,7 @@ def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
     n = mp.decomposition.n
     pairings = []
     for r in range(n + 1):
-        pairings.append(PairingMatrix(r, forms.main(mp, mq, r)))
+        pairings.append(forms.main(mp, mq, r))
     return DualityReport("main", pairings, mp.betti(), mq.betti())
 
 
@@ -317,23 +318,19 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
     h_eta = induced_map(mq.eta, mq.pair.rel, mq.complex, n - r)
     delta_2 = mq.ses_eta_rho.connecting(n - r - 1)
 
-    ts = delta_1.transpose() @ p_main == p_top @ h_rho
-    ms = h_iota.transpose() @ p_lef == p_main @ h_eta
-    bs, bs_sign = _match_up_to_sign(h_kappa.transpose() @ p_bot, p_lef @ delta_2)
+    ts = delta_1.transpose() @ p_main.matrix == p_top.matrix @ h_rho
+    ms = h_iota.transpose() @ p_lef.matrix == p_main.matrix @ h_eta
+    bs, bs_sign = _match_up_to_sign(h_kappa.transpose() @ p_bot.matrix,
+                                    p_lef.matrix @ delta_2)
 
+    # Square and of full rank, read off the ranks the forms keep.
     five_lemma = True
     if ts and ms and bs:
-        outer_square = (
-            _square_full_rank(p_top) and _square_full_rank(p_bot)
-            and _square_full_rank(p_lef)
-            and _square_full_rank(forms.lefschetz(r - 1)))
+        outer_square = (p_top.nondegenerate and p_bot.nondegenerate
+                        and p_lef.nondegenerate and forms.lefschetz(r - 1).nondegenerate)
         if outer_square:
-            five_lemma = _square_full_rank(p_main)
+            five_lemma = p_main.nondegenerate
     return LadderRecord(r, ts, ms, bs, bs_sign, five_lemma)
-
-
-def _square_full_rank(m: RationalMatrix) -> bool:
-    return m.rows == m.cols and m.rank() == m.rows
 
 
 def stokes_vanishing_probe(mp: IntersectionModel, mq: IntersectionModel,

@@ -9,12 +9,12 @@ rows, a unit factor, a solve), so no row is ever mutated once a matrix holds
 it; the kernel works on copies.  ``fractions.Fraction`` appears only in the
 public constructors and the entry, row, column and ``apply`` outputs.  Every
 rank, echelon form, kernel, image and solve goes through one elimination
-kernel: the forward pass clears one lowest column at a time by integer row
-combinations divided by the gcd of their entries, and reduced rows come out
-over the lcm of their leads.  The reduced row echelon form is unique, so
-every derived basis is reproducible bit for bit.  Subspaces are one sparse
-matrix in reduced column echelon form, which makes subspace equality a
-syntactic comparison.
+kernel: the forward pass clears one lead column at a time, the lowest or
+the highest, by integer row combinations divided by the gcd of their
+entries, and reduced rows come out over the lcm of their leads.  The
+reduced row echelon form is unique, so every derived basis is reproducible
+bit for bit.  Subspaces are one sparse matrix in reduced column echelon
+form, which makes subspace equality a syntactic comparison.
 """
 
 from __future__ import annotations
@@ -322,21 +322,22 @@ def _eliminate(row: dict, piv: dict, c: int) -> None:
         _divide_content(row)
 
 
-def _forward(rows: list, cols: int):
+def _forward(rows: list, cols: int, lead=min):
     """Integer forward elimination of sparse rows (consumes ``rows``).
 
-    Rows enter one at a time.  A row is reduced at its lowest column by the
-    pivot row of that column until it either has no entry below ``cols``
-    left or leads at a column without a pivot, where it becomes the pivot.
-    Returns ``(pivots, rest)``: ``pivots`` maps each pivot column to its row,
+    Rows enter one at a time.  A row is reduced at its lead column, the
+    lowest with ``lead=min`` and the highest with ``lead=max``, by the pivot
+    row of that column until it either has no entry below ``cols`` left or
+    leads at a column without a pivot, where it becomes the pivot.  Returns
+    ``(pivots, rest)``: ``pivots`` maps each pivot column to its row,
     ``rest`` holds the rows left with entries only at columns >= ``cols``
-    (the transform part of a zero row).
+    (the transform part of a zero row, which only ``lead=min`` reaches).
     """
     pivots = {}
     rest = []
     for row in rows:
         while row:
-            c = min(row)
+            c = lead(row)
             if c >= cols:
                 rest.append(row)
                 break
@@ -396,53 +397,114 @@ def rref(m: RationalMatrix, transform: bool = False):
 class Echelon:
     """Row echelon form of a matrix from the forward pass alone.
 
-    One integer pivot row per pivot column, each led by its lowest column,
-    with no back-substitution.  ``pivots`` are the pivot columns of ``rref``.
-    ``pivot_rows`` are the rows of the matrix independent of the rows before
-    them, which are the pivot columns of the transpose's ``rref``.
+    One integer pivot row per pivot column, with no back-substitution.  With
+    ``lead=min`` (the default) each pivot row is led by its lowest column and
+    ``pivots`` are the pivot columns of ``rref``; with ``lead=max`` each is
+    led by its highest column, ``pivots`` are the columns outside the span
+    of the columns above them, and the other columns are the lead positions
+    of the kernel's reduced echelon basis.  ``pivot_rows`` are the rows
+    independent of the rows entered before them, which for rows entered in
+    order are the pivot columns of the transpose's ``rref``, whatever the
+    lead.
+
+    ``order`` lists the rows to enter, in that order (all, first to last, by
+    default); ``cleared`` columns are dropped from the one copy of the rows
+    the pass consumes.  Both are for clearing.  A row left out that lies in
+    the span of the rows entered before it, and a dropped column that lies
+    in the span of the columns past it in the lead's order, change neither
+    the pivots, nor the rank, nor the pivot rows.  ``kernel`` and
+    ``normal_form`` are those of the matrix made of the entered rows without
+    the cleared columns.
     """
 
-    __slots__ = ("cols", "pivots", "pivot_rows", "_rows")
+    __slots__ = ("cols", "lead", "cleared", "pivots", "pivot_rows", "_rows")
 
-    def __init__(self, m: RationalMatrix):
-        rows = _integer_rows(m, False)
-        self._rows, _ = _forward(rows, m.cols)
+    def __init__(self, m: RationalMatrix, lead=min, order=None, cleared=frozenset()):
+        data = m.data if order is None else [m.data[i] for i in order]
+        if cleared:
+            rows = [{j: v for j, v in row.items() if j not in cleared} for row in data]
+        else:
+            rows = [dict(row) for row in data]
+        self._rows, _ = _forward(rows, m.cols, lead)
         self.cols = m.cols
+        self.lead = lead
+        self.cleared = cleared
         self.pivots = tuple(sorted(self._rows))
         # A row that depends on the rows before it is reduced to empty.
-        self.pivot_rows = tuple(i for i, row in enumerate(rows) if row)
+        if order is None:
+            self.pivot_rows = tuple(i for i, row in enumerate(rows) if row)
+        else:
+            self.pivot_rows = tuple(sorted(i for i, row in zip(order, rows) if row))
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _lead_first(self, c: int) -> int:
+        """Heap key that pops the column nearest the lead end first."""
+        return c if self.lead is min else -c
+
     def normal_form(self, m: RationalMatrix) -> RationalMatrix:
         """The rows of m reduced modulo the row space.
 
-        Each row's pivot entries are cleared lowest column first; a pivot row
-        reaches only columns above its own, so a cleared entry never refills.
-        The result vanishes at every pivot column, which makes it the unique
-        such representative of the row's coset.
+        Each row's pivot entries are cleared lead end first (lowest column
+        first for ``lead=min``); a pivot row reaches only columns past its
+        own, so a cleared entry never refills.  The result vanishes at every
+        pivot column, which makes it the unique such representative of the
+        row's coset.
         """
         if m.cols != self.cols:
             raise ValueError("normal form of rows of the wrong length")
         cols = self.cols
         pivots = self._rows
+        key = self._lead_first
         reduced = []
         for i, row in enumerate(_integer_rows(m, True)):
             # The transform entry at cols + i carries the row's integer scale.
-            todo = [k for k in row if k in pivots]
+            todo = [key(k) for k in row if k in pivots]
             heapify(todo)
             while todo:
-                c = heappop(todo)
+                c = key(heappop(todo))
                 if c in row:
                     piv = pivots[c]
                     _eliminate(row, piv, c)
                     for k in piv:
                         if k != c and k in pivots:
-                            heappush(todo, k)
+                            heappush(todo, key(k))
             reduced.append((row.pop(cols + i), row))
         return _scaled_rows(m.rows, cols, reduced)
+
+    def kernel(self) -> RationalMatrix:
+        """A basis of the kernel, zero at the cleared columns, as columns.
+
+        One column per free column f (neither pivot nor cleared), in order:
+        1 at f, 0 at the other free columns, and at each pivot column c the
+        value that solves c's pivot row.  Back-substitution on copies of the
+        pivot rows, lowest lead first for ``lead=max`` (highest for min):
+        each row reaches only pivots already reduced to their lead and free
+        columns, so clearing one entry never refills another.
+        """
+        pivots = self._rows
+        free = [j for j in range(self.cols) if j not in pivots and j not in self.cleared]
+        position = {f: i for i, f in enumerate(free)}
+        reduced = {}
+        for c in sorted(pivots, key=self._lead_first, reverse=True):
+            row = dict(pivots[c])
+            for k in [k for k in row if k != c and k in pivots]:
+                _eliminate(row, reduced[k], k)
+            reduced[c] = row
+        den = lcm(*(row[c] for c, row in reduced.items()))
+        data = []
+        for j in range(self.cols):
+            if j in position:
+                data.append({position[j]: den})
+            elif j in reduced:
+                row = reduced[j]
+                f = den // row[j]
+                data.append({position[k]: -f * v for k, v in row.items() if k != j})
+            else:
+                data.append({})
+        return RationalMatrix._wrap(len(free), data, den)
 
 
 class SubspaceBasis:
@@ -547,8 +609,7 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     if strategy == "lex":
         pivot_rows = set(sub.pivot_rows)
     elif strategy == "reverse-lex":
-        pivots = Echelon(sub.matrix().transpose().reversed_columns()).pivots
-        pivot_rows = {n - 1 - p for p in pivots}
+        pivot_rows = set(Echelon(sub.matrix().transpose(), max).pivots)
     else:
         raise ValueError(f"unknown complement strategy {strategy!r}")
     free = [i for i in range(n) if i not in pivot_rows]
@@ -603,10 +664,10 @@ class QuotientBasis:
     ``matrix`` holds them as columns; ``representatives`` lists them as
     dense vectors.  A vector of ker d is read at the kernel's lead positions
     ``lead``, where kernel vectors are determined by their values.  There,
-    ``boundaries`` is the echelon form of im e with trailing pivots, and a
-    vector's normal form modulo it is supported on the ``chosen`` positions
-    (indices into ``lead``): its values there are the vector's class
-    coordinates.
+    ``boundaries`` is the echelon form of im e led by the highest position,
+    and a vector's normal form modulo it is supported on the ``chosen``
+    positions (indices into ``lead``): its values there are the vector's
+    class coordinates.
     """
 
     __slots__ = ("matrix", "lead", "boundaries", "chosen")
@@ -629,44 +690,37 @@ class QuotientBasis:
         """Class coordinates of the columns of z (not checked to lie in ker d)."""
         if not self.chosen:
             return RationalMatrix.zeros(0, z.cols)
-        rows = z.rows_at(self.lead).transpose().reversed_columns()
-        normal = self.boundaries.normal_form(rows).reversed_columns()
-        return normal.columns_at(self.chosen).transpose()
+        normal = self.boundaries.normal_form(z.rows_at(self.lead).transpose())
+        return normal.transpose().rows_at(self.chosen)
 
     def __repr__(self):
         return f"QuotientBasis(dim {self.dimension} in Q^{self.matrix.rows})"
 
 
-def quotient_basis(d: RationalMatrix, e: RationalMatrix, lead,
-                   image_rows) -> Optional[QuotientBasis]:
+def quotient_basis(w: RationalMatrix, e: RationalMatrix, lead,
+                   spanning) -> Optional[QuotientBasis]:
     """Representatives of ker d / im e from forward-pass pivots.
 
-    ``lead`` are the lead positions of ker d's reduced echelon basis and
-    ``image_rows`` the pivot rows P of im e.  W = ker d ∩ {x_P = 0}
-    complements im e in ker d.  With Q the class coordinates of W's columns,
-    the representatives are W Q^{-1}: the elements of W whose coordinates
-    are unit vectors.  None when W and the chosen positions differ in count
-    or Q is singular, which d∘e = 0 and correct pivots rule out.
+    ``lead`` are the lead positions of ker d's reduced echelon basis, and
+    the columns of ``w`` are a basis of W = ker d ∩ {x_P = 0}, with P the
+    pivot rows of im e; W complements im e in ker d.  The columns of e at
+    ``spanning`` span im e, so the echelon of im e enters only those.  With
+    Q the class coordinates of W's columns, the representatives are
+    W Q^{-1}: the elements of W whose coordinates are unit vectors,
+    whichever basis of W ``w`` holds.  None when W and the chosen positions
+    differ in count or Q is singular, which d∘e = 0 and correct pivots rule
+    out.
     """
-    dim = d.cols
-    outside = [j for j in range(dim) if j not in image_rows]
-    # Any basis of W will do; the column-reversed kernel is the cheap one to eliminate.
-    w = kernel_basis(d.columns_at(outside).reversed_columns()).matrix()
-    flip = len(outside) - 1
-    data = [{}] * dim
-    for i, row in enumerate(w.data):
-        data[outside[flip - i]] = row
-    W = RationalMatrix._wrap(w.cols, data, w.den)
-    boundaries = Echelon(e.rows_at(lead).transpose().reversed_columns())
+    boundaries = Echelon(e.rows_at(lead).transpose(), max, order=spanning)
     trailing = set(boundaries.pivots)
-    chosen = [i for i in range(len(lead)) if len(lead) - 1 - i not in trailing]
+    chosen = [i for i in range(len(lead)) if i not in trailing]
     basis = QuotientBasis(None, lead, boundaries, chosen)
-    if len(chosen) != W.cols:
+    if len(chosen) != w.cols:
         return None
-    inverse = Solver(basis.coordinates(W)).solve_matrix(RationalMatrix.identity(W.cols))
+    inverse = Solver(basis.coordinates(w)).solve_matrix(RationalMatrix.identity(w.cols))
     if inverse is None:
         return None
-    basis.matrix = W @ inverse
+    basis.matrix = w @ inverse
     return basis
 
 

@@ -23,7 +23,7 @@ from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
 from .model import Perversity, build_model, cutoff_degree
-from .reports import DualityReport, PairingMatrix
+from .reports import DualityReport
 from .simplicial import decompose, fundamental_chain, parse_complex
 
 
@@ -109,8 +109,7 @@ class Workspace:
             quotient, _, section = self.quotient(k, strategy)
             ct = self.cotruncation(c + 1 - k, strategy)
             forms = self.forms()
-            pairings = [PairingMatrix(r, forms.truncated(quotient, section, ct, r))
-                        for r in range(c + 1)]
+            pairings = [forms.truncated(quotient, section, ct, r) for r in range(c + 1)]
             return DualityReport("truncated-duality", pairings,
                                  quotient.betti(), ct.complex.betti())
         return self._once(("truncated duality", k, strategy), build)

@@ -473,3 +473,61 @@ def test_kernel_matches_dense_oracle():
 
         _check_arithmetic(fourth, a, m, rows, cols)
     assert shapes == {(False, False), (True, False), (False, True), (True, True)}
+
+
+def test_highest_lead_matches_dense_oracle():
+    """``Echelon(m, max)`` is the lowest-lead pass of the column-reversed
+    matrix read back in order: the oracle's pivots, pivot rows, normal forms
+    and kernel, flipped.  Rows entered in another order, some left out, give
+    the rows independent of those entered before them."""
+    rng = random.Random(2028)
+    for _ in range(400):
+        a = _random_dense(rng)
+        rows = len(a)
+        cols = len(a[0]) if rows else rng.randint(0, 5)
+        m = _as_matrix(a, cols)
+        last = cols - 1
+        flipped_pivots, flipped = _oracle_rref([row[::-1] for row in a], cols)
+        rank = len(flipped_pivots)
+        want_pivots = tuple(sorted(last - p for p in flipped_pivots))
+        columns = [[a[i][j] for i in range(rows)] for j in range(cols)]
+        column_pivots, _ = _oracle_rref(columns, rows)
+
+        echelon = Echelon(m, max)
+        assert (echelon.pivots, echelon.rank) == (want_pivots, rank)
+        assert echelon.pivot_rows == column_pivots
+
+        row_basis = flipped[:rank]
+        vectors = [tuple(_random_entry(rng) for _ in range(cols))
+                   for _ in range(rng.randint(0, 3))]
+        if rank:
+            coeffs = [_random_entry(rng) for _ in row_basis]
+            vectors.append(tuple(sum((c * w[last - i] for c, w in zip(coeffs, row_basis)),
+                                     Fraction(0)) for i in range(cols)))
+        want_normal = [_oracle_coset(row_basis, v[::-1])[::-1] for v in vectors]
+        normal = echelon.normal_form(_as_matrix(vectors, cols))
+        assert normal == _as_matrix(want_normal, cols)
+        if rank:
+            assert normal.data[-1] == {}
+
+        # Free column f gives e_f minus the flipped reduced rows' entries at f.
+        want_kernel = []
+        for f in (j for j in range(cols) if j not in want_pivots):
+            v = [Fraction(0)] * cols
+            v[f] = Fraction(1)
+            for r, p in enumerate(flipped_pivots):
+                v[last - p] = -flipped[r][last - f]
+            want_kernel.append(v)
+        assert echelon.kernel() == _columns(want_kernel, cols)
+
+        order = rng.sample(range(rows), rng.randint(0, rows))
+        entered = Echelon(m, max, order=order)
+        independent = []
+        for position, i in enumerate(order):
+            before = len(_oracle_rref([a[j] for j in order[:position]], cols)[0])
+            if len(_oracle_rref([a[j] for j in order[:position + 1]], cols)[0]) > before:
+                independent.append(i)
+        assert entered.pivot_rows == tuple(sorted(independent))
+        kept = [a[i][::-1] for i in order]
+        assert entered.pivots == tuple(sorted(last - p for p in _oracle_rref(kept, cols)[0]))
+        assert m == _as_matrix(a, cols)
