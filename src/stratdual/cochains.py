@@ -248,6 +248,32 @@ def simplicial_cochains(K: SimplicialComplex):
     return complex_, CupStructure(complex_, tables)
 
 
+def subcomplex(name, C: CochainComplex, bases):
+    """The subcomplex of C spanned by ``bases``, one SubspaceBasis of C^r per
+    degree, with its inclusion theta (the basis matrices) into C.
+
+    The differential is read as d_sub^r = coordinates of d^r theta^r in the
+    basis of degree r + 1, the zero basis of Q^0 past the top; the product
+    that checks each read is theta^{r+1} d_sub^r == d^r theta^r, so the
+    inclusion is recorded as the cochain map that ``induced_map`` checks.
+    Returns (complex, inclusion).
+    """
+    if len(bases) != C.top + 1:
+        raise ValueError(f"{name}: need one basis per degree 0..{C.top}")
+    zero = SubspaceBasis.from_vectors(0, [])
+    inclusion = tuple(basis.matrix() for basis in bases)
+    d = []
+    for r, theta in enumerate(inclusion):
+        above = bases[r + 1] if r + 1 < len(bases) else zero
+        coords = above.coordinates(C.diff(r) @ theta)
+        if coords is None:
+            raise InternalExactnessError(f"{name}: inclusion fails to commute with d at {r}")
+        d.append(coords)
+    sub = CochainComplex(name, [basis.count for basis in bases], d)
+    C._cochain_maps.append((inclusion, sub))
+    return sub, inclusion
+
+
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
     """Per-degree matrices C^r(K) -> C^r(A) restricting dual-basis cochains."""
     if not K.contains_complex(A):

@@ -25,16 +25,15 @@ class ChainComplex:
 
     __slots__ = ("name", "dims", "boundary", "_echelon_cache", "_homology_cache")
 
-    def __init__(self, name, dims, boundary, check=True):
+    def __init__(self, name, dims, boundary):
         self.name = name
         self.dims = tuple(dims)
         self.boundary = tuple(boundary)
         self._echelon_cache = {}
         self._homology_cache = {}
-        if check:
-            for r in range(1, self.top):
-                if not (self.boundary[r] @ self.boundary[r + 1]).is_zero():
-                    raise InternalExactnessError(f"{name}: ∂∘∂ != 0 at degree {r + 1}")
+        for r in range(1, self.top):
+            if not (self.boundary[r] @ self.boundary[r + 1]).is_zero():
+                raise InternalExactnessError(f"{name}: ∂∘∂ != 0 at degree {r + 1}")
 
     @property
     def top(self):
@@ -225,11 +224,11 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
     boundary = [RationalMatrix.zeros(0, dims[0])]
     for r in range(1, top + 1):
         # [[-∂, 0], [g, ∂]]: -∂ on the shifted truncation block, g into the
-        # target block and ∂ on it; rows are stacked as transposed columns.
+        # target block and ∂ on it.
         g_lower = g[r - 1] if r - 1 < len(g) else RationalMatrix.zeros(m_dims[r - 1], t_dims[r])
         upper = (-tc.bnd(r - 1)).hstack(RationalMatrix.zeros(t_dims[r - 1], m_dims[r]))
         lower = g_lower.hstack(target.bnd(r))
-        boundary.append(upper.transpose().hstack(lower.transpose()).transpose())
+        boundary.append(upper.vstack(lower))
     cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
     return ConeComplex(cone, tuple(t_dims))
 

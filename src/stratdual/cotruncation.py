@@ -19,6 +19,7 @@ from .cochains import (
     pair_against_chain,
     pairing_matrix,
     simplicial_cochains,
+    subcomplex,
 )
 from .errors import InternalExactnessError
 from .rational import (
@@ -61,62 +62,28 @@ class StandardCotruncation:
         self.split = split
 
 
-def _check_inclusion_is_cochain_map(name, sub: CochainComplex, amb: CochainComplex, theta):
-    for r in range(amb.top + 1):
-        lhs = theta[r + 1] @ sub.diff(r) if r + 1 < len(theta) else RationalMatrix.zeros(
-            amb.dim(r + 1), sub.dim(r))
-        rhs = amb.diff(r) @ theta[r]
-        if lhs != rhs:
-            raise InternalExactnessError(f"{name}: inclusion fails to commute with d at {r}")
+def _whole(n: int) -> SubspaceBasis:
+    """Q^n itself: the identity, pivoted at every row."""
+    return SubspaceBasis(RationalMatrix.identity(n), range(n))
 
 
 def truncate_below(C: CochainComplex, k: int) -> Truncation:
     """Truncation subcomplex tau_{<k} with its canonical inclusion."""
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
-    top = C.top
-    img = C.image(k - 1) if k <= top else None
-    dims = []
-    for r in range(top + 1):
-        if r < k:
-            dims.append(C.dim(r))
-        elif r == k:
-            dims.append(img.count)
-        else:
-            dims.append(0)
-    d = []
-    theta = []
-    for r in range(top + 1):
-        target = dims[r + 1] if r + 1 <= top else 0
-        if r + 1 < k:
-            d.append(C.diff(r))
-        elif r + 1 == k and k <= top:
-            coords = img.coordinates(C.diff(k - 1))
-            if coords is None:
-                raise InternalExactnessError("image coordinates unsolvable")
-            d.append(coords)
-        else:
-            d.append(RationalMatrix.zeros(target, dims[r]))
-    for r in range(top + 1):
-        if r < k:
-            theta.append(RationalMatrix.identity(C.dim(r)))
-        elif r == k and k <= top:
-            theta.append(img.matrix())
-        else:
-            theta.append(RationalMatrix.zeros(C.dim(r), 0))
-    theta.append(RationalMatrix.zeros(0, 0))
-    sub = CochainComplex(f"tau_<{k}({C.name})", dims, d)
-    _check_inclusion_is_cochain_map(sub.name, sub, C, theta)
-    return Truncation(k, sub, tuple(theta))
+    bases = [_whole(C.dim(r)) if r < k
+             else C.image(k - 1) if r == k
+             else SubspaceBasis.from_vectors(C.dim(r), [])
+             for r in range(C.top + 1)]
+    return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases))
 
 
 def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotruncation:
     """Standard cotruncation tau_{>=k}^D with D chosen by the strategy."""
     if k <= 0:
         raise ValueError("cotruncation cutoff must be positive")
-    top = C.top
     split = None
-    if k <= top:
+    if k <= C.top:
         img = C.image(k - 1)
         D = complement_basis(img, strategy)
         # D ⊕ im(d^{k-1}) = C^k, verified by the rank of one factorization,
@@ -127,35 +94,14 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
             raise InternalExactnessError("complement does not split the cotruncation degree")
     else:
         D = SubspaceBasis.from_vectors(0, [])
-    dims = []
-    for r in range(top + 1):
-        if r < k:
-            dims.append(0)
-        elif r == k:
-            dims.append(D.count)
-        else:
-            dims.append(C.dim(r))
-    d = []
-    theta = []
-    for r in range(top + 1):
-        target = dims[r + 1] if r + 1 <= top else 0
-        if r < k:
-            d.append(RationalMatrix.zeros(target, 0))
-        elif r == k:
-            d.append(C.diff(k) @ D.matrix())
-        else:
-            d.append(C.diff(r))
-    for r in range(top + 1):
-        if r < k:
-            theta.append(RationalMatrix.zeros(C.dim(r), 0))
-        elif r == k:
-            theta.append(D.matrix())
-        else:
-            theta.append(RationalMatrix.identity(C.dim(r)))
-    theta.append(RationalMatrix.zeros(0, 0))
-    sub = CochainComplex(f"tau_>={k}({C.name})", dims, d)
-    _check_inclusion_is_cochain_map(sub.name, sub, C, theta)
-    return StandardCotruncation(k, D, sub, tuple(theta), strategy, split)
+    bases = [SubspaceBasis.from_vectors(C.dim(r), []) if r < k
+             else D if r == k
+             else _whole(C.dim(r))
+             for r in range(C.top + 1)]
+    sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases)
+    # The model lives one degree above the link and reads theta there too.
+    return StandardCotruncation(k, D, sub, theta + (RationalMatrix.zeros(0, 0),),
+                                strategy, split)
 
 
 def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
@@ -175,7 +121,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
     elif truncation.k != k:
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
     quotient = truncation.complex
-    section = truncation.inclusion[:top + 1]
+    section = truncation.inclusion
     pi = _projection(C, ct, section)
     # pi is a surjective cochain map and pi ∘ theta_{<k} is the identity,
     # which is also the certificate that pi is surjective.

@@ -28,7 +28,7 @@ one matrix product (a certificate) rather than a rank.
 
 from __future__ import annotations
 
-from .cochains import CochainComplex, PairComplexes, ShortExactSequence, induced_map
+from .cochains import PairComplexes, ShortExactSequence, induced_map, subcomplex
 from .cotruncation import cotruncate, quotient_by_cotruncation
 from .errors import BadPerversityError, InternalExactnessError
 from .rational import RationalMatrix, SubspaceBasis, kernel_basis
@@ -214,23 +214,11 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         kappa.append(kappa_r)
         placed.append(placed_r)
         lifts.append(lift)
-    iota = tuple(basis.matrix() for basis in bases)
     kappa = tuple(kappa)
-    dims = [basis.count for basis in bases]
-
-    # Coordinates in the echelon bases are read at their pivot rows and
-    # checked by multiplying back, so no basis is eliminated again.
-    d = []
-    for r in range(n + 1):
-        if r + 1 > n:
-            d.append(RationalMatrix.zeros(0, dims[r]))
-            continue
-        coords = bases[r + 1].coordinates(pair.full.diff(r) @ iota[r])
-        if coords is None:
-            raise InternalExactnessError(f"model is not d-closed at degree {r}")
-        d.append(coords)
+    # d is read at the bases' pivot rows and checked by multiplying back, so
+    # no basis is eliminated again; iota is recorded as a cochain map.
     values = ",".join(str(v) for v in p.values.values())
-    complex_ = CochainComplex(f"model[{values}]({D.name})", dims, d)
+    complex_, iota = subcomplex(f"model[{values}]({D.name})", pair.full, bases)
 
     rho = []
     eta = []

@@ -222,6 +222,13 @@ class RationalMatrix:
             {**a, **{j + shift: v for j, v in b.items()}} if b else a
             for a, b in zip(left, right)], den)
 
+    def vstack(self, other: "RationalMatrix") -> "RationalMatrix":
+        """``self`` above ``other``, sharing their rows over one denominator."""
+        if self.cols != other.cols:
+            raise ValueError("column mismatch in vstack")
+        den, top, bottom = self._common(other)
+        return RationalMatrix._wrap(self.cols, [*top, *bottom], den)
+
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
         if c == 0:

@@ -16,9 +16,10 @@ from stratdual.cochains import (
     relative_complex,
     restriction_map,
     simplicial_cochains,
+    subcomplex,
 )
 from stratdual.errors import InternalExactnessError, NonOrientableError, ParseError
-from stratdual.rational import RationalMatrix, kernel_basis, vec
+from stratdual.rational import RationalMatrix, SubspaceBasis, kernel_basis, vec
 from stratdual.simplicial import SimplicialComplex, orient_top_chain
 
 
@@ -226,6 +227,18 @@ def test_induced_map_rechecks_a_list_edited_in_place():
     induced_map(frozen, C, C, 0)
     assert any(g is frozen for g, _ in C._cochain_maps)
     assert not any(g is f for g, _ in C._cochain_maps)
+
+
+def test_subcomplex_rejects_a_basis_not_closed_under_d():
+    # One vertex of the triangle spans no subcomplex: d of its dual is a
+    # nonzero edge cochain, and degree 1 holds nothing.
+    C, _ = simplicial_cochains(examples.get_complex("s1-triangle"))
+    bases = [SubspaceBasis.from_vectors(3, [(1, 0, 0)]), SubspaceBasis.from_vectors(3, [])]
+    with pytest.raises(InternalExactnessError,
+                       match="^sub: inclusion fails to commute with d at 0$") as info:
+        subcomplex("sub", C, bases)
+    assert info.value.code == "INTERNAL_EXACTNESS"
+    assert C._cochain_maps == []
 
 
 def test_induced_restriction_solid_torus_to_boundary():

@@ -11,7 +11,8 @@ from stratdual.cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from stratdual.simplicial import orient_top_chain
+from stratdual.rational import RationalMatrix
+from stratdual.simplicial import decompose, orient_top_chain, parse_complex
 
 
 def torus():
@@ -54,6 +55,40 @@ def test_truncation_inclusion_iso_below_cutoff():
                 assert t.complex.cohomology(r).dimension == C.cohomology(r).dimension
             else:
                 assert t.complex.cohomology(r).dimension == 0
+
+
+def bundled_links():
+    for name in examples.decomposition_names():
+        for level in (0, 1):
+            document = examples.subdivide(examples.get_document(name), level)
+            yield decompose(parse_complex(document), document["singular_vertex"]).L
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+def test_truncation_and_cotruncation_differentials_and_inclusions(strategy):
+    # The differentials are the restrictions of d (the truncation reads
+    # degree k - 1 in the image basis), and each inclusion commutes with d.
+    for L in bundled_links():
+        C, _ = simplicial_cochains(L)
+        c = C.top
+        for k in range(1, c + 2):
+            t = truncate_below(C, k)
+            ct = cotruncate(C, k, strategy)
+            for r in range(c + 1):
+                zero_t = RationalMatrix.zeros(t.complex.dim(r + 1), t.complex.dim(r))
+                zero_ct = RationalMatrix.zeros(ct.complex.dim(r + 1), ct.complex.dim(r))
+                want_t = (C.diff(r) if r + 1 < k
+                          else C.image(k - 1).coordinates(C.diff(k - 1)) if r + 1 == k <= c
+                          else zero_t)
+                want_ct = (zero_ct if r < k
+                           else C.diff(k) @ ct.D.matrix() if r == k
+                           else C.diff(r))
+                assert t.complex.diff(r) == want_t, (L.name, k, r)
+                assert ct.complex.diff(r) == want_ct, (L.name, k, r, strategy)
+                for sub, theta in ((t.complex, t.inclusion), (ct.complex, ct.inclusion)):
+                    above = (theta[r + 1] if r + 1 <= c
+                             else RationalMatrix.zeros(0, sub.dim(r + 1)))
+                    assert above @ sub.diff(r) == C.diff(r) @ theta[r], (L.name, k, r)
 
 
 def test_cotruncate_full_complement_when_image_zero():

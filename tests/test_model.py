@@ -1,6 +1,7 @@
 import pytest
 
 from stratdual import examples
+from stratdual.cochains import CochainComplex, induced_map
 from stratdual.errors import BadPerversityError
 from stratdual.model import (
     Perversity,
@@ -57,6 +58,28 @@ def test_model_x2_zero_perversity():
     m = build_model(D, named_perversity("zero", 3))
     assert m.k == 2
     assert m.betti() == (0, 0, 1, 0)
+
+
+def test_model_iota_is_not_checked_again_by_induced_map(monkeypatch):
+    # build_model reads d through the subcomplex constructor, whose products
+    # already prove iota a cochain map; induced_map reads the model's d only
+    # to check that again.
+    D = examples.get_decomposition("x2-cone-torus")
+    m = build_model(D, named_perversity("zero", 3))
+    for r in range(D.n + 1):
+        m.complex.representative_matrix(r)
+    reads = []
+    diff = CochainComplex.diff
+
+    def counted(self, r):
+        if self is m.complex:
+            reads.append(r)
+        return diff(self, r)
+
+    monkeypatch.setattr(CochainComplex, "diff", counted)
+    for r in range(D.n + 1):
+        induced_map(m.iota, m.complex, m.pair.full, r)
+    assert reads == []
 
 
 def test_model_x2_top_perversity():

@@ -318,6 +318,7 @@ def _check_arithmetic(rng, a, m, rows, cols):
                       for j in range(width)] for i in range(rows)], width)
     q = [[_fraction_entry(rng) for _ in range(width)] for _ in range(rows)]
     _assert_matches(m.hstack(_as_matrix(q, width)), [r + s for r, s in zip(a, q)], cols + width)
+    _assert_matches(m.vstack(other), a + b, cols)
     _assert_matches(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)], rows)
     _assert_matches(m.reversed_columns(), [r[::-1] for r in a], cols)
     kept_rows = sorted(rng.sample(range(rows), rng.randint(0, rows)))
@@ -330,8 +331,10 @@ def _check_arithmetic(rng, a, m, rows, cols):
     assert got == _matvec(a, x) and all(type(v) is Fraction for v in got)
     # Round trips give m back, hash included.
     half = rng.randint(0, cols)
+    middle = len(kept_rows)
     for trip in (m.transpose().transpose(), m.reversed_columns().reversed_columns(),
-                 m.columns_at(range(half)).hstack(m.columns_at(range(half, cols)))):
+                 m.columns_at(range(half)).hstack(m.columns_at(range(half, cols))),
+                 m.rows_at(range(middle)).vstack(m.rows_at(range(middle, rows)))):
         assert trip == m and hash(trip) == hash(m)
     # Matrices share rows (a row restriction, a unit factor's product), so
     # eliminating, reducing or solving must leave its inputs' rows as they were.
