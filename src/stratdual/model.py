@@ -65,7 +65,12 @@ def validate_perversity(values) -> Perversity:
         return values
     if isinstance(values, (list, tuple)):
         values = {s + 2: v for s, v in enumerate(values)}
-    values = {int(s): int(v) for s, v in values.items()}
+    # Keys may be strings, as JSON object keys are; values must be ints
+    # (not bools), so that no value is coerced into another perversity.
+    for s, v in values.items():
+        if type(v) is not int:
+            raise BadPerversityError(f"perversity value at codimension {s} is not an int: {v!r}")
+    values = {int(s): v for s, v in values.items()}
     if not values:
         raise BadPerversityError("empty perversity")
     top = max(values)

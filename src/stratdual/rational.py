@@ -586,18 +586,17 @@ class SubspaceBasis:
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of the kernel (null space) of m."""
-    pivots, reduced = rref(m)
-    pivot_set = set(pivots)
-    # Free column f gives the vector e_f - sum_r reduced[r, f] e_{pivots[r]}.
-    free = {f: i for i, f in enumerate(j for j in range(m.cols) if j not in pivot_set)}
-    data = [{f: reduced.den} for f in free]
-    for p, row in zip(pivots, reduced.data):
-        for f, v in row.items():
-            i = free.get(f)
-            if i is not None:
-                data[i][p] = -v
-    return SubspaceBasis.row_space(RationalMatrix._wrap(m.cols, data, reduced.den))
+    """Canonical basis of the kernel (null space) of m, from one forward pass
+    led by the highest column.
+
+    The kernel vector of free column f is 1 at f, 0 at the other free
+    columns, and nonzero elsewhere only at pivot columns above f, whose rows
+    lead there: that is already the reduced column echelon form, with the
+    free columns as its pivot rows.
+    """
+    echelon = Echelon(m, max)
+    pivots = set(echelon.pivots)
+    return SubspaceBasis(echelon.kernel(), [j for j in range(m.cols) if j not in pivots])
 
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:

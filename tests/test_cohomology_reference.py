@@ -4,8 +4,9 @@ The reference takes the reduced echelon basis of the cycles, keeps the
 cycles that are new in the echelon form of the stacked [boundaries | cycles],
 and reduces them modulo the boundaries' reduced echelon basis.  It expresses
 a class by solving against [representatives | boundaries].  The engine reads
-the same representatives and coordinates off forward-pass pivots, in
-``cochains`` and, separately, in the cone oracle.
+the same representatives and coordinates off forward-pass pivots in
+``cochains``; the cone oracle computes ranks only, so its chain complexes
+are checked for their Betti numbers.
 """
 
 import random
@@ -81,14 +82,11 @@ def check_cochains(C: CochainComplex, rng):
             assert C.express_class(got, r) == RationalMatrix.identity(want.cols)
 
 
-def check_chains(C: ChainComplex, rng):
+def check_chains(C: ChainComplex):
     dims = C.homology_dims()
     for r in range(C.top + 1):
         want = reference_representatives(C.bnd(r), C.bnd(r + 1))
-        assert C.homology_basis(r) == want, (C.name, r)
-        assert dims[r] == want.cols
-        z = sample_cycles(C.bnd(r), C.bnd(r + 1), want, rng)
-        assert C.express_class(z, r) == reference_coordinates(want, C.bnd(r + 1), z), (C.name, r)
+        assert dims[r] == want.cols, (C.name, r)
 
 
 def random_cochain_complex(rng) -> CochainComplex:
@@ -114,7 +112,7 @@ def test_random_complexes_match_reference():
         # The transposed differentials form a chain complex for the oracle's twin.
         boundary = [RationalMatrix.zeros(0, C.dims[0])]
         boundary += [C.d[r - 1].transpose() for r in range(1, C.top + 1)]
-        check_chains(ChainComplex("random", C.dims, boundary), rng)
+        check_chains(ChainComplex("random", C.dims, boundary))
 
 
 def test_fixture_complexes_match_reference():
@@ -122,7 +120,7 @@ def test_fixture_complexes_match_reference():
     for name in examples.complex_names():
         K = examples.get_complex(name)
         check_cochains(simplicial_cochains(K)[0], rng)
-        check_chains(simplicial_chains(K), rng)
+        check_chains(simplicial_chains(K))
 
 
 def decomposition(name, level):
@@ -134,13 +132,13 @@ def check_decomposition(D, rng, configurations):
     pair = PairComplexes(D.M, D.L)
     for C in (pair.full, pair.sub, pair.rel):
         check_cochains(C, rng)
-    check_chains(simplicial_chains(D.M), rng)
+    check_chains(simplicial_chains(D.M))
     for pname, strategy in configurations:
         m = build_model(D, named_perversity(pname, D.n), strategy, pair=pair)
         for C in (m.complex, m.quotient, m.cotruncation.complex):
             check_cochains(C, rng)
-        check_chains(chain_truncate(D.L, m.k, strategy).complex, rng)
-        check_chains(intersection_space_cone(D, m.k, strategy).complex, rng)
+        check_chains(chain_truncate(D.L, m.k, strategy).complex)
+        check_chains(intersection_space_cone(D, m.k, strategy).complex)
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)

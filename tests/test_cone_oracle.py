@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stratdual import examples
+from stratdual import cone as cone_module
+from stratdual import examples, rational
 from stratdual.cone import (
     chain_truncate,
     compare,
@@ -10,8 +11,9 @@ from stratdual.cone import (
     mapping_cone,
     simplicial_chains,
 )
+from stratdual.errors import InternalExactnessError
 from stratdual.model import build_model, named_perversity
-from stratdual.rational import RationalMatrix
+from stratdual.rational import RationalMatrix, SubspaceBasis, complement_basis, kernel_basis
 
 
 def test_chain_homology_of_fixtures():
@@ -120,10 +122,13 @@ def test_cone_les_rank_identities():
             for j, s in enumerate(D.L.simplices(r)):
                 entries[(D.M.index[s], j)] = 1
             include.append(RationalMatrix(D.M.n_simplices(r), D.L.n_simplices(r), entries))
+        # rank H_r(g) = rank [g Z_r(t) | ∂^M_{r+1}] - rank ∂^M_{r+1}.
         ranks = {}
         for r in range(t.complex.top + 1):
-            reps = t.complex.homology_basis(r)
-            ranks[r] = m_chains.express_class(include[r] @ t.inclusion[r] @ reps, r).rank()
+            cycles = kernel_basis(t.complex.bnd(r)).matrix()
+            boundaries = m_chains.bnd(r + 1)
+            image = (include[r] @ t.inclusion[r] @ cycles).hstack(boundaries)
+            ranks[r] = image.rank() - boundaries.rank()
         cone_h = cone.homology_dims()
         for r in range(len(cone_h)):
             hr_t = t_h[r] if r < len(t_h) else 0
@@ -173,3 +178,76 @@ def test_cone_of_half_scaled_map_matches_fraction_blocks():
 def test_chain_truncate_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         chain_truncate(examples.get_complex("t2-7"), 0)
+
+
+def _corrupted_complement(kind):
+    """complement_basis with its last column swapped for a cycle, dropped, or
+    followed by a cycle."""
+    def corrupted(cycles, strategy="lex"):
+        b = complement_basis(cycles, strategy).matrix()
+        head = b.columns_at(range(b.cols - 1))
+        cycle = cycles.matrix().columns_at([0])
+        b = {"swap": head.hstack(cycle), "drop": head, "append": b.hstack(cycle)}[kind]
+        return SubspaceBasis(b, ())
+    return corrupted
+
+
+@pytest.mark.parametrize("kind", ["swap", "drop", "append"])
+@pytest.mark.parametrize("name,k", [("t2-7", 1), ("t2-7", 2), ("s1-triangle", 1)])
+def test_corrupted_truncation_raises_at_its_degree(monkeypatch, kind, name, k):
+    # Swapping or dropping a complement vector loses a boundary of degree
+    # k - 1; an extra cycle leaves a class in degree k.
+    if kind == "append":
+        message = f"truncation leaves H_{k} != 0 on {name}"
+    else:
+        message = f"truncation changes H_{k - 1} of {name}"
+    monkeypatch.setattr(cone_module, "complement_basis", _corrupted_complement(kind))
+    with pytest.raises(InternalExactnessError) as err:
+        chain_truncate(examples.get_complex(name), k)
+    assert str(err.value) == message
+
+
+def _comparison_map(D, t):
+    g = []
+    for r in range(D.M.dimension + 1):
+        include = RationalMatrix(D.M.n_simplices(r), D.L.n_simplices(r), {
+            (D.M.index[s], j): 1 for j, s in enumerate(D.L.simplices(r))})
+        t_part = t.inclusion[r] if r <= t.complex.top else RationalMatrix.zeros(
+            D.L.n_simplices(r), 0)
+        g.append(include @ t_part)
+    return g
+
+
+def test_cone_rejects_a_map_that_is_not_a_chain_map():
+    # Doubling g in one degree breaks ∂g = g∂ there, which the cone's ∂∘∂
+    # check reports.
+    D = examples.get_decomposition("x2-cone-torus")
+    m_chains = simplicial_chains(D.M)
+    doubled = 0
+    for k in (1, 2):
+        t = chain_truncate(D.L, k)
+        g = _comparison_map(D, t)
+        for r, g_r in enumerate(g):
+            if g_r.is_zero():
+                continue
+            bad = [m.scaled(2) if s == r else m for s, m in enumerate(g)]
+            with pytest.raises(InternalExactnessError) as err:
+                mapping_cone(t, bad, m_chains)
+            assert err.value.code == "INTERNAL_EXACTNESS"
+            doubled += 1
+    # g is nonzero in degrees 0-1 at k = 1 and in degrees 0-2 at k = 2.
+    assert doubled == 5
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the cone oracle ran an elimination beyond the forward pass")
+
+
+def test_cone_runs_no_rref_and_no_solver(monkeypatch):
+    monkeypatch.setattr(rational, "rref", _forbidden)
+    monkeypatch.setattr(rational, "Solver", _forbidden)
+    for name in examples.decomposition_names():
+        D = examples.get_decomposition(name)
+        for k in range(1, D.n):
+            for strategy in ("lex", "reverse-lex"):
+                intersection_space_cone(D, k, strategy)

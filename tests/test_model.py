@@ -31,6 +31,18 @@ def test_perversity_rejections():
         validate_perversity({3: 0})  # missing codimension 2
 
 
+def test_perversity_values_must_be_ints():
+    # A float, bool or string value would otherwise be coerced into some
+    # other perversity, and build_model would quietly build its model.
+    for values in ({2: 0, 3: 0.9}, [0, True], {2: False, 3: 0}, {2: 0, 3: "1"}):
+        with pytest.raises(BadPerversityError):
+            validate_perversity(values)
+    with pytest.raises(BadPerversityError):
+        build_model(examples.get_decomposition("x2-cone-torus"), {2: 0, 3: 0.9})
+    # Keys may be strings, as JSON object keys are.
+    assert validate_perversity({"2": 0, "3": 1}) == Perversity({2: 0, 3: 1})
+
+
 def test_named_perversities():
     n = 6
     zero = named_perversity("zero", n)

@@ -81,6 +81,20 @@ def test_kernel_one_equation():
     assert k.matrix() == M([[1], [-1]])
 
 
+def test_kernel_zero_rows_and_zero_columns():
+    # No rows: every column is free and the basis is the identity.
+    k = kernel_basis(RationalMatrix.zeros(0, 3))
+    assert k.matrix() == RationalMatrix.identity(3) and k.pivot_rows == (0, 1, 2)
+    # No columns: the zero space of Q^0.
+    k = kernel_basis(RationalMatrix.zeros(3, 0))
+    assert (k.ambient_dim, k.count, k.pivot_rows) == (0, 0, ())
+    # Zero rows change nothing, and a zero column is a free column of its own.
+    k = kernel_basis(M([[0, 0, 0], [1, 0, 2], [0, 0, 0]]))
+    assert k.matrix() == M([[1, 0], [0, 1], [Fraction(-1, 2), 0]]) and k.pivot_rows == (0, 1)
+    k = kernel_basis(M([[0, 2, 1], [0, 0, 3]]))
+    assert k.matrix() == M([[1], [0], [0]]) and k.pivot_rows == (0,)
+
+
 def test_image_identity_and_zero():
     assert image_basis(RationalMatrix.identity(2)).matrix() == RationalMatrix.identity(2)
     assert image_basis(RationalMatrix.zeros(3, 2)).count == 0
@@ -427,6 +441,12 @@ def test_kernel_matches_dense_oracle():
             oracle_kernel.append(v)
         kernel_rows = _oracle_row_space(oracle_kernel, cols)
         assert kernel.matrix() == _as_matrix(kernel_rows, cols).transpose()
+        # Its pivot rows are the null space's RREF pivots: the free columns
+        # of m when its columns are read from the last one back.
+        kernel_pivots, _ = _oracle_rref(oracle_kernel, cols)
+        reversed_pivots, _ = _oracle_rref([row[::-1] for row in a], cols)
+        assert kernel.pivot_rows == kernel_pivots == tuple(
+            j for j in range(cols) if cols - 1 - j not in reversed_pivots)
         assert (m @ kernel.matrix()).is_zero()
 
         image = image_basis(m)
