@@ -38,7 +38,6 @@ from .rational import (
     Echelon,
     QuotientBasis,
     RationalMatrix,
-    Solver,
     SubspaceBasis,
     image_basis,
     quotient_basis,
@@ -326,8 +325,7 @@ class PairComplexes:
         self.restrict = restriction_map(K, A)
         for r, rest in enumerate(self.restrict):
             # Extension by zero is a right inverse of a surjective restriction.
-            if (rest @ rest.transpose() != RationalMatrix.identity(self.sub.dim(r))
-                    and rest.rank() != self.sub.dim(r)):
+            if rest @ rest.transpose() != RationalMatrix.identity(self.sub.dim(r)):
                 raise InternalExactnessError(f"restriction not surjective in degree {r}")
             if not (rest @ self.include_rel[r]).is_zero():
                 raise InternalExactnessError(f"pair sequence not a complex in degree {r}")
@@ -371,38 +369,31 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
 class ShortExactSequence:
     """0 -> U -> V -> W -> 0 of cochain complexes, checked degreewise.
 
-    ``left`` and ``right`` give, per degree, a left inverse of alpha and a
-    right inverse of beta when the caller has them.  Each is a certificate
-    checked by one product: left @ alpha == I proves alpha injective and
-    beta @ right == I proves beta surjective.  A degree without one, or
-    whose product fails, is checked by rank instead, with the same error.
-    ``connecting`` lifts through the certified right inverse and pulls back
-    through the certified left inverse, and solves where there is none.
+    ``left`` and ``right`` give, per degree 0..top, a left inverse of alpha
+    and a right inverse of beta.  Each is a certificate checked by one
+    product: left @ alpha == I proves alpha injective and beta @ right == I
+    proves beta surjective; a failed product is an engine bug and raises.
+    ``connecting`` lifts through the right inverse and pulls back through the
+    left inverse.
     """
 
     __slots__ = ("U", "V", "W", "alpha", "beta", "left", "right", "_connecting")
 
-    def __init__(self, U, V, W, alpha, beta, left=None, right=None):
+    def __init__(self, U, V, W, alpha, beta, left, right):
         self.U = U
         self.V = V
         self.W = W
         self.alpha = tuple(alpha)
         self.beta = tuple(beta)
+        self.left = tuple(left)
+        self.right = tuple(right)
         self._connecting = {}
-        top = max(U.top, V.top, W.top)
-        # The inverses that passed their certificate, by degree.
-        self.left = {}
-        self.right = {}
-        for r in range(top + 1):
+        for r in range(max(U.top, V.top, W.top) + 1):
             a = self._mat(alpha, r, U, V)
             b = self._mat(beta, r, V, W)
-            if left is not None and left[r] @ a == RationalMatrix.identity(U.dim(r)):
-                self.left[r] = left[r]
-            elif a.rank() != U.dim(r):
+            if self.left[r] @ a != RationalMatrix.identity(U.dim(r)):
                 raise InternalExactnessError(f"SES: injectivity fails in degree {r}")
-            if right is not None and b @ right[r] == RationalMatrix.identity(W.dim(r)):
-                self.right[r] = right[r]
-            elif b.rank() != W.dim(r):
+            if b @ self.right[r] != RationalMatrix.identity(W.dim(r)):
                 raise InternalExactnessError(f"SES: surjectivity fails in degree {r}")
             if not (b @ a).is_zero():
                 raise InternalExactnessError(f"SES: composite nonzero in degree {r}")
@@ -437,20 +428,10 @@ class ShortExactSequence:
         reps = self.W.representative_matrix(r)
         if not reps.cols:
             return RationalMatrix.zeros(self.U.cohomology(r + 1).dimension, 0)
-        if r in self.right:
-            v = self.right[r] @ reps
-        else:
-            v = Solver(self.beta_mat(r)).solve_matrix(reps)
-            if v is None:
-                raise InternalExactnessError("SES: surjection lift failed")
-        dv = self.V.diff(r) @ v
-        if r + 1 in self.left:
-            u = self.left[r + 1] @ dv
-            if self.alpha_mat(r + 1) @ u != dv:
-                u = None
-        else:
-            u = Solver(self.alpha_mat(r + 1)).solve_matrix(dv)
-        if u is None:
+        dv = self.V.diff(r) @ (self.right[r] @ reps)
+        # left ∘ alpha = I, so u is the preimage of dv iff dv has one.
+        u = self._mat(self.left, r + 1, self.V, self.U) @ dv
+        if self.alpha_mat(r + 1) @ u != dv:
             raise InternalExactnessError("SES: boundary not in the subcomplex")
         return self.U.express_class(u, r + 1)
 

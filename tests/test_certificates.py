@@ -1,16 +1,19 @@
 """Model maps by construction and exactness by certificate.
 
 ``build_model`` reads the model basis off the unit cochains that span it and
-proves each exactness statement with a one-sided inverse.  The reference
-here is the elimination it replaced: the kernel of kappa, and solves against
-theta and the basis.  The corruption tests patch one entry of a certified
-map and show that the check still raises the error it raised when it was
-proved by rank.
+proves each exactness statement once, with a one-sided inverse and no
+elimination behind it.  The reference here is the elimination it replaced:
+the kernel of kappa, solves against theta and the basis, and the connecting
+maps by solves through beta and alpha.  The corruption tests patch one entry
+of a certified map, with every rank and solver forbidden, and show that the
+certificate raises InternalExactnessError at the degree the rank proof named.
 """
+
+from contextlib import contextmanager
 
 import pytest
 
-from stratdual import cochains, cotruncation, examples, model
+from stratdual import cochains, cotruncation, examples
 from stratdual.cochains import CochainComplex, PairComplexes, ShortExactSequence
 from stratdual.cotruncation import StandardCotruncation, cotruncate, quotient_by_cotruncation
 from stratdual.errors import InternalExactnessError
@@ -44,8 +47,28 @@ def reference_maps(m):
     return iota, d, rho, eta
 
 
+def reference_connecting(ses, r):
+    """H^r(W) -> H^{r+1}(U) by elimination: lift each representative by a
+    solve through beta, apply d, and solve through alpha."""
+    reps = ses.W.representative_matrix(r)
+    if not reps.cols:
+        return RationalMatrix.zeros(ses.U.cohomology(r + 1).dimension, 0)
+    v = Solver(ses.beta_mat(r)).solve_matrix(reps)
+    u = Solver(ses.alpha_mat(r + 1)).solve_matrix(ses.V.diff(r) @ v)
+    return ses.U.express_class(u, r + 1)
+
+
 def forbidden(*args, **kwargs):
     raise AssertionError("an elimination ran where a certificate should hold")
+
+
+@contextmanager
+def eliminations_forbidden(monkeypatch):
+    """Make every rank and every solver factorization raise."""
+    with monkeypatch.context() as patch:
+        patch.setattr(RationalMatrix, "rank", forbidden)
+        patch.setattr(Solver, "__init__", forbidden)
+        yield patch
 
 
 def check_models(monkeypatch, D, configurations):
@@ -55,10 +78,7 @@ def check_models(monkeypatch, D, configurations):
         k = cutoff_degree(p, D.n)
         ct = cotruncate(pair.sub, k, strategy)
         quotient = quotient_by_cotruncation(pair.sub, ct)
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "kernel_basis", forbidden)
-            patch.setattr(cochains, "Solver", forbidden)
-            patch.setattr(RationalMatrix, "rank", forbidden)
+        with eliminations_forbidden(monkeypatch):
             m = build_model(D, p, strategy, pair=pair, cotruncation=ct, quotient=quotient)
         iota, d, rho, eta = reference_maps(m)
         assert list(m.iota) == iota, (pname, strategy)
@@ -67,13 +87,15 @@ def check_models(monkeypatch, D, configurations):
         assert list(m.eta) == eta, (pname, strategy)
         for ses in (m.ses_eta_rho, m.ses_iota_kappa):
             top = max(ses.U.top, ses.V.top, ses.W.top)
-            assert sorted(ses.left) == sorted(ses.right) == list(range(top + 1))
-            plain = ShortExactSequence(ses.U, ses.V, ses.W, ses.alpha, ses.beta)
+            assert len(ses.left) == len(ses.right) == top + 1
             for r in range(-1, top + 1):
-                with monkeypatch.context() as patch:
-                    patch.setattr(cochains, "Solver", forbidden)
+                # The cohomology bases solve once per complex; the
+                # connecting map itself only multiplies.
+                ses.W.cohomology(r)
+                ses.U.cohomology(r + 1)
+                with eliminations_forbidden(monkeypatch):
                     certified = ses.connecting(r)
-                assert certified == plain.connecting(r), (pname, strategy, r)
+                assert certified == reference_connecting(ses, r), (pname, strategy, r)
 
 
 @pytest.mark.parametrize("name", examples.decomposition_names())
@@ -106,11 +128,9 @@ def first_entry(m: RationalMatrix):
     return i, min(m.data[i])
 
 
-def sequence_error(ses, alpha, beta, certified):
-    inverses = {"left": [ses.left[r] for r in sorted(ses.left)],
-                "right": [ses.right[r] for r in sorted(ses.right)]} if certified else {}
-    with pytest.raises(InternalExactnessError) as err:
-        ShortExactSequence(ses.U, ses.V, ses.W, alpha, beta, **inverses)
+def sequence_error(monkeypatch, ses, alpha, beta, left, right):
+    with eliminations_forbidden(monkeypatch), pytest.raises(InternalExactnessError) as err:
+        ShortExactSequence(ses.U, ses.V, ses.W, alpha, beta, left, right)
     return str(err.value)
 
 
@@ -121,14 +141,15 @@ def x2_zero():
 
 # Zeroing the entry of a unit column leaves a zero column, and zeroing the
 # entry of a unit row a zero row, so the patched map is not injective or not
-# surjective; the certificate fails and the rank it falls back to fails too.
+# surjective; the certificate fails with the message the rank proof gave.
 @pytest.mark.parametrize("sequence,side,degree,message", [
     ("ses_iota_kappa", "alpha", 2, "SES: injectivity fails in degree 2"),
     ("ses_iota_kappa", "beta", 0, "SES: surjectivity fails in degree 0"),
     ("ses_eta_rho", "alpha", 2, "SES: injectivity fails in degree 2"),
     ("ses_eta_rho", "beta", 2, "SES: surjectivity fails in degree 2"),
 ])
-def test_corrupted_sequence_map_raises_as_by_rank(x2_zero, sequence, side, degree, message):
+def test_corrupted_sequence_map_raises_as_by_rank(monkeypatch, x2_zero, sequence, side,
+                                                  degree, message):
     ses = getattr(x2_zero, sequence)
     alpha, beta = ses.alpha, ses.beta
     i, j = first_entry(getattr(ses, side)[degree])
@@ -136,24 +157,22 @@ def test_corrupted_sequence_map_raises_as_by_rank(x2_zero, sequence, side, degre
         alpha = patched_at(alpha, degree, i, j, 0)
     else:
         beta = patched_at(beta, degree, i, j, 0)
-    assert sequence_error(ses, alpha, beta, certified=True) == message
-    assert sequence_error(ses, alpha, beta, certified=False) == message
+    assert sequence_error(monkeypatch, ses, alpha, beta, ses.left, ses.right) == message
 
 
-def test_corrupted_inverse_falls_back_to_rank(x2_zero):
-    # A wrong inverse is dropped, and the exact sequence still passes by rank.
+def test_corrupted_inverse_raises(monkeypatch, x2_zero):
+    # A wrong inverse of an exact sequence is an engine bug, so it raises
+    # where its certificate fails; no rank proves the sequence exact instead.
     ses = x2_zero.ses_iota_kappa
-    left = [ses.left[r] for r in sorted(ses.left)]
-    i, j = first_entry(left[2])
-    left[2] = patched(left[2], i, j, 2)
-    again = ShortExactSequence(ses.U, ses.V, ses.W, ses.alpha, ses.beta,
-                               left=left, right=[ses.right[r] for r in sorted(ses.right)])
-    assert 2 not in again.left and sorted(again.right) == sorted(ses.right)
-    for r in range(-1, ses.V.top + 1):
-        assert again.connecting(r) == ses.connecting(r)
+    left = patched_at(ses.left, 2, *first_entry(ses.left[2]), 2)
+    assert (sequence_error(monkeypatch, ses, ses.alpha, ses.beta, left, ses.right)
+            == "SES: injectivity fails in degree 2")
+    right = patched_at(ses.right, 1, *first_entry(ses.right[1]), 2)
+    assert (sequence_error(monkeypatch, ses, ses.alpha, ses.beta, ses.left, right)
+            == "SES: surjectivity fails in degree 1")
 
 
-def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex():
+def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex(monkeypatch):
     # 0 -> U -> V -> W -> 0 with beta a cochain map, until W's d^0 is patched
     # from 1 to 0: then W has a class whose lift's coboundary leaves alpha's image.
     one = RationalMatrix.identity(1)
@@ -165,11 +184,11 @@ def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex():
     beta = (one, RationalMatrix.from_rows([[0, 1]]))
     left = (RationalMatrix.zeros(0, 1), RationalMatrix.from_rows([[1, 0]]))
     right = (one, RationalMatrix.from_rows([[0], [1]]))
-    certified = ShortExactSequence(U, V, W, alpha, beta, left=left, right=right)
-    assert sorted(certified.left) == sorted(certified.right) == [0, 1]
-    for ses in (certified, ShortExactSequence(U, V, W, alpha, beta)):
-        with pytest.raises(InternalExactnessError, match="^SES: boundary not in the subcomplex$"):
-            ses.connecting(0)
+    ses = ShortExactSequence(U, V, W, alpha, beta, left, right)
+    W.cohomology(0)
+    with eliminations_forbidden(monkeypatch), pytest.raises(
+            InternalExactnessError, match="^SES: boundary not in the subcomplex$"):
+        ses.connecting(0)
 
 
 def test_corrupted_restriction_raises_as_by_rank(monkeypatch):
@@ -181,14 +200,15 @@ def test_corrupted_restriction_raises_as_by_rank(monkeypatch):
         return patched_at(maps, 1, *first_entry(maps[1]), 0)
 
     monkeypatch.setattr(cochains, "restriction_map", corrupted)
-    with pytest.raises(InternalExactnessError, match="^restriction not surjective in degree 1$"):
+    with eliminations_forbidden(monkeypatch), pytest.raises(
+            InternalExactnessError, match="^restriction not surjective in degree 1$"):
         PairComplexes(D.M, D.L)
 
 
-def test_corrupted_cotruncation_inclusion_raises_as_by_solve():
-    # A stray entry off theta's pivot rows takes its column out of ker kappa:
-    # the model basis falls back to the kernel of kappa, whose restriction
-    # then leaves the image of the corrupted theta.
+def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
+    # A stray entry off theta's pivot rows takes its column out of ker kappa,
+    # so kappa ∘ iota is nonzero where the corrupted column is placed.  The
+    # solve against theta raised at the same degree when kappa was eliminated.
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     ct = cotruncate(pair.sub, 2, "lex")
@@ -197,10 +217,11 @@ def test_corrupted_cotruncation_inclusion_raises_as_by_solve():
     row = max(set(range(theta.rows)) - pivots)
     inclusion = patched_at(ct.inclusion, 2, row, theta.cols - 1, 1)
     corrupted = StandardCotruncation(ct.k, ct.D, ct.complex, inclusion, ct.strategy)
-    with pytest.raises(InternalExactnessError,
-                       match="^restriction escapes the cotruncation at degree 2$"):
+    quotient = quotient_by_cotruncation(pair.sub, ct)
+    with eliminations_forbidden(monkeypatch), pytest.raises(
+            InternalExactnessError, match="^SES: composite nonzero in degree 2$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=corrupted,
-                    quotient=quotient_by_cotruncation(pair.sub, ct))
+                    quotient=quotient)
 
 
 def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
@@ -213,18 +234,18 @@ def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
         pi = projection(C, ct, section)
         return list(patched_at(pi, 0, *first_entry(pi[0]), 0))
 
-    with monkeypatch.context() as patch:
+    with eliminations_forbidden(monkeypatch) as patch:
         patch.setattr(cotruncation, "_projection", corrupted)
         with pytest.raises(InternalExactnessError,
                            match="^quotient projection not surjective at 0$"):
             quotient_by_cotruncation(pair.sub, ct)
 
-    # The model's dimension certificate reads the projection through kappa.
+    # ses_iota_kappa reads the projection through kappa = pi ∘ i*, whose
+    # right inverse is the extended section.  The rank proof of the model's
+    # dimension raised at the same degree.
     quotient, pi, section = quotient_by_cotruncation(pair.sub, ct)
     pi = patched_at(pi, 1, *first_entry(pi[1]), 0)
-    with pytest.raises(InternalExactnessError) as err:
+    with eliminations_forbidden(monkeypatch), pytest.raises(
+            InternalExactnessError, match="^SES: surjectivity fails in degree 1$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=ct,
                     quotient=(quotient, pi, section))
-    expected = pair.rel.dim(1) + ct.complex.dim(1)
-    assert str(err.value) == (f"model dimension {expected + 1} != ker + cotruncation "
-                              f"{expected} at degree 1")

@@ -251,11 +251,17 @@ def test_induced_restriction_solid_torus_to_boundary():
     assert h.rank() == 1
 
 
+def pair_sequence(pair):
+    """0 -> C*(K,A) -> C*(K) -> C*(A) -> 0 with the pair's unit inverses."""
+    return ShortExactSequence(pair.rel, pair.full, pair.sub, pair.include_rel, pair.restrict,
+                              [j.transpose() for j in pair.include_rel],
+                              [i.transpose() for i in pair.restrict])
+
+
 def test_connecting_homomorphism_solid_torus():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
-    ses = ShortExactSequence(pair.rel, pair.full, pair.sub,
-                             pair.include_rel, pair.restrict)
+    ses = pair_sequence(pair)
     # r=2: H^2(T^2) -> H^3(M, ∂M) is an isomorphism Q -> Q.
     delta2 = ses.connecting(2)
     assert (delta2.rows, delta2.cols) == (1, 1)
@@ -285,7 +291,10 @@ def test_connecting_zero_for_acyclic_third_term():
                             {(i, i): 1 for i in range(U.dim(r))}) for r in range(2)]
     beta = [RationalMatrix(W.dim(r), dims[r],
                            {(i, U.dim(r) + i): 1 for i in range(W.dim(r))}) for r in range(2)]
-    ses = ShortExactSequence(U, V, W, alpha, beta)
+    # alpha and beta are unit inclusions and projections, so their
+    # transposes are the split's unit projections and inclusions.
+    ses = ShortExactSequence(U, V, W, alpha, beta, [a.transpose() for a in alpha],
+                             [b.transpose() for b in beta])
     for r in range(2):
         assert ses.connecting(r).is_zero()
     assert all(h == 0 for h in W.betti())
@@ -295,8 +304,7 @@ def test_connecting_zero_in_degree_zero_for_disk_pair():
     # Constants extend over the disk, so the degree-0 connecting map is zero.
     D = examples.get_decomposition("disk-cone-s1")
     pair = PairComplexes(D.M, D.L)
-    ses = ShortExactSequence(pair.rel, pair.full, pair.sub,
-                             pair.include_rel, pair.restrict)
+    ses = pair_sequence(pair)
     assert ses.connecting(0).is_zero()
 
 
@@ -304,7 +312,7 @@ def test_connecting_independent_of_lift():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     sub = pair.sub
-    ses = ShortExactSequence(pair.rel, pair.full, sub, pair.include_rel, pair.restrict)
+    ses = pair_sequence(pair)
     rng = random.Random(2)
     for r in (1, 2):
         for w in sub.cohomology(r).representatives:

@@ -43,6 +43,17 @@ def test_perversity_values_must_be_ints():
     assert validate_perversity({"2": 0, "3": 1}) == Perversity({2: 0, 3: 1})
 
 
+def test_perversity_keys_must_name_codimensions_once():
+    # Only ints and strings of decimal digits name a codimension; nothing
+    # else is coerced, and no codimension may be named twice.
+    for values in ({2: 0, 3.9: 1}, {2: 0, 3.0: 1}, {True: 0}, {"two": 0}, {" 2": 0},
+                   {"": 0}, {"-2": 0}, {"2.0": 0}, {"²": 0}, {(2,): 0},
+                   {2: 0, "2": 0, 3: 1}, {"2": 0, "02": 0, 3: 1}):
+        with pytest.raises(BadPerversityError):
+            validate_perversity(values)
+    assert validate_perversity({2: 0, "3": 1}) == Perversity({2: 0, 3: 1})
+
+
 def test_named_perversities():
     n = 6
     zero = named_perversity("zero", n)
