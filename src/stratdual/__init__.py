@@ -11,7 +11,7 @@ from .cochains import (
     integrate,
     simplicial_cochains,
 )
-from .cone import ChainTruncation, ConeComplex, chain_truncate, compare, mapping_cone
+from .cone import ChainTruncation, chain_truncate, compare, mapping_cone
 from .cotruncation import (
     StandardCotruncation,
     Truncation,
@@ -48,7 +48,6 @@ from .rational import (
     image_basis,
     kernel_basis,
     rref,
-    solve,
 )
 from .reports import DualityReport, PairingMatrix
 from .simplicial import (

@@ -46,12 +46,17 @@ from .simplicial import SimplicialComplex
 
 
 class CochainComplex:
-    """Finite rational cochain complex in degrees 0..top."""
+    """Finite rational cochain complex in degrees 0..top.
+
+    d∘d = 0 is checked by one product per degree, unless ``ambient`` is
+    given: ``subcomplex`` passes the complex it reads d from, whose d∘d
+    proves this one's.
+    """
 
     __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_image_cache",
                  "_cochain_maps")
 
-    def __init__(self, name, dims, d):
+    def __init__(self, name, dims, d, *, ambient=None):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
@@ -66,9 +71,10 @@ class CochainComplex:
             if (mat.rows, mat.cols) != (target, self.dims[r]):
                 raise ValueError(f"{name}: d[{r}] has shape {mat.rows}x{mat.cols}, "
                                  f"expected {target}x{self.dims[r]}")
-        for r in range(self.top):
-            if not (self.d[r + 1] @ self.d[r]).is_zero():
-                raise InternalExactnessError(f"{name}: d∘d != 0 at degree {r}")
+        if ambient is None:
+            for r in range(self.top):
+                if not (self.d[r + 1] @ self.d[r]).is_zero():
+                    raise InternalExactnessError(f"{name}: d∘d != 0 at degree {r}")
 
     @property
     def top(self) -> int:
@@ -255,6 +261,9 @@ def subcomplex(name, C: CochainComplex, bases):
     basis of degree r + 1, the zero basis of Q^0 past the top; the product
     that checks each read is theta^{r+1} d_sub^r == d^r theta^r, so the
     inclusion is recorded as the cochain map that ``induced_map`` checks.
+    The same products prove d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
+    = d^{r+1} d^r theta^r = 0 by C's d∘d, and theta is injective (the
+    identity at its pivot rows), so the complex does not multiply it again.
     Returns (complex, inclusion).
     """
     if len(bases) != C.top + 1:
@@ -268,7 +277,7 @@ def subcomplex(name, C: CochainComplex, bases):
         if coords is None:
             raise InternalExactnessError(f"{name}: inclusion fails to commute with d at {r}")
         d.append(coords)
-    sub = CochainComplex(name, [basis.count for basis in bases], d)
+    sub = CochainComplex(name, [basis.count for basis in bases], d, ambient=C)
     C._cochain_maps.append((inclusion, sub))
     return sub, inclusion
 
@@ -284,25 +293,6 @@ def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
             entries[(i, K.index[s])] = 1
         mats.append(RationalMatrix(A.n_simplices(r), K.n_simplices(r), entries))
     return tuple(mats)
-
-
-def relative_complex(K: SimplicialComplex, A: SimplicialComplex, full: CochainComplex):
-    """Kernel of the restriction: duals of simplices of K not in A.
-
-    ``full`` is C*(K), whose coboundary the relative one is cut from.
-    Returns (complex, inclusion matrices into C*(K)).
-    """
-    top = K.dimension
-    # Positions in K.simplices(r) of the simplices outside A, in order.
-    kept = [[i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
-            for r in range(top + 2)]
-    dims = [len(kept[r]) for r in range(top + 1)]
-    include = tuple(RationalMatrix(K.n_simplices(r), dims[r],
-                                   {(k, i): 1 for i, k in enumerate(kept[r])})
-                    for r in range(top + 1))
-    d = [full.d[r].rows_at(kept[r + 1]).columns_at(kept[r]) for r in range(top + 1)]
-    rel = CochainComplex(f"C*({K.name},{A.name})", dims, d)
-    return rel, include
 
 
 class PairComplexes:
@@ -321,8 +311,13 @@ class PairComplexes:
         self._units = {}
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
-        self.rel, self.include_rel = relative_complex(K, A, self.full)
         self.restrict = restriction_map(K, A)
+        # C*(K, A) is spanned by the unit cochains at the simplices outside A.
+        bases = []
+        for r in range(K.dimension + 1):
+            kept = [i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
+            bases.append(SubspaceBasis(self.unit_rows(r, kept).transpose(), kept))
+        self.rel, self.include_rel = subcomplex(f"C*({K.name},{A.name})", self.full, bases)
         for r, rest in enumerate(self.restrict):
             # Extension by zero is a right inverse of a surjective restriction.
             if rest @ rest.transpose() != RationalMatrix.identity(self.sub.dim(r)):

@@ -6,7 +6,9 @@ homology of the intersection space; over a field those Betti numbers must
 equal the model's.  With the cochain model it cross-checks it shares the
 matrix layer alone: ``RationalMatrix``, the forward pass ``Echelon``,
 ``kernel_basis`` and ``complement_basis``.  It uses no ``quotient_basis``,
-no ``Solver`` and no ``rref``.
+no ``Solver`` and no ``rref``.  ∂∘∂ is multiplied in one place,
+``mapping_cone``, where it proves the comparison map a chain map; the cone
+is a plain ``ChainComplex``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
 
 class ChainComplex:
-    """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}."""
+    """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}.
+
+    Only shapes are checked here: ∂∘∂ = 0 is proved where the boundary is
+    made, and of the oracle's complexes only the cone multiplies it.
+    """
 
     __slots__ = ("name", "dims", "boundary", "_echelon_cache")
 
@@ -26,9 +32,12 @@ class ChainComplex:
         self.dims = tuple(dims)
         self.boundary = tuple(boundary)
         self._echelon_cache = {}
-        for r in range(1, self.top):
-            if not (self.boundary[r] @ self.boundary[r + 1]).is_zero():
-                raise InternalExactnessError(f"{name}: ∂∘∂ != 0 at degree {r + 1}")
+        if len(self.boundary) != len(self.dims):
+            raise ValueError("need one boundary per degree (degree 0 maps to 0)")
+        for r, mat in enumerate(self.boundary):
+            if (mat.rows, mat.cols) != (self.dim(r - 1), self.dims[r]):
+                raise ValueError(f"{name}: boundary[{r}] has shape {mat.rows}x{mat.cols}, "
+                                 f"expected {self.dim(r - 1)}x{self.dims[r]}")
 
     @property
     def top(self):
@@ -67,6 +76,8 @@ class ChainComplex:
 
 
 def simplicial_chains(K: SimplicialComplex) -> ChainComplex:
+    """C_*(K), with nothing multiplied: its ∂∘∂ is the transpose of the d∘d
+    of C*(K) that ``simplicial_cochains`` checks."""
     dims = [K.n_simplices(r) for r in range(K.dimension + 1)]
     boundary = [RationalMatrix.zeros(0, dims[0])]
     boundary += [K.boundary_matrix(r) for r in range(1, K.dimension + 1)]
@@ -89,7 +100,8 @@ def chain_truncate(L: SimplicialComplex, k: int, strategy: str = "lex",
                    chains: ChainComplex | None = None) -> ChainTruncation:
     """Moore-style truncation: H_r iso below k, zero at and above k.
 
-    ``chains`` is simplicial_chains(L), built here when not given.
+    ``chains`` is simplicial_chains(L), built here when not given.  Nothing
+    is multiplied for ∂∘∂: below k it is L's, and at k it is ∂_{k-1} ∂_k B = 0.
     """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
@@ -151,28 +163,15 @@ def _verify_truncation_signature(t: ChainTruncation, L: SimplicialComplex):
         raise InternalExactnessError(f"truncation leaves H_{k} != 0 on {L.name}")
 
 
-class ConeComplex:
-    """Mapping cone of g: t -> C_*(M); Cone_r = t_{r-1} ⊕ C_r(M).
+def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
+    """Cone of the chain map g[r]: t_r -> target_r; Cone_r = t_{r-1} ⊕ target_r
+    with differential (x, m) -> (-∂x, g(x) + ∂m).
 
-    Differential (x, m) -> (-∂x, g(x) + ∂m).
-    """
-
-    __slots__ = ("complex", "t_dims")
-
-    def __init__(self, complex_, t_dims):
-        self.complex = complex_
-        self.t_dims = t_dims
-
-    def homology_dims(self):
-        return self.complex.homology_dims()
-
-
-def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
-    """Cone of the chain map g[r]: t_r -> target_r.
-
-    The lower-left block of ∂∘∂ on the cone is ∂g - g∂, so the ∂∘∂ check of
-    ChainComplex proves that g is a chain map below the top degree; t has
-    no cells in the top degree, where the condition holds trivially.
+    ∂∘∂ on the cone is checked here, the one ∂∘∂ product of the oracle.  Its
+    lower-left block is ∂g - g∂, so the check proves that g is a chain map
+    below the top degree; t has no cells in the top degree, where the
+    condition holds trivially.  Its diagonal blocks are ∂∘∂ of t and of the
+    target, so it proves those too.
     """
     tc = t.complex
     top = max(tc.top + 1, target.top)
@@ -188,12 +187,15 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ConeComplex:
         lower = g_lower.hstack(target.bnd(r))
         boundary.append(upper.vstack(lower))
     cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
-    return ConeComplex(cone, tuple(t_dims))
+    for r in range(1, top):
+        if not (cone.boundary[r] @ cone.boundary[r + 1]).is_zero():
+            raise InternalExactnessError(f"{cone.name}: ∂∘∂ != 0 at degree {r + 1}")
+    return cone
 
 
 def intersection_space_cone(D: PseudomanifoldDecomposition, k: int,
                             strategy: str = "lex", m_chains: ChainComplex | None = None,
-                            l_chains: ChainComplex | None = None) -> ConeComplex:
+                            l_chains: ChainComplex | None = None) -> ChainComplex:
     """Cone over L_{<k} -> L = ∂M -> M for a decomposition.
 
     ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, built
@@ -216,7 +218,7 @@ def intersection_space_cone(D: PseudomanifoldDecomposition, k: int,
     return mapping_cone(t, g, m_chains)
 
 
-def compare(model, cone: ConeComplex):
+def compare(model, cone: ChainComplex):
     """Model Betti vector against reduced cone homology; the headline check.
 
     Returns (verdict, model_betti, cone_betti) with vectors padded to a

@@ -145,9 +145,6 @@ class RationalMatrix:
             {position[j]: v for j, v in row.items() if j in position} for row in self.data],
             self.den)
 
-    def dense(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -192,12 +189,6 @@ class RationalMatrix:
             x = sum(a * nums[j] for j, a in row.items())
             out.append(Fraction(x, den) if x else ZERO)
         return tuple(out)
-
-    def reversed_columns(self) -> "RationalMatrix":
-        """The same matrix with its columns in reverse order."""
-        last = self.cols - 1
-        return RationalMatrix._wrap(self.cols, [
-            {last - j: v for j, v in row.items()} for row in self.data], self.den)
 
     def transpose(self) -> "RationalMatrix":
         data = [{} for _ in range(self.cols)]
@@ -628,9 +619,9 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
 class Solver:
     """Reusable linear solver for a fixed coefficient matrix.
 
-    Factors once via rref-with-transform; each ``solve`` is then a cheap
-    substitution.  Returns a particular solution with free variables set to
-    zero, or None when the system is inconsistent.
+    Factors once via rref-with-transform; each ``solve_matrix`` is then a
+    cheap substitution.  Returns a particular solution with free variables
+    set to zero, or None when the system is inconsistent.
     """
 
     __slots__ = ("matrix", "pivots", "transform", "rank")
@@ -639,12 +630,6 @@ class Solver:
         self.matrix = m
         self.pivots, _, self.transform = rref(m, transform=True)
         self.rank = len(self.pivots)
-
-    def solve(self, rhs: Vector) -> Optional[Vector]:
-        if len(rhs) != self.matrix.rows:
-            raise ValueError("rhs length mismatch")
-        x = self.solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
-        return None if x is None else x.column(0)
 
     def solve_matrix(self, b: RationalMatrix) -> Optional[RationalMatrix]:
         """X with matrix @ X == b, free variables zero; None if any column is inconsistent.
@@ -728,8 +713,3 @@ def quotient_basis(w: RationalMatrix, e: RationalMatrix, lead,
         return None
     basis.matrix = w @ inverse
     return basis
-
-
-def solve(m: RationalMatrix, rhs: Vector) -> Optional[Vector]:
-    """Some x with m @ x = rhs, or None when no solution exists."""
-    return Solver(m).solve(rhs)

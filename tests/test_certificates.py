@@ -13,8 +13,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from stratdual import cochains, cotruncation, examples
+from stratdual import cli, cochains, cotruncation, examples
 from stratdual.cochains import CochainComplex, PairComplexes, ShortExactSequence
+from stratdual.cone import ChainComplex
 from stratdual.cotruncation import StandardCotruncation, cotruncate, quotient_by_cotruncation
 from stratdual.errors import InternalExactnessError
 from stratdual.model import (
@@ -249,3 +250,54 @@ def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
             InternalExactnessError, match="^SES: surjectivity fails in degree 1$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=ct,
                     quotient=(quotient, pi, section))
+
+
+# -- one d∘d proof per differential ---------------------------------------
+
+def test_derived_complexes_do_not_reprove_d_squared(monkeypatch):
+    # d∘d is multiplied where a differential is made from matrices: C*(K) and
+    # the cones.  Subcomplexes inherit it from the certified reads of
+    # ``subcomplex``, and chain complexes other than cones multiply nothing.
+    # Every factor stays alive in ``kept``, so ids name one object each.
+    kept = []
+    products = set()
+    matmul = RationalMatrix.__matmul__
+
+    def spy(a, b):
+        kept.append((a, b))
+        products.add((id(a), id(b)))
+        return matmul(a, b)
+
+    chain_complexes = []
+    chain_init = ChainComplex.__init__
+
+    def collect(self, *args):
+        chain_init(self, *args)
+        chain_complexes.append(self)
+
+    monkeypatch.setattr(cli, "_workspace", None)
+    monkeypatch.setattr(RationalMatrix, "__matmul__", spy)
+    monkeypatch.setattr(ChainComplex, "__init__", collect)
+    _, status = cli.run_verification("x2-cone-torus", checks=[
+        "model", "duality", "ladder", "lefschetz", "truncated-duality", "oracle"])
+    assert status == 0
+
+    def squared(d, r, s):
+        return (id(d[r]), id(d[s])) in products
+
+    built = cli._workspace._built
+    kinds = {key[0] for key in built if isinstance(key, tuple)}
+    assert kinds >= {"truncation", "cotruncation", "model", "cone"}
+    pair = built["pair"]
+    derived = [pair.rel] + [value.complex for key, value in built.items()
+                            if isinstance(key, tuple)
+                            and key[0] in ("truncation", "cotruncation", "model")]
+    for X in derived:
+        assert not any(squared(X.d, r + 1, r) for r in range(X.top)), X.name
+    assert all(squared(pair.full.d, r + 1, r) for r in range(pair.full.top))
+
+    cones = [value for key, value in built.items() if isinstance(key, tuple) and key[0] == "cone"]
+    assert len(chain_complexes) > len(cones)
+    for K in chain_complexes:
+        proved = [squared(K.boundary, r, r + 1) for r in range(1, K.top)]
+        assert all(proved) if any(K is cone for cone in cones) else not any(proved), K.name

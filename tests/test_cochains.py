@@ -13,14 +13,13 @@ from stratdual.cochains import (
     integrate,
     pair_against_chain,
     pairing_matrix,
-    relative_complex,
     restriction_map,
     simplicial_cochains,
     subcomplex,
 )
 from stratdual.errors import InternalExactnessError, NonOrientableError, ParseError
-from stratdual.rational import RationalMatrix, SubspaceBasis, kernel_basis, vec
-from stratdual.simplicial import SimplicialComplex, orient_top_chain
+from stratdual.rational import RationalMatrix, Solver, SubspaceBasis, kernel_basis, vec
+from stratdual.simplicial import SimplicialComplex, decompose, orient_top_chain, parse_complex
 
 
 def betti(K):
@@ -28,12 +27,23 @@ def betti(K):
     return C.betti()
 
 
+def dense(m):
+    """The rows of m as lists of Fractions."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def solve(m, rhs):
+    """Some x with m @ x == rhs, or None when there is none."""
+    x = Solver(m).solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
+    return None if x is None else x.column(0)
+
+
 def test_single_edge_dims_and_differential():
     K = SimplicialComplex.from_facets([[0, 1]])
     C, _ = simplicial_cochains(K)
     assert C.dims == (2, 1)
     # d(phi)= -(-1)^0 phi∘∂: vertex duals map to ∓(edge dual).
-    assert C.d[0].dense() == [[Fraction(1), Fraction(-1)]]
+    assert dense(C.d[0]) == [[Fraction(1), Fraction(-1)]]
 
 
 def test_triangle_boundary_cohomology():
@@ -125,7 +135,6 @@ def test_cup_associativity_exact_on_basis_triples():
 
 def test_graded_commutativity_up_to_coboundary():
     # a∪b - (-1)^{|a||b|} b∪a is a coboundary for cohomology representatives.
-    from stratdual.rational import Solver
     for name in ("t2-7", "annulus"):
         K = examples.get_complex(name)
         C, cup = simplicial_cochains(K)
@@ -137,7 +146,7 @@ def test_graded_commutativity_up_to_coboundary():
                         ba = cup.cup(s, b, r, a)
                         sign = Fraction(-1) ** (r * s)
                         diff = tuple(x - sign * y for x, y in zip(ab, ba))
-                        assert Solver(C.diff(r + s - 1)).solve(diff) is not None
+                        assert solve(C.diff(r + s - 1), diff) is not None
 
 
 def test_restriction_identity_and_empty():
@@ -167,13 +176,25 @@ def test_restriction_not_subcomplex():
 
 def test_relative_complex_empty_and_full():
     K = examples.get_complex("disk")
-    full, _ = simplicial_cochains(K)
-    rel, include = relative_complex(K, SimplicialComplex.from_facets([[9]], name="pt"), full)
-    # Relative to a disjoint point: same dims except the point is not in K,
-    # so nothing is removed.
-    assert rel.dims == (3, 3, 1)
-    rel2, _ = relative_complex(K, K, full)
-    assert rel2.dims == (0, 0, 0)
+    # Relative to one of its vertices only that vertex is removed.
+    assert PairComplexes(K, SimplicialComplex.from_facets([[0]], name="pt")).rel.dims == (2, 3, 1)
+    assert PairComplexes(K, K).rel.dims == (0, 0, 0)
+
+
+@pytest.mark.parametrize("name,level", [(name, 0) for name in examples.decomposition_names()]
+                         + [("x2-cone-torus", 1)])
+def test_relative_complex_is_the_cut_of_the_full_coboundary(name, level):
+    # C*(M, L) is read by subcomplex; it equals the rows and columns of
+    # C*(M)'s coboundary at the simplices outside L.
+    document = examples.subdivide(examples.get_document(name), level)
+    D = decompose(parse_complex(document), document["singular_vertex"])
+    pair = PairComplexes(D.M, D.L)
+    kept = [[i for i, s in enumerate(D.M.simplices(r)) if not D.L.has_simplex(s)]
+            for r in range(D.M.dimension + 2)]
+    for r in range(D.M.dimension + 1):
+        assert pair.rel.d[r] == pair.full.d[r].rows_at(kept[r + 1]).columns_at(kept[r])
+        assert pair.include_rel[r] == RationalMatrix(
+            D.M.n_simplices(r), len(kept[r]), {(k, i): 1 for i, k in enumerate(kept[r])})
 
 
 def test_relative_solid_torus_lefschetz_dims():
@@ -227,6 +248,18 @@ def test_induced_map_rechecks_a_list_edited_in_place():
     induced_map(frozen, C, C, 0)
     assert any(g is frozen for g, _ in C._cochain_maps)
     assert not any(g is f for g, _ in C._cochain_maps)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_complex_from_matrices_checks_d_squared(degree):
+    # d^{degree+1} d^{degree} = [[1]]: a complex built directly from
+    # matrices has its d∘d checked, which subcomplexes inherit.
+    d = [RationalMatrix.zeros(1, 1) for _ in range(3)] + [RationalMatrix.zeros(0, 1)]
+    d[degree] = d[degree + 1] = RationalMatrix.identity(1)
+    with pytest.raises(InternalExactnessError) as err:
+        CochainComplex("bad", (1, 1, 1, 1), d)
+    assert str(err.value) == f"bad: d∘d != 0 at degree {degree}"
+    assert err.value.code == "INTERNAL_EXACTNESS"
 
 
 def test_subcomplex_rejects_a_basis_not_closed_under_d():
@@ -316,15 +349,14 @@ def test_connecting_independent_of_lift():
     rng = random.Random(2)
     for r in (1, 2):
         for w in sub.cohomology(r).representatives:
-            from stratdual.rational import Solver
-            v = Solver(ses.beta_mat(r)).solve(w)
+            v = solve(ses.beta_mat(r), w)
             # Perturb the lift by something in the image of alpha.
             noise = tuple(Fraction(rng.randint(-2, 2)) for _ in range(pair.rel.dim(r)))
             v2 = tuple(a + b for a, b in zip(v, ses.alpha_mat(r).apply(noise)))
             dv2 = pair.full.diff(r).apply(v2)
-            u2 = Solver(ses.alpha_mat(r + 1)).solve(dv2)
+            u2 = solve(ses.alpha_mat(r + 1), dv2)
             dv = pair.full.diff(r).apply(v)
-            u = Solver(ses.alpha_mat(r + 1)).solve(dv)
+            u = solve(ses.alpha_mat(r + 1), dv)
             classes = pair.rel.express_class(
                 RationalMatrix.from_columns([u, u2], pair.rel.dim(r + 1)), r + 1)
             assert classes.column(0) == classes.column(1)
@@ -404,7 +436,7 @@ def test_evaluation_form_matches_cup_then_evaluate():
                 P = pairing_matrix(lambda: G,
                                    RationalMatrix.from_columns(left, C.dim(r)),
                                    RationalMatrix.from_columns(right, C.dim(n - r)))
-                assert P.dense() == [
+                assert dense(P) == [
                     [pair_against_chain(n, cup.cup(r, a, n - r, b), chain) for b in right]
                     for a in left]
 

@@ -138,7 +138,7 @@ def check_decomposition(D, rng, configurations):
         for C in (m.complex, m.quotient, m.cotruncation.complex):
             check_cochains(C, rng)
         check_chains(chain_truncate(D.L, m.k, strategy).complex)
-        check_chains(intersection_space_cone(D, m.k, strategy).complex)
+        check_chains(intersection_space_cone(D, m.k, strategy))
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)

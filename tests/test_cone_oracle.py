@@ -157,21 +157,20 @@ def test_cone_of_half_scaled_map_matches_fraction_blocks():
             g.append(include @ t_part)
         half = [m.scaled(Fraction(1, 2)) for m in g]
         cone = mapping_cone(t, half, m_chains)
-        dims = cone.complex.dims
-        for r in range(1, cone.complex.top + 1):
-            # [[-∂, 0], [g/2, ∂]] from Fraction entries.
-            shift, width = cone.t_dims[r - 1], cone.t_dims[r]
+        for r in range(1, cone.top + 1):
+            # [[-∂, 0], [g/2, ∂]] from Fraction entries; Cone_r = t_{r-1} ⊕ M_r.
+            shift, width = tc.dim(r - 2), tc.dim(r - 1)
             blocks = [(tc.bnd(r - 1), 0, 0, -1), (m_chains.bnd(r), shift, width, 1)]
             if r - 1 < len(half):
                 blocks.append((half[r - 1], shift, 0, 1))
             want = {}
             for block, top, left, sign in blocks:
-                for i, row in enumerate(block.dense()):
-                    for j, v in enumerate(row):
+                for i in range(block.rows):
+                    for j, v in enumerate(block.row(i)):
                         if v:
                             want[(top + i, left + j)] = sign * v
-            assert cone.complex.bnd(r) == RationalMatrix(dims[r - 1], dims[r], want)
-        assert any(cone.complex.bnd(r).den == 2 for r in range(1, cone.complex.top + 1))
+            assert cone.bnd(r) == RationalMatrix(cone.dims[r - 1], cone.dims[r], want)
+        assert any(cone.bnd(r).den == 2 for r in range(1, cone.top + 1))
         assert cone.homology_dims() == mapping_cone(t, g, m_chains).homology_dims()
 
 

@@ -13,7 +13,6 @@ from stratdual.rational import (
     image_basis,
     kernel_basis,
     rref,
-    solve,
     vec,
     vec_is_zero,
 )
@@ -21,6 +20,26 @@ from stratdual.rational import (
 
 def M(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def dense(m):
+    """The rows of m as lists of Fractions."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def reversed_columns(m):
+    return m.columns_at(range(m.cols - 1, -1, -1))
+
+
+def solve_one(solver, rhs):
+    """``solver.solve_matrix`` on one column, as a vector, or None."""
+    x = solver.solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
+    return None if x is None else x.column(0)
+
+
+def solve(m, rhs):
+    """Some x with m @ x == rhs, or None when there is none."""
+    return solve_one(Solver(m), rhs)
 
 
 def test_rref_identity_already_reduced():
@@ -179,7 +198,7 @@ def test_solver_reuse_and_matrix_rhs():
     x = s.solve_matrix(b)
     assert x is not None
     assert m @ x == b
-    assert s.solve(vec([1, 0, 0])) is None
+    assert solve_one(s, vec([1, 0, 0])) is None
 
 
 def test_zero_dimension_edges():
@@ -303,7 +322,7 @@ def _assert_matches(got, want, cols):
     """``got`` holds the dense Fraction rows ``want`` and is stored canonically:
     equal, hash included, to the matrix built through ``__init__``, over a
     positive denominator in lowest terms, with row-major numerators."""
-    assert got.dense() == [list(row) for row in want]
+    assert dense(got) == [list(row) for row in want]
     built = _as_matrix(want, cols)
     assert got == built and hash(got) == hash(built)
     assert (got.rows, got.cols) == (len(want), cols)
@@ -334,7 +353,7 @@ def _check_arithmetic(rng, a, m, rows, cols):
     _assert_matches(m.hstack(_as_matrix(q, width)), [r + s for r, s in zip(a, q)], cols + width)
     _assert_matches(m.vstack(other), a + b, cols)
     _assert_matches(m.transpose(), [[a[i][j] for i in range(rows)] for j in range(cols)], rows)
-    _assert_matches(m.reversed_columns(), [r[::-1] for r in a], cols)
+    _assert_matches(reversed_columns(m), [r[::-1] for r in a], cols)
     kept_rows = sorted(rng.sample(range(rows), rng.randint(0, rows)))
     kept_cols = sorted(rng.sample(range(cols), rng.randint(0, cols)))
     _assert_matches(m.rows_at(kept_rows), [a[i] for i in kept_rows], cols)
@@ -346,7 +365,7 @@ def _check_arithmetic(rng, a, m, rows, cols):
     # Round trips give m back, hash included.
     half = rng.randint(0, cols)
     middle = len(kept_rows)
-    for trip in (m.transpose().transpose(), m.reversed_columns().reversed_columns(),
+    for trip in (m.transpose().transpose(), reversed_columns(reversed_columns(m)),
                  m.columns_at(range(half)).hstack(m.columns_at(range(half, cols))),
                  m.rows_at(range(middle)).vstack(m.rows_at(range(middle, rows)))):
         assert trip == m and hash(trip) == hash(m)
@@ -392,14 +411,14 @@ def test_kernel_matches_dense_oracle():
         assert (t_pivots, t_reduced) == (pivots, reduced)
         assert (t.rows, t.cols) == (rows, rows)
         assert t @ m == reduced
-        assert len(_oracle_rref(t.dense(), rows)[0]) == rows
+        assert len(_oracle_rref(dense(t), rows)[0]) == rows
 
         solver = Solver(m)
         x = tuple(_random_entry(rng) for _ in range(cols))
         rhs = _matvec(a, x)
         for b in (rhs, tuple(_random_entry(rng) for _ in range(rows))):
             aug_pivots, aug = _oracle_rref([row + [v] for row, v in zip(a, b)], cols + 1)
-            got = solver.solve(b)
+            got = solve_one(solver, b)
             if cols in aug_pivots:          # b is outside the column space
                 assert got is None
                 continue
@@ -407,7 +426,7 @@ def test_kernel_matches_dense_oracle():
             for r, p in enumerate(aug_pivots):
                 expected[p] = aug[r][cols]
             assert got == tuple(expected)
-        assert solver.solve(rhs) is not None
+        assert solve_one(solver, rhs) is not None
 
         # A multi-column right-hand side solves column by column, and one
         # inconsistent column (a unit vector off the column space's pivot
@@ -418,13 +437,13 @@ def test_kernel_matches_dense_oracle():
                               for _ in range(extra.randint(0, 3))]
         b = _columns(consistent, rows)
         got = solver.solve_matrix(b)
-        assert got == _columns([solver.solve(v) for v in consistent], cols)
+        assert got == _columns([solve_one(solver, v) for v in consistent], cols)
         assert m @ got == b
         outside = [i for i in range(rows) if i not in column_pivots]
         assert bool(outside) == (rank < rows)
         if outside:
             bad = tuple(Fraction(int(i == outside[0])) for i in range(rows))
-            assert solver.solve(bad) is None
+            assert solve_one(solver, bad) is None
             mixed = list(consistent)
             mixed.insert(extra.randint(0, len(mixed)), bad)
             assert solver.solve_matrix(_columns(mixed, rows)) is None
