@@ -35,7 +35,6 @@ from .model import (
     named_perversity,
     validate_perversity,
 )
-from .rational import vec_is_zero
 from .workspace import Workspace, document_key
 
 SCHEMA_VERSION = 2
@@ -166,9 +165,9 @@ def _check_properties(ws, mp, mq):
     boundary_products_vanish = True
     for a in range(D.n):
         b = D.n - 1 - a
-        ys = (pair.restrict[a] @ mp.iota[a]).columns()
-        zs = (pair.restrict[b] @ mq.iota[b] @ mq.complex.representative_matrix(b)).columns()
-        if not all(vec_is_zero(pair.sub_cup.cup(a, y, b, z)) for y in ys for z in zs):
+        ys = pair.restrict[a] @ mp.iota[a]
+        zs = pair.restrict[b] @ mq.iota[b] @ mq.complex.representative_matrix(b)
+        if not pair.sub_cup.products_vanish(a, ys, b, zs):
             boundary_products_vanish = False
     # C.betti() reads the ranks of d alone: b_r = dim C^r - rank d_r - rank d_{r-1}.
     euler_ok = all(K.euler_characteristic() == sum((-1) ** r * b for r, b in enumerate(C.betti()))

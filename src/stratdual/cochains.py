@@ -14,7 +14,7 @@ Conventions, fixed once for the whole engine:
   integrate(dx, xi) = -(-1)^{deg x} integrate(x, ∂xi).
 * Every duality pairing is one intersection form on cochains,
   CupStructure.evaluation_form: (a, b) -> pair_against_chain(n, a ∪ b, chain)
-  as a matrix G read off the cup table; pairing_matrix returns A^T G B.
+  as a matrix G read off the n-simplices; pairing_matrix returns A^T G B.
 
 Cohomology representatives are canonical, so reports are reproducible bit
 for bit: in degree r they are the cocycles that vanish at the pivot rows P of
@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .errors import InternalExactnessError, ParseError
 from .rational import (
+    ZERO,
     Echelon,
     QuotientBasis,
     RationalMatrix,
@@ -159,48 +160,54 @@ def _cohomology_basis(C: CochainComplex, r: int) -> QuotientBasis:
 
 
 class CupStructure:
-    """Sparse Alexander-Whitney cup tables for a simplicial cochain complex."""
+    """Alexander-Whitney cup product of C*(K), read off the simplices of K.
 
-    __slots__ = ("complex", "tables")
+    The value of a ∪ b on an (r+s)-simplex w is (-1)^{rs} a[front] b[back],
+    with front = w[:r+1] and back = w[r:]; the two faces determine w.
+    """
 
-    def __init__(self, complex_, tables):
-        self.complex = complex_
-        self.tables = tables  # (r, s) -> {(i, j): {k: coeff}}
+    __slots__ = ("K",)
+
+    def __init__(self, K: SimplicialComplex):
+        self.K = K
+
+    def _faces(self, r: int, s: int):
+        """(front r-face, back s-face) positions of each (r+s)-simplex, in order."""
+        index = self.K.index
+        return ((index[w[:r + 1]], index[w[r:]]) for w in self.K.simplices(r + s))
 
     def cup(self, r: int, a, s: int, b):
         """Product of a cochain of degree r with one of degree s."""
-        C = self.complex
-        out = [Fraction(0)] * C.dim(r + s)
-        table = self.tables.get((r, s))
-        if table is None:
-            return tuple(out)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                cell = table.get((i, j))
-                if cell:
-                    for k, coeff in cell.items():
-                        out[k] += ai * bj * coeff
-        return tuple(out)
+        koszul = Fraction(-1) ** (r * s)
+        return tuple(koszul * a[i] * b[j] if a[i] and b[j] else ZERO
+                     for i, j in self._faces(r, s))
+
+    def products_vanish(self, r: int, left: RationalMatrix, s: int,
+                        right: RationalMatrix) -> bool:
+        """Whether a ∪ b = 0 for every column a of left (degree r) and b of
+        right (degree s): exactly when no (r+s)-simplex has a nonzero row of
+        left at its front face and a nonzero row of right at its back face."""
+        if left.rows != self.K.n_simplices(r) or right.rows != self.K.n_simplices(s):
+            raise ValueError(f"need {self.K.n_simplices(r)} and {self.K.n_simplices(s)} rows, "
+                             f"got {left.rows} and {right.rows}")
+        fronts = {i for i, row in enumerate(left.data) if row}
+        backs = {j for j, row in enumerate(right.data) if row}
+        if not fronts or not backs:
+            return True
+        return not any(i in fronts and j in backs for i, j in self._faces(r, s))
 
     def evaluation_form(self, n: int, r: int, chain) -> RationalMatrix:
         """Gram matrix of (a, b) -> pair_against_chain(n, a ∪ b, chain).
 
-        Shape dim C^r x dim C^{n-r}; G[i, j] = (-1)^{n(n+1)/2} sum_k c_k chain[k]
-        over the cup table entry e_i ∪ e_j = sum_k c_k e_k.  Every duality
-        pairing is a product A^T G B of this one form.
+        Shape dim C^r x dim C^{n-r}; each n-simplex w puts
+        (-1)^{n(n+1)/2} (-1)^{r(n-r)} chain[w] at (front, back).  Every
+        duality pairing is a product A^T G B of this one form.
         """
-        C = self.complex
-        sign = koszul_evaluation_sign(n)
-        entries = {}
-        for (i, j), cell in self.tables.get((r, n - r), {}).items():
-            value = sum(coeff * chain[k] for k, coeff in cell.items())
-            if value:
-                entries[(i, j)] = sign * value
-        return RationalMatrix(C.dim(r), C.dim(n - r), entries)
+        sign = koszul_evaluation_sign(n) * Fraction(-1) ** (r * (n - r))
+        entries = {(i, j): sign * value
+                   for (i, j), value in zip(self._faces(r, n - r), chain, strict=True)
+                   if value}
+        return RationalMatrix(self.K.n_simplices(r), self.K.n_simplices(n - r), entries)
 
 
 def pairing_matrix(form, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
@@ -235,22 +242,7 @@ def simplicial_cochains(K: SimplicialComplex):
         sign = (-1) ** (r + 1)               # -(-1)^r
         boundary = K.boundary_matrix(r + 1)  # C_{r+1} -> C_r
         d.append(boundary.transpose().scaled(sign))
-    complex_ = CochainComplex(f"C*({K.name})", dims, d)
-
-    tables = {}
-    for total in range(top + 1):
-        simplices = K.simplices(total)
-        for r in range(total + 1):
-            s = total - r
-            koszul = Fraction(-1) ** (r * s)
-            table = tables.setdefault((r, s), {})
-            for k, omega in enumerate(simplices):
-                front = omega[: r + 1]
-                back = omega[r:]
-                i = K.index[front]
-                j = K.index[back]
-                table.setdefault((i, j), {})[k] = koszul
-    return complex_, CupStructure(complex_, tables)
+    return CochainComplex(f"C*({K.name})", dims, d), CupStructure(K)
 
 
 def subcomplex(name, C: CochainComplex, bases):

@@ -6,9 +6,9 @@ homology of the intersection space; over a field those Betti numbers must
 equal the model's.  With the cochain model it cross-checks it shares the
 matrix layer alone: ``RationalMatrix``, the forward pass ``Echelon``,
 ``kernel_basis`` and ``complement_basis``.  It uses no ``quotient_basis``,
-no ``Solver`` and no ``rref``.  ∂∘∂ is multiplied in one place,
-``mapping_cone``, where it proves the comparison map a chain map; the cone
-is a plain ``ChainComplex``.
+no ``Solver`` and no ``rref``, and it multiplies no ∂∘∂: ``mapping_cone``
+proves the comparison map a chain map, which is all the cone's ∂∘∂ adds to
+the ∂∘∂ of its two ends; the cone is a plain ``ChainComplex``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class ChainComplex:
     """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}.
 
     Only shapes are checked here: ∂∘∂ = 0 is proved where the boundary is
-    made, and of the oracle's complexes only the cone multiplies it.
+    made, and the oracle's complexes multiply none.
     """
 
     __slots__ = ("name", "dims", "boundary", "_echelon_cache")
@@ -167,28 +167,30 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
     """Cone of the chain map g[r]: t_r -> target_r; Cone_r = t_{r-1} ⊕ target_r
     with differential (x, m) -> (-∂x, g(x) + ∂m).
 
-    ∂∘∂ on the cone is checked here, the one ∂∘∂ product of the oracle.  Its
-    lower-left block is ∂g - g∂, so the check proves that g is a chain map
-    below the top degree; t has no cells in the top degree, where the
-    condition holds trivially.  Its diagonal blocks are ∂∘∂ of t and of the
-    target, so it proves those too.
+    ∂∘∂ on the cone is [[∂∂, 0], [∂g - g∂, ∂∂]], so it is zero once g is a
+    chain map: the diagonal blocks are ∂∘∂ of t and of the target, the
+    transposes of d∘d products already checked, and the lower-left block is
+    proved zero here, one identity ∂ g_r == g_{r-1} ∂ per degree below the
+    top; t has no cells in the top degree, where it holds trivially.  A
+    failure names the degree of the cone's ∂∘∂ it breaks.
     """
     tc = t.complex
     top = max(tc.top + 1, target.top)
     t_dims = [tc.dim(r - 1) for r in range(top + 1)]
     m_dims = [target.dim(r) for r in range(top + 1)]
     dims = [t_dims[r] + m_dims[r] for r in range(top + 1)]
+    g = [g[r] if r < len(g) else RationalMatrix.zeros(m_dims[r], t_dims[r + 1])
+         for r in range(top)]
     boundary = [RationalMatrix.zeros(0, dims[0])]
     for r in range(1, top + 1):
         # [[-∂, 0], [g, ∂]]: -∂ on the shifted truncation block, g into the
         # target block and ∂ on it.
-        g_lower = g[r - 1] if r - 1 < len(g) else RationalMatrix.zeros(m_dims[r - 1], t_dims[r])
         upper = (-tc.bnd(r - 1)).hstack(RationalMatrix.zeros(t_dims[r - 1], m_dims[r]))
-        lower = g_lower.hstack(target.bnd(r))
+        lower = g[r - 1].hstack(target.bnd(r))
         boundary.append(upper.vstack(lower))
     cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
     for r in range(1, top):
-        if not (cone.boundary[r] @ cone.boundary[r + 1]).is_zero():
+        if target.bnd(r) @ g[r] != g[r - 1] @ tc.bnd(r):
             raise InternalExactnessError(f"{cone.name}: ∂∘∂ != 0 at degree {r + 1}")
     return cone
 

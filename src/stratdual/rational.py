@@ -549,14 +549,6 @@ class SubspaceBasis:
     def matrix(self) -> RationalMatrix:
         return self._matrix
 
-    def reduce(self, m: RationalMatrix) -> RationalMatrix:
-        """Canonical coset representatives of the columns of m modulo this subspace.
-
-        The basis is the identity at its pivot rows, so ``m - B @ m[pivots]``
-        clears every pivot row and changes m only by elements of the span.
-        """
-        return m - self._matrix @ m.rows_at(self.pivot_rows)
-
     def coordinates(self, m: RationalMatrix) -> Optional[RationalMatrix]:
         """X with basis @ X == m, or None when a column of m is outside the span.
 

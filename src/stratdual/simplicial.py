@@ -248,9 +248,6 @@ class FundamentalChain:
         self.degree = degree
         self.coefficients = tuple(coefficients)
 
-    def negated(self) -> "FundamentalChain":
-        return FundamentalChain(self.degree, tuple(-c for c in self.coefficients))
-
 
 def orient_top_chain(K: SimplicialComplex) -> FundamentalChain:
     """Coherently oriented top chain of a pure complex.

@@ -18,7 +18,14 @@ from stratdual.cochains import (
     subcomplex,
 )
 from stratdual.errors import InternalExactnessError, NonOrientableError, ParseError
-from stratdual.rational import RationalMatrix, Solver, SubspaceBasis, kernel_basis, vec
+from stratdual.rational import (
+    RationalMatrix,
+    Solver,
+    SubspaceBasis,
+    kernel_basis,
+    vec,
+    vec_is_zero,
+)
 from stratdual.simplicial import SimplicialComplex, decompose, orient_top_chain, parse_complex
 
 
@@ -131,6 +138,63 @@ def test_cup_associativity_exact_on_basis_triples():
                                 c = tuple(Fraction(int(x == k)) for x in range(C.dim(t)))
                                 bc = cup.cup(s, b, t, c)
                                 assert cup.cup(r + s, ab, t, c) == cup.cup(r, a, s + t, bc)
+
+
+def products_vanish_dense(cup, r, left, s, right):
+    """Reference: the cup product of every pair of columns, one at a time."""
+    return all(vec_is_zero(cup.cup(r, a, s, b))
+               for a in left.columns() for b in right.columns())
+
+
+def test_products_vanish_matches_the_pairwise_products():
+    rng = random.Random(17)
+    sd1 = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
+    D = decompose(parse_complex(sd1), sd1["singular_vertex"])
+    complexes = [examples.get_decomposition(name).L for name in examples.decomposition_names()]
+    complexes += [D.L, D.M]
+
+    def columns(rows, support, count=2):
+        """count columns with random nonzero entries on rows in ``support``."""
+        entries = {(i, j): rng.choice((-2, -1, 1, Fraction(1, 3)))
+                   for j in range(count) for i in support if rng.random() < 0.6}
+        return RationalMatrix(rows, count, entries)
+
+    seen = {True: 0, False: 0}
+    for K in complexes:
+        C, cup = simplicial_cochains(K)
+        for total in range(K.dimension + 1):
+            for r in range(total + 1):
+                s = total - r
+                faces = [(K.index[w[:r + 1]], K.index[w[r:]]) for w in K.simplices(total)]
+                for _ in range(4):
+                    fronts = rng.sample(range(C.dim(r)), min(3, C.dim(r)))
+                    # Rows no simplex glues to the chosen fronts: the products vanish.
+                    blocked = {j for i, j in faces if i in fronts}
+                    free = [j for j in range(C.dim(s)) if j not in blocked]
+                    backs = rng.sample(free, min(3, len(free)))
+                    left, right = columns(C.dim(r), fronts), columns(C.dim(s), backs)
+                    assert cup.products_vanish(r, left, s, right)
+                    assert products_vanish_dense(cup, r, left, s, right)
+                    seen[True] += 1
+                    # Some rows that glue to the fronts among others: a row
+                    # may get no entry, so these vanish or not.
+                    glued = rng.sample(sorted(blocked), min(2, len(blocked)))
+                    right = columns(C.dim(s), glued + backs)
+                    verdict = cup.products_vanish(r, left, s, right)
+                    assert verdict == products_vanish_dense(cup, r, left, s, right)
+                    seen[verdict] += 1
+                # The unit cochains at the front and back faces of one simplex.
+                i, j = faces[rng.randrange(len(faces))]
+                left = RationalMatrix(C.dim(r), 1, {(i, 0): 1})
+                right = RationalMatrix(C.dim(s), 1, {(j, 0): 1})
+                assert not cup.products_vanish(r, left, s, right)
+                assert not products_vanish_dense(cup, r, left, s, right)
+                seen[False] += 1
+                with pytest.raises(ValueError):
+                    cup.products_vanish(r, RationalMatrix.zeros(C.dim(r) + 1, 1), s, right)
+                with pytest.raises(ValueError):
+                    cup.products_vanish(r, left, s, RationalMatrix.zeros(C.dim(s) + 1, 1))
+    assert seen[True] > 100 and seen[False] > 100
 
 
 def test_graded_commutativity_up_to_coboundary():

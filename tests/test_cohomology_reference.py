@@ -37,7 +37,9 @@ def reference_representatives(d: RationalMatrix, e: RationalMatrix) -> RationalM
         return cycles
     pivots, _ = rref(boundaries.matrix().hstack(cycles))
     chosen = cycles.columns_at([j - boundaries.count for j in pivots if j >= boundaries.count])
-    return boundaries.reduce(chosen)
+    # The boundary basis is the identity at its pivot rows, so this clears
+    # them and changes each column by a boundary only.
+    return chosen - boundaries.matrix() @ chosen.rows_at(boundaries.pivot_rows)
 
 
 def reference_coordinates(reps: RationalMatrix, e: RationalMatrix,

@@ -55,6 +55,17 @@ def test_subdivision_keeps_every_invariant(name, perversity, strategy, tmp_path)
     assert without_entries(after) == without_entries(before)
 
 
+@pytest.mark.parametrize("perversity, strategy", [("zero", "lex"), ("top", "reverse-lex")])
+def test_subdivided_properties_pass(perversity, strategy, tmp_path):
+    # On x2-cone-torus sd1 the products of properties run over 504 tetrahedra
+    # and their links, not only over the bundled triangulations.
+    path = tmp_path / "x2-cone-torus-sd1.json"
+    path.write_text(json.dumps(examples.subdivide(examples.get_document("x2-cone-torus"), 1)))
+    report, status = run_verification(str(path), perversity, strategy, ["properties"], 0)
+    assert status == 0
+    assert all(report["checks"]["properties"].values())
+
+
 def test_subdivided_non_orientable_input_is_rejected(tmp_path):
     report, status = verify_subdivided("mobius-marked", 1, tmp_path, "zero", "lex")
     assert status == 2
