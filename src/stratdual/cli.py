@@ -141,7 +141,7 @@ def _check_truncated_duality(ws, strategy):
     return {"pass": ok, "windows": windows}
 
 
-def _check_properties(ws, mp, mq):
+def _check_properties(ws, mp, mq, strategy):
     D, pair = ws.decomposition(), ws.pair()
     complexes = ((D.X, ws.cochains()), (D.M, pair.full), (D.L, pair.sub))
     # Stokes, integrate(d x, xi) = -(-1)^r integrate(x, ∂xi) for all x, xi:
@@ -152,7 +152,7 @@ def _check_properties(ws, mp, mq):
     # True by construction: see check_product_vanishing.
     c = D.L.dimension
     vanishing_ok = True
-    cts = {k: ws.cotruncation(k, "lex") for k in range(1, c + 2)}
+    cts = {k: ws.cotruncation(k, strategy) for k in range(1, c + 2)}
     for k in cts:
         for l in cts:
             for r in range(1, c + 1):
@@ -246,7 +246,7 @@ def run_verification(target: str, perversity: str = "zero",
             elif check == "truncated-duality":
                 results[check] = _check_truncated_duality(ws, strategy)
             elif check == "properties":
-                results[check] = _check_properties(ws, mp, mq)
+                results[check] = _check_properties(ws, mp, mq, strategy)
         report["checks"] = results
         report["pass"] = all(section["pass"] for section in results.values())
         return report, (0 if report["pass"] else 1)

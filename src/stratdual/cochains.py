@@ -106,9 +106,9 @@ class CochainComplex:
         return self._echelon_cache[r]
 
     def image(self, r: int) -> SubspaceBasis:
-        """Canonical basis of im d^r in degree r + 1, built once per degree."""
+        """Canonical basis of im d^r, from d^r's columns at ``echelon(r)``'s pivots."""
         if r not in self._image_cache:
-            self._image_cache[r] = image_basis(self.diff(r))
+            self._image_cache[r] = image_basis(self.diff(r).columns_at(self.echelon(r).pivots))
         return self._image_cache[r]
 
     def cohomology(self, r: int) -> QuotientBasis:

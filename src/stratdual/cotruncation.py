@@ -3,9 +3,10 @@
 For a cutoff k > 0, the truncation keeps degrees below k and the image of
 the last differential in degree k; the standard cotruncation keeps a chosen
 complement D of that image in degree k and everything above.  D is selected
-by a deterministic strategy over the echelonized image, so two strategies
-('lex' / 'reverse-lex') give two reproducible but genuinely different
-choices, which is what makes choice-independence a runnable test.
+by a forward pass over the image's basis, led as the strategy says, so two
+strategies ('lex' / 'reverse-lex') give two reproducible but genuinely
+different choices, which is what makes choice-independence a runnable test.
+A cochain's normal form by that pass lies in D; the rest is its image part.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .cochains import (
 )
 from .errors import InternalExactnessError
 from .rational import (
+    COMPLEMENT_LEAD,
+    Echelon,
     RationalMatrix,
-    Solver,
     SubspaceBasis,
     complement_basis,
     vec_is_zero,
@@ -47,19 +49,19 @@ class Truncation:
 class StandardCotruncation:
     """tau_{>=k}^D: zero below k, the complement D in degree k, full above.
 
-    ``split`` factors [im d^{k-1} | D] in degree k (None when k is past the
-    top degree).
+    ``projection`` is pi_k, the coordinates along im d^{k-1} of the split
+    C^k = im d^{k-1} ⊕ D (None when k is past the top degree).
     """
 
-    __slots__ = ("k", "D", "complex", "inclusion", "strategy", "split")
+    __slots__ = ("k", "D", "complex", "inclusion", "strategy", "projection")
 
-    def __init__(self, k, D, complex_, inclusion, strategy, split=None):
+    def __init__(self, k, D, complex_, inclusion, strategy, projection=None):
         self.k = k
         self.D = D
         self.complex = complex_
         self.inclusion = inclusion
         self.strategy = strategy
-        self.split = split
+        self.projection = projection
 
 
 def _whole(n: int) -> SubspaceBasis:
@@ -82,15 +84,19 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     """Standard cotruncation tau_{>=k}^D with D chosen by the strategy."""
     if k <= 0:
         raise ValueError("cotruncation cutoff must be positive")
-    split = None
+    projection = None
     if k <= C.top:
         img = C.image(k - 1)
         D = complement_basis(img, strategy)
-        # D ⊕ im(d^{k-1}) = C^k, verified by the rank of one factorization,
-        # which the quotient's projection solves against.
-        if D.count + img.count == C.dim(k):
-            split = Solver(img.matrix().hstack(D.matrix()))
-        if split is None or split.rank != C.dim(k):
+        # pi_k reads a unit cochain's image part at the image basis's pivot
+        # rows.  That it inverts the image and kills D, which fill C^k by
+        # count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
+        units = RationalMatrix.identity(C.dim(k))
+        reduced = Echelon(img.matrix().transpose(), COMPLEMENT_LEAD[strategy]).normal_form(units)
+        projection = (units - reduced).transpose().rows_at(img.pivot_rows)
+        if (D.count + img.count != C.dim(k)
+                or projection @ img.matrix() != RationalMatrix.identity(img.count)
+                or not (projection @ D.matrix()).is_zero()):
             raise InternalExactnessError("complement does not split the cotruncation degree")
     else:
         D = SubspaceBasis.from_vectors(0, [])
@@ -101,7 +107,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases)
     # The model lives one degree above the link and reads theta there too.
     return StandardCotruncation(k, D, sub, theta + (RationalMatrix.zeros(0, 0),),
-                                strategy, split)
+                                strategy, projection)
 
 
 def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
@@ -134,19 +140,16 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
 
 
 def _projection(C: CochainComplex, ct: StandardCotruncation, section):
-    """pi per degree, up to top + 1: the identity below k, the coordinates
-    along im d^{k-1} of the split C^k = im d^{k-1} ⊕ D in degree k, and zero
-    above."""
+    """pi per degree, up to top + 1: the identity below k, the cotruncation's
+    pi_k in degree k, and zero above.  The quotient's ``section`` is the
+    right inverse that ``quotient_by_cotruncation`` checks pi against."""
     k = ct.k
     pi = []
     for r in range(C.top + 1):
         if r < k:
             pi.append(RationalMatrix.identity(C.dim(r)))
         elif r == k:
-            full = ct.split.solve_matrix(RationalMatrix.identity(C.dim(k)))
-            if full is None:
-                raise InternalExactnessError("quotient projection unsolvable")
-            pi.append(full.rows_at(range(section[k].cols)))
+            pi.append(ct.projection)
         else:
             pi.append(RationalMatrix.zeros(0, C.dim(r)))
     pi.append(RationalMatrix.zeros(0, 0))

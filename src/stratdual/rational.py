@@ -587,20 +587,22 @@ def image_basis(m: RationalMatrix) -> SubspaceBasis:
     return SubspaceBasis.row_space(m.transpose(), require_independent=False)
 
 
+# Each strategy's lead in the pass over a subspace's basis that picks its complement.
+COMPLEMENT_LEAD = {"lex": min, "reverse-lex": max}
+
+
 def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis:
     """Standard-basis complement of ``sub``: sub ⊕ complement = ambient.
 
-    ``lex`` takes standard basis vectors at the non-pivot rows of the
-    canonical echelon form (smallest indices first); ``reverse-lex`` does the
-    analogous scan with pivots chosen from the largest row index downward.
+    The unit vectors at the rows outside the pivots of the forward pass
+    over sub's basis vectors, led as ``COMPLEMENT_LEAD`` says: ``lex`` by
+    the lowest row, whose pivots are sub's pivot rows, and ``reverse-lex``
+    by the highest.
     """
     n = sub.ambient_dim
-    if strategy == "lex":
-        pivot_rows = set(sub.pivot_rows)
-    elif strategy == "reverse-lex":
-        pivot_rows = set(Echelon(sub.matrix().transpose(), max).pivots)
-    else:
+    if strategy not in COMPLEMENT_LEAD:
         raise ValueError(f"unknown complement strategy {strategy!r}")
+    pivot_rows = set(Echelon(sub.matrix().transpose(), COMPLEMENT_LEAD[strategy]).pivots)
     free = [i for i in range(n) if i not in pivot_rows]
     position = {i: c for c, i in enumerate(free)}
     units = RationalMatrix._wrap(len(free), [

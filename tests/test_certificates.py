@@ -24,7 +24,13 @@ from stratdual.model import (
     cutoff_degree,
     named_perversity,
 )
-from stratdual.rational import RationalMatrix, Solver, kernel_basis
+from stratdual.rational import (
+    RationalMatrix,
+    Solver,
+    SubspaceBasis,
+    complement_basis,
+    kernel_basis,
+)
 from stratdual.simplicial import decompose, parse_complex
 
 STRATEGIES = ("lex", "reverse-lex")
@@ -77,9 +83,9 @@ def check_models(monkeypatch, D, configurations):
     for pname, strategy in configurations:
         p = named_perversity(pname, D.n)
         k = cutoff_degree(p, D.n)
-        ct = cotruncate(pair.sub, k, strategy)
-        quotient = quotient_by_cotruncation(pair.sub, ct)
         with eliminations_forbidden(monkeypatch):
+            ct = cotruncate(pair.sub, k, strategy)
+            quotient = quotient_by_cotruncation(pair.sub, ct)
             m = build_model(D, p, strategy, pair=pair, cotruncation=ct, quotient=quotient)
         iota, d, rho, eta = reference_maps(m)
         assert list(m.iota) == iota, (pname, strategy)
@@ -223,6 +229,44 @@ def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
             InternalExactnessError, match="^SES: composite nonzero in degree 2$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=corrupted,
                     quotient=quotient)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cotruncation_split_needs_no_elimination(monkeypatch, strategy):
+    # The pass that chooses D gives pi_k, and one certificate proves the
+    # split, so no solver factors [im | D] and no rank counts it.
+    for name in examples.decomposition_names():
+        D = decomposition(name)
+        C = PairComplexes(D.M, D.L).sub
+        with eliminations_forbidden(monkeypatch):
+            for k in range(1, C.top + 2):
+                quotient_by_cotruncation(C, cotruncate(C, k, strategy))
+
+
+def _not_a_complement(kind):
+    """complement_basis with its first column swapped for the image basis's
+    first column, or dropped."""
+    def corrupted(img, strategy="lex"):
+        b = complement_basis(img, strategy).matrix()
+        tail = b.columns_at(range(1, b.cols))
+        b = img.matrix().columns_at([0]).hstack(tail) if kind == "image column" else tail
+        return SubspaceBasis(b, ())
+    return corrupted
+
+
+@pytest.mark.parametrize("kind", ["image column", "dropped"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_non_complement_does_not_split(monkeypatch, kind, strategy):
+    # An image column in D is not killed by pi_k; a dropped one leaves D
+    # and the image short of C^k.
+    D = decomposition("x2-cone-torus")
+    C = PairComplexes(D.M, D.L).sub
+    with eliminations_forbidden(monkeypatch) as patch:
+        patch.setattr(cotruncation, "complement_basis", _not_a_complement(kind))
+        for k in (1, 2):
+            with pytest.raises(InternalExactnessError,
+                               match="^complement does not split the cotruncation degree$"):
+                cotruncate(C, k, strategy)
 
 
 def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):

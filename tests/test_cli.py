@@ -183,6 +183,17 @@ def test_stokes_identity_detects_a_wrong_coboundary_sign(monkeypatch):
     assert properties["euler_characteristic"] is True
 
 
+def test_properties_read_the_cotruncations_of_the_runs_strategy(monkeypatch):
+    from stratdual import cli
+
+    monkeypatch.setattr(cli, "_workspace", None)
+    report, status = run_verification("x2-cone-torus", "zero", "reverse-lex", ["properties"])
+    assert status == 0
+    assert all(value is True for value in report["checks"]["properties"].values())
+    # The link has dimension c = 2, and properties reads the cutoffs 1..c + 1.
+    assert not {("cotruncation", k, "lex") for k in range(1, 4)} & set(cli._workspace._built)
+
+
 @pytest.mark.parametrize("name", examples.decomposition_names())
 def test_schema_v2_properties_keys(name):
     report, status = run_verification(name, checks=["properties"])

@@ -22,6 +22,7 @@ from stratdual.rational import (
     RationalMatrix,
     Solver,
     SubspaceBasis,
+    image_basis,
     kernel_basis,
     vec,
     vec_is_zero,
@@ -259,6 +260,19 @@ def test_relative_complex_is_the_cut_of_the_full_coboundary(name, level):
         assert pair.rel.d[r] == pair.full.d[r].rows_at(kept[r + 1]).columns_at(kept[r])
         assert pair.include_rel[r] == RationalMatrix(
             D.M.n_simplices(r), len(kept[r]), {(k, i): 1 for i, k in enumerate(kept[r])})
+
+
+@pytest.mark.parametrize("name,level", [(name, 0) for name in examples.decomposition_names()]
+                         + [("x2-cone-torus", 1)])
+def test_image_from_spanning_columns_is_the_full_image(name, level):
+    # CochainComplex.image eliminates only the columns of d^r at the pivots
+    # of its forward pass; the full column space is the reference.
+    document = examples.subdivide(examples.get_document(name), level)
+    D = decompose(parse_complex(document), document["singular_vertex"])
+    pair = PairComplexes(D.M, D.L)
+    for C in (simplicial_cochains(D.X)[0], pair.full, pair.sub, pair.rel):
+        for r in range(C.top + 1):
+            assert C.image(r) == image_basis(C.diff(r)), (C.name, r)
 
 
 def test_relative_solid_torus_lefschetz_dims():

@@ -11,7 +11,7 @@ from stratdual.cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from stratdual.rational import RationalMatrix
+from stratdual.rational import RationalMatrix, Solver
 from stratdual.simplicial import decompose, orient_top_chain, parse_complex
 
 
@@ -89,6 +89,26 @@ def test_truncation_and_cotruncation_differentials_and_inclusions(strategy):
                     above = (theta[r + 1] if r + 1 <= c
                              else RationalMatrix.zeros(0, sub.dim(r + 1)))
                     assert above @ sub.diff(r) == C.diff(r) @ theta[r], (L.name, k, r)
+
+
+def reference_projection(img, D):
+    """pi_k by elimination: the image coordinates from solving [im | D] X = I."""
+    split = Solver(img.matrix().hstack(D.matrix()))
+    return split.solve_matrix(RationalMatrix.identity(img.ambient_dim)).rows_at(range(img.count))
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+def test_projection_matches_the_solved_split(strategy):
+    for L in bundled_links():
+        C, _ = simplicial_cochains(L)
+        for k in range(1, C.top + 1):
+            ct = cotruncate(C, k, strategy)
+            img = C.image(k - 1)
+            assert ct.projection == reference_projection(img, ct.D), (L.name, k)
+            if strategy == "lex":
+                # D is the unit cochains off the image's pivot rows.
+                units = RationalMatrix.identity(C.dim(k)).rows_at(img.pivot_rows)
+                assert ct.projection == units, (L.name, k)
 
 
 def test_cotruncate_full_complement_when_image_zero():

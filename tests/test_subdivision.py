@@ -84,3 +84,14 @@ def test_subdivided_report_bytes(tmp_path, monkeypatch):
     digest = hashlib.sha256(render_report(report, "json").encode("utf-8")).hexdigest()
     assert (status, digest) == (
         0, "9c4d3aebd259344d655b6c033d5dcee9d99e09478f11384b26f0059b85868a98")
+
+
+def test_subdivided_reverse_lex_report_bytes(tmp_path, monkeypatch):
+    # The lex pin above reads a pi_k of unit rows; reverse-lex's is not.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "x2-cone-torus-sd1.json"
+    path.write_text(json.dumps(examples.subdivide(examples.get_document("x2-cone-torus"), 1)))
+    report, status = run_verification(path.name, "zero", "reverse-lex", STRUCTURAL_CHECKS, 0)
+    digest = hashlib.sha256(render_report(report, "json").encode("utf-8")).hexdigest()
+    assert (status, digest) == (
+        0, "21c3b96b7824c61129991acc18d33fb4277bfaad9eb62ec6b98f1f4f97ffa9c1")
