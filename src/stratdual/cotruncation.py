@@ -128,9 +128,9 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
     quotient = truncation.complex
     section = truncation.inclusion
-    pi = _projection(C, ct, section)
+    pi = _projection(C, ct)
     # pi ∘ theta_{<k} = I is at once the composite being the identity and
-    # the certificate that pi is surjective; pi is also a cochain map.
+    # the certificate that pi is surjective; pi is also proved a cochain map.
     for r in range(top + 1):
         if pi[r] @ section[r] != RationalMatrix.identity(quotient.dim(r)):
             raise InternalExactnessError(f"quotient projection not surjective at {r}")
@@ -139,10 +139,9 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
     return quotient, tuple(pi), section
 
 
-def _projection(C: CochainComplex, ct: StandardCotruncation, section):
+def _projection(C: CochainComplex, ct: StandardCotruncation):
     """pi per degree, up to top + 1: the identity below k, the cotruncation's
-    pi_k in degree k, and zero above.  The quotient's ``section`` is the
-    right inverse that ``quotient_by_cotruncation`` checks pi against."""
+    pi_k in degree k, and zero above."""
     k = ct.k
     pi = []
     for r in range(C.top + 1):

@@ -167,14 +167,21 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
                 cotruncation=None, quotient=None) -> IntersectionModel:
     """Construct the intersection model as a preimage subcomplex, verified.
 
-    The basis of A^r is the unit cochains that span it, ordered by pivot row,
-    which is the reduced column echelon basis of ker kappa^r.  That it spans
-    ker kappa^r is what ses_iota_kappa proves: kappa ∘ iota = 0, kappa ∘
-    (zero extension of the section) = I and the dimension count.  rho is
-    read at the cotruncation's pivot rows, and the fiber square
+    The basis of A^r is the unit cochains at the rows of the simplices
+    outside L and of the cotruncation's columns placed in M, in increasing
+    order, which is the reduced column echelon basis of ker kappa^r.  That
+    it spans ker kappa^r is what ses_iota_kappa proves: kappa ∘ iota = 0,
+    kappa ∘ (zero extension of the section) = I and the dimension count.
+    rho is read at the cotruncation's pivot rows, and the fiber square
     theta ∘ rho = i* ∘ iota checks it.  Each sequence gets its one-sided
     inverses: iota's and eta's read iota at known rows, rho is split by the
     cotruncation's columns in A and kappa by the extended section.
+
+    The structure maps are cochain maps by construction, and nothing checks
+    it again: iota by ``subcomplex``'s reads, kappa = pi ∘ i* as a composite
+    of two proved maps, rho because theta ∘ rho = i* ∘ iota is certified
+    with theta injective, and eta because iota ∘ eta = j is, with iota
+    injective.
 
     ``cotruncation`` and ``quotient`` are those of the link's cochains
     ``pair.sub`` at the model's cutoff and strategy, as ``cotruncate`` and
@@ -211,16 +218,14 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         placed_r = extend @ ct.inclusion[r]
         lift = (extend @ section[r] if r < len(section)
                 else RationalMatrix.zeros(pair.full.dim(r), 0))
-        basis = _echelon_basis(pair.include_rel[r].hstack(placed_r))
-        if basis is None:
-            raise InternalExactnessError(f"model basis not in echelon form at degree {r}")
-        bases.append(basis)
+        rows = sorted(_pivot_rows(pair.include_rel[r]) + _pivot_rows(placed_r))
+        bases.append(SubspaceBasis(pair.unit_rows(r, rows).transpose(), rows))
         kappa.append(kappa_r)
         placed.append(placed_r)
         lifts.append(lift)
     kappa = tuple(kappa)
     # d is read at the bases' pivot rows and checked by multiplying back, so
-    # no basis is eliminated again; iota is recorded as a cochain map.
+    # no basis is eliminated again; the same products prove iota a cochain map.
     values = ",".join(str(v) for v in p.values.values())
     complex_, iota = subcomplex(f"model[{values}]({D.name})", pair.full, bases)
 
@@ -266,19 +271,6 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
 def _pivot_rows(m: RationalMatrix):
     """The first nonzero row of each column of m, which has no zero column."""
     return [min(column) for column in m.transpose().data]
-
-
-def _echelon_basis(m: RationalMatrix) -> SubspaceBasis | None:
-    """The columns of m, ordered by their first nonzero rows, as the
-    canonical basis of their span; None unless they are the identity at
-    those rows, which makes them independent and reduced."""
-    pivots = _pivot_rows(m)
-    order = sorted(range(m.cols), key=pivots.__getitem__)
-    pivots = [pivots[j] for j in order]
-    matrix = m.columns_at(order)
-    if matrix.rows_at(pivots) != RationalMatrix.identity(len(pivots)):
-        return None
-    return SubspaceBasis(matrix, pivots)
 
 
 def _nullity(m: RationalMatrix) -> int:

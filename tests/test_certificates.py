@@ -212,10 +212,33 @@ def test_corrupted_restriction_raises_as_by_rank(monkeypatch):
         PairComplexes(D.M, D.L)
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_corrupted_restriction_raises_as_not_a_cochain_map(monkeypatch, degree):
+    # Swapping two rows of the restriction keeps it a surjection onto C*(L)
+    # that kills C*(M, L), so only the cochain-map proof sees it, at the
+    # first square the swapped degree enters.
+    D = examples.get_decomposition("x2-cone-torus")
+    restriction_map = cochains.restriction_map
+
+    def corrupted(K, A):
+        maps = restriction_map(K, A)
+        rows = list(range(maps[degree].rows))
+        rows[0], rows[1] = rows[1], rows[0]
+        return tuple(f.rows_at(rows) if r == degree else f for r, f in enumerate(maps))
+
+    monkeypatch.setattr(cochains, "restriction_map", corrupted)
+    with eliminations_forbidden(monkeypatch), pytest.raises(
+            InternalExactnessError,
+            match=f"^restriction not a cochain map at degree {degree - 1}$"):
+        PairComplexes(D.M, D.L)
+
+
 def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
-    # A stray entry off theta's pivot rows takes its column out of ker kappa,
-    # so kappa ∘ iota is nonzero where the corrupted column is placed.  The
-    # solve against theta raised at the same degree when kappa was eliminated.
+    # A stray entry off theta's pivot rows takes its column off the unit
+    # cochain at its pivot row, which the model basis holds, so the fiber
+    # square theta ∘ rho = i* ∘ iota fails where the corrupted column is
+    # placed.  The solve against theta raised at the same degree when kappa
+    # was eliminated.
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     ct = cotruncate(pair.sub, 2, "lex")
@@ -226,7 +249,7 @@ def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
     corrupted = StandardCotruncation(ct.k, ct.D, ct.complex, inclusion, ct.strategy)
     quotient = quotient_by_cotruncation(pair.sub, ct)
     with eliminations_forbidden(monkeypatch), pytest.raises(
-            InternalExactnessError, match="^SES: composite nonzero in degree 2$"):
+            InternalExactnessError, match="^restriction escapes the cotruncation at degree 2$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=corrupted,
                     quotient=quotient)
 
@@ -275,8 +298,8 @@ def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
     ct = cotruncate(pair.sub, 2, "lex")
     projection = cotruncation._projection
 
-    def corrupted(C, ct, section):
-        pi = projection(C, ct, section)
+    def corrupted(C, ct):
+        pi = projection(C, ct)
         return list(patched_at(pi, 0, *first_entry(pi[0]), 0))
 
     with eliminations_forbidden(monkeypatch) as patch:
@@ -294,6 +317,46 @@ def test_corrupted_quotient_projection_raises_as_by_rank(monkeypatch):
             InternalExactnessError, match="^SES: surjectivity fails in degree 1$"):
         build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=ct,
                     quotient=(quotient, pi, section))
+
+
+# -- cochain maps proved where they are made ------------------------------
+
+def assert_cochain_map(f, source, target):
+    """f^{r+1} d^r == d^r f^r in every degree, a missing degree of f being
+    zero: the check that ``induced_map`` ran before each map was proved
+    where it is made."""
+    def at(r):
+        if r < len(f):
+            return f[r]
+        return RationalMatrix.zeros(target.dim(r), source.dim(r))
+
+    for r in range(max(source.top, target.top) + 1):
+        assert at(r + 1) @ source.diff(r) == target.diff(r) @ at(r), (
+            source.name, target.name, r)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", examples.decomposition_names())
+def test_maps_handed_to_induced_map_are_cochain_maps(name, strategy):
+    # Every map the engine hands to induced_map: i* and j of the pair, and
+    # theta, pi, the section, iota, kappa, rho and eta of the model of each
+    # named perversity.  The named perversities are closed under taking the
+    # complement, so both models of every duality are among them.
+    D = decomposition(name)
+    pair = PairComplexes(D.M, D.L)
+    maps = [(pair.restrict, pair.full, pair.sub), (pair.include_rel, pair.rel, pair.full)]
+    for pname in NAMED_PERVERSITIES:
+        p = named_perversity(pname, D.n)
+        ct = cotruncate(pair.sub, cutoff_degree(p, D.n), strategy)
+        quotient, pi, section = quotient_by_cotruncation(pair.sub, ct)
+        m = build_model(D, p, strategy, pair=pair, cotruncation=ct,
+                        quotient=(quotient, pi, section))
+        maps += [(ct.inclusion, ct.complex, pair.sub), (pi, pair.sub, quotient),
+                 (section, quotient, pair.sub), (m.iota, m.complex, pair.full),
+                 (m.kappa, pair.full, quotient), (m.rho, m.complex, ct.complex),
+                 (m.eta, pair.rel, m.complex)]
+    for f, source, target in maps:
+        assert_cochain_map(f, source, target)
 
 
 # -- one d∘d proof per differential ---------------------------------------
