@@ -116,43 +116,32 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
 
     Realized on the complementary summand, which is the truncation tau_{<k}:
     full below k, im d^{k-1} in degree k, zero above.  Returns
-    (quotient, pi, section) with section the truncation's inclusion; the
-    composite tau_{<k} -> C -> quotient is checked to be the identity.
-    ``truncation`` is truncate_below(C, k), built here when not given.
+    (quotient, pi, section) with section the truncation's inclusion and pi,
+    per degree up to top + 1, the identity below k, the cotruncation's pi_k
+    in degree k and zero above.  ``truncation`` is truncate_below(C, k),
+    built here when not given.
+
+    Nothing is multiplied here: both statements about pi follow from the
+    certificates of ``cotruncate`` and of the truncation's reads.
+    - pi ∘ section = I.  Below k both are the identity.  At k it is
+      ``cotruncate``'s pi_k @ img == I on the same matrices, img being the
+      basis of im d^{k-1} that the section includes.  Above k the quotient
+      has no cochains.
+    - pi is a cochain map.  Below k - 1 pi and the section are the identity,
+      so the certified read section^{r+1} d_sub^r == d^r section^r says
+      d_sub^r = d^r.  At k - 1 the read is img @ d_sub == d^{k-1}, so
+      pi_k d^{k-1} = pi_k img d_sub = d_sub.  From k on the quotient is zero.
     """
     k = ct.k
-    top = C.top
     if truncation is None:
         truncation = truncate_below(C, k)
     elif truncation.k != k:
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
-    quotient = truncation.complex
-    section = truncation.inclusion
-    pi = _projection(C, ct)
-    # pi ∘ theta_{<k} = I is at once the composite being the identity and
-    # the certificate that pi is surjective; pi is also proved a cochain map.
-    for r in range(top + 1):
-        if pi[r] @ section[r] != RationalMatrix.identity(quotient.dim(r)):
-            raise InternalExactnessError(f"quotient projection not surjective at {r}")
-        if pi[r + 1] @ C.diff(r) != quotient.diff(r) @ pi[r]:
-            raise InternalExactnessError(f"quotient projection not a cochain map at {r}")
-    return quotient, tuple(pi), section
-
-
-def _projection(C: CochainComplex, ct: StandardCotruncation):
-    """pi per degree, up to top + 1: the identity below k, the cotruncation's
-    pi_k in degree k, and zero above."""
-    k = ct.k
-    pi = []
-    for r in range(C.top + 1):
-        if r < k:
-            pi.append(RationalMatrix.identity(C.dim(r)))
-        elif r == k:
-            pi.append(ct.projection)
-        else:
-            pi.append(RationalMatrix.zeros(0, C.dim(r)))
-    pi.append(RationalMatrix.zeros(0, 0))
-    return pi
+    pi = tuple(RationalMatrix.identity(C.dim(r)) if r < k
+               else ct.projection if r == k
+               else RationalMatrix.zeros(0, C.dim(r))
+               for r in range(C.top + 1)) + (RationalMatrix.zeros(0, 0),)
+    return truncation.complex, pi, truncation.inclusion
 
 
 def check_product_vanishing(cup: CupStructure, ct_k: StandardCotruncation,

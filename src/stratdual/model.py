@@ -18,13 +18,13 @@ and two short exact sequences
     0 -> C*(M,L) --eta--> A --rho--> tau_{>=k} -> 0
     0 -> A --iota--> C*(M) --kappa--> C*(L)/theta(tau_{>=k}) -> 0
 
-all of which are verified exactly at build time.  Both complement strategies
-pick unit cochains, so A^r is spanned by unit cochains: those of the simplices
-outside L and the cotruncation's columns placed on L.  The model basis is read
-off them with no elimination, and each structure map comes with a one-sided
-inverse the engine already holds, so every exactness statement is proved
-once, by one matrix product (a certificate), with no rank behind it.  A
-failed certificate is an engine bug and raises InternalExactnessError.
+exact by construction, as A is a reduced fiber product.  Both complement
+strategies pick unit cochains, so A^r is spanned by unit cochains: those of
+the simplices outside L and the cotruncation's columns placed on L.  The
+model basis is read off them with no elimination, and each exactness
+statement follows from certificates checked where the maps are made (see
+``build_model``), with no rank behind them.  A failed certificate is an
+engine bug and raises InternalExactnessError.
 """
 
 from __future__ import annotations
@@ -169,24 +169,31 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
 
     The basis of A^r is the unit cochains at the rows of the simplices
     outside L and of the cotruncation's columns placed in M, in increasing
-    order, which is the reduced column echelon basis of ker kappa^r.  That
-    it spans ker kappa^r is what ses_iota_kappa proves: kappa ∘ iota = 0,
-    kappa ∘ (zero extension of the section) = I and the dimension count.
-    rho is read at the cotruncation's pivot rows, and the fiber square
-    theta ∘ rho = i* ∘ iota checks it.  Each sequence gets its one-sided
-    inverses: iota's and eta's read iota at known rows, rho is split by the
-    cotruncation's columns in A and kappa by the extended section.
+    order, which is the reduced column echelon basis of ker kappa^r.  rho is
+    read at theta's pivot rows and checked by the fiber square
+    theta rho = i* iota, and eta is read at the basis's rows and checked by
+    iota eta = j.  So each structure map is a cochain map by construction:
+    iota by ``subcomplex``'s reads, kappa = pi i* as a composite of two
+    proved maps, and rho and eta by those squares, theta and iota injective.
 
-    The structure maps are cochain maps by construction, and nothing checks
-    it again: iota by ``subcomplex``'s reads, kappa = pi ∘ i* as a composite
-    of two proved maps, rho because theta ∘ rho = i* ∘ iota is certified
-    with theta injective, and eta because iota ∘ eta = j is, with iota
-    injective.
+    Both sequences are exact by construction, so ``ShortExactSequence``
+    checks only their dimension counts.  The rest follows from the fiber
+    square (read at theta's pivot rows, it forces theta's columns to be unit
+    cochains), the pair's i* i*ᵀ = I and i* j = 0, and the split's
+    pi_k @ D == 0:
+    - ses_iota_kappa.  iota has unit columns at distinct rows, so iotaᵀ is
+      its left inverse.  kappa's right inverse is the extended section:
+      pi i* i*ᵀ section = pi section = I.  kappa iota = pi theta rho = 0, as
+      theta has no columns below k, pi_k kills D at k and pi has no rows
+      above k.
+    - ses_eta_rho.  jᵀ iota eta = jᵀ j = I.  rho's right inverse is the
+      placed columns in A's coordinates: theta rho right = i* i*ᵀ theta =
+      theta.  theta rho eta = i* j = 0.  Both cancel theta, which is injective.
 
-    ``cotruncation`` and ``quotient`` are those of the link's cochains
-    ``pair.sub`` at the model's cutoff and strategy, as ``cotruncate`` and
-    ``quotient_by_cotruncation`` return them; what is not given is built here.
-    They stop at the link's top degree n - 1: in degree n the link has no
+    ``cotruncation`` and ``quotient`` are those of ``pair.sub`` at the
+    model's cutoff and strategy, as ``cotruncate`` and
+    ``quotient_by_cotruncation`` return them (built here when not given);
+    nothing checks a pi made elsewhere.  In degree n the link has no
     cochains, so every map there is the empty matrix.
     """
     p = validate_perversity(p)
@@ -248,10 +255,9 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         eta.append(eta_r)
     rho, eta = tuple(rho), tuple(eta)
 
-    # One-sided inverses, each certified by the sequence.  iota is the
-    # identity at its pivot rows, and j*ᵀ ∘ iota inverts eta because
-    # iota ∘ eta = j*; both share rows already held.  rho is split by the
-    # cotruncation's columns in A, and kappa by the extended section.
+    # The one-sided inverses the docstring proves: iotaᵀ and jᵀ iota read
+    # rows already held, and rho and kappa are split by the placed columns
+    # and the extended section.
     ses_eta_rho = ShortExactSequence(
         pair.rel, complex_, ct.complex, eta, rho,
         left=[pair.include_rel[r].transpose() @ iota[r] for r in range(n + 1)],
