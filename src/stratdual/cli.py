@@ -71,11 +71,9 @@ def resolve_perversity(text: str, n: int):
 def _check_model(ws, mp, mq, strategy):
     D = mp.decomposition
     other = "reverse-lex" if strategy == "lex" else "lex"
-    mp_other = ws.model(mp.perversity, other)
-    mq_other = ws.model(mq.perversity, other)
     betti_p, betti_q = list(mp.betti()), list(mq.betti())
-    choice_independent = (mp_other.betti() == mp.betti()
-                          and mq_other.betti() == mq.betti())
+    choice_independent = (ws.model(mp.k, other).betti() == mp.betti()
+                          and ws.model(mq.k, other).betti() == mq.betti())
     symmetric = all(betti_p[r] == betti_q[D.n - r] for r in range(D.n + 1))
     ok = (choice_independent and symmetric
           and betti_p[0] == 0 and betti_q[0] == 0)
@@ -222,15 +220,16 @@ def run_verification(target: str, perversity: str = "zero",
         D = ws.decomposition()
         p = resolve_perversity(perversity, D.n)
         q = complementary(p)
+        k_p, k_q = cutoff_degree(p, D.n), cutoff_degree(q, D.n)
         report["perversity_values"] = {
             "p": [p(s) for s in range(2, D.n + 1)],
             "q": [q(s) for s in range(2, D.n + 1)],
-            "cutoff_p": cutoff_degree(p, D.n),
-            "cutoff_q": cutoff_degree(q, D.n),
+            "cutoff_p": k_p,
+            "cutoff_q": k_q,
         }
         ws.mu()  # before the pair, so that a bad mu is reported first
-        mp = ws.model(p, strategy)
-        mq = ws.model(q, strategy)
+        mp = ws.model(k_p, strategy)
+        mq = ws.model(k_q, strategy)
         results = {}
         for check in checks:
             if check == "model":

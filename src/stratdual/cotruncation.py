@@ -25,7 +25,6 @@ from .cochains import (
 from .errors import InternalExactnessError
 from .rational import (
     COMPLEMENT_LEAD,
-    Echelon,
     RationalMatrix,
     SubspaceBasis,
     complement_basis,
@@ -86,13 +85,15 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
         raise ValueError("cotruncation cutoff must be positive")
     projection = None
     if k <= C.top:
-        img = C.image(k - 1)
+        # pi_k reads a unit cochain's image part, by the pass that picks D, at
+        # the image basis's pivot rows; a copy of the cached basis keeps that
+        # pass until return.  That pi_k inverts the image and kills D, which
+        # fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
+        image = C.image(k - 1)
+        img = SubspaceBasis(image.matrix(), image.pivot_rows)
         D = complement_basis(img, strategy)
-        # pi_k reads a unit cochain's image part at the image basis's pivot
-        # rows.  That it inverts the image and kills D, which fill C^k by
-        # count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
         units = RationalMatrix.identity(C.dim(k))
-        reduced = Echelon(img.matrix().transpose(), COMPLEMENT_LEAD[strategy]).normal_form(units)
+        reduced = img.forward_pass(COMPLEMENT_LEAD[strategy]).normal_form(units)
         projection = (units - reduced).transpose().rows_at(img.pivot_rows)
         if (D.count + img.count != C.dim(k)
                 or projection @ img.matrix() != RationalMatrix.identity(img.count)

@@ -153,14 +153,14 @@ def lefschetz_pairing(pair, mu: FundamentalChain,
 
 
 def _require_compatible(mp: IntersectionModel, mq: IntersectionModel):
+    """Models over one decomposition at complementary cutoffs, k + l = n.
+
+    A model sees its perversity only through p(n), and for complementary
+    perversities p(n) + q(n) = n - 2, which is k_p + k_q = n.  ``verify``
+    builds q as ``complementary(p)``, so its models always pass."""
     dp, dq = mp.decomposition, mq.decomposition
     if dp.X.facets != dq.X.facets or dp.singular_vertex != dq.singular_vertex:
         raise ValueError("models built over different decompositions")
-    p, q = mp.perversity, mq.perversity
-    if set(p.values) != set(q.values) or any(
-            p.values[s] + q.values[s] != s - 2 for s in p.values):
-        raise NotComplementaryError(
-            f"perversities {p!r} and {q!r} are not complementary")
     if mp.k + mq.k != dp.n:
         raise NotComplementaryError("cutoffs do not satisfy k + l = n")
 

@@ -18,13 +18,15 @@ and two short exact sequences
     0 -> C*(M,L) --eta--> A --rho--> tau_{>=k} -> 0
     0 -> A --iota--> C*(M) --kappa--> C*(L)/theta(tau_{>=k}) -> 0
 
-exact by construction, as A is a reduced fiber product.  Both complement
-strategies pick unit cochains, so A^r is spanned by unit cochains: those of
-the simplices outside L and the cotruncation's columns placed on L.  The
-model basis is read off them with no elimination, and each exactness
-statement follows from certificates checked where the maps are made (see
-``build_model``), with no rank behind them.  A failed certificate is an
-engine bug and raises InternalExactnessError.
+exact by construction, as A is a reduced fiber product.  A perversity p
+enters only through its cutoff k = n - 1 - p(n), so the model is a function
+of k and the complement strategy alone: perversities with equal cutoffs
+share it.  Both complement strategies pick unit cochains, so A^r is spanned
+by unit cochains: those of the simplices outside L and the cotruncation's
+columns placed on L.  The model basis is read off them with no
+elimination, and each exactness statement follows from certificates checked
+where the maps are made (see ``build_model``), with no rank behind them.  A
+failed certificate is an engine bug and raises InternalExactnessError.
 """
 
 from __future__ import annotations
@@ -49,12 +51,6 @@ class Perversity:
     def __call__(self, s: int) -> int:
         return self.values[s]
 
-    def __eq__(self, other):
-        return isinstance(other, Perversity) and self.values == other.values
-
-    def __hash__(self):
-        return hash(tuple(self.values.items()))
-
     def __repr__(self):
         vals = ",".join(str(self.values[s]) for s in sorted(self.values))
         return f"Perversity({vals})"
@@ -62,8 +58,6 @@ class Perversity:
 
 def validate_perversity(values) -> Perversity:
     """Accept a codimension -> value map iff the growth conditions hold."""
-    if isinstance(values, Perversity):
-        return values
     if isinstance(values, (list, tuple)):
         values = {s + 2: v for s, v in enumerate(values)}
     # Keys are ints or strings of decimal digits, as JSON writes int keys;
@@ -131,15 +125,13 @@ def cutoff_degree(p: Perversity, n: int) -> int:
 class IntersectionModel:
     """The model complex with its structure maps and both sequences."""
 
-    __slots__ = ("decomposition", "perversity", "k", "strategy", "pair",
-                 "cotruncation", "complex", "iota", "rho", "eta", "kappa",
-                 "quotient", "section", "ses_eta_rho", "ses_iota_kappa")
+    __slots__ = ("decomposition", "k", "strategy", "pair", "cotruncation",
+                 "complex", "iota", "rho", "eta", "kappa", "quotient", "section",
+                 "ses_eta_rho", "ses_iota_kappa")
 
-    def __init__(self, decomposition, perversity, k, strategy, pair, cotruncation,
-                 complex_, iota, rho, eta, kappa, quotient, section,
-                 ses_eta_rho, ses_iota_kappa):
+    def __init__(self, decomposition, k, strategy, pair, cotruncation, complex_,
+                 iota, rho, eta, kappa, quotient, section, ses_eta_rho, ses_iota_kappa):
         self.decomposition = decomposition
-        self.perversity = perversity
         self.k = k
         self.strategy = strategy
         self.pair = pair
@@ -158,14 +150,13 @@ class IntersectionModel:
         return self.complex.betti()
 
     def __repr__(self):
-        return (f"IntersectionModel({self.decomposition.name!r}, "
-                f"p={self.perversity!r}, k={self.k}, {self.strategy})")
+        return f"IntersectionModel({self.decomposition.name!r}, k={self.k}, {self.strategy})"
 
 
-def build_model(D: PseudomanifoldDecomposition, p: Perversity,
-                strategy: str = "lex", pair: PairComplexes | None = None,
-                cotruncation=None, quotient=None) -> IntersectionModel:
-    """Construct the intersection model as a preimage subcomplex, verified.
+def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
+                pair: PairComplexes | None = None, cotruncation=None,
+                quotient=None) -> IntersectionModel:
+    """Construct the intersection model at cutoff k, 1 <= k <= n - 1, verified.
 
     The basis of A^r is the unit cochains at the rows of the simplices
     outside L and of the cotruncation's columns placed in M, in increasing
@@ -196,9 +187,9 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     nothing checks a pi made elsewhere.  In degree n the link has no
     cochains, so every map there is the empty matrix.
     """
-    p = validate_perversity(p)
     n = D.n
-    k = cutoff_degree(p, n)
+    if type(k) is not int or not 1 <= k <= n - 1:
+        raise ValueError(f"model cutoff must be an int in 1..{n - 1}, got {k!r}")
     if pair is None:
         pair = PairComplexes(D.M, D.L)
     if cotruncation is None:
@@ -233,8 +224,7 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
     kappa = tuple(kappa)
     # d is read at the bases' pivot rows and checked by multiplying back, so
     # no basis is eliminated again; the same products prove iota a cochain map.
-    values = ",".join(str(v) for v in p.values.values())
-    complex_, iota = subcomplex(f"model[{values}]({D.name})", pair.full, bases)
+    complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases)
 
     rho = []
     eta = []
@@ -268,7 +258,7 @@ def build_model(D: PseudomanifoldDecomposition, p: Perversity,
         right=lifts)
 
     return IntersectionModel(
-        decomposition=D, perversity=p, k=k, strategy=strategy, pair=pair,
+        decomposition=D, k=k, strategy=strategy, pair=pair,
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)

@@ -513,11 +513,12 @@ class SubspaceBasis:
     describe the same subspace iff they compare equal.
     """
 
-    __slots__ = ("_matrix", "pivot_rows")
+    __slots__ = ("_matrix", "pivot_rows", "_passes")
 
     def __init__(self, matrix: RationalMatrix, pivot_rows):
         self._matrix = matrix
         self.pivot_rows = tuple(pivot_rows)
+        self._passes = {}
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector],
@@ -548,6 +549,13 @@ class SubspaceBasis:
 
     def matrix(self) -> RationalMatrix:
         return self._matrix
+
+    def forward_pass(self, lead=min) -> Echelon:
+        """The forward pass over the basis vectors, led by ``lead``, run once
+        per lead: a complement is picked and normal forms are taken by one pass."""
+        if lead not in self._passes:
+            self._passes[lead] = Echelon(self._matrix.transpose(), lead)
+        return self._passes[lead]
 
     def coordinates(self, m: RationalMatrix) -> Optional[RationalMatrix]:
         """X with basis @ X == m, or None when a column of m is outside the span.
@@ -602,7 +610,7 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     n = sub.ambient_dim
     if strategy not in COMPLEMENT_LEAD:
         raise ValueError(f"unknown complement strategy {strategy!r}")
-    pivot_rows = set(Echelon(sub.matrix().transpose(), COMPLEMENT_LEAD[strategy]).pivots)
+    pivot_rows = set(sub.forward_pass(COMPLEMENT_LEAD[strategy]).pivots)
     free = [i for i in range(n) if i not in pivot_rows]
     position = {i: c for c, i in enumerate(free)}
     units = RationalMatrix._wrap(len(free), [

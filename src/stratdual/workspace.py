@@ -5,7 +5,8 @@ document: the complex, its decomposition, the fundamental chain, the
 complex's cochains, the pair complexes, and per cutoff and strategy the
 truncations, cotruncations and quotients of the link's cochains, the models,
 the chain complexes and cones of the oracle, the pairing forms and the
-link's truncated pairings.
+link's truncated pairings.  No object is keyed on a perversity: a model is
+a function of its cutoff, so perversities with equal cutoffs share one.
 Each is built on first request by the same library code that builds it
 without a workspace, and kept only once that code returns: an error leaves
 nothing behind, so asking again raises it again, in the same order.  Every
@@ -22,7 +23,7 @@ from .cone import intersection_space_cone, simplicial_chains
 from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
-from .model import Perversity, build_model, cutoff_degree
+from .model import build_model
 from .reports import DualityReport
 from .simplicial import decompose, fundamental_chain, parse_complex
 
@@ -79,15 +80,10 @@ class Workspace:
         return self._once(("quotient", k, strategy), lambda: quotient_by_cotruncation(
             self.pair().sub, self.cotruncation(k, strategy), self.truncation(k)))
 
-    def model(self, p: Perversity, strategy: str):
-        """The model of p, keyed on p's values, so equal perversities share it."""
-        def build():
-            D = self.decomposition()
-            k = cutoff_degree(p, D.n)
-            return build_model(D, p, strategy, pair=self.pair(),
-                               cotruncation=self.cotruncation(k, strategy),
-                               quotient=self.quotient(k, strategy))
-        return self._once(("model", tuple(p.values.items()), strategy), build)
+    def model(self, k: int, strategy: str):
+        return self._once(("model", k, strategy), lambda: build_model(
+            self.decomposition(), k, strategy, pair=self.pair(),
+            cotruncation=self.cotruncation(k, strategy), quotient=self.quotient(k, strategy)))
 
     def chains(self, which: str):
         """C_*(M) or C_*(L), which is "M" or "L"."""

@@ -22,7 +22,7 @@ from stratdual.cotruncation import (
     truncated_duality,
 )
 from stratdual.duality import ladder_check, lefschetz_pairing, main_pairing, well_definedness_probe
-from stratdual.model import build_model, complementary, named_perversity
+from stratdual.model import build_model
 from stratdual.rational import RationalMatrix
 from stratdual.simplicial import (
     SimplicialComplex,
@@ -39,22 +39,17 @@ def _verdict(number, description, ok):
     assert ok, f"criterion {number}: {description}"
 
 
-def _complementary_pairs(n):
-    seen = []
-    for name in ("zero", "top", "lower-middle", "upper-middle"):
-        p = named_perversity(name, n)
-        q = complementary(p)
-        if (p, q) not in seen:
-            seen.append((p, q))
-    return seen
+def _cutoff_pairs(n):
+    """The complementary cutoffs (k, n - k), the zero perversity's first."""
+    return [(k, n - k) for k in range(n - 1, 0, -1)]
 
 
-def _models(name, p, q, strategy="lex"):
+def _models(name, k, l, strategy="lex"):
     D = examples.get_decomposition(name)
     pair = PairComplexes(D.M, D.L)
     mu = fundamental_chain(D)
-    mp = build_model(D, p, strategy, pair=pair)
-    mq = build_model(D, q, strategy, pair=pair)
+    mp = build_model(D, k, strategy, pair=pair)
+    mq = build_model(D, l, strategy, pair=pair)
     return D, pair, mu, mp, mq
 
 
@@ -62,11 +57,11 @@ def test_criterion_1_duality_reproduction():
     ok = True
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
-        for p, q in _complementary_pairs(n):
-            D, pair, mu, mp, mq = _models(name, p, q)
+        for k, l in _cutoff_pairs(n):
+            D, pair, mu, mp, mq = _models(name, k, l)
             report = main_pairing(mp, mq, mu)
             ok = ok and report.passed
-            if name == "x2-cone-torus" and p.values[3] == 0:
+            if name == "x2-cone-torus" and k == 2:
                 p2 = report.pairing(2)
                 ok = ok and (p2.matrix.rows, p2.matrix.cols) == (1, 1)
                 ok = ok and p2.matrix.entry(0, 0) != 0
@@ -78,32 +73,29 @@ def test_criterion_1_duality_reproduction():
 
 
 def test_criterion_2_oracle_agreement():
-    expected_x2 = {0: (0, 0, 1, 0), 1: (0, 1, 0, 0)}
+    expected_x2 = {2: (0, 0, 1, 0), 1: (0, 1, 0, 0)}
     ok = True
     for name in ALL_EXAMPLES:
-        n = examples.get_document(name)["dimension"]
         D = examples.get_decomposition(name)
         pair = PairComplexes(D.M, D.L)
-        for pname in ("zero", "top", "lower-middle", "upper-middle"):
-            p = named_perversity(pname, n)
-            m = build_model(D, p, pair=pair)
-            cone = intersection_space_cone(D, m.k)
-            match, model_b, cone_b = compare(m, cone)
+        for k in range(1, D.n):
+            m = build_model(D, k, pair=pair)
+            match, model_b, cone_b = compare(m, intersection_space_cone(D, k))
             ok = ok and match
             if name == "x2-cone-torus":
-                ok = ok and model_b == expected_x2[p.values[3]]
+                ok = ok and model_b == expected_x2[k]
     _verdict(2, "model Betti vectors equal reduced mapping-cone Betti vectors "
-                "for every example x perversity", ok)
+                "for every example x cutoff", ok)
 
 
 def test_criterion_3_choice_independence():
     ok = True
     for name in ALL_EXAMPLES:
         n = examples.get_document(name)["dimension"]
-        for p, q in _complementary_pairs(n):
+        for k, l in _cutoff_pairs(n):
             results = {}
             for strategy in ("lex", "reverse-lex"):
-                D, pair, mu, mp, mq = _models(name, p, q, strategy)
+                D, pair, mu, mp, mq = _models(name, k, l, strategy)
                 report = main_pairing(mp, mq, mu)
                 results[strategy] = (
                     mp.betti(), mq.betti(),
@@ -235,8 +227,8 @@ def test_criterion_8_ladder():
     ok = True
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
-        for p, q in _complementary_pairs(n):
-            D, pair, mu, mp, mq = _models(name, p, q)
+        for k, l in _cutoff_pairs(n):
+            D, pair, mu, mp, mq = _models(name, k, l)
             for r in range(n + 1):
                 rec = ladder_check(mp, mq, mu, r)
                 ok = ok and rec.ts_commutes and rec.ms_commutes
@@ -250,8 +242,7 @@ def test_criterion_9_well_definedness():
     ok = True
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
-        p, q = _complementary_pairs(n)[0]
-        D, pair, mu, mp, mq = _models(name, p, q)
+        D, pair, mu, mp, mq = _models(name, *_cutoff_pairs(n)[0])
         ok = ok and well_definedness_probe(mp, mq, mu, trials=100, seed=1729)
     _verdict(9, "100 random coboundary perturbations leave every main-pairing "
                 "entry bit-identical per example", ok)

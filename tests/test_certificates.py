@@ -13,6 +13,7 @@ at the degree the rank proof named.
 
 import sys
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 
@@ -21,12 +22,7 @@ from stratdual.cochains import CochainComplex, PairComplexes, ShortExactSequence
 from stratdual.cone import ChainComplex
 from stratdual.cotruncation import StandardCotruncation, cotruncate, quotient_by_cotruncation
 from stratdual.errors import InternalExactnessError
-from stratdual.model import (
-    NAMED_PERVERSITIES,
-    build_model,
-    cutoff_degree,
-    named_perversity,
-)
+from stratdual.model import build_model
 from stratdual.rational import (
     RationalMatrix,
     Solver,
@@ -81,31 +77,30 @@ def eliminations_forbidden(monkeypatch):
         yield patch
 
 
-def check_models(monkeypatch, D, configurations):
+def check_models(monkeypatch, D):
+    """The model of every cutoff 1 <= k <= n - 1, with both strategies."""
     pair = PairComplexes(D.M, D.L)
-    for pname, strategy in configurations:
-        p = named_perversity(pname, D.n)
-        k = cutoff_degree(p, D.n)
+    for k, strategy in product(range(1, D.n), STRATEGIES):
         with eliminations_forbidden(monkeypatch):
             ct = cotruncate(pair.sub, k, strategy)
             quotient = quotient_by_cotruncation(pair.sub, ct)
-            m = build_model(D, p, strategy, pair=pair, cotruncation=ct, quotient=quotient)
+            m = build_model(D, k, strategy, pair=pair, cotruncation=ct, quotient=quotient)
         iota, d, rho, eta = reference_maps(m)
-        assert list(m.iota) == iota, (pname, strategy)
-        assert list(m.complex.d) == d, (pname, strategy)
-        assert list(m.rho) == rho, (pname, strategy)
-        assert list(m.eta) == eta, (pname, strategy)
+        assert list(m.iota) == iota, (k, strategy)
+        assert list(m.complex.d) == d, (k, strategy)
+        assert list(m.rho) == rho, (k, strategy)
+        assert list(m.eta) == eta, (k, strategy)
         # The statements that quotient_by_cotruncation and ShortExactSequence
         # inherit from the certificates of their inputs.
         _, pi, section = quotient
         for r, s in enumerate(section):
-            assert pi[r] @ s == RationalMatrix.identity(s.cols), (pname, strategy, r)
+            assert pi[r] @ s == RationalMatrix.identity(s.cols), (k, strategy, r)
         for ses in (m.ses_eta_rho, m.ses_iota_kappa):
             top = max(ses.U.top, ses.V.top, ses.W.top)
             assert len(ses.left) == len(ses.right) == top + 1
             for r in range(top + 1):
                 a, b = ses.alpha_mat(r), ses.beta_mat(r)
-                where = (pname, strategy, r)
+                where = (k, strategy, r)
                 assert ses.left[r] @ a == RationalMatrix.identity(ses.U.dim(r)), where
                 assert b @ ses.right[r] == RationalMatrix.identity(ses.W.dim(r)), where
                 assert (b @ a).is_zero(), where
@@ -116,18 +111,16 @@ def check_models(monkeypatch, D, configurations):
                 ses.U.cohomology(r + 1)
                 with eliminations_forbidden(monkeypatch):
                     certified = ses.connecting(r)
-                assert certified == reference_connecting(ses, r), (pname, strategy, r)
+                assert certified == reference_connecting(ses, r), (k, strategy, r)
 
 
 @pytest.mark.parametrize("name", examples.decomposition_names())
 def test_model_maps_match_elimination(monkeypatch, name):
-    configurations = [(p, s) for p in NAMED_PERVERSITIES for s in STRATEGIES]
-    check_models(monkeypatch, decomposition(name), configurations)
+    check_models(monkeypatch, decomposition(name))
 
 
 def test_subdivided_model_maps_match_elimination(monkeypatch):
-    configurations = [(p, s) for p in NAMED_PERVERSITIES for s in STRATEGIES]
-    check_models(monkeypatch, decomposition("x2-cone-torus", 1), configurations)
+    check_models(monkeypatch, decomposition("x2-cone-torus", 1))
 
 
 # -- corruption ---------------------------------------------------------
@@ -220,8 +213,7 @@ def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
     quotient = quotient_by_cotruncation(pair.sub, ct)
     with eliminations_forbidden(monkeypatch), pytest.raises(
             InternalExactnessError, match="^restriction escapes the cotruncation at degree 2$"):
-        build_model(D, named_perversity("zero", 3), pair=pair, cotruncation=corrupted,
-                    quotient=quotient)
+        build_model(D, 2, pair=pair, cotruncation=corrupted, quotient=quotient)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -277,8 +269,7 @@ def test_a_short_cotruncation_inclusion_fails_the_count(monkeypatch, strategy):
     quotient = quotient_by_cotruncation(pair.sub, ct)
     with eliminations_forbidden(monkeypatch), pytest.raises(
             InternalExactnessError, match="^SES: exactness fails in degree 2$"):
-        build_model(D, named_perversity("zero", 3), strategy, pair=pair,
-                    cotruncation=corrupted, quotient=quotient)
+        build_model(D, 2, strategy, pair=pair, cotruncation=corrupted, quotient=quotient)
 
 
 # -- cochain maps proved where they are made ------------------------------
@@ -302,16 +293,14 @@ def assert_cochain_map(f, source, target):
 def test_maps_handed_to_induced_map_are_cochain_maps(name, strategy):
     # Every map the engine hands to induced_map: i* and j of the pair, and
     # theta, pi, the section, iota, kappa, rho and eta of the model of each
-    # named perversity.  The named perversities are closed under taking the
-    # complement, so both models of every duality are among them.
+    # cutoff 1 <= k <= n - 1, so both models of every duality are among them.
     D = decomposition(name)
     pair = PairComplexes(D.M, D.L)
     maps = [(pair.restrict, pair.full, pair.sub), (pair.include_rel, pair.rel, pair.full)]
-    for pname in NAMED_PERVERSITIES:
-        p = named_perversity(pname, D.n)
-        ct = cotruncate(pair.sub, cutoff_degree(p, D.n), strategy)
+    for k in range(1, D.n):
+        ct = cotruncate(pair.sub, k, strategy)
         quotient, pi, section = quotient_by_cotruncation(pair.sub, ct)
-        m = build_model(D, p, strategy, pair=pair, cotruncation=ct,
+        m = build_model(D, k, strategy, pair=pair, cotruncation=ct,
                         quotient=(quotient, pi, section))
         maps += [(ct.inclusion, ct.complex, pair.sub), (pi, pair.sub, quotient),
                  (section, quotient, pair.sub), (m.iota, m.complex, pair.full),

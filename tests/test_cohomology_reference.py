@@ -22,7 +22,7 @@ from stratdual.cone import (
     intersection_space_cone,
     simplicial_chains,
 )
-from stratdual.model import NAMED_PERVERSITIES, build_model, named_perversity
+from stratdual.model import build_model
 from stratdual.rational import RationalMatrix, Solver, image_basis, kernel_basis, rref
 from stratdual.simplicial import decompose, parse_complex
 
@@ -135,26 +135,27 @@ def check_decomposition(D, rng, configurations):
     for C in (pair.full, pair.sub, pair.rel):
         check_cochains(C, rng)
     check_chains(simplicial_chains(D.M))
-    for pname, strategy in configurations:
-        m = build_model(D, named_perversity(pname, D.n), strategy, pair=pair)
+    for k, strategy in configurations:
+        m = build_model(D, k, strategy, pair=pair)
         for C in (m.complex, m.quotient, m.cotruncation.complex):
             check_cochains(C, rng)
-        check_chains(chain_truncate(D.L, m.k, strategy).complex)
-        check_chains(intersection_space_cone(D, m.k, strategy))
+        check_chains(chain_truncate(D.L, k, strategy).complex)
+        check_chains(intersection_space_cone(D, k, strategy))
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)
 def test_decomposition_complexes_match_reference(name):
-    configurations = [(p, s) for p in NAMED_PERVERSITIES for s in ("lex", "reverse-lex")]
-    check_decomposition(decomposition(name, 0), random.Random(name), configurations)
+    D = decomposition(name, 0)
+    configurations = [(k, s) for k in range(1, D.n) for s in ("lex", "reverse-lex")]
+    check_decomposition(D, random.Random(name), configurations)
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)
 def test_subdivided_complexes_match_reference(name):
-    # The zero and top perversities give every cutoff from 1 to n - 1 between
-    # them, and each runs with one of the two strategies.
-    configurations = [("zero", "lex"), ("top", "reverse-lex")]
-    check_decomposition(decomposition(name, 1), random.Random(name), configurations)
+    # The cutoffs n - 1 and 1 are every cutoff at n <= 3, and each runs with
+    # one of the two strategies.
+    D = decomposition(name, 1)
+    check_decomposition(D, random.Random(name), [(D.n - 1, "lex"), (1, "reverse-lex")])
 
 
 def test_non_orientable_pair_matches_reference():

@@ -11,7 +11,7 @@ from stratdual.cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from stratdual.rational import RationalMatrix, Solver
+from stratdual.rational import Echelon, RationalMatrix, Solver
 from stratdual.simplicial import decompose, orient_top_chain, parse_complex
 
 
@@ -274,3 +274,22 @@ def test_truncated_duality_well_defined_under_perturbations():
                     value = pair_against_chain(
                         c, cup.cup(r, alpha2, c - r, beta2), lam.coefficients)
                     assert value == base
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+def test_cotruncate_runs_one_pass_over_the_image(monkeypatch, strategy):
+    # The pass that picks D also gives pi_k's normal forms.
+    C, _ = simplicial_cochains(torus())
+    init = Echelon.__init__
+    for k in range(1, C.top + 1):
+        C.image(k - 1)  # the image basis and the pass on d^{k-1} behind it
+        passes = []
+
+        def counted(self, m, *args, **kwargs):
+            passes.append((m.rows, m.cols))
+            init(self, m, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Echelon, "__init__", counted)
+            cotruncate(C, k, strategy)
+        assert passes == [(C.image(k - 1).count, C.dim(k))], k

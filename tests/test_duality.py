@@ -14,7 +14,7 @@ from stratdual.duality import (
     well_definedness_probe,
 )
 from stratdual.errors import NotComplementaryError, NotPseudomanifoldError
-from stratdual.model import build_model, complementary, named_perversity
+from stratdual.model import build_model
 from stratdual.rational import RationalMatrix
 from stratdual.simplicial import (
     SimplicialComplex,
@@ -32,14 +32,15 @@ def manifold_pair(name, boundary_facets):
     return PairComplexes(K, A), orient_top_chain(K)
 
 
-def models_for(name, pname="zero"):
+def models_for(name, k=None):
+    """The models at cutoffs k and n - k, k = n - 1 (the zero
+    perversity's cutoff) unless given."""
     D = examples.get_decomposition(name)
     pair = PairComplexes(D.M, D.L)
     mu = fundamental_chain(D)
-    p = named_perversity(pname, D.n)
-    q = complementary(p)
-    mp = build_model(D, p, pair=pair)
-    mq = build_model(D, q, pair=pair)
+    k = D.n - 1 if k is None else k
+    mp = build_model(D, k, pair=pair)
+    mq = build_model(D, D.n - k, pair=pair)
     return D, pair, mu, mp, mq
 
 
@@ -98,7 +99,7 @@ def test_main_pairing_x2():
 
 
 def test_main_pairing_x2_swapped():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus", "top")
+    D, pair, mu, mp, mq = models_for("x2-cone-torus", 1)
     report = main_pairing(mp, mq, mu)
     assert report.passed
     p1 = report.pairing(1)
@@ -117,9 +118,8 @@ def test_main_pairing_rejects_non_complementary():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     mu = fundamental_chain(D)
-    p = named_perversity("zero", 3)
-    mp = build_model(D, p, pair=pair)
-    with pytest.raises(NotComplementaryError):
+    mp = build_model(D, 2, pair=pair)
+    with pytest.raises(NotComplementaryError, match="^cutoffs do not satisfy k \\+ l = n$"):
         main_pairing(mp, mp, mu)
 
 
@@ -157,9 +157,8 @@ def test_well_definedness_identity_detects_a_corrupted_iota():
     D = decompose(parse_complex(document), document["singular_vertex"])
     pair = PairComplexes(D.M, D.L)
     mu = fundamental_chain(D)
-    p = named_perversity("zero", D.n)
-    mp = build_model(D, p, pair=pair)
-    mq = build_model(D, complementary(p), pair=pair)
+    mp = build_model(D, 2, pair=pair)
+    mq = build_model(D, 1, pair=pair)
     assert (mp.betti()[2], mq.betti()[1]) == (1, 1)
     assert mp.complex.dim(1) and mq.complex.dim(0)
     assert well_definedness_identity(mp, mq, mu)
@@ -211,11 +210,9 @@ def test_ladder_with_reverse_lex_complements():
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     mu = fundamental_chain(D)
-    for pname in ("zero", "top"):
-        p = named_perversity(pname, 3)
-        q = complementary(p)
-        mp = build_model(D, p, "reverse-lex", pair=pair)
-        mq = build_model(D, q, "reverse-lex", pair=pair)
+    for k in range(1, D.n):
+        mp = build_model(D, k, "reverse-lex", pair=pair)
+        mq = build_model(D, D.n - k, "reverse-lex", pair=pair)
         assert main_pairing(mp, mq, mu).passed
         for r in range(D.n + 1):
             assert ladder_check(mp, mq, mu, r).passed
@@ -227,7 +224,7 @@ def test_octahedron_any_marked_vertex():
     for v in range(6):
         X = SimplicialComplex.from_facets(facets, name=f"oct-{v}")
         D = decompose(X, v)
-        m = build_model(D, named_perversity("zero", 2))
+        m = build_model(D, 1)
         assert m.betti() == (0, 0, 0)
 
 

@@ -4,7 +4,6 @@ from stratdual import examples
 from stratdual.cochains import CochainComplex, induced_map
 from stratdual.errors import BadPerversityError
 from stratdual.model import (
-    Perversity,
     build_model,
     complementary,
     cutoff_degree,
@@ -33,14 +32,21 @@ def test_perversity_rejections():
 
 def test_perversity_values_must_be_ints():
     # A float, bool or string value would otherwise be coerced into some
-    # other perversity, and build_model would quietly build its model.
+    # other perversity, whose cutoff would quietly pick another model.
     for values in ({2: 0, 3: 0.9}, [0, True], {2: False, 3: 0}, {2: 0, 3: "1"}):
         with pytest.raises(BadPerversityError):
             validate_perversity(values)
-    with pytest.raises(BadPerversityError):
-        build_model(examples.get_decomposition("x2-cone-torus"), {2: 0, 3: 0.9})
     # Keys may be strings, as JSON object keys are.
-    assert validate_perversity({"2": 0, "3": 1}) == Perversity({2: 0, 3: 1})
+    assert validate_perversity({"2": 0, "3": 1}).values == {2: 0, 3: 1}
+
+
+def test_model_cutoff_must_be_an_int_in_range():
+    # A model takes its cutoff 1 <= k <= n - 1 and nothing else: not a
+    # perversity, and no bool, float or string standing for an int.
+    D = examples.get_decomposition("x2-cone-torus")
+    for k in (0, D.n, True, 1.0, "2", named_perversity("zero", D.n)):
+        with pytest.raises(ValueError, match="^model cutoff must be an int in 1..2, got "):
+            build_model(D, k)
 
 
 def test_perversity_keys_must_name_codimensions_once():
@@ -51,7 +57,7 @@ def test_perversity_keys_must_name_codimensions_once():
                    {2: 0, "2": 0, 3: 1}, {"2": 0, "02": 0, 3: 1}):
         with pytest.raises(BadPerversityError):
             validate_perversity(values)
-    assert validate_perversity({2: 0, "3": 1}) == Perversity({2: 0, 3: 1})
+    assert validate_perversity({2: 0, "3": 1}).values == {2: 0, 3: 1}
 
 
 def test_named_perversities():
@@ -63,9 +69,9 @@ def test_named_perversities():
     assert [top(s) for s in range(2, 7)] == [0, 1, 2, 3, 4]
     assert [lower(s) for s in range(2, 7)] == [0, 0, 1, 1, 2]
     assert [upper(s) for s in range(2, 7)] == [0, 1, 1, 2, 2]
-    assert complementary(zero) == top
-    assert complementary(top) == zero
-    assert complementary(lower) == upper
+    assert complementary(zero).values == top.values
+    assert complementary(top).values == zero.values
+    assert complementary(lower).values == upper.values
 
 
 def test_cutoff_degree():
@@ -78,8 +84,7 @@ def test_cutoff_degree():
 
 def test_model_x2_zero_perversity():
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("zero", 3))
-    assert m.k == 2
+    m = build_model(D, cutoff_degree(named_perversity("zero", 3), 3))
     assert m.betti() == (0, 0, 1, 0)
 
 
@@ -89,7 +94,7 @@ def test_model_iota_is_not_checked_again_by_induced_map(monkeypatch):
     # by their certified squares with injective theta and iota.  So once
     # the cohomology bases are built, induced_map reads no differential.
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("zero", 3))
+    m = build_model(D, 2)
     maps = [(m.iota, m.complex, m.pair.full), (m.kappa, m.pair.full, m.quotient),
             (m.rho, m.complex, m.cotruncation.complex), (m.eta, m.pair.rel, m.complex)]
     for _, source, target in maps:
@@ -112,15 +117,13 @@ def test_model_iota_is_not_checked_again_by_induced_map(monkeypatch):
 
 def test_model_x2_top_perversity():
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("top", 3))
-    assert m.k == 1
+    m = build_model(D, cutoff_degree(named_perversity("top", 3), 3))
     assert m.betti() == (0, 1, 0, 0)
 
 
 def test_model_octahedron():
     D = examples.get_decomposition("octahedron-marked")
-    m = build_model(D, named_perversity("zero", 2))
-    assert m.k == 1
+    m = build_model(D, 1)
     # The connecting map H^1(tau_{>=1}) -> H^2(M, ∂M) is an isomorphism, so
     # the model is acyclic; the oracle module confirms this independently.
     assert m.betti() == (0, 0, 0)
@@ -128,23 +131,22 @@ def test_model_octahedron():
 
 def test_model_disk_cone():
     D = examples.get_decomposition("disk-cone-s1")
-    m = build_model(D, named_perversity("zero", 2))
+    m = build_model(D, 1)
     assert m.betti() == (0, 0, 0)
 
 
 def test_model_h0_vanishes():
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
         D = examples.get_decomposition(name)
-        for pname in ("zero", "top"):
-            m = build_model(D, named_perversity(pname, D.n))
-            assert m.betti()[0] == 0
+        for k in range(1, D.n):
+            assert build_model(D, k).betti()[0] == 0
 
 
 def test_model_dimension_count_fiber_product():
     # dim A^r = dim ker(i*) + dim tau_{>=k}^r, each degree.
     from stratdual.rational import kernel_basis
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("zero", 3))
+    m = build_model(D, 2)
     for r in range(D.n + 1):
         expected = kernel_basis(m.pair.restrict[r]).count + m.cotruncation.complex.dim(r)
         assert m.complex.dim(r) == expected
@@ -153,26 +155,21 @@ def test_model_dimension_count_fiber_product():
 def test_model_strategy_independence():
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
         D = examples.get_decomposition(name)
-        for pname in ("zero", "top"):
-            p = named_perversity(pname, D.n)
-            lex = build_model(D, p, "lex")
-            rev = build_model(D, p, "reverse-lex")
-            assert lex.betti() == rev.betti()
+        for k in range(1, D.n):
+            assert build_model(D, k, "lex").betti() == build_model(D, k, "reverse-lex").betti()
 
 
 def test_model_complementarity_symmetry():
     D = examples.get_decomposition("x2-cone-torus")
-    p = named_perversity("zero", 3)
-    q = complementary(p)
-    bp = build_model(D, p).betti()
-    bq = build_model(D, q).betti()
-    for r in range(D.n + 1):
-        assert bp[r] == bq[D.n - r]
+    betti = {k: build_model(D, k).betti() for k in range(1, D.n)}
+    for k in betti:
+        for r in range(D.n + 1):
+            assert betti[k][r] == betti[D.n - k][D.n - r]
 
 
 def test_model_les_eta_rho_connecting():
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("zero", 3))
+    m = build_model(D, 2)
     les = model_les(m, "ses-eta-rho")
     assert les["exact"]
     # Connecting H^2(tau_{>=2}) -> H^3(M, ∂M) is 1x1 invertible.
@@ -183,7 +180,7 @@ def test_model_les_eta_rho_connecting():
 
 def test_model_les_top_perversity_surjective_connecting():
     D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, named_perversity("top", 3))
+    m = build_model(D, 1)
     les = model_les(m, "ses-eta-rho")
     delta1 = les["connecting"][1]
     assert (delta1.rows, delta1.cols) == (1, 2)
@@ -193,14 +190,12 @@ def test_model_les_top_perversity_surjective_connecting():
 def test_model_les_iota_kappa_exact():
     for name in ("octahedron-marked", "x2-cone-torus"):
         D = examples.get_decomposition(name)
-        for pname in ("zero", "top"):
-            m = build_model(D, named_perversity(pname, D.n))
-            les = model_les(m, "ses-iota-kappa")
-            assert les["exact"]
+        for k in range(1, D.n):
+            assert model_les(build_model(D, k), "ses-iota-kappa")["exact"]
 
 
 def test_model_les_unknown_sequence():
     D = examples.get_decomposition("disk-cone-s1")
-    m = build_model(D, named_perversity("zero", 2))
+    m = build_model(D, 1)
     with pytest.raises(ValueError):
         model_les(m, "ses-bogus")

@@ -102,9 +102,11 @@ def test_only_the_last_documents_workspace_is_held():
 def test_equal_perversity_values_share_one_model():
     _bytes("x2-cone-torus", "zero", "lex", ["model"])
     _bytes("x2-cone-torus", "0,0", "lex", ["model"])
+    _bytes("x2-cone-torus", "upper-middle", "lex", ["model"])
     models = [key for key in cli._workspace._built if key[0] == "model"]
-    # p = zero and q = top, each for both strategies (the model check builds both).
-    assert len(models) == 4
+    # The cutoffs 2 and 1 of zero and top, whichever of them is p, each for
+    # both strategies (the model check builds both).
+    assert sorted(models) == [("model", k, s) for k in (1, 2) for s in ("lex", "reverse-lex")]
 
 
 def _count_link_builds(monkeypatch):
