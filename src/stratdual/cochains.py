@@ -51,15 +51,20 @@ class CochainComplex:
 
     d∘d = 0 is checked by one product per degree, unless ``ambient`` is
     given: ``subcomplex`` passes the complex it reads d from, whose d∘d
-    proves this one's.
+    proves this one's.  ``shared``, when given, has methods ``echelon(r)``
+    and ``cohomology(r)`` that return this complex's pass or classes in
+    degree r where other complexes already hold them, and None where this
+    complex computes its own (see ``model.build_model``).
     """
 
-    __slots__ = ("name", "dims", "d", "_cohomology_cache", "_echelon_cache", "_image_cache")
+    __slots__ = ("name", "dims", "d", "_shared", "_cohomology_cache", "_echelon_cache",
+                 "_image_cache")
 
-    def __init__(self, name, dims, d, *, ambient=None):
+    def __init__(self, name, dims, d, *, ambient=None, shared=None):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
+        self._shared = shared
         self._cohomology_cache = {}
         self._echelon_cache = {}
         self._image_cache = {}
@@ -99,8 +104,11 @@ class CochainComplex:
         of im d^r in degree r + 1; its kernel is ker d^r ∩ {x_P = 0}.
         """
         if r not in self._echelon_cache:
-            cleared = frozenset(self.echelon(r - 1).pivot_rows) if r > 0 else frozenset()
-            self._echelon_cache[r] = Echelon(self.diff(r), max, cleared=cleared)
+            echelon = self._shared.echelon(r) if self._shared else None
+            if echelon is None:
+                cleared = frozenset(self.echelon(r - 1).pivot_rows) if r > 0 else frozenset()
+                echelon = Echelon(self.diff(r), max, cleared=cleared)
+            self._echelon_cache[r] = echelon
         return self._echelon_cache[r]
 
     def image(self, r: int) -> SubspaceBasis:
@@ -111,7 +119,8 @@ class CochainComplex:
 
     def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:
-            self._cohomology_cache[r] = _cohomology_basis(self, r)
+            basis = self._shared.cohomology(r) if self._shared else None
+            self._cohomology_cache[r] = _cohomology_basis(self, r) if basis is None else basis
         return self._cohomology_cache[r]
 
     def betti_number(self, r: int) -> int:
@@ -242,7 +251,7 @@ def simplicial_cochains(K: SimplicialComplex):
     return CochainComplex(f"C*({K.name})", dims, d), CupStructure(K)
 
 
-def subcomplex(name, C: CochainComplex, bases):
+def subcomplex(name, C: CochainComplex, bases, shared=None):
     """The subcomplex of C spanned by ``bases``, one SubspaceBasis of C^r per
     degree, with its inclusion theta (the basis matrices) into C.
 
@@ -253,6 +262,7 @@ def subcomplex(name, C: CochainComplex, bases):
     d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
     = d^{r+1} d^r theta^r = 0 by C's d∘d, and theta is injective (the
     identity at its pivot rows), so the complex does not multiply it again.
+    ``shared`` is handed to the complex (see ``CochainComplex``).
     Returns (complex, inclusion).
     """
     if len(bases) != C.top + 1:
@@ -266,7 +276,8 @@ def subcomplex(name, C: CochainComplex, bases):
         if coords is None:
             raise InternalExactnessError(f"{name}: inclusion fails to commute with d at {r}")
         d.append(coords)
-    return CochainComplex(name, [basis.count for basis in bases], d, ambient=C), inclusion
+    return (CochainComplex(name, [basis.count for basis in bases], d, ambient=C, shared=shared),
+            inclusion)
 
 
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
@@ -381,9 +392,6 @@ class ShortExactSequence:
 
     def alpha_mat(self, r):
         return self._mat(self.alpha, r, self.U, self.V)
-
-    def beta_mat(self, r):
-        return self._mat(self.beta, r, self.V, self.W)
 
     def connecting(self, r: int) -> RationalMatrix:
         """Connecting homomorphism H^r(W) -> H^{r+1}(U).

@@ -27,6 +27,8 @@ columns placed on L.  The model basis is read off them with no
 elimination, and each exactness statement follows from certificates checked
 where the maps are made (see ``build_model``), with no rank behind them.  A
 failed certificate is an engine bug and raises InternalExactnessError.
+Outside degree k the model's passes and cohomology classes are those of
+C*(M, L) and C*(M), which it shares (see ``_PairPasses``).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from .cochains import PairComplexes, ShortExactSequence, induced_map, subcomplex
 from .cotruncation import cotruncate, quotient_by_cotruncation
 from .errors import BadPerversityError, InternalExactnessError
-from .rational import RationalMatrix, SubspaceBasis
+from .rational import Echelon, RationalMatrix, SubspaceBasis
 from .simplicial import PseudomanifoldDecomposition
 
 NAMED_PERVERSITIES = ("zero", "top", "lower-middle", "upper-middle")
@@ -153,9 +155,89 @@ class IntersectionModel:
         return f"IntersectionModel({self.decomposition.name!r}, k={self.k}, {self.strategy})"
 
 
+def cutoff_pass(pair: PairComplexes, cotruncation) -> Echelon:
+    """The forward pass on d^k of the model at the cotruncation's cutoff k,
+    the one degree whose differential depends on the complement D.
+
+    A^k is spanned by the unit cochains at ``_basis_rows``, so d^k is the
+    columns of d_M^k at those rows.  The pass is led by the highest column,
+    as ``CochainComplex.echelon`` leads, and clears the columns at the pivot
+    rows of the relative pass on d^{k-1}, re-indexed into A^k: those are the
+    pivot rows of d_A^{k-1}, which is d_rel^{k-1} with zero rows at D's
+    places (see ``_PairPasses``).  ``cols`` is dim A^k and ``rank`` is
+    rank d_A^k.
+    """
+    k = cotruncation.k
+    relative, rows = _basis_rows(pair, cotruncation.inclusion[k], k)
+    position = {row: i for i, row in enumerate(rows)}
+    cleared = frozenset(position[relative[i]] for i in pair.rel.echelon(k - 1).pivot_rows)
+    return Echelon(pair.full.diff(k).columns_at(rows), max, cleared=cleared)
+
+
+class _PairPasses:
+    """The passes and cohomology classes that a model at cutoff k reads off
+    its pair C*(M, L) -> C*(M), and its cutoff pass.
+
+    Why they are the model's own:
+    - Bases.  The cotruncation is zero below k, so for r <= k - 1 A^r has the
+      unit basis of C^r(M, L), in the same order.  It is all of C^r(L) above
+      k, and C^n(L) = 0, so for r >= k + 1 A^r has the unit basis of C^r(M).
+    - Differentials.  Read in those bases, d_A^r is d_rel^r for r <= k - 2
+      and d_M^r for r >= k + 1.  d_A^{k-1} is d_rel^{k-1} with zero rows at
+      the placed rows of A^k, because the coboundary of a relative cochain
+      is relative.  d_A^k has the image of d_M^k: for x in C^k(M), split
+      i*x = d_L y + z with z in D, and extend y by zero to y' in C^{k-1}(M);
+      then x - d y' restricts to z, so it lies in A^k, and d x = d(x - d y').
+    - Passes.  The pass on d^r reads d^r and the clearing set, the pivot
+      rows of the pass on d^{r-1}.  ``pivot_rows`` are the row-rank profile,
+      the rows independent of the rows before them, which depends on the
+      column space of d^{r-1} alone and not on its clearing; ``pivots`` and
+      ``rank`` do not depend on the clearing either.
+      * r <= k - 2: d^r agrees, and so does the clearing set, by induction
+        from the empty set at r = 0.  So the pass is the relative one.
+      * r = k - 1: the same nonzero rows enter in the same order, and the
+        zero rows enter nothing and are never pivot rows.  So the pass is the
+        relative one, with its pivot rows renamed into A^k's positions: the
+        cutoff pass's cleared columns.
+      * r = k: the cutoff pass, which is this pass by definition.
+      * r >= k + 1: d^r is d_M^r, and the clearing set is the row-rank
+        profile of im d^{r-1}, which is im d_M^{r-1} at r = k + 1 too.  So
+        the pass is C*(M)'s.
+    - Classes.  The representatives in degree r are the cocycles that vanish
+      at the pivot rows of im d^{r-1}, with unit class coordinates at the
+      kernel's lead positions, and a class's coordinates are its cocycle's
+      normal form modulo im d^{r-1}.  So they depend on ker d^r and
+      im d^{r-1} alone.  For r <= k - 1 those are C*(M, L)'s, as the zero
+      rows of d_A^{k-1} do not change its kernel.  For r >= k + 1 they are
+      C*(M)'s.  Only degree k computes its own.
+    """
+
+    __slots__ = ("pair", "k", "cutoff")
+
+    def __init__(self, pair: PairComplexes, k: int, cutoff: Echelon):
+        self.pair = pair
+        self.k = k
+        self.cutoff = cutoff
+
+    def echelon(self, r: int):
+        k = self.k
+        if r <= k - 2:
+            return self.pair.rel.echelon(r)
+        if r == k - 1:
+            return self.pair.rel.echelon(r).with_pivot_rows(sorted(self.cutoff.cleared))
+        if r == k:
+            return self.cutoff
+        return self.pair.full.echelon(r)
+
+    def cohomology(self, r: int):
+        if r == self.k:
+            return None
+        return (self.pair.rel if r < self.k else self.pair.full).cohomology(r)
+
+
 def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
                 pair: PairComplexes | None = None, cotruncation=None,
-                quotient=None) -> IntersectionModel:
+                quotient=None, cutoff: Echelon | None = None) -> IntersectionModel:
     """Construct the intersection model at cutoff k, 1 <= k <= n - 1, verified.
 
     The basis of A^r is the unit cochains at the rows of the simplices
@@ -181,11 +263,15 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
       placed columns in A's coordinates: theta rho right = i* i*ᵀ theta =
       theta.  theta rho eta = i* j = 0.  Both cancel theta, which is injective.
 
-    ``cotruncation`` and ``quotient`` are those of ``pair.sub`` at the
-    model's cutoff and strategy, as ``cotruncate`` and
-    ``quotient_by_cotruncation`` return them (built here when not given);
-    nothing checks a pi made elsewhere.  In degree n the link has no
-    cochains, so every map there is the empty matrix.
+    The model eliminates only at its cutoff: ``cutoff`` is its pass on d^k,
+    and every other degree's pass and classes are the pair's (see
+    ``_PairPasses``), which Lefschetz reads anyway.
+
+    ``cotruncation``, ``quotient`` and ``cutoff`` are those of ``pair`` at the
+    model's cutoff and strategy, as ``cotruncate``,
+    ``quotient_by_cotruncation`` and ``cutoff_pass`` return them (built here
+    when not given); nothing checks a pi or a pass made elsewhere.  In degree
+    n the link has no cochains, so every map there is the empty matrix.
     """
     n = D.n
     if type(k) is not int or not 1 <= k <= n - 1:
@@ -200,6 +286,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
     if (ct.k, ct.strategy) != (k, strategy):
         raise ValueError(f"cotruncation at cutoff {ct.k} ({ct.strategy}) given for a "
                          f"model at cutoff {k} ({strategy})")
+    if cutoff is None:
+        cutoff = cutoff_pass(pair, ct)
     quotient, pi, section = quotient
 
     # A^r is spanned by unit cochains: those of the simplices outside L and
@@ -216,7 +304,7 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
         placed_r = extend @ ct.inclusion[r]
         lift = (extend @ section[r] if r < len(section)
                 else RationalMatrix.zeros(pair.full.dim(r), 0))
-        rows = sorted(_pivot_rows(pair.include_rel[r]) + _pivot_rows(placed_r))
+        _, rows = _basis_rows(pair, ct.inclusion[r], r)
         bases.append(SubspaceBasis(pair.unit_rows(r, rows).transpose(), rows))
         kappa.append(kappa_r)
         placed.append(placed_r)
@@ -224,7 +312,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
     kappa = tuple(kappa)
     # d is read at the bases' pivot rows and checked by multiplying back, so
     # no basis is eliminated again; the same products prove iota a cochain map.
-    complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases)
+    complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases,
+                                shared=_PairPasses(pair, k, cutoff))
 
     rho = []
     eta = []
@@ -262,6 +351,15 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
+
+
+def _basis_rows(pair: PairComplexes, theta: RationalMatrix, r: int):
+    """The rows of C^r(M, L)'s unit basis in C^r(M), and the rows of A^r's:
+    those and the rows where theta's columns, unit cochains of the link, are
+    placed in M, each read off i* by index with no product; both sorted."""
+    relative = [i for i, row in enumerate(pair.include_rel[r].data) if row]
+    placed = [next(iter(pair.restrict[r].data[i])) for i in _pivot_rows(theta)]
+    return relative, sorted(relative + placed)
 
 
 def _pivot_rows(m: RationalMatrix):

@@ -83,12 +83,6 @@ class RationalMatrix:
             (i, j): v for i, row in enumerate(rows_of_values) for j, v in enumerate(row)})
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Vector], rows: int) -> "RationalMatrix":
-        if any(len(col) != rows for col in columns):
-            raise ValueError("column length mismatch")
-        return cls.from_rows(columns).transpose() if columns else cls(rows, 0)
-
-    @classmethod
     def _wrap(cls, cols: int, data, den: int = 1) -> "RationalMatrix":
         """Wrap rows of nonzero int numerators (columns below ``cols``) over
         ``den`` > 0, in lowest terms.  The rows are the matrix's from then on."""
@@ -437,6 +431,16 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def with_pivot_rows(self, pivot_rows) -> "Echelon":
+        """This pass, sharing its pivot rows' entries, with ``pivot_rows``
+        as the row indices: the pass on the same rows placed among zero rows,
+        which enter nothing and are never pivot rows."""
+        other = Echelon.__new__(Echelon)
+        for slot in Echelon.__slots__:
+            setattr(other, slot, getattr(self, slot))
+        other.pivot_rows = tuple(pivot_rows)
+        return other
 
     def _lead_first(self, c: int) -> int:
         """Heap key that pops the column nearest the lead end first."""

@@ -3,10 +3,11 @@
 A ``Workspace`` holds what the checks of ``verify`` derive from one parsed
 document: the complex, its decomposition, the fundamental chain, the
 complex's cochains, the pair complexes, and per cutoff and strategy the
-truncations, cotruncations and quotients of the link's cochains, the models,
-the chain complexes and cones of the oracle, the pairing forms and the
-link's truncated pairings.  No object is keyed on a perversity: a model is
-a function of its cutoff, so perversities with equal cutoffs share one.
+truncations, cotruncations and quotients of the link's cochains, the
+models' passes on their cutoff degree, the models, the chain complexes and
+cones of the oracle, the pairing forms and the link's truncated pairings.
+No object is keyed on a perversity: a model is a function of its cutoff,
+so perversities with equal cutoffs share one.
 Each is built on first request by the same library code that builds it
 without a workspace, and kept only once that code returns: an error leaves
 nothing behind, so asking again raises it again, in the same order.  Every
@@ -23,7 +24,7 @@ from .cone import intersection_space_cone, simplicial_chains
 from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
-from .model import build_model
+from .model import build_model, cutoff_pass
 from .reports import DualityReport
 from .simplicial import decompose, fundamental_chain, parse_complex
 
@@ -80,10 +81,17 @@ class Workspace:
         return self._once(("quotient", k, strategy), lambda: quotient_by_cotruncation(
             self.pair().sub, self.cotruncation(k, strategy), self.truncation(k)))
 
+    def cutoff_pass(self, k: int, strategy: str):
+        """The forward pass on d^k of the model at cutoff k, the one its
+        ``model`` eliminates in degree k and that ``choice_independent`` reads."""
+        return self._once(("cutoff pass", k, strategy), lambda: cutoff_pass(
+            self.pair(), self.cotruncation(k, strategy)))
+
     def model(self, k: int, strategy: str):
         return self._once(("model", k, strategy), lambda: build_model(
             self.decomposition(), k, strategy, pair=self.pair(),
-            cotruncation=self.cotruncation(k, strategy), quotient=self.quotient(k, strategy)))
+            cotruncation=self.cotruncation(k, strategy), quotient=self.quotient(k, strategy),
+            cutoff=self.cutoff_pass(k, strategy)))
 
     def chains(self, which: str):
         """C_*(M) or C_*(L), which is "M" or "L"."""

@@ -59,7 +59,7 @@ def reference_connecting(ses, r):
     reps = ses.W.representative_matrix(r)
     if not reps.cols:
         return RationalMatrix.zeros(ses.U.cohomology(r + 1).dimension, 0)
-    v = Solver(ses.beta_mat(r)).solve_matrix(reps)
+    v = Solver(ses.beta[r]).solve_matrix(reps)
     u = Solver(ses.alpha_mat(r + 1)).solve_matrix(ses.V.diff(r) @ v)
     return ses.U.express_class(u, r + 1)
 
@@ -99,7 +99,7 @@ def check_models(monkeypatch, D):
             top = max(ses.U.top, ses.V.top, ses.W.top)
             assert len(ses.left) == len(ses.right) == top + 1
             for r in range(top + 1):
-                a, b = ses.alpha_mat(r), ses.beta_mat(r)
+                a, b = ses.alpha_mat(r), ses.beta[r]
                 where = (k, strategy, r)
                 assert ses.left[r] @ a == RationalMatrix.identity(ses.U.dim(r)), where
                 assert b @ ses.right[r] == RationalMatrix.identity(ses.W.dim(r)), where

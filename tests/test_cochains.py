@@ -29,6 +29,8 @@ from stratdual.rational import (
 )
 from stratdual.simplicial import SimplicialComplex, decompose, orient_top_chain, parse_complex
 
+from helpers import from_columns
+
 
 def betti(K):
     C, _ = simplicial_cochains(K)
@@ -42,7 +44,7 @@ def dense(m):
 
 def solve(m, rhs):
     """Some x with m @ x == rhs, or None when there is none."""
-    x = Solver(m).solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
+    x = Solver(m).solve_matrix(from_columns([rhs], len(rhs)))
     return None if x is None else x.column(0)
 
 
@@ -404,7 +406,7 @@ def test_connecting_independent_of_lift():
     rng = random.Random(2)
     for r in (1, 2):
         for w in sub.cohomology(r).representatives:
-            v = solve(ses.beta_mat(r), w)
+            v = solve(ses.beta[r], w)
             # Perturb the lift by something in the image of alpha.
             noise = tuple(Fraction(rng.randint(-2, 2)) for _ in range(pair.rel.dim(r)))
             v2 = tuple(a + b for a, b in zip(v, ses.alpha_mat(r).apply(noise)))
@@ -413,7 +415,7 @@ def test_connecting_independent_of_lift():
             dv = pair.full.diff(r).apply(v)
             u = solve(ses.alpha_mat(r + 1), dv)
             classes = pair.rel.express_class(
-                RationalMatrix.from_columns([u, u2], pair.rel.dim(r + 1)), r + 1)
+                from_columns([u, u2], pair.rel.dim(r + 1)), r + 1)
             assert classes.column(0) == classes.column(1)
 
 
@@ -489,8 +491,8 @@ def test_evaluation_form_matches_cup_then_evaluate():
                 left = [random_vector(C.dim(r)) for _ in range(3)]
                 right = [random_vector(C.dim(n - r)) for _ in range(2)]
                 P = pairing_matrix(lambda: G,
-                                   RationalMatrix.from_columns(left, C.dim(r)),
-                                   RationalMatrix.from_columns(right, C.dim(n - r)))
+                                   from_columns(left, C.dim(r)),
+                                   from_columns(right, C.dim(n - r)))
                 assert dense(P) == [
                     [pair_against_chain(n, cup.cup(r, a, n - r, b), chain) for b in right]
                     for a in left]

@@ -127,9 +127,9 @@ def test_report_bytes(name, perversity, strategy, tmp_path, monkeypatch):
 @pytest.mark.parametrize("perversity, cutoffs", [
     ("lower-middle", [2]), ("upper-middle", [2]), ("zero", [3, 1]), ("top", [1, 3])])
 def test_equal_cutoffs_build_one_model(perversity, cutoffs, tmp_path, monkeypatch):
-    # The middle perversities give p and q the cutoff 2, so one model per
-    # strategy serves both sides, in the run's strategy and in the model
-    # check's other one.
+    # The middle perversities give p and q the cutoff 2, so one model serves
+    # both sides.  The model check builds no model of the other strategy: it
+    # reads that strategy's cutoff passes alone.
     path = tmp_path / "s1-x-d3.json"
     path.write_text(json.dumps(DOCUMENTS["s1-x-d3"]))
     built = []
@@ -149,7 +149,10 @@ def test_equal_cutoffs_build_one_model(perversity, cutoffs, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "_workspace", None)
     report, status = run_verification(str(path), perversity, "lex", None, 0)
     assert status == 0
-    assert built == [(k, s) for s in ("lex", "reverse-lex") for k in cutoffs]
+    assert built == [(k, "lex") for k in cutoffs]
+    passes = [key for key in cli._workspace._built if key[0] == "cutoff pass"]
+    assert sorted(passes) == [("cutoff pass", k, s) for k in sorted(cutoffs)
+                              for s in ("lex", "reverse-lex")]
     (mp, mq), = paired
     values = report["perversity_values"]
     assert (mp.k, mq.k) == (values["cutoff_p"], values["cutoff_q"])

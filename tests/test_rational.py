@@ -17,6 +17,8 @@ from stratdual.rational import (
     vec_is_zero,
 )
 
+from helpers import from_columns
+
 
 def M(rows):
     return RationalMatrix.from_rows(rows)
@@ -40,7 +42,7 @@ def reversed_columns(m):
 
 def solve_one(solver, rhs):
     """``solver.solve_matrix`` on one column, as a vector, or None."""
-    x = solver.solve_matrix(RationalMatrix.from_columns([rhs], len(rhs)))
+    x = solver.solve_matrix(from_columns([rhs], len(rhs)))
     return None if x is None else x.column(0)
 
 
@@ -201,7 +203,7 @@ def test_solve_underdetermined_verifies():
 def test_solver_reuse_and_matrix_rhs():
     m = M([[1, 1], [0, 1], [1, 0]])
     s = Solver(m)
-    b = RationalMatrix.from_columns([vec([2, 1, 1]), vec([0, 0, 0])], 3)
+    b = from_columns([vec([2, 1, 1]), vec([0, 0, 0])], 3)
     x = s.solve_matrix(b)
     assert x is not None
     assert m @ x == b
@@ -315,7 +317,7 @@ def _oracle_coset(basis_rows, v):
 
 
 def _columns(vectors, dim):
-    return RationalMatrix.from_columns(list(vectors), dim)
+    return from_columns(list(vectors), dim)
 
 
 def _fraction_entry(rng):

@@ -104,9 +104,12 @@ def test_equal_perversity_values_share_one_model():
     _bytes("x2-cone-torus", "0,0", "lex", ["model"])
     _bytes("x2-cone-torus", "upper-middle", "lex", ["model"])
     models = [key for key in cli._workspace._built if key[0] == "model"]
-    # The cutoffs 2 and 1 of zero and top, whichever of them is p, each for
-    # both strategies (the model check builds both).
-    assert sorted(models) == [("model", k, s) for k in (1, 2) for s in ("lex", "reverse-lex")]
+    passes = [key for key in cli._workspace._built if key[0] == "cutoff pass"]
+    # The cutoffs 2 and 1 of zero and top, whichever of them is p, in the
+    # runs' strategy; the model check reads the other strategy's cutoff
+    # passes alone.
+    assert sorted(models) == [("model", k, "lex") for k in (1, 2)]
+    assert sorted(passes) == [("cutoff pass", k, s) for k in (1, 2) for s in ("lex", "reverse-lex")]
 
 
 def _count_link_builds(monkeypatch):
