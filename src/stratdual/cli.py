@@ -267,9 +267,73 @@ def run_verification(target: str, perversity: str = "zero",
         return report, 2
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def render_json_direct(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2) + "\\n"``, in one pass.
+
+    Dispatches on exact type: dicts with str keys (in sorted order), lists,
+    tuples, str, bool, int and None.  Anything else, a float, a set or a
+    non-str key among them, raises ``TypeError``: a report holds no floats.
+    """
+    parts = []
+    _write_json(value, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_json(value, newline: str, append) -> None:
+    # A module-level function, not a closure: a closure that calls itself is
+    # a reference cycle, which would hold the pieces until the next collection.
+    kind = type(value)
+    if kind is str:
+        append(_escape(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is bool:
+        append("true" if value else "false")
+    elif value is None:
+        append("null")
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(separator + _escape(key) + ": ")
+            _write_json(value[key], inner, append)
+            separator = "," + inner
+        append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            append(separator)
+            _write_json(item, inner, append)
+            separator = "," + inner
+        append(newline + "]")
+    else:
+        raise TypeError(f"cannot render {kind.__name__} as report JSON")
+
+
+# json indents in C only from 3.13 on; below, the direct pass is faster (drop it with 3.12).
+if sys.version_info >= (3, 13):
+    def _render_json(value) -> str:
+        return json.dumps(value, sort_keys=True, indent=2) + "\n"
+else:
+    _render_json = render_json_direct
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _render_json(report)
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "text":
@@ -344,15 +408,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "examples":
         if args.examples_command == "list":
-            sys.stdout.write(json.dumps(examples.catalog(), sort_keys=True, indent=2) + "\n")
+            sys.stdout.write(render_report(examples.catalog(), "json"))
             return 0
         if args.name not in examples.DECOMPOSITION_DOCUMENTS:
             sys.stdout.write(json.dumps(
                 {"error": {"code": "PARSE", "message": f"unknown example {args.name!r}"}},
                 sort_keys=True) + "\n")
             return 2
-        sys.stdout.write(json.dumps(examples.get_document(args.name),
-                                    sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_report(examples.get_document(args.name), "json"))
         return 0
 
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]

@@ -74,7 +74,10 @@ class PairingForms:
     models, or the link's quotient and cotruncation), so a caller that keeps
     one PairingForms for its pair pays for each matrix once.  So are the
     evaluation forms they are built from: one per chain (mu or ∂mu) and
-    degree, shared by every pairing in that degree.
+    degree, shared by every pairing in that degree.  The verdicts read off
+    these pairings are kept the same way: ``ladder_check``'s record per
+    model pair and degree, and ``well_definedness_identity``'s per model
+    pair.
     """
 
     __slots__ = ("pair", "mu", "lam", "_built")
@@ -187,9 +190,14 @@ def well_definedness_identity(mp: IntersectionModel, mq: IntersectionModel,
     (R_p + D_p x)^T F (R_q + D_q y) = R_p^T F R_q for all x, y exactly when
     D_p^T F [R_q | D_q] = 0 and R_p^T F D_q = 0.  Checked in every degree
     where both sides have classes, as well_definedness_probe samples it.
+    The verdict is kept by ``forms`` per model pair.
     """
     _require_compatible(mp, mq)
     forms = _forms_for(mp.pair, mu, forms)
+    return forms._once(("well defined", mp, mq), partial(_well_defined, forms, mp, mq))
+
+
+def _well_defined(forms: PairingForms, mp: IntersectionModel, mq: IntersectionModel) -> bool:
     n = mp.decomposition.n
     for r in range(n + 1):
         rp = mp.complex.representative_matrix(r)
@@ -300,12 +308,17 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
 
     where delta_1 is the connecting map of 0 -> A_p -> C*(M) -> quotient -> 0
     at degree r-1 and delta_2 that of 0 -> C*(M,∂M) -> A_q -> tau_{>=l} -> 0
-    at degree n-r-1.
+    at degree n-r-1.  The record is kept by ``forms`` per model pair and
+    degree.
     """
     _require_compatible(mp, mq)
     forms = _forms_for(mp.pair, mu, forms)
-    n = mp.decomposition.n
+    return forms._once(("ladder", mp, mq, r), partial(_ladder_record, forms, mp, mq, r))
 
+
+def _ladder_record(forms: PairingForms, mp: IntersectionModel, mq: IntersectionModel,
+                   r: int) -> LadderRecord:
+    n = mp.decomposition.n
     p_top = forms.truncated(mp.quotient, mp.section, mq.cotruncation, r - 1)
     p_bot = forms.truncated(mp.quotient, mp.section, mq.cotruncation, r)
     p_main = forms.main(mp, mq, r)

@@ -57,12 +57,6 @@ class DualityReport:
         self.right_betti = tuple(right_betti)
         self.passed = all(p.nondegenerate for p in self.pairings)
 
-    def pairing(self, degree: int) -> PairingMatrix:
-        for p in self.pairings:
-            if p.degree == degree:
-                return p
-        raise KeyError(degree)
-
     def to_jsonable(self) -> dict:
         return {
             "kind": self.kind,

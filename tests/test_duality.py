@@ -1,10 +1,13 @@
 import copy
+from collections import Counter
 
 import pytest
 
 from stratdual import examples
-from stratdual.cochains import PairComplexes
+from stratdual import duality
+from stratdual.cochains import PairComplexes, ShortExactSequence
 from stratdual.duality import (
+    PairingForms,
     boundary_link_chain,
     ladder_check,
     lefschetz_pairing,
@@ -24,6 +27,8 @@ from stratdual.simplicial import (
     orient_top_chain,
     parse_complex,
 )
+
+from helpers import pairing
 
 
 def manifold_pair(name, boundary_facets):
@@ -52,7 +57,7 @@ def test_lefschetz_disk():
     pair, mu = manifold_pair("disk", DISK_BOUNDARY)
     report = lefschetz_pairing(pair, mu)
     assert report.passed
-    p0 = report.pairing(0)
+    p0 = pairing(report, 0)
     assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
     assert p0.matrix.entry(0, 0) != 0
 
@@ -61,7 +66,7 @@ def test_lefschetz_annulus():
     pair, mu = manifold_pair("annulus", ANNULUS_BOUNDARY)
     report = lefschetz_pairing(pair, mu)
     assert report.passed
-    p1 = report.pairing(1)
+    p1 = pairing(report, 1)
     assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
     assert p1.matrix.entry(0, 0) != 0
 
@@ -73,10 +78,10 @@ def test_lefschetz_solid_torus():
     report = lefschetz_pairing(pair, mu)
     assert report.passed
     for r, dims in ((0, (1, 1)), (1, (1, 1)), (2, (0, 0)), (3, (0, 0))):
-        p = report.pairing(r)
+        p = pairing(report, r)
         assert (p.matrix.rows, p.matrix.cols) == dims
     # Degree-1 block of the torus-boundary fixture is the classical ±1.
-    assert report.pairing(1).matrix.entry(0, 0) in (1, -1)
+    assert pairing(report, 1).matrix.entry(0, 0) in (1, -1)
 
 
 def test_lefschetz_rejects_invalid_mu():
@@ -90,11 +95,11 @@ def test_main_pairing_x2():
     D, pair, mu, mp, mq = models_for("x2-cone-torus")
     report = main_pairing(mp, mq, mu)
     assert report.passed
-    p2 = report.pairing(2)
+    p2 = pairing(report, 2)
     assert (p2.matrix.rows, p2.matrix.cols) == (1, 1)
     assert p2.matrix.entry(0, 0) != 0
     for r in (0, 1, 3):
-        p = report.pairing(r)
+        p = pairing(report, r)
         assert (p.matrix.rows, p.matrix.cols) == (0, 0)
 
 
@@ -102,7 +107,7 @@ def test_main_pairing_x2_swapped():
     D, pair, mu, mp, mq = models_for("x2-cone-torus", 1)
     report = main_pairing(mp, mq, mu)
     assert report.passed
-    p1 = report.pairing(1)
+    p1 = pairing(report, 1)
     assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
     assert p1.matrix.entry(0, 0) != 0
 
@@ -136,12 +141,12 @@ def test_orientation_covariance():
     report = main_pairing(mp, mq, mu)
     flipped = main_pairing(mp, mq, negated)
     for r in range(D.n + 1):
-        assert flipped.pairing(r).matrix == -report.pairing(r).matrix
-        assert flipped.pairing(r).nondegenerate == report.pairing(r).nondegenerate
+        assert pairing(flipped, r).matrix == -pairing(report, r).matrix
+        assert pairing(flipped, r).nondegenerate == pairing(report, r).nondegenerate
     lef = lefschetz_pairing(pair, mu)
     lef_flipped = lefschetz_pairing(pair, negated)
     for r in range(D.n + 1):
-        assert lef_flipped.pairing(r).matrix == -lef.pairing(r).matrix
+        assert pairing(lef_flipped, r).matrix == -pairing(lef, r).matrix
 
 
 def test_well_definedness_probe():
@@ -169,6 +174,62 @@ def test_well_definedness_identity_detects_a_corrupted_iota():
     bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
     assert not well_definedness_identity(bad, mq, mu)
     assert not well_definedness_probe(bad, mq, mu, trials=3)
+
+
+def count_calls(monkeypatch):
+    """Counts of induced_map, connecting and matrix products from here on."""
+    counts = Counter()
+    for owner, name in ((duality, "induced_map"), (ShortExactSequence, "connecting"),
+                        (RationalMatrix, "__matmul__")):
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_ladder_records_are_kept_per_model_pair(monkeypatch):
+    D, pair, mu, mp, mq = models_for("x2-cone-torus")
+    forms = PairingForms(pair, mu)
+    records = [ladder_check(mp, mq, mu, r, forms=forms) for r in range(D.n + 1)]
+    counts = count_calls(monkeypatch)
+    for r in range(D.n + 1):
+        assert ladder_check(mp, mq, mu, r, forms=forms) is records[r]
+    assert counts == Counter()
+    # Without forms a call builds anew; no two reports share a dict.
+    fresh = ladder_check(mp, mq, mu, 2)
+    assert fresh is not records[2]
+    assert fresh.to_jsonable() == records[2].to_jsonable()
+    assert records[2].to_jsonable() is not records[2].to_jsonable()
+    assert counts["induced_map"] == 4 and counts["connecting"] == 2
+    # A corrupted copy of mp is another key, so its squares are checked.
+    bad = copy.copy(mp)
+    bad.iota = mp.iota[:2] + (mp.iota[2].scaled(2),) + mp.iota[3:]
+    assert not ladder_check(bad, mq, mu, 2, forms=forms).passed
+    assert ladder_check(mp, mq, mu, 2, forms=forms) is records[2]
+
+
+def test_well_definedness_verdict_is_kept_per_model_pair(monkeypatch):
+    # As in the corrupted-iota test: one subdivision gives the coboundary
+    # terms columns, so a corrupted iota is seen.
+    document = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
+    D = decompose(parse_complex(document), document["singular_vertex"])
+    pair = PairComplexes(D.M, D.L)
+    mu = fundamental_chain(D)
+    mp = build_model(D, 2, pair=pair)
+    mq = build_model(D, 1, pair=pair)
+    forms = PairingForms(pair, mu)
+    assert well_definedness_identity(mp, mq, mu, forms=forms)
+    counts = count_calls(monkeypatch)
+    assert well_definedness_identity(mp, mq, mu, forms=forms)
+    assert counts == Counter()
+    bad = copy.copy(mp)
+    iota = mp.iota[2]
+    shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
+    bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
+    assert not well_definedness_identity(bad, mq, mu, forms=forms)
+    assert counts["__matmul__"] > 0
+    assert well_definedness_identity(mp, mq, mu, forms=forms)
 
 
 def test_stokes_vanishing_probe():
