@@ -323,17 +323,9 @@ def _write_json(value, newline: str, append) -> None:
         raise TypeError(f"cannot render {kind.__name__} as report JSON")
 
 
-# json indents in C only from 3.13 on; below, the direct pass is faster (drop it with 3.12).
-if sys.version_info >= (3, 13):
-    def _render_json(value) -> str:
-        return json.dumps(value, sort_keys=True, indent=2) + "\n"
-else:
-    _render_json = render_json_direct
-
-
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _render_json(report)
+        return render_json_direct(report)
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "text":
