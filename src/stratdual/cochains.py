@@ -369,7 +369,7 @@ class ShortExactSequence:
     engine bug and raises.
     """
 
-    __slots__ = ("U", "V", "W", "alpha", "beta", "left", "right", "_connecting")
+    __slots__ = ("U", "V", "W", "alpha", "beta", "left", "right")
 
     def __init__(self, U, V, W, alpha, beta, left, right):
         self.U = U
@@ -379,7 +379,6 @@ class ShortExactSequence:
         self.beta = tuple(beta)
         self.left = tuple(left)
         self.right = tuple(right)
-        self._connecting = {}
         for r in range(max(U.top, V.top, W.top) + 1):
             if U.dim(r) + W.dim(r) != V.dim(r):
                 raise InternalExactnessError(f"SES: exactness fails in degree {r}")
@@ -397,14 +396,10 @@ class ShortExactSequence:
         """Connecting homomorphism H^r(W) -> H^{r+1}(U).
 
         Lift each representative through beta, apply d, pull back through
-        alpha; the class of the result is independent of the lift.  Built
-        once per degree: the sequence and its complexes do not change.
+        alpha; the class of the result is independent of the lift.  Computed
+        on each call: ``verify`` reads it in the ladder only, which keeps its
+        verdicts per model pair and degree, so no run asks for it twice.
         """
-        if r not in self._connecting:
-            self._connecting[r] = self._connecting_matrix(r)
-        return self._connecting[r]
-
-    def _connecting_matrix(self, r: int) -> RationalMatrix:
         reps = self.W.representative_matrix(r)
         if not reps.cols:
             return RationalMatrix.zeros(self.U.cohomology(r + 1).dimension, 0)

@@ -7,6 +7,9 @@ by a forward pass over the image's basis, led as the strategy says, so two
 strategies ('lex' / 'reverse-lex') give two reproducible but genuinely
 different choices, which is what makes choice-independence a runnable test.
 A cochain's normal form by that pass lies in D; the rest is its image part.
+The pass is kept by the complex's cached image basis, so D read alone (as a
+model's pass on its cutoff degree reads it) and the cotruncation's pi_k come
+from one pass per image and strategy.
 """
 
 from __future__ import annotations
@@ -86,11 +89,9 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     projection = None
     if k <= C.top:
         # pi_k reads a unit cochain's image part, by the pass that picks D, at
-        # the image basis's pivot rows; a copy of the cached basis keeps that
-        # pass until return.  That pi_k inverts the image and kills D, which
-        # fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
-        image = C.image(k - 1)
-        img = SubspaceBasis(image.matrix(), image.pivot_rows)
+        # the image basis's pivot rows.  That pi_k inverts the image and kills
+        # D, which fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
+        img = C.image(k - 1)
         D = complement_basis(img, strategy)
         units = RationalMatrix.identity(C.dim(k))
         reduced = img.forward_pass(COMPLEMENT_LEAD[strategy]).normal_form(units)

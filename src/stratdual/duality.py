@@ -77,7 +77,8 @@ class PairingForms:
     degree, shared by every pairing in that degree.  The verdicts read off
     these pairings are kept the same way: ``ladder_check``'s record per
     model pair and degree, and ``well_definedness_identity``'s per model
-    pair.
+    pair.  The form pulled back to the models' cochains, iota_p^T G iota_q,
+    is read only by that verdict, once per degree, so it is not kept.
     """
 
     __slots__ = ("pair", "mu", "lam", "_built")
@@ -121,12 +122,6 @@ class PairingForms:
         return self._once(("main", mp, mq, r), lambda: PairingMatrix(r, self._over_mu(
             r, mapped_representatives(mp.iota, mp.complex, r),
             mapped_representatives(mq.iota, mq.complex, n - r))))
-
-    def model_form(self, mp: IntersectionModel, mq: IntersectionModel, r: int) -> RationalMatrix:
-        """The form over mu on A_p^r x A_q^{n-r}: iota_p^T G iota_q."""
-        n = self.pair.K.dimension
-        return self._once(("model form", mp, mq, r), lambda: self._over_mu(
-            r, mp.iota[r], mq.iota[n - r]))
 
     def truncated(self, quotient, section, ct, degree: int) -> PairingMatrix:
         """The link's truncated pairing H^degree(quotient) x H^{c-degree}(ct)
@@ -204,7 +199,7 @@ def _well_defined(forms: PairingForms, mp: IntersectionModel, mq: IntersectionMo
         rq = mq.complex.representative_matrix(n - r)
         if rp.cols == 0 or rq.cols == 0:
             continue
-        form = forms.model_form(mp, mq, r)
+        form = forms._over_mu(r, mp.iota[r], mq.iota[n - r])
         dp = mp.complex.diff(r - 1)
         dq = mq.complex.diff(n - r - 1)
         if not (dp.transpose() @ form @ rq.hstack(dq)).is_zero():

@@ -155,9 +155,10 @@ class IntersectionModel:
         return f"IntersectionModel({self.decomposition.name!r}, k={self.k}, {self.strategy})"
 
 
-def cutoff_pass(pair: PairComplexes, cotruncation) -> Echelon:
-    """The forward pass on d^k of the model at the cotruncation's cutoff k,
-    the one degree whose differential depends on the complement D.
+def cutoff_pass(pair: PairComplexes, k: int, theta: RationalMatrix) -> Echelon:
+    """The forward pass on d^k of the model at cutoff k, the one degree whose
+    differential depends on the complement D, read off D's unit columns
+    ``theta`` in C^k(L) alone.
 
     A^k is spanned by the unit cochains at ``_basis_rows``, so d^k is the
     columns of d_M^k at those rows.  The pass is led by the highest column,
@@ -167,8 +168,7 @@ def cutoff_pass(pair: PairComplexes, cotruncation) -> Echelon:
     places (see ``_PairPasses``).  ``cols`` is dim A^k and ``rank`` is
     rank d_A^k.
     """
-    k = cotruncation.k
-    relative, rows = _basis_rows(pair, cotruncation.inclusion[k], k)
+    relative, rows = _basis_rows(pair, theta, k)
     position = {row: i for i, row in enumerate(rows)}
     cleared = frozenset(position[relative[i]] for i in pair.rel.echelon(k - 1).pivot_rows)
     return Echelon(pair.full.diff(k).columns_at(rows), max, cleared=cleared)
@@ -270,7 +270,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
     ``cotruncation``, ``quotient`` and ``cutoff`` are those of ``pair`` at the
     model's cutoff and strategy, as ``cotruncate``,
     ``quotient_by_cotruncation`` and ``cutoff_pass`` return them (built here
-    when not given); nothing checks a pi or a pass made elsewhere.  In degree
+    when not given, the pass from theta^k, the columns the basis reads);
+    nothing checks a pi or a pass made elsewhere.  In degree
     n the link has no cochains, so every map there is the empty matrix.
     """
     n = D.n
@@ -287,7 +288,7 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
         raise ValueError(f"cotruncation at cutoff {ct.k} ({ct.strategy}) given for a "
                          f"model at cutoff {k} ({strategy})")
     if cutoff is None:
-        cutoff = cutoff_pass(pair, ct)
+        cutoff = cutoff_pass(pair, k, ct.inclusion[k])
     quotient, pi, section = quotient
 
     # A^r is spanned by unit cochains: those of the simplices outside L and

@@ -9,14 +9,12 @@ strings so exactness survives the wire.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .rational import RationalMatrix
 
 
 def fraction_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as "p/q", read off its own numerator and denominator."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def matrix_jsonable(m: RationalMatrix) -> dict:

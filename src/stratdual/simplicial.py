@@ -268,8 +268,7 @@ def orient_top_chain(K: SimplicialComplex) -> FundamentalChain:
             continue
         signs[start] = 1
         queue = [start]
-        while queue:
-            cur = queue.pop(0)
+        for cur in queue:
             f = facets[cur]
             for i in range(n + 1):
                 face = f[:i] + f[i + 1:]

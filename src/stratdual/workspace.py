@@ -1,11 +1,12 @@
 """Everything derived from one input document, each object built once.
 
 A ``Workspace`` holds what the checks of ``verify`` derive from one parsed
-document: the complex, its decomposition, the fundamental chain, the
-complex's cochains, the pair complexes, and per cutoff and strategy the
-truncations, cotruncations and quotients of the link's cochains, the
-models' passes on their cutoff degree, the models, the chain complexes and
-cones of the oracle, the pairing forms and the link's truncated pairings.
+document: its decomposition, the fundamental chain, the complex's cochains,
+the pair complexes, and per cutoff and strategy the truncations,
+cotruncations and quotients of the link's cochains, the models' passes on
+their cutoff degree (each from its complement alone), the models, the chain
+complexes and cones of the oracle, the pairing forms and the link's
+truncated pairings.
 No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
 Each is built on first request by the same library code that builds it
@@ -25,6 +26,7 @@ from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
 from .model import build_model, cutoff_pass
+from .rational import complement_basis
 from .reports import DualityReport
 from .simplicial import decompose, fundamental_chain, parse_complex
 
@@ -47,12 +49,9 @@ class Workspace:
             self._built[key] = build()
         return self._built[key]
 
-    def complex(self):
-        return self._once("X", lambda: parse_complex(self.document))
-
     def decomposition(self):
         def build():
-            X = self.complex()
+            X = parse_complex(self.document)
             if "singular_vertex" not in self.document:
                 raise ParseError("document missing key: singular_vertex")
             return decompose(X, self.document["singular_vertex"])
@@ -83,9 +82,12 @@ class Workspace:
 
     def cutoff_pass(self, k: int, strategy: str):
         """The forward pass on d^k of the model at cutoff k, the one its
-        ``model`` eliminates in degree k and that ``choice_independent`` reads."""
+        ``model`` eliminates in degree k and that ``choice_independent`` reads.
+        It reads the strategy's complement D alone, so a run that checks the
+        other strategy's pass builds no cotruncation of that strategy."""
+        pair = self.pair()
         return self._once(("cutoff pass", k, strategy), lambda: cutoff_pass(
-            self.pair(), self.cotruncation(k, strategy)))
+            pair, k, complement_basis(pair.sub.image(k - 1), strategy).matrix()))
 
     def model(self, k: int, strategy: str):
         return self._once(("model", k, strategy), lambda: build_model(

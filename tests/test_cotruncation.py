@@ -11,7 +11,7 @@ from stratdual.cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from stratdual.rational import Echelon, RationalMatrix, Solver
+from stratdual.rational import Echelon, RationalMatrix, Solver, complement_basis
 from stratdual.simplicial import decompose, orient_top_chain, parse_complex
 
 from helpers import pairing
@@ -111,6 +111,29 @@ def test_projection_matches_the_solved_split(strategy):
                 # D is the unit cochains off the image's pivot rows.
                 units = RationalMatrix.identity(C.dim(k)).rows_at(img.pivot_rows)
                 assert ct.projection == units, (L.name, k)
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+def test_a_complement_and_its_cotruncation_share_one_pass(strategy, monkeypatch):
+    # complement_basis keeps its pass over the image basis with the complex's
+    # cached image, so cotruncate takes pi_k from that pass and runs none anew.
+    passes = []
+    init = Echelon.__init__
+
+    def counted(self, m, *args, **kwargs):
+        passes.append(m)
+        init(self, m, *args, **kwargs)
+
+    for L in bundled_links():
+        C, _ = simplicial_cochains(L)
+        for k in range(1, C.top + 1):
+            img = C.image(k - 1)
+            complement_basis(img, strategy)
+            with monkeypatch.context() as patch:
+                patch.setattr(Echelon, "__init__", counted)
+                cotruncate(C, k, strategy)
+            assert img.matrix().transpose() not in passes, (L.name, k)
+            passes.clear()
 
 
 def test_cotruncate_full_complement_when_image_zero():

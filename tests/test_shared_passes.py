@@ -16,6 +16,7 @@ import pytest
 from stratdual import cli, examples
 from stratdual.cochains import CochainComplex
 from stratdual.errors import StratdualError
+from stratdual.model import cutoff_pass
 from stratdual.workspace import Workspace
 
 from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
@@ -67,6 +68,22 @@ def test_shared_passes_and_classes_match_a_model_computed_from_scratch(name):
             assert m.complex.cohomology(r) is pair.rel.cohomology(r), (where, r)
         for r in range(k + 1, n + 2):
             assert m.complex.cohomology(r) is pair.full.cohomology(r), (where, r)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_the_cutoff_pass_reads_the_complement_alone(name):
+    # Built first, the workspace's pass on d^k builds no cotruncation, and it
+    # is the pass that the cotruncation's inclusion in degree k gives.
+    ws = workspace(name)
+    pair, n = ws.pair(), ws.decomposition().n
+    for k, strategy in product(range(1, n), STRATEGIES):
+        where = (name, k, strategy)
+        before = set(ws._built)
+        ours = ws.cutoff_pass(k, strategy)
+        assert set(ws._built) - before == {("cutoff pass", k, strategy)}, where
+        theirs = cutoff_pass(pair, k, ws.cotruncation(k, strategy).inclusion[k])
+        assert (ours.cols, ours.rank, ours.pivots, ours.pivot_rows, ours.cleared) == (
+            theirs.cols, theirs.rank, theirs.pivots, theirs.pivot_rows, theirs.cleared), where
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))

@@ -150,6 +150,18 @@ def test_an_all_check_run_builds_each_link_object_once(name, monkeypatch):
     assert all(n == 1 for n in counts.values()), counts
 
 
+@pytest.mark.parametrize("checks", [["model"], None])
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+@pytest.mark.parametrize("name", decomposition_names())
+def test_a_run_cotruncates_in_its_own_strategy_only(name, strategy, checks, monkeypatch):
+    # The model check reads the other strategy's complement alone, through
+    # its pass on the cutoff degree, and builds no cotruncation of it.
+    monkeypatch.setattr(cli, "_workspace", None)
+    counts = _count_link_builds(monkeypatch)
+    run_verification(name, "zero", strategy, checks)
+    assert {key[2] for key in counts if key[0] == "cotruncate"} <= {strategy}, counts
+
+
 def test_repeated_runs_build_each_evaluation_form_once(monkeypatch):
     # Every pairing of one degree over mu, or over ∂mu, reads one form, and
     # the workspace keeps it for the next call on the document.
