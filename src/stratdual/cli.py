@@ -35,6 +35,7 @@ from .model import (
     named_perversity,
     validate_perversity,
 )
+from .rational import COMPLEMENT_LEAD
 from .workspace import Workspace, document_key
 
 SCHEMA_VERSION = 2
@@ -117,8 +118,8 @@ def _check_oracle(ws, mp, mq, strategy):
 
 
 def _check_duality(mp, mq, forms):
-    report = main_pairing(mp, mq, forms.mu, forms=forms)
-    stable = well_definedness_identity(mp, mq, forms.mu, forms=forms)
+    report = main_pairing(mp, mq, forms)
+    stable = well_definedness_identity(mp, mq, forms)
     return {
         "pass": report.passed and stable,
         "well_defined": stable,
@@ -127,7 +128,7 @@ def _check_duality(mp, mq, forms):
 
 
 def _check_ladder(mp, mq, forms):
-    records = [ladder_check(mp, mq, forms.mu, r, forms=forms)
+    records = [ladder_check(mp, mq, r, forms)
                for r in range(mp.decomposition.n + 1)]
     return {
         "pass": all(rec.passed for rec in records),
@@ -136,7 +137,7 @@ def _check_ladder(mp, mq, forms):
 
 
 def _check_lefschetz(forms):
-    report = lefschetz_pairing(forms.pair, forms.mu, forms=forms)
+    report = lefschetz_pairing(forms)
     return {"pass": report.passed, "pairing": report.to_jsonable()}
 
 
@@ -226,6 +227,8 @@ def run_verification(target: str, perversity: str = "zero",
         unknown = [c for c in checks if c not in ALL_CHECKS]
         if unknown:
             raise ParseError(f"unknown checks: {unknown}")
+        if type(strategy) is not str or strategy not in COMPLEMENT_LEAD:
+            raise ParseError(f"unknown strategy {strategy!r}")
         document, name = resolve_input(target)
         report["input"] = name
         ws = _workspace_for(document)
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("input", help="input document path or bundled example name")
     verify.add_argument("--perversity", default="zero",
                         help="zero|top|lower-middle|upper-middle or values for s=2..n, e.g. 0,1")
-    verify.add_argument("--strategy", default="lex", choices=["lex", "reverse-lex"])
+    verify.add_argument("--strategy", default="lex", choices=list(COMPLEMENT_LEAD))
     verify.add_argument("--checks", default=",".join(ALL_CHECKS),
                         help="comma-separated subset of: " + ", ".join(ALL_CHECKS))
     verify.add_argument("--format", default="json", choices=["json", "csv", "text"])

@@ -96,47 +96,32 @@ class ChainTruncation:
         self.ambient = ambient
 
 
-def chain_truncate(L: SimplicialComplex, k: int, strategy: str = "lex",
-                   chains: ChainComplex | None = None) -> ChainTruncation:
+def chain_truncate(L: SimplicialComplex, k: int, strategy: str,
+                   chains: ChainComplex) -> ChainTruncation:
     """Moore-style truncation: H_r iso below k, zero at and above k.
 
-    ``chains`` is simplicial_chains(L), built here when not given.  Nothing
-    is multiplied for ∂∘∂: below k it is L's, and at k it is ∂_{k-1} ∂_k B = 0.
+    ``chains`` is simplicial_chains(L).  Nothing is multiplied for ∂∘∂:
+    below k it is L's, and at k it is ∂_{k-1} ∂_k B = 0.
     """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
-    C = simplicial_chains(L) if chains is None else chains
-    top = C.top
-    if k <= top:
-        cycles = kernel_basis(C.bnd(k))
-        B = complement_basis(cycles, strategy)
-    else:
-        B = None
+    C = chains
     dims = []
-    for r in range(top + 1):
-        if r < k:
-            dims.append(C.dim(r))
-        elif r == k:
-            dims.append(B.count)
-        else:
-            dims.append(0)
     boundary = []
     inclusion = []
-    for r in range(top + 1):
-        if r == 0:
-            boundary.append(RationalMatrix.zeros(0, dims[0]))
-        elif r < k:
-            boundary.append(C.bnd(r))
-        elif r == k:
-            boundary.append(C.bnd(k) @ B.matrix())
-        else:
-            boundary.append(RationalMatrix.zeros(dims[r - 1], 0))
-    for r in range(top + 1):
+    for r in range(C.top + 1):
         if r < k:
+            dims.append(C.dim(r))
+            boundary.append(C.bnd(r))
             inclusion.append(RationalMatrix.identity(C.dim(r)))
         elif r == k:
-            inclusion.append(B.matrix())
+            B = complement_basis(kernel_basis(C.bnd(k)), strategy).matrix()
+            dims.append(B.cols)
+            boundary.append(C.bnd(k) @ B)
+            inclusion.append(B)
         else:
+            dims.append(0)
+            boundary.append(RationalMatrix.zeros(dims[r - 1], 0))
             inclusion.append(RationalMatrix.zeros(C.dim(r), 0))
     truncated = ChainComplex(f"t_<{k}({L.name})", dims, boundary)
     t = ChainTruncation(k, truncated, tuple(inclusion), C)
@@ -195,17 +180,14 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
     return cone
 
 
-def intersection_space_cone(D: PseudomanifoldDecomposition, k: int,
-                            strategy: str = "lex", m_chains: ChainComplex | None = None,
-                            l_chains: ChainComplex | None = None) -> ChainComplex:
+def intersection_space_cone(D: PseudomanifoldDecomposition, k: int, strategy: str,
+                            m_chains: ChainComplex, l_chains: ChainComplex) -> ChainComplex:
     """Cone over L_{<k} -> L = ∂M -> M for a decomposition.
 
-    ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, built
-    here when not given.
+    ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, as
+    ``workspace.Workspace.cone`` passes them.
     """
     t = chain_truncate(D.L, k, strategy, l_chains)
-    if m_chains is None:
-        m_chains = simplicial_chains(D.M)
     include = []
     for r in range(D.M.dimension + 1):
         entries = {}

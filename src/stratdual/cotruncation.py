@@ -22,7 +22,6 @@ from .cochains import (
     mapped_representatives,
     pair_against_chain,
     pairing_matrix,
-    simplicial_cochains,
     subcomplex,
 )
 from .errors import InternalExactnessError
@@ -113,15 +112,15 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
 
 
 def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
-                             truncation: Truncation | None = None):
+                             truncation: Truncation):
     """Quotient C / theta(tau_{>=k}) with projection and canonical section.
 
     Realized on the complementary summand, which is the truncation tau_{<k}:
     full below k, im d^{k-1} in degree k, zero above.  Returns
     (quotient, pi, section) with section the truncation's inclusion and pi,
     per degree up to top + 1, the identity below k, the cotruncation's pi_k
-    in degree k and zero above.  ``truncation`` is truncate_below(C, k),
-    built here when not given.
+    in degree k and zero above.  ``truncation`` is truncate_below(C, k), as
+    ``workspace.Workspace.quotient`` passes it.
 
     Nothing is multiplied here: both statements about pi follow from the
     certificates of ``cotruncate`` and of the truncation's reads.
@@ -135,9 +134,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
       pi_k d^{k-1} = pi_k img d_sub = d_sub.  From k on the quotient is zero.
     """
     k = ct.k
-    if truncation is None:
-        truncation = truncate_below(C, k)
-    elif truncation.k != k:
+    if truncation.k != k:
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
     pi = tuple(RationalMatrix.identity(C.dim(r)) if r < k
                else ct.projection if r == k
@@ -180,14 +177,15 @@ def truncated_pairing(form, quotient: CochainComplex, section,
                           mapped_representatives(ct.inclusion, ct.complex, c - r))
 
 
-def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
-                      strategy: str = "lex", cochains=None) -> DualityReport:
+def truncated_duality(L: SimplicialComplex, k: int, l: int, cochains, lam=None,
+                      strategy: str = "lex") -> DualityReport:
     """Nondegenerate pairing between H(C/theta(tau_{>=k})) and H(tau_{>=l}).
 
     Entries are integrals over the fundamental cycle lam of the link:
     ([pi(alpha)], [beta]) -> ∫_lam alpha ∪ theta_{>=l}(beta), with alpha any
     lift of the quotient class (well defined by the vanishing window
-    k + l = c + 1 > c); see ``truncated_pairing``.
+    k + l = c + 1 > c); see ``truncated_pairing``.  ``cochains`` is the
+    pair (C*(L), its cup structure) that ``simplicial_cochains(L)`` returns.
 
     lam comes from the caller, so it is checked here: it must be closed and
     pair nonzero with H^c(L), or a bare ValueError (not a StratdualError) is
@@ -202,7 +200,7 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
     c = L.dimension
     if k + l != c + 1:
         raise ValueError(f"need k + l = c + 1 = {c + 1}, got {k + l}")
-    C, cup = cochains if cochains is not None else simplicial_cochains(L)
+    C, cup = cochains
     if lam is None:
         lam = orient_top_chain(L)
     lam_vec = lam.coefficients if hasattr(lam, "coefficients") else tuple(lam)
@@ -214,7 +212,7 @@ def truncated_duality(L: SimplicialComplex, k: int, l: int, lam=None,
         raise ValueError("chain does not represent a fundamental class")
     ct_k = cotruncate(C, k, strategy)
     ct_l = ct_k if l == k else cotruncate(C, l, strategy)
-    quotient, _, section = quotient_by_cotruncation(C, ct_k)
+    quotient, _, section = quotient_by_cotruncation(C, ct_k, truncate_below(C, k))
     pairings = [PairingMatrix(r, truncated_pairing(partial(cup.evaluation_form, c, r, lam_vec),
                                                    quotient, section, ct_l, r))
                 for r in range(c + 1)]

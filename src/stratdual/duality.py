@@ -131,18 +131,9 @@ class PairingForms:
                                       quotient, section, ct, degree)))
 
 
-def _forms_for(pair, mu: FundamentalChain, forms: PairingForms | None) -> PairingForms:
-    if forms is None:
-        return PairingForms(pair, mu)
-    if forms.pair is not pair or forms.mu is not mu:
-        raise ValueError("pairing forms of another pair or fundamental chain")
-    return forms
-
-
-def lefschetz_pairing(pair, mu: FundamentalChain,
-                      forms: PairingForms | None = None) -> DualityReport:
-    """Poincare-Lefschetz pairing of the pair (M, ∂M) against mu."""
-    forms = _forms_for(pair, mu, forms)
+def lefschetz_pairing(forms: PairingForms) -> DualityReport:
+    """Poincare-Lefschetz pairing of the pair (M, ∂M) of ``forms`` against its mu."""
+    pair = forms.pair
     n = pair.K.dimension
     pairings = []
     for r in range(n + 1):
@@ -150,24 +141,28 @@ def lefschetz_pairing(pair, mu: FundamentalChain,
     return DualityReport("lefschetz", pairings, pair.full.betti(), pair.rel.betti())
 
 
-def _require_compatible(mp: IntersectionModel, mq: IntersectionModel):
-    """Models over one decomposition at complementary cutoffs, k + l = n.
+def _require_compatible(mp: IntersectionModel, mq: IntersectionModel, pair):
+    """Models over one decomposition at complementary cutoffs, k + l = n,
+    with ``pair``, the pair whose cochains the caller pairs them in, their own.
 
     A model sees its perversity only through p(n), and for complementary
     perversities p(n) + q(n) = n - 2, which is k_p + k_q = n.  ``verify``
-    builds q as ``complementary(p)``, so its models always pass."""
+    builds q as ``complementary(p)`` and every object from one ``Workspace``,
+    so its models always pass."""
     dp, dq = mp.decomposition, mq.decomposition
     if dp.X.facets != dq.X.facets or dp.singular_vertex != dq.singular_vertex:
         raise ValueError("models built over different decompositions")
     if mp.k + mq.k != dp.n:
         raise NotComplementaryError("cutoffs do not satisfy k + l = n")
+    if pair is not mp.pair:
+        raise ValueError("pairing forms of another pair or fundamental chain")
 
 
 def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
-                 mu: FundamentalChain, forms: PairingForms | None = None) -> DualityReport:
-    """The generalized Poincare duality pairing of the two models."""
-    _require_compatible(mp, mq)
-    forms = _forms_for(mp.pair, mu, forms)
+                 forms: PairingForms) -> DualityReport:
+    """The generalized Poincare duality pairing of the two models over the
+    mu of ``forms``."""
+    _require_compatible(mp, mq, forms.pair)
     n = mp.decomposition.n
     pairings = []
     for r in range(n + 1):
@@ -176,8 +171,7 @@ def main_pairing(mp: IntersectionModel, mq: IntersectionModel,
 
 
 def well_definedness_identity(mp: IntersectionModel, mq: IntersectionModel,
-                              mu: FundamentalChain,
-                              forms: PairingForms | None = None) -> bool:
+                              forms: PairingForms) -> bool:
     """The main pairing is independent of the representatives, exactly.
 
     With F = iota_p^T G iota_q in degrees (r, n - r), D_p, D_q the model
@@ -187,8 +181,7 @@ def well_definedness_identity(mp: IntersectionModel, mq: IntersectionModel,
     where both sides have classes, as well_definedness_probe samples it.
     The verdict is kept by ``forms`` per model pair.
     """
-    _require_compatible(mp, mq)
-    forms = _forms_for(mp.pair, mu, forms)
+    _require_compatible(mp, mq, forms.pair)
     return forms._once(("well defined", mp, mq), partial(_well_defined, forms, mp, mq))
 
 
@@ -218,7 +211,7 @@ def well_definedness_probe(mp: IntersectionModel, mq: IntersectionModel,
     the two models' cochains, built once per degree.  This samples what
     well_definedness_identity checks exactly; ``verify`` runs the identity.
     """
-    _require_compatible(mp, mq)
+    _require_compatible(mp, mq, mp.pair)
     n = mp.decomposition.n
     rng = random.Random(seed)
     for r in range(n + 1):
@@ -290,9 +283,8 @@ def _match_up_to_sign(a: RationalMatrix, b: RationalMatrix):
     return False, 0
 
 
-def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
-                 mu: FundamentalChain, r: int,
-                 forms: PairingForms | None = None) -> LadderRecord:
+def ladder_check(mp: IntersectionModel, mq: IntersectionModel, r: int,
+                 forms: PairingForms) -> LadderRecord:
     """Verify the three ladder squares at degree r as exact matrix identities.
 
     With P_main, P_lef the mu-pairings and P_top, P_bot the ∂mu-pairings:
@@ -306,8 +298,7 @@ def ladder_check(mp: IntersectionModel, mq: IntersectionModel,
     at degree n-r-1.  The record is kept by ``forms`` per model pair and
     degree.
     """
-    _require_compatible(mp, mq)
-    forms = _forms_for(mp.pair, mu, forms)
+    _require_compatible(mp, mq, forms.pair)
     return forms._once(("ladder", mp, mq, r), partial(_ladder_record, forms, mp, mq, r))
 
 
@@ -349,7 +340,7 @@ def stokes_vanishing_probe(mp: IntersectionModel, mq: IntersectionModel,
     n - 1, the restriction i*iota_p(eta) ∪ i*iota_q(beta) is the zero cochain
     of the link (hence every boundary integral of it vanishes).
     """
-    _require_compatible(mp, mq)
+    _require_compatible(mp, mq, mp.pair)
     n = mp.decomposition.n
     cup = mp.pair.sub_cup
     rng = random.Random(seed)

@@ -34,7 +34,6 @@ C*(M, L) and C*(M), which it shares (see ``_PairPasses``).
 from __future__ import annotations
 
 from .cochains import PairComplexes, ShortExactSequence, induced_map, subcomplex
-from .cotruncation import cotruncate, quotient_by_cotruncation
 from .errors import BadPerversityError, InternalExactnessError
 from .rational import Echelon, RationalMatrix, SubspaceBasis
 from .simplicial import PseudomanifoldDecomposition
@@ -235,9 +234,8 @@ class _PairPasses:
         return (self.pair.rel if r < self.k else self.pair.full).cohomology(r)
 
 
-def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
-                pair: PairComplexes | None = None, cotruncation=None,
-                quotient=None, cutoff: Echelon | None = None) -> IntersectionModel:
+def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: PairComplexes,
+                cotruncation, quotient, cutoff: Echelon) -> IntersectionModel:
     """Construct the intersection model at cutoff k, 1 <= k <= n - 1, verified.
 
     The basis of A^r is the unit cochains at the rows of the simplices
@@ -267,28 +265,22 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str = "lex",
     and every other degree's pass and classes are the pair's (see
     ``_PairPasses``), which Lefschetz reads anyway.
 
-    ``cotruncation``, ``quotient`` and ``cutoff`` are those of ``pair`` at the
+    ``pair`` is C*(M, L) -> C*(M) of D, and ``cotruncation``, ``quotient``
+    and ``cutoff`` are its cotruncation, quotient and cutoff pass at the
     model's cutoff and strategy, as ``cotruncate``,
-    ``quotient_by_cotruncation`` and ``cutoff_pass`` return them (built here
-    when not given, the pass from theta^k, the columns the basis reads);
-    nothing checks a pi or a pass made elsewhere.  In degree
-    n the link has no cochains, so every map there is the empty matrix.
+    ``quotient_by_cotruncation`` and ``cutoff_pass`` return them;
+    ``workspace.Workspace.model`` wires them.  Only the cotruncation's cutoff
+    and strategy are checked against the model's: nothing checks a pi or a
+    pass made elsewhere.  In degree n the link has no cochains, so every map
+    there is the empty matrix.
     """
     n = D.n
     if type(k) is not int or not 1 <= k <= n - 1:
         raise ValueError(f"model cutoff must be an int in 1..{n - 1}, got {k!r}")
-    if pair is None:
-        pair = PairComplexes(D.M, D.L)
-    if cotruncation is None:
-        cotruncation = cotruncate(pair.sub, k, strategy)
-    if quotient is None:
-        quotient = quotient_by_cotruncation(pair.sub, cotruncation)
     ct = cotruncation
     if (ct.k, ct.strategy) != (k, strategy):
         raise ValueError(f"cotruncation at cutoff {ct.k} ({ct.strategy}) given for a "
                          f"model at cutoff {k} ({strategy})")
-    if cutoff is None:
-        cutoff = cutoff_pass(pair, k, ct.inclusion[k])
     quotient, pi, section = quotient
 
     # A^r is spanned by unit cochains: those of the simplices outside L and

@@ -9,9 +9,11 @@ complexes and cones of the oracle, the pairing forms and the link's
 truncated pairings.
 No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
-Each is built on first request by the same library code that builds it
-without a workspace, and kept only once that code returns: an error leaves
-nothing behind, so asking again raises it again, in the same order.  Every
+The library's builders take every object they read as an argument and
+build none of those themselves, so this class is the one place that wires
+the model's diagram.  Each object is built on first request from the ones
+it reads, and kept only once its builder returns: an error leaves nothing
+behind, so asking again raises it again, in the same order.  Every
 kept object is immutable or fills only caches of its own, so reusing it
 gives the same bytes as building it anew.
 """

@@ -14,21 +14,23 @@ from stratdual.cochains import (
     pair_against_chain,
     simplicial_cochains,
 )
-from stratdual.cone import compare, intersection_space_cone
+from stratdual.cone import compare
 from stratdual.cotruncation import (
     check_product_vanishing,
     cotruncate,
     truncate_below,
     truncated_duality,
 )
-from stratdual.duality import ladder_check, lefschetz_pairing, main_pairing, well_definedness_probe
-from stratdual.model import build_model
-from stratdual.rational import RationalMatrix
-from stratdual.simplicial import (
-    SimplicialComplex,
-    fundamental_chain,
-    orient_top_chain,
+from stratdual.duality import (
+    PairingForms,
+    ladder_check,
+    lefschetz_pairing,
+    main_pairing,
+    well_definedness_probe,
 )
+from stratdual.rational import RationalMatrix
+from stratdual.simplicial import SimplicialComplex, orient_top_chain
+from stratdual.workspace import Workspace
 
 from helpers import pairing
 
@@ -47,12 +49,8 @@ def _cutoff_pairs(n):
 
 
 def _models(name, k, l, strategy="lex"):
-    D = examples.get_decomposition(name)
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    mp = build_model(D, k, strategy, pair=pair)
-    mq = build_model(D, l, strategy, pair=pair)
-    return D, pair, mu, mp, mq
+    ws = Workspace(examples.get_document(name))
+    return ws.forms(), ws.model(k, strategy), ws.model(l, strategy)
 
 
 def test_criterion_1_duality_reproduction():
@@ -60,8 +58,8 @@ def test_criterion_1_duality_reproduction():
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
         for k, l in _cutoff_pairs(n):
-            D, pair, mu, mp, mq = _models(name, k, l)
-            report = main_pairing(mp, mq, mu)
+            forms, mp, mq = _models(name, k, l)
+            report = main_pairing(mp, mq, forms)
             ok = ok and report.passed
             if name == "x2-cone-torus" and k == 2:
                 p2 = pairing(report, 2)
@@ -78,11 +76,9 @@ def test_criterion_2_oracle_agreement():
     expected_x2 = {2: (0, 0, 1, 0), 1: (0, 1, 0, 0)}
     ok = True
     for name in ALL_EXAMPLES:
-        D = examples.get_decomposition(name)
-        pair = PairComplexes(D.M, D.L)
-        for k in range(1, D.n):
-            m = build_model(D, k, pair=pair)
-            match, model_b, cone_b = compare(m, intersection_space_cone(D, k))
+        ws = Workspace(examples.get_document(name))
+        for k in range(1, ws.decomposition().n):
+            match, model_b, cone_b = compare(ws.model(k, "lex"), ws.cone(k, "lex"))
             ok = ok and match
             if name == "x2-cone-torus":
                 ok = ok and model_b == expected_x2[k]
@@ -97,8 +93,8 @@ def test_criterion_3_choice_independence():
         for k, l in _cutoff_pairs(n):
             results = {}
             for strategy in ("lex", "reverse-lex"):
-                D, pair, mu, mp, mq = _models(name, k, l, strategy)
-                report = main_pairing(mp, mq, mu)
+                forms, mp, mq = _models(name, k, l, strategy)
+                report = main_pairing(mp, mq, forms)
                 results[strategy] = (
                     mp.betti(), mq.betti(),
                     tuple(pm.nondegenerate for pm in report.pairings),
@@ -118,15 +114,12 @@ def test_criterion_4_lefschetz():
     ok = True
     for name, boundary in fixtures.items():
         if name == "solid-torus":
-            D = examples.get_decomposition("x2-cone-torus")
-            pair = PairComplexes(D.M, D.L)
-            mu = fundamental_chain(D)
+            forms = Workspace(examples.get_document("x2-cone-torus")).forms()
         else:
             K = examples.get_complex(name)
             A = SimplicialComplex.from_facets(boundary, name=f"bd({name})")
-            pair = PairComplexes(K, A)
-            mu = orient_top_chain(K)
-        report = lefschetz_pairing(pair, mu)
+            forms = PairingForms(PairComplexes(K, A), orient_top_chain(K))
+        report = lefschetz_pairing(forms)
         ok = ok and report.passed
         if name == "annulus":
             ok = ok and pairing(report, 1).matrix.entry(0, 0) != 0
@@ -139,8 +132,9 @@ def test_criterion_5_truncated_duality():
     for name, windows in (("s1-triangle", ((1, 1),)),
                           ("t2-7", ((1, 2), (2, 1)))):
         L = examples.get_complex(name)
+        cochains = simplicial_cochains(L)
         for (k, l) in windows:
-            report = truncated_duality(L, k, l)
+            report = truncated_duality(L, k, l, cochains)
             ok = ok and report.passed
             if name == "t2-7" and (k, l) == (2, 1):
                 m = pairing(report, 1).matrix
@@ -230,9 +224,9 @@ def test_criterion_8_ladder():
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
         for k, l in _cutoff_pairs(n):
-            D, pair, mu, mp, mq = _models(name, k, l)
+            forms, mp, mq = _models(name, k, l)
             for r in range(n + 1):
-                rec = ladder_check(mp, mq, mu, r)
+                rec = ladder_check(mp, mq, r, forms)
                 ok = ok and rec.ts_commutes and rec.ms_commutes
                 ok = ok and rec.bs_commutes and rec.bs_sign in (1, -1)
                 ok = ok and rec.five_lemma_consistent
@@ -244,8 +238,8 @@ def test_criterion_9_well_definedness():
     ok = True
     for name in MAIN_EXAMPLES:
         n = examples.get_document(name)["dimension"]
-        D, pair, mu, mp, mq = _models(name, *_cutoff_pairs(n)[0])
-        ok = ok and well_definedness_probe(mp, mq, mu, trials=100, seed=1729)
+        forms, mp, mq = _models(name, *_cutoff_pairs(n)[0])
+        ok = ok and well_definedness_probe(mp, mq, forms.mu, trials=100, seed=1729)
     _verdict(9, "100 random coboundary perturbations leave every main-pairing "
                 "entry bit-identical per example", ok)
 

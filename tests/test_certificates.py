@@ -20,9 +20,14 @@ import pytest
 from stratdual import cli, cochains, cotruncation, examples
 from stratdual.cochains import CochainComplex, PairComplexes, ShortExactSequence
 from stratdual.cone import ChainComplex
-from stratdual.cotruncation import StandardCotruncation, cotruncate, quotient_by_cotruncation
+from stratdual.cotruncation import (
+    StandardCotruncation,
+    cotruncate,
+    quotient_by_cotruncation,
+    truncate_below,
+)
 from stratdual.errors import InternalExactnessError
-from stratdual.model import build_model
+from stratdual.model import build_model, cutoff_pass
 from stratdual.rational import (
     RationalMatrix,
     Solver,
@@ -30,14 +35,13 @@ from stratdual.rational import (
     complement_basis,
     kernel_basis,
 )
-from stratdual.simplicial import decompose, parse_complex
+from stratdual.workspace import Workspace
 
 STRATEGIES = ("lex", "reverse-lex")
 
 
-def decomposition(name, level=0):
-    document = examples.subdivide(examples.get_document(name), level)
-    return decompose(parse_complex(document), document["singular_vertex"])
+def workspace(name, level=0):
+    return Workspace(examples.subdivide(examples.get_document(name), level))
 
 
 def reference_maps(m):
@@ -77,14 +81,13 @@ def eliminations_forbidden(monkeypatch):
         yield patch
 
 
-def check_models(monkeypatch, D):
+def check_models(monkeypatch, ws):
     """The model of every cutoff 1 <= k <= n - 1, with both strategies."""
-    pair = PairComplexes(D.M, D.L)
-    for k, strategy in product(range(1, D.n), STRATEGIES):
+    ws.pair()
+    for k, strategy in product(range(1, ws.decomposition().n), STRATEGIES):
         with eliminations_forbidden(monkeypatch):
-            ct = cotruncate(pair.sub, k, strategy)
-            quotient = quotient_by_cotruncation(pair.sub, ct)
-            m = build_model(D, k, strategy, pair=pair, cotruncation=ct, quotient=quotient)
+            m = ws.model(k, strategy)
+        quotient = ws.quotient(k, strategy)
         iota, d, rho, eta = reference_maps(m)
         assert list(m.iota) == iota, (k, strategy)
         assert list(m.complex.d) == d, (k, strategy)
@@ -116,11 +119,11 @@ def check_models(monkeypatch, D):
 
 @pytest.mark.parametrize("name", examples.decomposition_names())
 def test_model_maps_match_elimination(monkeypatch, name):
-    check_models(monkeypatch, decomposition(name))
+    check_models(monkeypatch, workspace(name))
 
 
 def test_subdivided_model_maps_match_elimination(monkeypatch):
-    check_models(monkeypatch, decomposition("x2-cone-torus", 1))
+    check_models(monkeypatch, workspace("x2-cone-torus", 1))
 
 
 # -- corruption ---------------------------------------------------------
@@ -202,18 +205,18 @@ def test_corrupted_cotruncation_inclusion_raises_as_by_solve(monkeypatch):
     # square theta ∘ rho = i* ∘ iota fails where the corrupted column is
     # placed.  The solve against theta raised at the same degree when kappa
     # was eliminated.
-    D = examples.get_decomposition("x2-cone-torus")
-    pair = PairComplexes(D.M, D.L)
-    ct = cotruncate(pair.sub, 2, "lex")
+    ws = workspace("x2-cone-torus")
+    D, pair, ct = ws.decomposition(), ws.pair(), ws.cotruncation(2, "lex")
     theta = ct.inclusion[2]
     pivots = {min(column) for column in theta.transpose().data}
     row = max(set(range(theta.rows)) - pivots)
     inclusion = patched_at(ct.inclusion, 2, row, theta.cols - 1, 1)
     corrupted = StandardCotruncation(ct.k, ct.D, ct.complex, inclusion, ct.strategy)
-    quotient = quotient_by_cotruncation(pair.sub, ct)
+    quotient = ws.quotient(2, "lex")
     with eliminations_forbidden(monkeypatch), pytest.raises(
             InternalExactnessError, match="^restriction escapes the cotruncation at degree 2$"):
-        build_model(D, 2, pair=pair, cotruncation=corrupted, quotient=quotient)
+        build_model(D, 2, "lex", pair, corrupted, quotient,
+                    cutoff_pass(pair, 2, corrupted.inclusion[2]))
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -221,11 +224,10 @@ def test_cotruncation_split_needs_no_elimination(monkeypatch, strategy):
     # The pass that chooses D gives pi_k, and one certificate proves the
     # split, so no solver factors [im | D] and no rank counts it.
     for name in examples.decomposition_names():
-        D = decomposition(name)
-        C = PairComplexes(D.M, D.L).sub
+        C = workspace(name).pair().sub
         with eliminations_forbidden(monkeypatch):
             for k in range(1, C.top + 2):
-                quotient_by_cotruncation(C, cotruncate(C, k, strategy))
+                quotient_by_cotruncation(C, cotruncate(C, k, strategy), truncate_below(C, k))
 
 
 def _not_a_complement(kind):
@@ -244,8 +246,7 @@ def _not_a_complement(kind):
 def test_a_non_complement_does_not_split(monkeypatch, kind, strategy):
     # An image column in D is not killed by pi_k; a dropped one leaves D
     # and the image short of C^k.
-    D = decomposition("x2-cone-torus")
-    C = PairComplexes(D.M, D.L).sub
+    C = workspace("x2-cone-torus").pair().sub
     with eliminations_forbidden(monkeypatch) as patch:
         patch.setattr(cotruncation, "complement_basis", _not_a_complement(kind))
         for k in (1, 2):
@@ -259,17 +260,17 @@ def test_a_short_cotruncation_inclusion_fails_the_count(monkeypatch, strategy):
     # theta^2 without its last column places one unit cochain fewer in M, so
     # A^2 is one short of C^2(M, L) plus the cotruncation's D.  The reads and
     # the fiber square hold on what is left; the dimension count sees it.
-    D = examples.get_decomposition("x2-cone-torus")
-    pair = PairComplexes(D.M, D.L)
-    ct = cotruncate(pair.sub, 2, strategy)
+    ws = workspace("x2-cone-torus")
+    D, pair, ct = ws.decomposition(), ws.pair(), ws.cotruncation(2, strategy)
     theta = ct.inclusion[2]
     inclusion = tuple(theta.columns_at(range(theta.cols - 1)) if r == 2 else f
                       for r, f in enumerate(ct.inclusion))
     corrupted = StandardCotruncation(ct.k, ct.D, ct.complex, inclusion, ct.strategy)
-    quotient = quotient_by_cotruncation(pair.sub, ct)
+    quotient = ws.quotient(2, strategy)
     with eliminations_forbidden(monkeypatch), pytest.raises(
             InternalExactnessError, match="^SES: exactness fails in degree 2$"):
-        build_model(D, 2, strategy, pair=pair, cotruncation=corrupted, quotient=quotient)
+        build_model(D, 2, strategy, pair, corrupted, quotient,
+                    cutoff_pass(pair, 2, corrupted.inclusion[2]))
 
 
 # -- cochain maps proved where they are made ------------------------------
@@ -294,14 +295,13 @@ def test_maps_handed_to_induced_map_are_cochain_maps(name, strategy):
     # Every map the engine hands to induced_map: i* and j of the pair, and
     # theta, pi, the section, iota, kappa, rho and eta of the model of each
     # cutoff 1 <= k <= n - 1, so both models of every duality are among them.
-    D = decomposition(name)
-    pair = PairComplexes(D.M, D.L)
+    ws = workspace(name)
+    D, pair = ws.decomposition(), ws.pair()
     maps = [(pair.restrict, pair.full, pair.sub), (pair.include_rel, pair.rel, pair.full)]
     for k in range(1, D.n):
-        ct = cotruncate(pair.sub, k, strategy)
-        quotient, pi, section = quotient_by_cotruncation(pair.sub, ct)
-        m = build_model(D, k, strategy, pair=pair, cotruncation=ct,
-                        quotient=(quotient, pi, section))
+        ct = ws.cotruncation(k, strategy)
+        quotient, pi, section = ws.quotient(k, strategy)
+        m = ws.model(k, strategy)
         maps += [(ct.inclusion, ct.complex, pair.sub), (pi, pair.sub, quotient),
                  (section, quotient, pair.sub), (m.iota, m.complex, pair.full),
                  (m.kappa, pair.full, quotient), (m.rho, m.complex, ct.complex),

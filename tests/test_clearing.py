@@ -106,9 +106,11 @@ def _chain_complexes():
     complexes = [simplicial_chains(examples.get_complex(name))
                  for name in examples.complex_names()]
     for D in _decompositions():
-        complexes += [simplicial_chains(D.M), simplicial_chains(D.L)]
+        m_chains, l_chains = simplicial_chains(D.M), simplicial_chains(D.L)
+        complexes += [m_chains, l_chains]
         for k in range(1, D.n):
-            complexes += [intersection_space_cone(D, k, s) for s in STRATEGIES]
+            complexes += [intersection_space_cone(D, k, s, m_chains, l_chains)
+                          for s in STRATEGIES]
     return complexes + [_as_chains(C) for C in _random_complexes()]
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from stratdual import examples
 from stratdual.cli import main, render_report, run_verification
+from stratdual.rational import COMPLEMENT_LEAD
 
 
 def test_verify_x2_all_checks_pass():
@@ -52,6 +53,28 @@ def test_unknown_check_rejected():
     report, status = run_verification("disk-cone-s1", checks=["bogus"])
     assert status == 2
     assert report["error"]["code"] == "PARSE"
+
+
+def test_unknown_strategy_rejected():
+    # Rejected up front, as an unknown check is: only the strategies of
+    # rational.COMPLEMENT_LEAD reach the library, which raises a bare
+    # ValueError for any other.
+    for strategy in ("LEX", "reverse_lex", "", ["lex"]):
+        report, status = run_verification("x2-cone-torus", "zero", strategy)
+        assert status == 2
+        assert report["error"] == {"code": "PARSE", "message": f"unknown strategy {strategy!r}"}
+        assert "checks" not in report
+
+
+def test_cli_strategies_are_the_complement_strategies(capsys):
+    for strategy in COMPLEMENT_LEAD:
+        assert main(["verify", "disk-cone-s1", "--checks", "model",
+                     "--strategy", strategy]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "disk-cone-s1", "--strategy", "LEX"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'LEX'" in capsys.readouterr().err
 
 
 def test_verify_file_input(tmp_path):

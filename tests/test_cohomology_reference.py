@@ -15,16 +15,10 @@ from fractions import Fraction
 import pytest
 
 from stratdual import examples
-from stratdual.cochains import CochainComplex, PairComplexes, simplicial_cochains
-from stratdual.cone import (
-    ChainComplex,
-    chain_truncate,
-    intersection_space_cone,
-    simplicial_chains,
-)
-from stratdual.model import build_model
+from stratdual.cochains import CochainComplex, simplicial_cochains
+from stratdual.cone import ChainComplex, chain_truncate, simplicial_chains
 from stratdual.rational import RationalMatrix, Solver, image_basis, kernel_basis, rref
-from stratdual.simplicial import decompose, parse_complex
+from stratdual.workspace import Workspace
 
 DECOMPOSITIONS = ("disk-cone-s1", "octahedron-marked", "x2-cone-torus")
 
@@ -125,42 +119,42 @@ def test_fixture_complexes_match_reference():
         check_chains(simplicial_chains(K))
 
 
-def decomposition(name, level):
-    document = examples.subdivide(examples.get_document(name), level)
-    return decompose(parse_complex(document), document["singular_vertex"])
+def workspace(name, level):
+    return Workspace(examples.subdivide(examples.get_document(name), level))
 
 
-def check_decomposition(D, rng, configurations):
-    pair = PairComplexes(D.M, D.L)
+def check_decomposition(ws, rng, configurations):
+    D, pair = ws.decomposition(), ws.pair()
     for C in (pair.full, pair.sub, pair.rel):
         check_cochains(C, rng)
-    check_chains(simplicial_chains(D.M))
+    check_chains(ws.chains("M"))
     for k, strategy in configurations:
-        m = build_model(D, k, strategy, pair=pair)
+        m = ws.model(k, strategy)
         for C in (m.complex, m.quotient, m.cotruncation.complex):
             check_cochains(C, rng)
-        check_chains(chain_truncate(D.L, k, strategy).complex)
-        check_chains(intersection_space_cone(D, k, strategy))
+        check_chains(chain_truncate(D.L, k, strategy, ws.chains("L")).complex)
+        check_chains(ws.cone(k, strategy))
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)
 def test_decomposition_complexes_match_reference(name):
-    D = decomposition(name, 0)
-    configurations = [(k, s) for k in range(1, D.n) for s in ("lex", "reverse-lex")]
-    check_decomposition(D, random.Random(name), configurations)
+    ws = workspace(name, 0)
+    configurations = [(k, s) for k in range(1, ws.decomposition().n)
+                      for s in ("lex", "reverse-lex")]
+    check_decomposition(ws, random.Random(name), configurations)
 
 
 @pytest.mark.parametrize("name", DECOMPOSITIONS)
 def test_subdivided_complexes_match_reference(name):
     # The cutoffs n - 1 and 1 are every cutoff at n <= 3, and each runs with
     # one of the two strategies.
-    D = decomposition(name, 1)
-    check_decomposition(D, random.Random(name), [(D.n - 1, "lex"), (1, "reverse-lex")])
+    ws = workspace(name, 1)
+    n = ws.decomposition().n
+    check_decomposition(ws, random.Random(name), [(n - 1, "lex"), (1, "reverse-lex")])
 
 
 def test_non_orientable_pair_matches_reference():
-    D = decomposition("mobius-marked", 0)
-    pair = PairComplexes(D.M, D.L)
+    pair = workspace("mobius-marked", 0).pair()
     rng = random.Random(6063)
     for C in (pair.full, pair.sub, pair.rel):
         check_cochains(C, rng)

@@ -12,8 +12,12 @@ from stratdual.cone import (
     simplicial_chains,
 )
 from stratdual.errors import InternalExactnessError
-from stratdual.model import build_model
 from stratdual.rational import RationalMatrix, SubspaceBasis, complement_basis, kernel_basis
+from stratdual.workspace import Workspace
+
+
+def workspace(name):
+    return Workspace(examples.get_document(name))
 
 
 def test_chain_homology_of_fixtures():
@@ -23,29 +27,33 @@ def test_chain_homology_of_fixtures():
 
 
 def test_chain_truncate_circle():
-    t = chain_truncate(examples.get_complex("s1-triangle"), 1)
+    L = examples.get_complex("s1-triangle")
+    t = chain_truncate(L, 1, "lex", simplicial_chains(L))
     assert t.complex.homology_dims() == (1, 0)
 
 
 def test_chain_truncate_torus():
-    t = chain_truncate(examples.get_complex("t2-7"), 2)
+    L = examples.get_complex("t2-7")
+    chains = simplicial_chains(L)
+    t = chain_truncate(L, 2, "lex", chains)
     assert t.complex.homology_dims() == (1, 2, 0)
-    t1 = chain_truncate(examples.get_complex("t2-7"), 1)
+    t1 = chain_truncate(L, 1, "lex", chains)
     assert t1.complex.homology_dims() == (1, 0, 0)
 
 
 def test_chain_truncate_above_dimension_keeps_everything():
     L = examples.get_complex("t2-7")
-    t = chain_truncate(L, L.dimension + 1)
+    t = chain_truncate(L, L.dimension + 1, "lex", simplicial_chains(L))
     assert t.complex.homology_dims() == (1, 2, 1)
 
 
 def test_chain_truncate_signature_all_cutoffs():
     for name in ("s1-triangle", "s1-square", "t2-7"):
         L = examples.get_complex(name)
-        ambient = simplicial_chains(L).homology_dims()
+        chains = simplicial_chains(L)
+        ambient = chains.homology_dims()
         for k in range(1, L.dimension + 2):
-            t = chain_truncate(L, k)
+            t = chain_truncate(L, k, "lex", chains)
             h = t.complex.homology_dims()
             for r in range(L.dimension + 1):
                 assert h[r] == (ambient[r] if r < k else 0)
@@ -54,30 +62,28 @@ def test_chain_truncate_signature_all_cutoffs():
 def test_cone_of_identity_is_acyclic():
     L = examples.get_complex("t2-7")
     chains = simplicial_chains(L)
-    t = chain_truncate(L, L.dimension + 1)
+    t = chain_truncate(L, L.dimension + 1, "lex", chains)
     g = [t.inclusion[r] for r in range(L.dimension + 1)]
     cone = mapping_cone(t, g, chains)
     assert all(h == 0 for h in cone.homology_dims())
 
 
 def test_cone_x2_cutoff_two():
-    D = examples.get_decomposition("x2-cone-torus")
-    cone = intersection_space_cone(D, 2)
+    cone = workspace("x2-cone-torus").cone(2, "lex")
     assert cone.homology_dims() == (0, 0, 1, 0)
 
 
 def test_cone_x2_cutoff_one():
-    D = examples.get_decomposition("x2-cone-torus")
-    cone = intersection_space_cone(D, 1)
+    cone = workspace("x2-cone-torus").cone(1, "lex")
     assert cone.homology_dims() == (0, 1, 0, 0)
 
 
 def test_compare_x2_both_perversities():
-    D = examples.get_decomposition("x2-cone-torus")
+    ws = workspace("x2-cone-torus")
     # The cutoffs of the zero and top perversities.
     for k, expected in ((2, (0, 0, 1, 0)), (1, (0, 1, 0, 0))):
-        m = build_model(D, k)
-        cone = intersection_space_cone(D, k)
+        m = ws.model(k, "lex")
+        cone = ws.cone(k, "lex")
         ok, model_b, cone_b = compare(m, cone)
         assert ok
         assert model_b == cone_b == expected
@@ -85,9 +91,9 @@ def test_compare_x2_both_perversities():
 
 def test_compare_octahedron_and_disk():
     for name in ("octahedron-marked", "disk-cone-s1"):
-        D = examples.get_decomposition(name)
-        m = build_model(D, 1)
-        cone = intersection_space_cone(D, 1)
+        ws = workspace(name)
+        m = ws.model(1, "lex")
+        cone = ws.cone(1, "lex")
         ok, model_b, cone_b = compare(m, cone)
         assert ok
 
@@ -96,22 +102,23 @@ def test_compare_every_example_every_perversity_both_strategies():
     # The repository-level regression wall: a perversity's model is its
     # cutoff's, and every cutoff is some named perversity's.
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
-        D = examples.get_decomposition(name)
-        for k in range(1, D.n):
+        ws = workspace(name)
+        for k in range(1, ws.decomposition().n):
             for strategy in ("lex", "reverse-lex"):
-                m = build_model(D, k, strategy)
-                cone = intersection_space_cone(D, k, strategy)
+                m = ws.model(k, strategy)
+                cone = ws.cone(k, strategy)
                 ok, model_b, cone_b = compare(m, cone)
                 assert ok, (name, k, strategy, model_b, cone_b)
 
 
 def test_cone_les_rank_identities():
     # Exactness of the cone LES: dim H_r(cone) = dim coker(H_r g) + dim ker(H_{r-1} g).
-    D = examples.get_decomposition("x2-cone-torus")
+    ws = workspace("x2-cone-torus")
+    D = ws.decomposition()
     for k in (1, 2):
-        t = chain_truncate(D.L, k)
-        m_chains = simplicial_chains(D.M)
-        cone = intersection_space_cone(D, k)
+        t = chain_truncate(D.L, k, "lex", ws.chains("L"))
+        m_chains = ws.chains("M")
+        cone = ws.cone(k, "lex")
         t_h = t.complex.homology_dims()
         m_h = m_chains.homology_dims()
         # Induced map on homology via representatives.
@@ -145,7 +152,7 @@ def test_cone_of_half_scaled_map_matches_fraction_blocks():
     D = examples.get_decomposition("x2-cone-torus")
     m_chains = simplicial_chains(D.M)
     for k in (1, 2):
-        t = chain_truncate(D.L, k)
+        t = chain_truncate(D.L, k, "lex", simplicial_chains(D.L))
         tc = t.complex
         g = []
         for r in range(D.M.dimension + 1):
@@ -174,8 +181,9 @@ def test_cone_of_half_scaled_map_matches_fraction_blocks():
 
 
 def test_chain_truncate_rejects_bad_cutoff():
+    L = examples.get_complex("t2-7")
     with pytest.raises(ValueError):
-        chain_truncate(examples.get_complex("t2-7"), 0)
+        chain_truncate(L, 0, "lex", simplicial_chains(L))
 
 
 def _corrupted_complement(kind):
@@ -199,9 +207,11 @@ def test_corrupted_truncation_raises_at_its_degree(monkeypatch, kind, name, k):
         message = f"truncation leaves H_{k} != 0 on {name}"
     else:
         message = f"truncation changes H_{k - 1} of {name}"
+    L = examples.get_complex(name)
+    chains = simplicial_chains(L)
     monkeypatch.setattr(cone_module, "complement_basis", _corrupted_complement(kind))
     with pytest.raises(InternalExactnessError) as err:
-        chain_truncate(examples.get_complex(name), k)
+        chain_truncate(L, k, "lex", chains)
     assert str(err.value) == message
 
 
@@ -221,9 +231,10 @@ def test_cone_rejects_a_map_that_is_not_a_chain_map():
     # check reports.
     D = examples.get_decomposition("x2-cone-torus")
     m_chains = simplicial_chains(D.M)
+    l_chains = simplicial_chains(D.L)
     doubled = 0
     for k in (1, 2):
-        t = chain_truncate(D.L, k)
+        t = chain_truncate(D.L, k, "lex", l_chains)
         g = _comparison_map(D, t)
         for r, g_r in enumerate(g):
             if g_r.is_zero():
@@ -245,7 +256,8 @@ def test_cone_runs_no_rref_and_no_solver(monkeypatch):
     monkeypatch.setattr(rational, "rref", _forbidden)
     monkeypatch.setattr(rational, "Solver", _forbidden)
     for name in examples.decomposition_names():
-        D = examples.get_decomposition(name)
+        ws = workspace(name)
+        D, m_chains, l_chains = ws.decomposition(), ws.chains("M"), ws.chains("L")
         for k in range(1, D.n):
             for strategy in ("lex", "reverse-lex"):
-                intersection_space_cone(D, k, strategy)
+                intersection_space_cone(D, k, strategy, m_chains, l_chains)

@@ -194,13 +194,13 @@ def test_strategies_agree_on_betti_and_image():
 def test_quotient_large_k_and_betti():
     C, _ = simplicial_cochains(torus())
     ct = cotruncate(C, C.top + 1)
-    q, pi, section = quotient_by_cotruncation(C, ct)
+    q, pi, section = quotient_by_cotruncation(C, ct, truncate_below(C, C.top + 1))
     assert q.betti() == C.betti()
     ct2 = cotruncate(C, 2)
-    q2, _, _ = quotient_by_cotruncation(C, ct2)
+    q2, _, _ = quotient_by_cotruncation(C, ct2, truncate_below(C, 2))
     assert q2.betti() == (1, 2, 0)
     Cs, _ = simplicial_cochains(circle())
-    q3, _, _ = quotient_by_cotruncation(Cs, cotruncate(Cs, 1))
+    q3, _, _ = quotient_by_cotruncation(Cs, cotruncate(Cs, 1), truncate_below(Cs, 1))
     assert q3.betti() == (1, 0)
 
 
@@ -225,7 +225,8 @@ def test_product_vanishing_precondition():
 
 
 def test_truncated_duality_circle():
-    report = truncated_duality(circle(), 1, 1)
+    L = circle()
+    report = truncated_duality(L, 1, 1, simplicial_cochains(L))
     assert report.passed
     p0 = pairing(report, 0)
     assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
@@ -233,10 +234,12 @@ def test_truncated_duality_circle():
 
 
 def test_truncated_duality_torus():
+    L = torus()
+    cochains = simplicial_cochains(L)
     for (k, l) in ((1, 2), (2, 1)):
-        report = truncated_duality(torus(), k, l)
+        report = truncated_duality(L, k, l, cochains)
         assert report.passed
-    report = truncated_duality(torus(), 2, 1)
+    report = truncated_duality(L, 2, 1, cochains)
     p0, p1 = pairing(report, 0), pairing(report, 1)
     assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
     assert (p1.matrix.rows, p1.matrix.cols) == (2, 2)
@@ -246,18 +249,21 @@ def test_truncated_duality_torus():
 
 
 def test_truncated_duality_bad_window():
+    L = torus()
+    cochains = simplicial_cochains(L)
     with pytest.raises(ValueError):
-        truncated_duality(torus(), 3, 0)
+        truncated_duality(L, 3, 0, cochains)
     with pytest.raises(ValueError):
-        truncated_duality(torus(), 1, 1)
+        truncated_duality(L, 1, 1, cochains)
 
 
 def test_truncated_duality_open_lambda_rejected():
     # The annulus top chain is not closed, so it is not a fundamental cycle.
     annulus = examples.get_complex("annulus")
     lam = orient_top_chain(annulus)
+    cochains = simplicial_cochains(annulus)
     with pytest.raises(ValueError):
-        truncated_duality(annulus, 1, 2, lam=lam)
+        truncated_duality(annulus, 1, 2, cochains, lam=lam)
 
 
 def test_truncated_duality_well_defined_under_perturbations():
@@ -272,7 +278,7 @@ def test_truncated_duality_well_defined_under_perturbations():
     k, l = 2, 1
     ct_k = cotruncate(C, k)
     ct_l = cotruncate(C, l)
-    quotient, pi, section = quotient_by_cotruncation(C, ct_k)
+    quotient, pi, section = quotient_by_cotruncation(C, ct_k, truncate_below(C, k))
     rng = random.Random(17)
     c = L.dimension
     for r in range(c + 1):

@@ -166,7 +166,7 @@ def test_the_middle_model_pairs_with_itself():
     ws = Workspace(DOCUMENTS["d2-x-t2"])
     m = ws.model(2, "lex")
     assert m.betti() == (0, 0, 2, 0, 0)
-    assert main_pairing(m, m, ws.mu(), forms=ws.forms()).passed
+    assert main_pairing(m, m, ws.forms()).passed
     m3 = ws.model(3, "lex")
     with pytest.raises(NotComplementaryError, match="^cutoffs do not satisfy k \\+ l = n$"):
-        main_pairing(m3, m3, ws.mu(), forms=ws.forms())
+        main_pairing(m3, m3, ws.forms())

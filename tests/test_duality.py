@@ -17,16 +17,13 @@ from stratdual.duality import (
     well_definedness_probe,
 )
 from stratdual.errors import NotComplementaryError, NotPseudomanifoldError
-from stratdual.model import build_model
 from stratdual.rational import RationalMatrix
 from stratdual.simplicial import (
     SimplicialComplex,
     FundamentalChain,
-    decompose,
-    fundamental_chain,
     orient_top_chain,
-    parse_complex,
 )
+from stratdual.workspace import Workspace
 
 from helpers import pairing
 
@@ -37,16 +34,21 @@ def manifold_pair(name, boundary_facets):
     return PairComplexes(K, A), orient_top_chain(K)
 
 
-def models_for(name, k=None):
-    """The models at cutoffs k and n - k, k = n - 1 (the zero
-    perversity's cutoff) unless given."""
-    D = examples.get_decomposition(name)
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
+def models_for(name, k=None, strategy="lex", document=None):
+    """The decomposition, pairing forms and models at cutoffs k and n - k of
+    one workspace, k = n - 1 (the zero perversity's cutoff) unless given."""
+    ws = Workspace(examples.get_document(name) if document is None else document)
+    D = ws.decomposition()
     k = D.n - 1 if k is None else k
-    mp = build_model(D, k, pair=pair)
-    mq = build_model(D, D.n - k, pair=pair)
-    return D, pair, mu, mp, mq
+    return D, ws.forms(), ws.model(k, strategy), ws.model(D.n - k, strategy)
+
+
+def subdivided_models():
+    """As ``models_for``, on x2-cone-torus subdivided once: no bundled model
+    has cochains one degree below a paired class, which leaves the
+    coboundary terms of the well-definedness identity empty."""
+    return models_for("x2-cone-torus", document=examples.subdivide(
+        examples.get_document("x2-cone-torus"), 1))
 
 
 DISK_BOUNDARY = [[0, 1], [1, 2], [0, 2]]
@@ -54,8 +56,7 @@ ANNULUS_BOUNDARY = [[0, 1], [1, 2], [2, 3], [0, 3], [4, 5], [5, 6], [6, 7], [4, 
 
 
 def test_lefschetz_disk():
-    pair, mu = manifold_pair("disk", DISK_BOUNDARY)
-    report = lefschetz_pairing(pair, mu)
+    report = lefschetz_pairing(PairingForms(*manifold_pair("disk", DISK_BOUNDARY)))
     assert report.passed
     p0 = pairing(report, 0)
     assert (p0.matrix.rows, p0.matrix.cols) == (1, 1)
@@ -63,8 +64,7 @@ def test_lefschetz_disk():
 
 
 def test_lefschetz_annulus():
-    pair, mu = manifold_pair("annulus", ANNULUS_BOUNDARY)
-    report = lefschetz_pairing(pair, mu)
+    report = lefschetz_pairing(PairingForms(*manifold_pair("annulus", ANNULUS_BOUNDARY)))
     assert report.passed
     p1 = pairing(report, 1)
     assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
@@ -72,10 +72,7 @@ def test_lefschetz_annulus():
 
 
 def test_lefschetz_solid_torus():
-    D = examples.get_decomposition("x2-cone-torus")
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    report = lefschetz_pairing(pair, mu)
+    report = lefschetz_pairing(Workspace(examples.get_document("x2-cone-torus")).forms())
     assert report.passed
     for r, dims in ((0, (1, 1)), (1, (1, 1)), (2, (0, 0)), (3, (0, 0))):
         p = pairing(report, r)
@@ -88,12 +85,12 @@ def test_lefschetz_rejects_invalid_mu():
     pair, mu = manifold_pair("disk", DISK_BOUNDARY)
     bad = FundamentalChain(mu.degree, (0,) * len(mu.coefficients))
     with pytest.raises(NotPseudomanifoldError):
-        lefschetz_pairing(pair, bad)
+        lefschetz_pairing(PairingForms(pair, bad))
 
 
 def test_main_pairing_x2():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus")
-    report = main_pairing(mp, mq, mu)
+    D, forms, mp, mq = models_for("x2-cone-torus")
+    report = main_pairing(mp, mq, forms)
     assert report.passed
     p2 = pairing(report, 2)
     assert (p2.matrix.rows, p2.matrix.cols) == (1, 1)
@@ -104,8 +101,8 @@ def test_main_pairing_x2():
 
 
 def test_main_pairing_x2_swapped():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus", 1)
-    report = main_pairing(mp, mq, mu)
+    D, forms, mp, mq = models_for("x2-cone-torus", 1)
+    report = main_pairing(mp, mq, forms)
     assert report.passed
     p1 = pairing(report, 1)
     assert (p1.matrix.rows, p1.matrix.cols) == (1, 1)
@@ -113,66 +110,61 @@ def test_main_pairing_x2_swapped():
 
 
 def test_main_pairing_octahedron():
-    D, pair, mu, mp, mq = models_for("octahedron-marked")
-    report = main_pairing(mp, mq, mu)
+    D, forms, mp, mq = models_for("octahedron-marked")
+    report = main_pairing(mp, mq, forms)
     assert report.passed
     assert all((p.matrix.rows, p.matrix.cols) == (0, 0) for p in report.pairings)
 
 
 def test_main_pairing_rejects_non_complementary():
-    D = examples.get_decomposition("x2-cone-torus")
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    mp = build_model(D, 2, pair=pair)
+    D, forms, mp, _ = models_for("x2-cone-torus", 2)
     with pytest.raises(NotComplementaryError, match="^cutoffs do not satisfy k \\+ l = n$"):
-        main_pairing(mp, mp, mu)
+        main_pairing(mp, mp, forms)
 
 
 def test_main_pairing_rejects_decomposition_mismatch():
-    D1, pair1, mu1, mp1, _ = models_for("x2-cone-torus")
-    D2, pair2, mu2, _, mq2 = models_for("octahedron-marked")
+    D1, forms1, mp1, _ = models_for("x2-cone-torus")
+    D2, forms2, _, mq2 = models_for("octahedron-marked")
     with pytest.raises(ValueError):
-        main_pairing(mp1, mq2, mu1)
+        main_pairing(mp1, mq2, forms1)
 
 
 def test_orientation_covariance():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus")
-    negated = FundamentalChain(mu.degree, tuple(-c for c in mu.coefficients))
-    report = main_pairing(mp, mq, mu)
+    D, forms, mp, mq = models_for("x2-cone-torus")
+    mu = forms.mu
+    negated = PairingForms(forms.pair, FundamentalChain(
+        mu.degree, tuple(-c for c in mu.coefficients)))
+    report = main_pairing(mp, mq, forms)
     flipped = main_pairing(mp, mq, negated)
     for r in range(D.n + 1):
         assert pairing(flipped, r).matrix == -pairing(report, r).matrix
         assert pairing(flipped, r).nondegenerate == pairing(report, r).nondegenerate
-    lef = lefschetz_pairing(pair, mu)
-    lef_flipped = lefschetz_pairing(pair, negated)
+    lef = lefschetz_pairing(forms)
+    lef_flipped = lefschetz_pairing(negated)
     for r in range(D.n + 1):
         assert pairing(lef_flipped, r).matrix == -pairing(lef, r).matrix
 
 
 def test_well_definedness_probe():
     for name in ("octahedron-marked", "x2-cone-torus"):
-        D, pair, mu, mp, mq = models_for(name)
-        assert well_definedness_probe(mp, mq, mu, trials=25, seed=7)
+        D, forms, mp, mq = models_for(name)
+        assert well_definedness_probe(mp, mq, forms.mu, trials=25, seed=7)
 
 
 def test_well_definedness_identity_detects_a_corrupted_iota():
     # No bundled model has cochains one degree below a paired class, which
     # leaves the coboundary terms empty; one subdivision gives them columns.
-    document = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
-    D = decompose(parse_complex(document), document["singular_vertex"])
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    mp = build_model(D, 2, pair=pair)
-    mq = build_model(D, 1, pair=pair)
+    D, forms, mp, mq = subdivided_models()
+    mu = forms.mu
     assert (mp.betti()[2], mq.betti()[1]) == (1, 1)
     assert mp.complex.dim(1) and mq.complex.dim(0)
-    assert well_definedness_identity(mp, mq, mu)
+    assert well_definedness_identity(mp, mq, forms)
     # Every model cochain of degree 2 also lands on the first 2-simplex of M.
     bad = copy.copy(mp)
     iota = mp.iota[2]
     shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
     bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
-    assert not well_definedness_identity(bad, mq, mu)
+    assert not well_definedness_identity(bad, mq, forms)
     assert not well_definedness_probe(bad, mq, mu, trials=3)
 
 
@@ -189,15 +181,14 @@ def count_calls(monkeypatch):
 
 
 def test_ladder_records_are_kept_per_model_pair(monkeypatch):
-    D, pair, mu, mp, mq = models_for("x2-cone-torus")
-    forms = PairingForms(pair, mu)
-    records = [ladder_check(mp, mq, mu, r, forms=forms) for r in range(D.n + 1)]
+    D, forms, mp, mq = models_for("x2-cone-torus")
+    records = [ladder_check(mp, mq, r, forms) for r in range(D.n + 1)]
     counts = count_calls(monkeypatch)
     for r in range(D.n + 1):
-        assert ladder_check(mp, mq, mu, r, forms=forms) is records[r]
+        assert ladder_check(mp, mq, r, forms) is records[r]
     assert counts == Counter()
-    # Without forms a call builds anew; no two reports share a dict.
-    fresh = ladder_check(mp, mq, mu, 2)
+    # With new forms a call builds anew; no two reports share a dict.
+    fresh = ladder_check(mp, mq, 2, PairingForms(forms.pair, forms.mu))
     assert fresh is not records[2]
     assert fresh.to_jsonable() == records[2].to_jsonable()
     assert records[2].to_jsonable() is not records[2].to_jsonable()
@@ -205,93 +196,81 @@ def test_ladder_records_are_kept_per_model_pair(monkeypatch):
     # A corrupted copy of mp is another key, so its squares are checked.
     bad = copy.copy(mp)
     bad.iota = mp.iota[:2] + (mp.iota[2].scaled(2),) + mp.iota[3:]
-    assert not ladder_check(bad, mq, mu, 2, forms=forms).passed
-    assert ladder_check(mp, mq, mu, 2, forms=forms) is records[2]
+    assert not ladder_check(bad, mq, 2, forms).passed
+    assert ladder_check(mp, mq, 2, forms) is records[2]
 
 
 def test_well_definedness_verdict_is_kept_per_model_pair(monkeypatch):
     # As in the corrupted-iota test: one subdivision gives the coboundary
     # terms columns, so a corrupted iota is seen.
-    document = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
-    D = decompose(parse_complex(document), document["singular_vertex"])
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    mp = build_model(D, 2, pair=pair)
-    mq = build_model(D, 1, pair=pair)
-    forms = PairingForms(pair, mu)
-    assert well_definedness_identity(mp, mq, mu, forms=forms)
+    D, forms, mp, mq = subdivided_models()
+    assert well_definedness_identity(mp, mq, forms)
     counts = count_calls(monkeypatch)
-    assert well_definedness_identity(mp, mq, mu, forms=forms)
+    assert well_definedness_identity(mp, mq, forms)
     assert counts == Counter()
     bad = copy.copy(mp)
     iota = mp.iota[2]
     shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
     bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
-    assert not well_definedness_identity(bad, mq, mu, forms=forms)
+    assert not well_definedness_identity(bad, mq, forms)
     assert counts["__matmul__"] > 0
-    assert well_definedness_identity(mp, mq, mu, forms=forms)
+    assert well_definedness_identity(mp, mq, forms)
 
 
 def test_stokes_vanishing_probe():
     for name in ("octahedron-marked", "x2-cone-torus"):
-        D, pair, mu, mp, mq = models_for(name)
+        D, forms, mp, mq = models_for(name)
         assert stokes_vanishing_probe(mp, mq, trials=50, seed=3)
 
 
 def test_ladder_x2_all_degrees():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus")
+    D, forms, mp, mq = models_for("x2-cone-torus")
     for r in range(D.n + 1):
-        rec = ladder_check(mp, mq, mu, r)
+        rec = ladder_check(mp, mq, r, forms)
         assert rec.ts_commutes, r
         assert rec.ms_commutes, r
         assert rec.bs_commutes, r
         assert rec.five_lemma_consistent, r
     # The one degree with a genuinely nonzero bottom square carries the
     # Leibniz sign (-1)^r.
-    assert ladder_check(mp, mq, mu, 1).bs_sign == -1
+    assert ladder_check(mp, mq, 1, forms).bs_sign == -1
 
 
 def test_ladder_octahedron_all_degrees():
-    D, pair, mu, mp, mq = models_for("octahedron-marked")
+    D, forms, mp, mq = models_for("octahedron-marked")
     for r in range(D.n + 1):
-        rec = ladder_check(mp, mq, mu, r)
+        rec = ladder_check(mp, mq, r, forms)
         assert rec.passed, r
 
 
 def test_ladder_vacuous_degrees_pass():
-    D, pair, mu, mp, mq = models_for("disk-cone-s1")
+    D, forms, mp, mq = models_for("disk-cone-s1")
     for r in range(D.n + 1):
-        rec = ladder_check(mp, mq, mu, r)
+        rec = ladder_check(mp, mq, r, forms)
         assert rec.passed
 
 
 def test_ladder_with_reverse_lex_complements():
     # A different complement D changes the quotient bases; the squares must
     # still close.
-    D = examples.get_decomposition("x2-cone-torus")
-    pair = PairComplexes(D.M, D.L)
-    mu = fundamental_chain(D)
-    for k in range(1, D.n):
-        mp = build_model(D, k, "reverse-lex", pair=pair)
-        mq = build_model(D, D.n - k, "reverse-lex", pair=pair)
-        assert main_pairing(mp, mq, mu).passed
+    for k in (1, 2):
+        D, forms, mp, mq = models_for("x2-cone-torus", k, "reverse-lex")
+        assert main_pairing(mp, mq, forms).passed
         for r in range(D.n + 1):
-            assert ladder_check(mp, mq, mu, r).passed
+            assert ladder_check(mp, mq, r, forms).passed
 
 
 def test_octahedron_any_marked_vertex():
-    from stratdual.simplicial import decompose
-    facets = examples.DECOMPOSITION_DOCUMENTS["octahedron-marked"]["facets"]
+    document = examples.get_document("octahedron-marked")
     for v in range(6):
-        X = SimplicialComplex.from_facets(facets, name=f"oct-{v}")
-        D = decompose(X, v)
-        m = build_model(D, 1)
+        marked = dict(document, name=f"oct-{v}", singular_vertex=v)
+        m = Workspace(marked).model(1, "lex")
         assert m.betti() == (0, 0, 0)
 
 
 def test_boundary_link_chain_is_link_cycle():
-    D, pair, mu, mp, mq = models_for("x2-cone-torus")
-    lam = boundary_link_chain(pair, mu)
+    D, forms, mp, mq = models_for("x2-cone-torus")
+    lam = boundary_link_chain(forms.pair, forms.mu)
     assert len(lam) == D.L.n_simplices(D.n - 1)
     boundary = D.L.boundary_matrix(D.n - 1).apply(lam)
     assert all(v == 0 for v in boundary)

@@ -11,6 +11,11 @@ from stratdual.model import (
     named_perversity,
     validate_perversity,
 )
+from stratdual.workspace import Workspace
+
+
+def workspace(name):
+    return Workspace(examples.get_document(name))
 
 
 def test_zero_and_top_perversities_accepted():
@@ -43,10 +48,12 @@ def test_perversity_values_must_be_ints():
 def test_model_cutoff_must_be_an_int_in_range():
     # A model takes its cutoff 1 <= k <= n - 1 and nothing else: not a
     # perversity, and no bool, float or string standing for an int.
-    D = examples.get_decomposition("x2-cone-torus")
+    ws = workspace("x2-cone-torus")
+    D = ws.decomposition()
+    built = (ws.pair(), ws.cotruncation(1, "lex"), ws.quotient(1, "lex"), ws.cutoff_pass(1, "lex"))
     for k in (0, D.n, True, 1.0, "2", named_perversity("zero", D.n)):
         with pytest.raises(ValueError, match="^model cutoff must be an int in 1..2, got "):
-            build_model(D, k)
+            build_model(D, k, "lex", *built)
 
 
 def test_perversity_keys_must_name_codimensions_once():
@@ -83,8 +90,7 @@ def test_cutoff_degree():
 
 
 def test_model_x2_zero_perversity():
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, cutoff_degree(named_perversity("zero", 3), 3))
+    m = workspace("x2-cone-torus").model(cutoff_degree(named_perversity("zero", 3), 3), "lex")
     assert m.betti() == (0, 0, 1, 0)
 
 
@@ -93,8 +99,8 @@ def test_model_iota_is_not_checked_again_by_induced_map(monkeypatch):
     # the subcomplex constructor's reads, kappa as pi ∘ i*, and rho and eta
     # by their certified squares with injective theta and iota.  So once
     # the cohomology bases are built, induced_map reads no differential.
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, 2)
+    ws = workspace("x2-cone-torus")
+    D, m = ws.decomposition(), ws.model(2, "lex")
     maps = [(m.iota, m.complex, m.pair.full), (m.kappa, m.pair.full, m.quotient),
             (m.rho, m.complex, m.cotruncation.complex), (m.eta, m.pair.rel, m.complex)]
     for _, source, target in maps:
@@ -116,37 +122,34 @@ def test_model_iota_is_not_checked_again_by_induced_map(monkeypatch):
 
 
 def test_model_x2_top_perversity():
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, cutoff_degree(named_perversity("top", 3), 3))
+    m = workspace("x2-cone-torus").model(cutoff_degree(named_perversity("top", 3), 3), "lex")
     assert m.betti() == (0, 1, 0, 0)
 
 
 def test_model_octahedron():
-    D = examples.get_decomposition("octahedron-marked")
-    m = build_model(D, 1)
+    m = workspace("octahedron-marked").model(1, "lex")
     # The connecting map H^1(tau_{>=1}) -> H^2(M, ∂M) is an isomorphism, so
     # the model is acyclic; the oracle module confirms this independently.
     assert m.betti() == (0, 0, 0)
 
 
 def test_model_disk_cone():
-    D = examples.get_decomposition("disk-cone-s1")
-    m = build_model(D, 1)
+    m = workspace("disk-cone-s1").model(1, "lex")
     assert m.betti() == (0, 0, 0)
 
 
 def test_model_h0_vanishes():
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
-        D = examples.get_decomposition(name)
-        for k in range(1, D.n):
-            assert build_model(D, k).betti()[0] == 0
+        ws = workspace(name)
+        for k in range(1, ws.decomposition().n):
+            assert ws.model(k, "lex").betti()[0] == 0
 
 
 def test_model_dimension_count_fiber_product():
     # dim A^r = dim ker(i*) + dim tau_{>=k}^r, each degree.
     from stratdual.rational import kernel_basis
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, 2)
+    ws = workspace("x2-cone-torus")
+    D, m = ws.decomposition(), ws.model(2, "lex")
     for r in range(D.n + 1):
         expected = kernel_basis(m.pair.restrict[r]).count + m.cotruncation.complex.dim(r)
         assert m.complex.dim(r) == expected
@@ -154,22 +157,22 @@ def test_model_dimension_count_fiber_product():
 
 def test_model_strategy_independence():
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
-        D = examples.get_decomposition(name)
-        for k in range(1, D.n):
-            assert build_model(D, k, "lex").betti() == build_model(D, k, "reverse-lex").betti()
+        ws = workspace(name)
+        for k in range(1, ws.decomposition().n):
+            assert ws.model(k, "lex").betti() == ws.model(k, "reverse-lex").betti()
 
 
 def test_model_complementarity_symmetry():
-    D = examples.get_decomposition("x2-cone-torus")
-    betti = {k: build_model(D, k).betti() for k in range(1, D.n)}
+    ws = workspace("x2-cone-torus")
+    D = ws.decomposition()
+    betti = {k: ws.model(k, "lex").betti() for k in range(1, D.n)}
     for k in betti:
         for r in range(D.n + 1):
             assert betti[k][r] == betti[D.n - k][D.n - r]
 
 
 def test_model_les_eta_rho_connecting():
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, 2)
+    m = workspace("x2-cone-torus").model(2, "lex")
     les = model_les(m, "ses-eta-rho")
     assert les["exact"]
     # Connecting H^2(tau_{>=2}) -> H^3(M, ∂M) is 1x1 invertible.
@@ -179,8 +182,7 @@ def test_model_les_eta_rho_connecting():
 
 
 def test_model_les_top_perversity_surjective_connecting():
-    D = examples.get_decomposition("x2-cone-torus")
-    m = build_model(D, 1)
+    m = workspace("x2-cone-torus").model(1, "lex")
     les = model_les(m, "ses-eta-rho")
     delta1 = les["connecting"][1]
     assert (delta1.rows, delta1.cols) == (1, 2)
@@ -189,13 +191,12 @@ def test_model_les_top_perversity_surjective_connecting():
 
 def test_model_les_iota_kappa_exact():
     for name in ("octahedron-marked", "x2-cone-torus"):
-        D = examples.get_decomposition(name)
-        for k in range(1, D.n):
-            assert model_les(build_model(D, k), "ses-iota-kappa")["exact"]
+        ws = workspace(name)
+        for k in range(1, ws.decomposition().n):
+            assert model_les(ws.model(k, "lex"), "ses-iota-kappa")["exact"]
 
 
 def test_model_les_unknown_sequence():
-    D = examples.get_decomposition("disk-cone-s1")
-    m = build_model(D, 1)
+    m = workspace("disk-cone-s1").model(1, "lex")
     with pytest.raises(ValueError):
         model_les(m, "ses-bogus")
