@@ -229,6 +229,8 @@ def run_verification(target: str, perversity: str = "zero",
             raise ParseError(f"unknown checks: {unknown}")
         if type(strategy) is not str or strategy not in COMPLEMENT_LEAD:
             raise ParseError(f"unknown strategy {strategy!r}")
+        if type(perversity) is not str:
+            raise BadPerversityError(f"perversity must be a str, got {perversity!r}")
         document, name = resolve_input(target)
         report["input"] = name
         ws = _workspace_for(document)

@@ -40,6 +40,7 @@ from .rational import (
     QuotientBasis,
     RationalMatrix,
     SubspaceBasis,
+    complement_basis,
     image_basis,
     quotient_basis,
 )
@@ -58,7 +59,7 @@ class CochainComplex:
     """
 
     __slots__ = ("name", "dims", "d", "_shared", "_cohomology_cache", "_echelon_cache",
-                 "_image_cache")
+                 "_image_cache", "_complement_cache")
 
     def __init__(self, name, dims, d, *, ambient=None, shared=None):
         self.name = name
@@ -68,6 +69,7 @@ class CochainComplex:
         self._cohomology_cache = {}
         self._echelon_cache = {}
         self._image_cache = {}
+        self._complement_cache = {}
         if len(self.d) != len(self.dims):
             raise ValueError("need one differential per degree (top maps to 0)")
         for r, mat in enumerate(self.d):
@@ -116,6 +118,15 @@ class CochainComplex:
         if r not in self._image_cache:
             self._image_cache[r] = image_basis(self.diff(r).columns_at(self.echelon(r).pivots))
         return self._image_cache[r]
+
+    def complement(self, r: int, strategy: str) -> SubspaceBasis:
+        """The standard-basis complement of im d^{r-1} in C^r that
+        ``complement_basis`` picks for the strategy, built once per degree and
+        strategy: a cotruncation and a model's cutoff pass read one D."""
+        key = (r, strategy)
+        if key not in self._complement_cache:
+            self._complement_cache[key] = complement_basis(self.image(r - 1), strategy)
+        return self._complement_cache[key]
 
     def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:

@@ -8,13 +8,22 @@ matrix layer alone: ``RationalMatrix``, the forward pass ``Echelon``,
 ``kernel_basis`` and ``complement_basis``.  It uses no ``quotient_basis``,
 no ``Solver`` and no ``rref``, and it multiplies no ∂∘∂: ``mapping_cone``
 proves the comparison map a chain map, which is all the cone's ∂∘∂ adds to
-the ∂∘∂ of its two ends; the cone is a plain ``ChainComplex``.
+the ∂∘∂ of its two ends.
+
+The cones of one run share what they read of M and L: C_*(M)'s pass in
+each degree, which every cone's pass extends by the truncation's rows alone
+(see ``MappingCone``), the cycles Z_k(L) of each cutoff, which both
+strategies' truncations complement, and the decomposition's inclusion
+L -> M.  A cone keeps its blocks and stacks ∂_r only when ``bnd`` is asked.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import lcm
+
 from .errors import InternalExactnessError
-from .rational import Echelon, RationalMatrix, complement_basis, kernel_basis
+from .rational import Echelon, RationalMatrix, SubspaceBasis, complement_basis, kernel_basis
 from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
 
@@ -22,16 +31,19 @@ class ChainComplex:
     """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}.
 
     Only shapes are checked here: ∂∘∂ = 0 is proved where the boundary is
-    made, and the oracle's complexes multiply none.
+    made, and the oracle's complexes multiply none.  Readers take ∂_r from
+    ``bnd(r)``: a ``MappingCone`` holds no ``boundary`` and stacks ∂_r from
+    its blocks only there.
     """
 
-    __slots__ = ("name", "dims", "boundary", "_echelon_cache")
+    __slots__ = ("name", "dims", "boundary", "_echelon_cache", "_cycles_cache")
 
     def __init__(self, name, dims, boundary):
         self.name = name
         self.dims = tuple(dims)
         self.boundary = tuple(boundary)
         self._echelon_cache = {}
+        self._cycles_cache = {}
         if len(self.boundary) != len(self.dims):
             raise ValueError("need one boundary per degree (degree 0 maps to 0)")
         for r, mat in enumerate(self.boundary):
@@ -65,10 +77,21 @@ class ChainComplex:
         reduce to zero.
         """
         if r not in self._echelon_cache:
-            skipped = set(self.echelon(r + 1).pivots) if r <= self.top else ()
-            order = [i for i in range(self.dim(r) - 1, -1, -1) if i not in skipped]
+            order = self._entering(r, self.dim(r))
             self._echelon_cache[r] = Echelon(self.bnd(r).transpose(), order=order)
         return self._echelon_cache[r]
+
+    def _entering(self, r, cells):
+        """The r-cells below ``cells`` that the pass in degree r enters, last
+        first: all but those at the pivots of the pass on ∂_{r+1}."""
+        skipped = set(self.echelon(r + 1).pivots) if r <= self.top else ()
+        return [i for i in range(cells - 1, -1, -1) if i not in skipped]
+
+    def cycles(self, r) -> SubspaceBasis:
+        """Z_r = ker ∂_r, built once per degree."""
+        if r not in self._cycles_cache:
+            self._cycles_cache[r] = kernel_basis(self.bnd(r))
+        return self._cycles_cache[r]
 
     def homology_dims(self):
         return tuple(self.dim(r) - self.echelon(r).rank - self.echelon(r + 1).rank
@@ -115,7 +138,7 @@ def chain_truncate(L: SimplicialComplex, k: int, strategy: str,
             boundary.append(C.bnd(r))
             inclusion.append(RationalMatrix.identity(C.dim(r)))
         elif r == k:
-            B = complement_basis(kernel_basis(C.bnd(k)), strategy).matrix()
+            B = complement_basis(C.cycles(k), strategy).matrix()
             dims.append(B.cols)
             boundary.append(C.bnd(k) @ B)
             inclusion.append(B)
@@ -148,7 +171,107 @@ def _verify_truncation_signature(t: ChainTruncation, L: SimplicialComplex):
         raise InternalExactnessError(f"truncation leaves H_{k} != 0 on {L.name}")
 
 
-def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
+class ConePass:
+    """What the readers of a cone's pass take from it, as ``Echelon`` gives
+    them: the pivot columns, the pivot rows and the rank.  The pivot rows'
+    entries are not kept."""
+
+    __slots__ = ("pivots", "pivot_rows")
+
+    def __init__(self, pivots, pivot_rows):
+        self.pivots = tuple(pivots)
+        self.pivot_rows = tuple(pivot_rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+class MappingCone(ChainComplex):
+    """Cone of a chain map g[r]: t_r -> target_r, as ``mapping_cone`` makes it.
+
+    Cone_r = t_{r-1} ⊕ target_r, t's cells first, and ∂_r is the block
+    matrix [[-∂t, 0], [g, ∂]].  ``bnd`` stacks it anew when asked; no pass
+    does.  The pass in degree r is the target's own pass in degree r, read
+    in place, extended by the rows of t's cells alone.  Why that is the
+    pass ``ChainComplex.echelon`` would run on the stacked ∂_r:
+    - Order.  The r-cells enter last first, so the target's rows [0 | ∂^T]
+      enter before any t row, and they have entries in the target's columns
+      only.  t's columns are keyed below the target's, by a constant shift
+      that keeps their order, so ``lead=min`` picks the lead of the block
+      layout and the target's pivot rows serve with their own keys.
+    - Twist.  The cone leaves out the target cells at the pivots of its
+      pass in degree r + 1, which can be more than the target's own twist
+      leaves out.  For such a cell i some boundary b of the cone has
+      b_i != 0 and b_j = 0 for j < i, and every cell after i is the
+      target's, so ∂ of cell i lies in the span of the later target cells'
+      boundaries: its row reduces to zero in the target's pass as well.  So
+      up to its first t row the cone's pass has the target's pivots, rank
+      and pivot rows.
+    - Rows.  Each t row, [-∂t^T | g^T], is built for a t cell that enters,
+      from the columns of ∂t and g, and meets the target's pivot rows only
+      once its t part is gone.
+    """
+
+    __slots__ = ("truncation", "g", "target")
+
+    def __init__(self, t: ChainTruncation, g, target: ChainComplex):
+        tc = t.complex
+        self.name = f"cone({tc.name} -> {target.name})"
+        self.dims = tuple(tc.dim(r - 1) + target.dim(r) for r in range(len(g) + 1))
+        self.truncation = t
+        self.g = tuple(g)
+        self.target = target
+        self._echelon_cache = {}
+        self._cycles_cache = {}
+
+    def bnd(self, r):
+        """∂_r, the block matrix [[-∂t, 0], [g, ∂]] (zero at the edges)."""
+        if not 1 <= r <= self.top:
+            return RationalMatrix.zeros(self.dim(r - 1), self.dim(r))
+        tc, target = self.truncation.complex, self.target
+        # -∂ on the shifted truncation block, g into the target block and ∂ on it.
+        upper = (-tc.bnd(r - 1)).hstack(RationalMatrix.zeros(tc.dim(r - 2), target.dim(r)))
+        lower = self.g[r - 1].hstack(target.bnd(r))
+        return upper.vstack(lower)
+
+    def echelon(self, r) -> ConePass:
+        """The pass on the transpose of ∂_r, with the twist, as the target's
+        pass in degree r extended by t's rows; built once per degree."""
+        if r not in self._echelon_cache:
+            tc = self.truncation.complex
+            base = self.target.echelon(r)
+            width, shift = tc.dim(r - 1), tc.dim(r - 2)
+            order = self._entering(r, width)
+            rows = _truncation_rows(tc.bnd(r - 1), self.g[r - 1], order, shift) if order else []
+            added = base.extend(rows)
+            pivots = sorted(c + shift for c in chain(base.pivots, added))
+            pivot_rows = sorted(i for i, row in zip(order, rows) if row)
+            pivot_rows += [width + i for i in base.pivot_rows]
+            self._echelon_cache[r] = ConePass(pivots, pivot_rows)
+        return self._echelon_cache[r]
+
+
+def _truncation_rows(boundary: RationalMatrix, g: RationalMatrix, order, shift: int) -> list:
+    """The rows [-∂^T | g^T] of the truncation cells in ``order``, as integer
+    rows over one positive scale: the truncation's columns keyed from
+    -``shift``, the target's from 0.  Each is read off the columns of ∂ and
+    g, in one scan of each matrix."""
+    den = lcm(boundary.den, g.den)
+    a, b = den // boundary.den, den // g.den
+    rows = {i: {} for i in order}
+    for j, entries in enumerate(boundary.data):
+        for i, v in entries.items():
+            if i in rows:
+                rows[i][j - shift] = -a * v
+    for j, entries in enumerate(g.data):
+        for i, v in entries.items():
+            if i in rows:
+                rows[i][j] = b * v
+    return list(rows.values())
+
+
+def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> MappingCone:
     """Cone of the chain map g[r]: t_r -> target_r; Cone_r = t_{r-1} ⊕ target_r
     with differential (x, m) -> (-∂x, g(x) + ∂m).
 
@@ -157,23 +280,18 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
     transposes of d∘d products already checked, and the lower-left block is
     proved zero here, one identity ∂ g_r == g_{r-1} ∂ per degree below the
     top; t has no cells in the top degree, where it holds trivially.  A
-    failure names the degree of the cone's ∂∘∂ it breaks.
+    failure names the degree of the cone's ∂∘∂ it breaks.  ``target``'s
+    passes are the ones the cone's extend (see ``MappingCone``).
     """
     tc = t.complex
     top = max(tc.top + 1, target.top)
-    t_dims = [tc.dim(r - 1) for r in range(top + 1)]
-    m_dims = [target.dim(r) for r in range(top + 1)]
-    dims = [t_dims[r] + m_dims[r] for r in range(top + 1)]
-    g = [g[r] if r < len(g) else RationalMatrix.zeros(m_dims[r], t_dims[r + 1])
+    g = [g[r] if r < len(g) else RationalMatrix.zeros(target.dim(r), tc.dim(r))
          for r in range(top)]
-    boundary = [RationalMatrix.zeros(0, dims[0])]
-    for r in range(1, top + 1):
-        # [[-∂, 0], [g, ∂]]: -∂ on the shifted truncation block, g into the
-        # target block and ∂ on it.
-        upper = (-tc.bnd(r - 1)).hstack(RationalMatrix.zeros(t_dims[r - 1], m_dims[r]))
-        lower = g[r - 1].hstack(target.bnd(r))
-        boundary.append(upper.vstack(lower))
-    cone = ChainComplex(f"cone({tc.name} -> {target.name})", dims, boundary)
+    for r, g_r in enumerate(g):
+        if (g_r.rows, g_r.cols) != (target.dim(r), tc.dim(r)):
+            raise ValueError(f"g[{r}] has shape {g_r.rows}x{g_r.cols}, "
+                             f"expected {target.dim(r)}x{tc.dim(r)}")
+    cone = MappingCone(t, g, target)
     for r in range(1, top):
         if target.bnd(r) @ g[r] != g[r - 1] @ tc.bnd(r):
             raise InternalExactnessError(f"{cone.name}: ∂∘∂ != 0 at degree {r + 1}")
@@ -181,24 +299,17 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> ChainComplex:
 
 
 def intersection_space_cone(D: PseudomanifoldDecomposition, k: int, strategy: str,
-                            m_chains: ChainComplex, l_chains: ChainComplex) -> ChainComplex:
+                            m_chains: ChainComplex, l_chains: ChainComplex) -> MappingCone:
     """Cone over L_{<k} -> L = ∂M -> M for a decomposition.
 
     ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, as
-    ``workspace.Workspace.cone`` passes them.
+    ``workspace.Workspace.cone`` passes them.  The cones over them share
+    their passes and cycles, and D's inclusion L -> M.
     """
     t = chain_truncate(D.L, k, strategy, l_chains)
-    include = []
-    for r in range(D.M.dimension + 1):
-        entries = {}
-        for j, s in enumerate(D.L.simplices(r)):
-            entries[(D.M.index[s], j)] = 1
-        include.append(RationalMatrix(D.M.n_simplices(r), D.L.n_simplices(r), entries))
-    g = []
-    for r in range(D.M.dimension + 1):
-        t_part = t.inclusion[r] if r <= t.complex.top else RationalMatrix.zeros(
-            D.L.n_simplices(r), 0)
-        g.append(include[r] @ t_part)
+    # g_r is the inclusion after t's, which is the identity below k.
+    g = [D.inclusion(r) if r < k else D.inclusion(r) @ t.inclusion[r]
+         for r in range(t.complex.top + 1)]
     return mapping_cone(t, g, m_chains)
 
 

@@ -29,7 +29,6 @@ from .rational import (
     COMPLEMENT_LEAD,
     RationalMatrix,
     SubspaceBasis,
-    complement_basis,
     vec_is_zero,
 )
 from .reports import DualityReport, PairingMatrix
@@ -91,7 +90,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
         # the image basis's pivot rows.  That pi_k inverts the image and kills
         # D, which fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
         img = C.image(k - 1)
-        D = complement_basis(img, strategy)
+        D = C.complement(k, strategy)
         units = RationalMatrix.identity(C.dim(k))
         reduced = img.forward_pass(COMPLEMENT_LEAD[strategy]).normal_form(units)
         projection = (units - reduced).transpose().rows_at(img.pivot_rows)

@@ -19,6 +19,7 @@ form, which makes subspace equality a syntactic comparison.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -314,7 +315,7 @@ def _eliminate(row: dict, piv: dict, c: int) -> None:
         _divide_content(row)
 
 
-def _forward(rows: list, cols: int, lead=min):
+def _forward(rows: list, cols: int, lead=min, pivots=None):
     """Integer forward elimination of sparse rows (consumes ``rows``).
 
     Rows enter one at a time.  A row is reduced at its lead column, the
@@ -324,8 +325,11 @@ def _forward(rows: list, cols: int, lead=min):
     ``(pivots, rest)``: ``pivots`` maps each pivot column to its row,
     ``rest`` holds the rows left with entries only at columns >= ``cols``
     (the transform part of a zero row, which only ``lead=min`` reaches).
+    ``pivots``, when given, holds the pivot rows of rows entered before;
+    they are read, never changed, and new pivots are added to it.
     """
-    pivots = {}
+    if pivots is None:
+        pivots = {}
     rest = []
     for row in rows:
         while row:
@@ -431,6 +435,22 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    def extend(self, rows: list) -> dict:
+        """Enter ``rows`` after this pass's own rows: the pivot rows they add,
+        by lead column.
+
+        This pass's pivot rows are read in place through an overlay, neither
+        copied nor changed, so the result is that of one pass on this pass's
+        rows followed by ``rows``.  ``rows`` are integer rows ``{col: int}``,
+        consumed: each is left empty unless it became a pivot row.  Their
+        columns are this pass's, none of them cleared, or below 0, which the
+        lead orders as integers: before all of this pass's columns for
+        ``lead=min``.
+        """
+        added = {}
+        _forward(rows, self.cols, self.lead, ChainMap(added, self._rows))
+        return added
 
     def with_pivot_rows(self, pivot_rows) -> "Echelon":
         """This pass, sharing its pivot rows' entries, with ``pivot_rows``

@@ -168,7 +168,7 @@ def cofacet_counts(K: SimplicialComplex):
 class PseudomanifoldDecomposition:
     """X = M ∪_L cone(x * L) with the marked singular vertex x."""
 
-    __slots__ = ("name", "X", "singular_vertex", "M", "L", "n")
+    __slots__ = ("name", "X", "singular_vertex", "M", "L", "n", "_inclusion")
 
     def __init__(self, name, X, singular_vertex, M, L):
         self.name = name
@@ -177,6 +177,17 @@ class PseudomanifoldDecomposition:
         self.M = M
         self.L = L
         self.n = X.dimension
+        self._inclusion = {}        # degree -> inclusion, built on first call
+
+    def inclusion(self, r: int) -> RationalMatrix:
+        """The chain inclusion C_r(L) -> C_r(M): one unit column per r-simplex of L."""
+        m = self._inclusion.get(r)
+        if m is None:
+            index = self.M.index
+            m = self._inclusion[r] = RationalMatrix(
+                self.M.n_simplices(r), self.L.n_simplices(r),
+                {(index[s], j): 1 for j, s in enumerate(self.L.simplices(r))})
+        return m
 
     def __repr__(self):
         return (f"PseudomanifoldDecomposition({self.name!r}, n={self.n}, "

@@ -9,6 +9,14 @@ complexes and cones of the oracle, the pairing forms and the link's
 truncated pairings.
 No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
+Shared work lives with the object that owns it, so each piece is done once
+per run: C*(L) picks one complement per cutoff and strategy, which the
+cotruncation and the cutoff pass of that strategy both read.  The oracle's
+chain complexes of M and L keep their passes and L's cycles per degree, and
+the decomposition its inclusion L -> M, so every cone of a run extends the
+one pass of C_*(M) in each degree (see ``cone.MappingCone``), both
+strategies' truncations at a cutoff complement one Z_k(L), and no cone
+builds the inclusion again.
 The library's builders take every object they read as an argument and
 build none of those themselves, so this class is the one place that wires
 the model's diagram.  Each object is built on first request from the ones
@@ -28,7 +36,6 @@ from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
 from .model import build_model, cutoff_pass
-from .rational import complement_basis
 from .reports import DualityReport
 from .simplicial import decompose, fundamental_chain, parse_complex
 
@@ -85,11 +92,12 @@ class Workspace:
     def cutoff_pass(self, k: int, strategy: str):
         """The forward pass on d^k of the model at cutoff k, the one its
         ``model`` eliminates in degree k and that ``choice_independent`` reads.
-        It reads the strategy's complement D alone, so a run that checks the
-        other strategy's pass builds no cotruncation of that strategy."""
+        It reads the strategy's complement D alone, the one the cotruncation
+        of that strategy reads, so a run that checks the other strategy's
+        pass builds no cotruncation of that strategy."""
         pair = self.pair()
         return self._once(("cutoff pass", k, strategy), lambda: cutoff_pass(
-            pair, k, complement_basis(pair.sub.image(k - 1), strategy).matrix()))
+            pair, k, pair.sub.complement(k, strategy).matrix()))
 
     def model(self, k: int, strategy: str):
         return self._once(("model", k, strategy), lambda: build_model(
@@ -103,6 +111,7 @@ class Workspace:
             getattr(self.decomposition(), which)))
 
     def cone(self, k: int, strategy: str):
+        """The oracle's cone at cutoff k, over this run's C_*(M) and C_*(L)."""
         return self._once(("cone", k, strategy), lambda: intersection_space_cone(
             self.decomposition(), k, strategy, self.chains("M"), self.chains("L")))
 

@@ -66,6 +66,17 @@ def test_unknown_strategy_rejected():
         assert "checks" not in report
 
 
+def test_perversity_that_is_not_a_str_rejected():
+    # Rejected up front, next to the strategy: resolve_perversity parses text.
+    for perversity in (5, None, [0, 1]):
+        report, status = run_verification("x2-cone-torus", perversity, "lex")
+        assert status == 2
+        assert report["error"] == {"code": "BAD_PERVERSITY",
+                                   "message": f"perversity must be a str, got {perversity!r}"}
+        assert "checks" not in report
+        assert json.loads(render_report(report, "json"))["error"]["code"] == "BAD_PERVERSITY"
+
+
 def test_cli_strategies_are_the_complement_strategies(capsys):
     for strategy in COMPLEMENT_LEAD:
         assert main(["verify", "disk-cone-s1", "--checks", "model",

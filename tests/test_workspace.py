@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from stratdual import cli, cotruncation, examples
+from stratdual import cli, cotruncation, examples, rational
 from stratdual.cli import render_report, run_verification
 from stratdual.cotruncation import truncated_duality
 from stratdual.errors import StratdualError
@@ -160,6 +160,47 @@ def test_a_run_cotruncates_in_its_own_strategy_only(name, strategy, checks, monk
     counts = _count_link_builds(monkeypatch)
     run_verification(name, "zero", strategy, checks)
     assert {key[2] for key in counts if key[0] == "cotruncate"} <= {strategy}, counts
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+@pytest.mark.parametrize("name", decomposition_names())
+def test_a_run_picks_each_complement_once(name, strategy, monkeypatch):
+    # A cotruncation and the model's cutoff pass read one D per cutoff and
+    # strategy, the model check reads the other strategy's D alone, and the
+    # oracle's truncation at a cutoff complements the run's one Z_k(L).
+    calls = collections.Counter()
+    kept = []
+    complement_basis = rational.complement_basis
+
+    def counted(sub, strategy="lex"):
+        kept.append(sub)
+        calls[(id(sub), strategy)] += 1
+        return complement_basis(sub, strategy)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "stratdual" or module_name.startswith("stratdual."):
+            if vars(module).get("complement_basis") is complement_basis:
+                monkeypatch.setattr(module, "complement_basis", counted)
+    monkeypatch.setattr(cli, "_workspace", None)
+    report, status = run_verification(name, "zero", strategy)
+    if status == 2:
+        # Rejected before any complement is picked.
+        assert calls == collections.Counter()
+        return
+    ws = cli._workspace
+    C, chains = ws.pair().sub, ws.chains("L")
+    labels = {}
+    for k in range(1, C.top + 2):
+        labels[id(C.image(k - 1))] = ("image", k)
+        labels[id(chains.cycles(k))] = ("cycles", k)
+    picked = collections.Counter({(*labels[sub], s): n for (sub, s), n in calls.items()})
+    assert sum(picked.values()) == sum(calls.values()), calls
+    assert all(n == 1 for n in picked.values()), picked
+    values = report["perversity_values"]
+    other = "reverse-lex" if strategy == "lex" else "lex"
+    for k in {values["cutoff_p"], values["cutoff_q"]}:
+        assert {("image", k, strategy), ("image", k, other), ("cycles", k, strategy)} <= set(
+            picked), picked
 
 
 def test_repeated_runs_build_each_evaluation_form_once(monkeypatch):
