@@ -154,12 +154,14 @@ def _check_truncated_duality(ws, strategy):
 
 def _check_properties(ws, mp, mq, strategy):
     D, pair = ws.decomposition(), ws.pair()
-    complexes = ((D.X, ws.cochains()), (D.M, pair.full), (D.L, pair.sub))
+    complexes = ((D.X, ws.cochains(), ws.chains("X")), (D.M, pair.full, ws.chains("M")),
+                 (D.L, pair.sub, ws.chains("L")))
     # Stokes, integrate(d x, xi) = -(-1)^r integrate(x, ∂xi) for all x, xi:
-    # integrate is bilinear evaluation, so this is one matrix identity per degree.
+    # integrate is bilinear evaluation, so this is one matrix identity per
+    # degree, on the ∂ that the chain complexes keep.
     stokes_identity = all(
-        C.diff(r) == K.boundary_matrix(r + 1).transpose().scaled(-((-1) ** r))
-        for K, C in complexes for r in range(C.top + 1))
+        C.diff(r) == chains.bnd(r + 1).transpose().scaled(-((-1) ** r))
+        for _, C, chains in complexes for r in range(C.top + 1))
     # True by construction: see check_product_vanishing.
     c = D.L.dimension
     vanishing_ok = True
@@ -182,7 +184,7 @@ def _check_properties(ws, mp, mq, strategy):
             boundary_products_vanish = False
     # C.betti() reads the ranks of d alone: b_r = dim C^r - rank d_r - rank d_{r-1}.
     euler_ok = all(K.euler_characteristic() == sum((-1) ** r * b for r, b in enumerate(C.betti()))
-                   for K, C in complexes)
+                   for K, C, _ in complexes)
     ok = stokes_identity and vanishing_ok and boundary_products_vanish and euler_ok
     return {
         "pass": ok,
@@ -207,23 +209,47 @@ def _workspace_for(document) -> Workspace:
     return _workspace
 
 
+def _echo(value):
+    """``value`` as the report's config echoes it: itself where the JSON
+    writer renders it, else its repr, so that a report that rejects an
+    argument of the wrong type still renders."""
+    try:
+        render_json_direct(value)
+    except TypeError:
+        return repr(value)
+    return value
+
+
 def run_verification(target: str, perversity: str = "zero",
                      strategy: str = "lex", checks=None, seed: int = 0):
     """Run the requested checks; returns (report dict, exit status).
 
     Everything derived from the input document is kept until a call on a
     document with other content, so calls on one document build it once.
+    An argument of the wrong type is rejected up front with a report, as an
+    unknown check or strategy is: a ``target`` that is not a str and
+    ``checks`` that are not a list or tuple of str with ``PARSE``, a
+    ``perversity`` that is not a str with ``BAD_PERVERSITY``.  The report's
+    config echoes every argument, as its repr where the JSON writer cannot
+    render it.
     """
-    checks = list(checks) if checks else list(ALL_CHECKS)
+    listed = checks is None or (isinstance(checks, (list, tuple))
+                                and all(type(c) is str for c in checks))
+    if listed:
+        checks = list(checks) if checks else list(ALL_CHECKS)
     config = {
-        "input": target,
-        "perversity": perversity,
-        "strategy": strategy,
-        "checks": checks,
-        "seed": seed,
+        "input": _echo(target),
+        "perversity": _echo(perversity),
+        "strategy": _echo(strategy),
+        "checks": _echo(checks),
+        "seed": _echo(seed),
     }
     report = {"schema_version": SCHEMA_VERSION, "config": config}
     try:
+        if type(target) is not str:
+            raise ParseError(f"input must be a str, got {target!r}")
+        if not listed:
+            raise ParseError(f"checks must be a list or tuple of str, got {checks!r}")
         unknown = [c for c in checks if c not in ALL_CHECKS]
         if unknown:
             raise ParseError(f"unknown checks: {unknown}")

@@ -32,6 +32,7 @@ induced maps and connecting homomorphisms are matrix products on them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InternalExactnessError, ParseError
 from .rational import (
@@ -43,6 +44,7 @@ from .rational import (
     complement_basis,
     image_basis,
     quotient_basis,
+    vec,
 )
 from .simplicial import SimplicialComplex
 
@@ -217,14 +219,19 @@ class CupStructure:
         """Gram matrix of (a, b) -> pair_against_chain(n, a ∪ b, chain).
 
         Shape dim C^r x dim C^{n-r}; each n-simplex w puts
-        (-1)^{n(n+1)/2} (-1)^{r(n-r)} chain[w] at (front, back).  Every
-        duality pairing is a product A^T G B of this one form.
+        (-1)^{n(n+1)/2} (-1)^{r(n-r)} chain[w] at (front, back), written
+        straight into the kernel's integer rows: the chain's numerators over
+        the lcm of its denominators.  Every duality pairing is a product
+        A^T G B of this one form.
         """
-        sign = koszul_evaluation_sign(n) * Fraction(-1) ** (r * (n - r))
-        entries = {(i, j): sign * value
-                   for (i, j), value in zip(self._faces(r, n - r), chain, strict=True)
-                   if value}
-        return RationalMatrix(self.K.n_simplices(r), self.K.n_simplices(n - r), entries)
+        sign = int(koszul_evaluation_sign(n)) * (-1) ** (r * (n - r))
+        values = vec(chain)
+        den = lcm(*(value.denominator for value in values if value))
+        rows = [{} for _ in range(self.K.n_simplices(r))]
+        for (i, j), value in zip(self._faces(r, n - r), values, strict=True):
+            if value:
+                rows[i][j] = sign * value.numerator * (den // value.denominator)
+        return RationalMatrix.from_integer_rows(self.K.n_simplices(n - r), rows, den)
 
 
 def pairing_matrix(form, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
@@ -251,14 +258,16 @@ def mapped_representatives(maps, complex_: "CochainComplex", r: int) -> Rational
 
 
 def simplicial_cochains(K: SimplicialComplex):
-    """Cochain complex plus cup structure of a pure simplicial complex."""
+    """Cochain complex plus cup structure of a pure simplicial complex.
+
+    d^r = -(-1)^r transpose(∂_{r+1}) is ``K.coboundary_matrix(r)``, written
+    from the face index, row j holding the signed r-faces of the
+    (r+1)-simplex j, once per degree and complex: the passes of
+    ``cone.simplicial_chains`` read the same rows.  The complex proves d∘d = 0 on them.
+    """
     top = K.dimension
     dims = [K.n_simplices(r) for r in range(top + 1)]
-    d = []
-    for r in range(top + 1):
-        sign = (-1) ** (r + 1)               # -(-1)^r
-        boundary = K.boundary_matrix(r + 1)  # C_{r+1} -> C_r
-        d.append(boundary.transpose().scaled(sign))
+    d = [K.coboundary_matrix(r) for r in range(top + 1)]
     return CochainComplex(f"C*({K.name})", dims, d), CupStructure(K)
 
 
@@ -292,16 +301,15 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
 
 
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
-    """Per-degree matrices C^r(K) -> C^r(A) restricting dual-basis cochains."""
+    """Per-degree matrices C^r(K) -> C^r(A) restricting dual-basis cochains,
+    written as integer rows: row i is the unit at the position in K of A's
+    r-simplex i."""
     if not K.contains_complex(A):
         raise ParseError(f"{A.name!r} is not a subcomplex of {K.name!r}")
-    mats = []
-    for r in range(K.dimension + 1):
-        entries = {}
-        for i, s in enumerate(A.simplices(r)):
-            entries[(i, K.index[s])] = 1
-        mats.append(RationalMatrix(A.n_simplices(r), K.n_simplices(r), entries))
-    return tuple(mats)
+    index = K.index
+    return tuple(RationalMatrix.from_integer_rows(
+        K.n_simplices(r), [{index[s]: 1} for s in A.simplices(r)])
+        for r in range(K.dimension + 1))
 
 
 class PairComplexes:

@@ -13,8 +13,11 @@ the ∂∘∂ of its two ends.
 The cones of one run share what they read of M and L: C_*(M)'s pass in
 each degree, which every cone's pass extends by the truncation's rows alone
 (see ``MappingCone``), the cycles Z_k(L) of each cutoff, which both
-strategies' truncations complement, and the decomposition's inclusion
-L -> M.  A cone keeps its blocks and stacks ∂_r only when ``bnd`` is asked.
+strategies' truncations complement, the decomposition's inclusion L -> M,
+and the certificate that it is a chain map below their cutoffs.  A cone
+keeps its blocks and stacks ∂_r only when ``bnd`` is asked.  The passes of
+C_*(M) and C_*(L) read the coboundary rows that C*(M) and C*(L) hold (see
+``SimplicialChains``).
 """
 
 from __future__ import annotations
@@ -28,28 +31,33 @@ from .simplicial import PseudomanifoldDecomposition, SimplicialComplex
 
 
 class ChainComplex:
-    """Rational chain complex in degrees 0..top; boundary[r]: C_r -> C_{r-1}.
+    """Rational chain complex in degrees 0..top; ``bnd(r)``: C_r -> C_{r-1}.
 
     Only shapes are checked here: ∂∘∂ = 0 is proved where the boundary is
     made, and the oracle's complexes multiply none.  Readers take ∂_r from
-    ``bnd(r)``: a ``MappingCone`` holds no ``boundary`` and stacks ∂_r from
-    its blocks only there.
+    ``bnd(r)``, and ``boundary`` lists them all: a ``MappingCone`` stacks
+    ∂_r from its blocks only when asked, and a complex made without
+    ``boundary`` (``SimplicialChains``) builds ∂_r on its first read.
     """
 
-    __slots__ = ("name", "dims", "boundary", "_echelon_cache", "_cycles_cache")
+    __slots__ = ("name", "dims", "_boundary", "_echelon_cache", "_cycles_cache", "_squares")
 
-    def __init__(self, name, dims, boundary):
+    def __init__(self, name, dims, boundary=None):
         self.name = name
         self.dims = tuple(dims)
-        self.boundary = tuple(boundary)
+        self._boundary = {}
         self._echelon_cache = {}
         self._cycles_cache = {}
-        if len(self.boundary) != len(self.dims):
+        self._squares = {}
+        if boundary is None:
+            return
+        if len(boundary) != len(self.dims):
             raise ValueError("need one boundary per degree (degree 0 maps to 0)")
-        for r, mat in enumerate(self.boundary):
+        for r, mat in enumerate(boundary):
             if (mat.rows, mat.cols) != (self.dim(r - 1), self.dims[r]):
                 raise ValueError(f"{name}: boundary[{r}] has shape {mat.rows}x{mat.cols}, "
                                  f"expected {self.dim(r - 1)}x{self.dims[r]}")
+            self._boundary[r] = mat
 
     @property
     def top(self):
@@ -58,11 +66,26 @@ class ChainComplex:
     def dim(self, r):
         return self.dims[r] if 0 <= r <= self.top else 0
 
+    @property
+    def boundary(self):
+        """∂_r for r = 0..top, each as ``bnd(r)`` returns it."""
+        return tuple(self.bnd(r) for r in range(self.top + 1))
+
     def bnd(self, r):
         """Boundary out of degree r (zero matrix at the edges)."""
-        if 1 <= r <= self.top:
-            return self.boundary[r]
-        return RationalMatrix.zeros(self.dim(r - 1), self.dim(r))
+        if not 1 <= r <= self.top:
+            return RationalMatrix.zeros(self.dim(r - 1), self.dim(r))
+        if r not in self._boundary:
+            self._boundary[r] = self._build_boundary(r)
+        return self._boundary[r]
+
+    def _build_boundary(self, r):
+        raise ValueError(f"{self.name}: no boundary in degree {r}")
+
+    def _pass_rows(self, r) -> RationalMatrix:
+        """The matrix whose rows the pass in degree r enters, one per r-cell:
+        the transpose of ∂_r, or any rescaling of its rows by ±1."""
+        return self.bnd(r).transpose()
 
     def echelon(self, r) -> Echelon:
         """The forward pass on the transpose of ∂_r, last r-cell first, with
@@ -74,11 +97,13 @@ class ChainComplex:
         pivots of the pass on ∂_{r+1} are left out: for such an i some
         boundary b has b_i != 0 and b_j = 0 for j < i, so ∂b = 0 puts ∂ of
         cell i in the span of the later cells' boundaries, and its row would
-        reduce to zero.
+        reduce to zero.  A row scaled by ±1 changes no pivot, no rank and no
+        pivot row, so the rows may come with either sign (see
+        ``SimplicialChains``).
         """
         if r not in self._echelon_cache:
             order = self._entering(r, self.dim(r))
-            self._echelon_cache[r] = Echelon(self.bnd(r).transpose(), order=order)
+            self._echelon_cache[r] = Echelon(self._pass_rows(r), order=order)
         return self._echelon_cache[r]
 
     def _entering(self, r, cells):
@@ -93,18 +118,55 @@ class ChainComplex:
             self._cycles_cache[r] = kernel_basis(self.bnd(r))
         return self._cycles_cache[r]
 
+    def commutes(self, r, f, f_below, source_bnd) -> bool:
+        """∂_r f == f_below ∂'_r, the square of a map f into this complex at
+        degree r, with ∂'_r = ``source_bnd`` the source's boundary.
+
+        Multiplied once per set of operands and kept with them: matrices are
+        immutable, so the same four objects give the same verdict, and the
+        cones of a run, whose comparison maps and truncation boundaries are
+        the same objects below their cutoffs, share it.
+        """
+        key = (r, id(f), id(f_below), id(source_bnd))
+        if key not in self._squares:
+            verdict = self.bnd(r) @ f == f_below @ source_bnd
+            # The operands stay alive with the verdict, so no other object takes their ids.
+            self._squares[key] = (verdict, f, f_below, source_bnd)
+        return self._squares[key][0]
+
     def homology_dims(self):
         return tuple(self.dim(r) - self.echelon(r).rank - self.echelon(r + 1).rank
                      for r in range(self.top + 1))
 
 
-def simplicial_chains(K: SimplicialComplex) -> ChainComplex:
-    """C_*(K), with nothing multiplied: its ∂∘∂ is the transpose of the d∘d
-    of C*(K) that ``simplicial_cochains`` checks."""
-    dims = [K.n_simplices(r) for r in range(K.dimension + 1)]
-    boundary = [RationalMatrix.zeros(0, dims[0])]
-    boundary += [K.boundary_matrix(r) for r in range(1, K.dimension + 1)]
-    return ChainComplex(f"C_*({K.name})", dims, boundary)
+class SimplicialChains(ChainComplex):
+    """C_*(K) on K's own incidence matrices.
+
+    The pass in degree r enters the rows of K's coboundary
+    d^{r-1} = -(-1)^{r-1} transpose(∂_r), the matrix C*(K) holds, so no
+    transpose is built: the sign scales every row alike.  ∂_r itself is
+    built by ``K.boundary_matrix(r)`` on the first ``bnd(r)``, which only
+    the truncations, the cycles and the cones' certificates read, and kept.
+    Nothing is multiplied: its ∂∘∂ is the transpose of the d∘d of C*(K) that
+    ``cochains.simplicial_cochains`` checks.
+    """
+
+    __slots__ = ("complex",)
+
+    def __init__(self, K: SimplicialComplex):
+        self.complex = K
+        super().__init__(f"C_*({K.name})", [K.n_simplices(r) for r in range(K.dimension + 1)])
+
+    def _build_boundary(self, r):
+        return self.complex.boundary_matrix(r)
+
+    def _pass_rows(self, r) -> RationalMatrix:
+        return self.complex.coboundary_matrix(r - 1)
+
+
+def simplicial_chains(K: SimplicialComplex) -> SimplicialChains:
+    """C_*(K), on the coboundary matrices that C*(K) shares."""
+    return SimplicialChains(K)
 
 
 class ChainTruncation:
@@ -279,8 +341,12 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> MappingCone:
     chain map: the diagonal blocks are ∂∘∂ of t and of the target, the
     transposes of d∘d products already checked, and the lower-left block is
     proved zero here, one identity ∂ g_r == g_{r-1} ∂ per degree below the
-    top; t has no cells in the top degree, where it holds trivially.  A
-    failure names the degree of the cone's ∂∘∂ it breaks.  ``target``'s
+    top; t has no cells in the top degree, where it holds trivially.  Each
+    identity is multiplied once per set of operands by ``target.commutes``,
+    which keeps the verdict: below the cutoff g is the decomposition's
+    inclusion and ∂t is L's own ∂, the same objects in every cone of a run,
+    so only the first cone to reach such a degree multiplies it.  A failure
+    names the cone and the degree of the cone's ∂∘∂ it breaks.  ``target``'s
     passes are the ones the cone's extend (see ``MappingCone``).
     """
     tc = t.complex
@@ -293,7 +359,7 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> MappingCone:
                              f"expected {target.dim(r)}x{tc.dim(r)}")
     cone = MappingCone(t, g, target)
     for r in range(1, top):
-        if target.bnd(r) @ g[r] != g[r - 1] @ tc.bnd(r):
+        if not target.commutes(r, g[r], g[r - 1], tc.bnd(r)):
             raise InternalExactnessError(f"{cone.name}: ∂∘∂ != 0 at degree {r + 1}")
     return cone
 

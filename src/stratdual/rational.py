@@ -7,7 +7,9 @@ right factor's rows directly, and products, sums and ``apply`` run in ints
 with one gcd normalization per result.  Matrices share rows (a restriction to
 rows, a unit factor, a solve), so no row is ever mutated once a matrix holds
 it; the kernel works on copies.  ``fractions.Fraction`` appears only in the
-public constructors and the entry, row, column and ``apply`` outputs.  Every
+public constructors and the entry, row, column, ``apply`` and
+``transpose_apply`` outputs; ``from_integer_rows`` takes the layout itself,
+unchecked, from code that writes it directly.  Every
 rank, echelon form, kernel, image and solve goes through one elimination
 kernel: the forward pass clears one lead column at a time, the lowest or
 the highest, by integer row combinations divided by the gcd of their
@@ -84,9 +86,13 @@ class RationalMatrix:
             (i, j): v for i, row in enumerate(rows_of_values) for j, v in enumerate(row)})
 
     @classmethod
-    def _wrap(cls, cols: int, data, den: int = 1) -> "RationalMatrix":
+    def from_integer_rows(cls, cols: int, data, den: int = 1) -> "RationalMatrix":
         """Wrap rows of nonzero int numerators (columns below ``cols``) over
-        ``den`` > 0, in lowest terms.  The rows are the matrix's from then on."""
+        ``den`` > 0, in lowest terms.  The rows are the matrix's from then on.
+
+        Nothing is checked or copied: this is how the kernel builds its
+        results, and how the simplicial layer writes its incidence matrices
+        straight into the kernel's layout."""
         if den != 1:
             g = gcd(den, *chain.from_iterable(row.values() for row in data))
             if g != 1:
@@ -101,12 +107,12 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._wrap(n, [{i: 1} for i in range(n)])
+        return cls.from_integer_rows(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
         # One empty dict for every row: rows are never mutated.
-        return cls._wrap(cols, [{}] * rows)
+        return cls.from_integer_rows(cols, [{}] * rows)
 
     # -- access -------------------------------------------------------
     @property
@@ -131,12 +137,12 @@ class RationalMatrix:
     def rows_at(self, indices) -> "RationalMatrix":
         """The rows at ``indices``, in that order, sharing this matrix's rows."""
         data = self.data
-        return RationalMatrix._wrap(self.cols, [data[i] for i in indices], self.den)
+        return RationalMatrix.from_integer_rows(self.cols, [data[i] for i in indices], self.den)
 
     def columns_at(self, indices) -> "RationalMatrix":
         """The columns at ``indices`` (distinct), in that order."""
         position = {j: c for c, j in enumerate(indices)}
-        return RationalMatrix._wrap(len(position), [
+        return RationalMatrix.from_integer_rows(len(position), [
             {position[j]: v for j, v in row.items() if j in position} for row in self.data],
             self.den)
 
@@ -170,7 +176,7 @@ class RationalMatrix:
             if 0 in acc.values():
                 acc = {j: x for j, x in acc.items() if x}
             data.append(acc)
-        return RationalMatrix._wrap(other.cols, data, self.den * other.den)
+        return RationalMatrix.from_integer_rows(other.cols, data, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -185,6 +191,21 @@ class RationalMatrix:
             out.append(Fraction(x, den) if x else ZERO)
         return tuple(out)
 
+    def transpose_apply(self, v: Vector) -> Vector:
+        """The transpose applied to ``v``, read off the rows: no transpose is built."""
+        if len(v) != self.rows:
+            raise ValueError("vector length mismatch")
+        v = vec(v)
+        vden = lcm(*(x.denominator for x in v))
+        out = [0] * self.cols
+        for x, row in zip(v, self.data):
+            if x and row:
+                c = x.numerator * (vden // x.denominator)
+                for j, a in row.items():
+                    out[j] += c * a
+        den = self.den * vden
+        return tuple(Fraction(x, den) if x else ZERO for x in out)
+
     def transpose(self) -> "RationalMatrix":
         data = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):
@@ -192,7 +213,8 @@ class RationalMatrix:
                 data[j][i] = v
         # Empty rows share one dict, which the products of the result keep.
         empty = {}
-        return RationalMatrix._wrap(self.rows, [row or empty for row in data], self.den)
+        return RationalMatrix.from_integer_rows(self.rows, [row or empty for row in data],
+                                                self.den)
 
     def _common(self, other: "RationalMatrix"):
         """Both matrices' numerator rows over the lcm of their denominators."""
@@ -204,7 +226,7 @@ class RationalMatrix:
             raise ValueError("row mismatch in hstack")
         den, left, right = self._common(other)
         shift = self.cols
-        return RationalMatrix._wrap(self.cols + other.cols, [
+        return RationalMatrix.from_integer_rows(self.cols + other.cols, [
             {**a, **{j + shift: v for j, v in b.items()}} if b else a
             for a, b in zip(left, right)], den)
 
@@ -213,14 +235,14 @@ class RationalMatrix:
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
         den, top, bottom = self._common(other)
-        return RationalMatrix._wrap(self.cols, [*top, *bottom], den)
+        return RationalMatrix.from_integer_rows(self.cols, [*top, *bottom], den)
 
     def scaled(self, c) -> "RationalMatrix":
         c = Fraction(c)
         if c == 0:
             return RationalMatrix.zeros(self.rows, self.cols)
-        return RationalMatrix._wrap(self.cols, _times(self.data, c.numerator),
-                                    self.den * c.denominator)
+        return RationalMatrix.from_integer_rows(self.cols, _times(self.data, c.numerator),
+                                                self.den * c.denominator)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -239,7 +261,7 @@ class RationalMatrix:
                 else:
                     del a[k]
             data.append(a)
-        return RationalMatrix._wrap(self.cols, data, den)
+        return RationalMatrix.from_integer_rows(self.cols, data, den)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         return self + (-other)
@@ -360,7 +382,7 @@ def _scaled_rows(rows: int, cols: int, scaled: list, offset: int = 0) -> Rationa
         f = den // scale
         data.append({k - offset: f * v for k, v in row.items() if offset <= k < end})
     data += [{}] * (rows - len(scaled))
-    return RationalMatrix._wrap(cols, data, den)
+    return RationalMatrix.from_integer_rows(cols, data, den)
 
 
 def rref(m: RationalMatrix, transform: bool = False):
@@ -526,7 +548,7 @@ class Echelon:
                 data.append({position[k]: -f * v for k, v in row.items() if k != j})
             else:
                 data.append({})
-        return RationalMatrix._wrap(len(free), data, den)
+        return RationalMatrix.from_integer_rows(len(free), data, den)
 
 
 class SubspaceBasis:
@@ -637,7 +659,7 @@ def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis
     pivot_rows = set(sub.forward_pass(COMPLEMENT_LEAD[strategy]).pivots)
     free = [i for i in range(n) if i not in pivot_rows]
     position = {i: c for c, i in enumerate(free)}
-    units = RationalMatrix._wrap(len(free), [
+    units = RationalMatrix.from_integer_rows(len(free), [
         {position[i]: 1} if i in position else {} for i in range(n)])
     return SubspaceBasis(units, free)
 
@@ -672,7 +694,7 @@ class Solver:
         x = [{}] * self.matrix.cols
         for p, row in zip(self.pivots, y.data):
             x[p] = row
-        return RationalMatrix._wrap(b.cols, x, y.den)
+        return RationalMatrix.from_integer_rows(b.cols, x, y.den)
 
 
 class QuotientBasis:

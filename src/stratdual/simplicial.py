@@ -32,7 +32,7 @@ def _is_int(v) -> bool:
 class SimplicialComplex:
     """Finite pure simplicial complex, immutable after construction."""
 
-    __slots__ = ("name", "dimension", "vertices", "facets", "faces", "index", "_boundary")
+    __slots__ = ("name", "dimension", "vertices", "facets", "faces", "index", "_coboundary")
 
     def __init__(self, name, dimension, vertices, facets, faces, index):
         self.name = name
@@ -41,7 +41,7 @@ class SimplicialComplex:
         self.facets = facets
         self.faces = faces          # degree -> tuple of simplices
         self.index = index          # simplex -> position within its degree
-        self._boundary = {}         # degree -> boundary_matrix, built on first call
+        self._coboundary = {}       # degree -> coboundary_matrix, built on first call
 
     @classmethod
     def from_facets(cls, facets, name="complex") -> "SimplicialComplex":
@@ -88,20 +88,46 @@ class SimplicialComplex:
     def contains_complex(self, other: "SimplicialComplex") -> bool:
         return all(self.has_simplex(f) for f in other.facets)
 
-    def boundary_matrix(self, r: int) -> RationalMatrix:
-        """Chain boundary C_r -> C_{r-1} with the usual alternating signs."""
-        m = self._boundary.get(r)
-        if m is not None:
-            return m
-        entries = {}
-        if 0 < r <= self.dimension:
-            lower = self.index
-            for j, s in enumerate(self.faces[r]):
-                for i in range(r + 1):
-                    entries[(lower[s[:i] + s[i + 1:]], j)] = (-1) ** i
-        m = self._boundary[r] = RationalMatrix(
-            self.n_simplices(r - 1), self.n_simplices(r), entries)
+    def _face_rows(self, r: int, sign: int) -> list:
+        """One integer row per r-simplex s: ``sign * (-1)^i`` at the position
+        of the face that drops vertex i of s.  ``combinations`` lists those
+        faces with i descending."""
+        if r < 1:
+            return [{}] * self.n_simplices(r)
+        index = self.index
+        signs = [sign * (-1) ** i for i in range(r, -1, -1)]
+        return [dict(zip(map(index.__getitem__, combinations(s, r)), signs))
+                for s in self.faces.get(r, ())]
+
+    def coboundary_matrix(self, r: int) -> RationalMatrix:
+        """The coboundary d^r: C^r -> C^{r+1}, d^r = -(-1)^r transpose(∂_{r+1}).
+
+        Written once per degree straight into the kernel's integer rows: row
+        j holds the signed r-faces of the (r+1)-simplex j.  C*(K) and C_*(K)
+        share it, and nothing copies or transposes it.  Degrees -1 and
+        ``dimension`` give the maps into C^0 and out of the top, with no
+        columns and no rows.
+        """
+        m = self._coboundary.get(r)
+        if m is None:
+            m = self._coboundary[r] = RationalMatrix.from_integer_rows(
+                self.n_simplices(r), self._face_rows(r + 1, (-1) ** (r + 1)))
         return m
+
+    def boundary_matrix(self, r: int) -> RationalMatrix:
+        """Chain boundary C_r -> C_{r-1} with the usual alternating signs.
+
+        Written into the kernel's integer rows from the face index, one
+        r-simplex column at a time, and built anew on each call: the
+        oracle's chain complexes (``cone.SimplicialChains``) keep the ∂_r
+        they read.
+        """
+        rows = [{} for _ in range(self.n_simplices(r - 1))]
+        if 0 < r <= self.dimension:
+            for j, faces in enumerate(self._face_rows(r, 1)):
+                for i, v in faces.items():
+                    rows[i][j] = v
+        return RationalMatrix.from_integer_rows(self.n_simplices(r), rows)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** r * self.n_simplices(r) for r in range(self.dimension + 1))
@@ -184,9 +210,10 @@ class PseudomanifoldDecomposition:
         m = self._inclusion.get(r)
         if m is None:
             index = self.M.index
-            m = self._inclusion[r] = RationalMatrix(
-                self.M.n_simplices(r), self.L.n_simplices(r),
-                {(index[s], j): 1 for j, s in enumerate(self.L.simplices(r))})
+            rows = [{}] * self.M.n_simplices(r)
+            for j, s in enumerate(self.L.simplices(r)):
+                rows[index[s]] = {j: 1}
+            m = self._inclusion[r] = RationalMatrix.from_integer_rows(self.L.n_simplices(r), rows)
         return m
 
     def __repr__(self):
@@ -251,13 +278,20 @@ def decompose(X: SimplicialComplex, x: int) -> PseudomanifoldDecomposition:
 
 
 class FundamentalChain:
-    """Signed sum of top simplices; coefficients indexed like faces[degree]."""
+    """Signed sum of top simplices; coefficients indexed like faces[degree].
 
-    __slots__ = ("degree", "coefficients")
+    ``boundary_of_chain`` keeps the chain's boundary here with the complex it
+    was computed in, so that the readers of one run's mu (its validation,
+    ``duality._validate_mu`` and ``duality.boundary_link_chain``) share one
+    ∂mu, and a chain read in another complex gets its own.
+    """
+
+    __slots__ = ("degree", "coefficients", "_boundary")
 
     def __init__(self, degree: int, coefficients):
         self.degree = degree
         self.coefficients = tuple(coefficients)
+        self._boundary = None       # (complex, ∂ of the chain there)
 
 
 def orient_top_chain(K: SimplicialComplex) -> FundamentalChain:
@@ -302,10 +336,18 @@ def orient_top_chain(K: SimplicialComplex) -> FundamentalChain:
 
 
 def boundary_of_chain(K: SimplicialComplex, chain: FundamentalChain):
-    """∂(chain) as {simplex: coefficient} in degree chain.degree - 1."""
-    vec = K.boundary_matrix(chain.degree).apply(chain.coefficients)
-    lower = K.simplices(chain.degree - 1)
-    return {lower[i]: c for i, c in enumerate(vec) if c != 0}
+    """∂(chain) as {simplex: coefficient} in degree chain.degree - 1.
+
+    Read off the rows of d^{r-1} = (-1)^r transpose(∂_r), computed once per
+    chain and complex (see ``FundamentalChain``).
+    """
+    kept = chain._boundary
+    if kept is None or kept[0] is not K:
+        r = chain.degree
+        vec = K.coboundary_matrix(r - 1).transpose_apply(chain.coefficients)
+        lower = K.simplices(r - 1)
+        kept = chain._boundary = (K, {lower[i]: (-1) ** r * c for i, c in enumerate(vec) if c})
+    return dict(kept[1])
 
 
 def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
@@ -322,13 +364,14 @@ def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
         if s not in link_faces:
             raise NotPseudomanifoldError(
                 f"{D.name}: ∂mu touches interior simplex {s}")
-    # Relative n-cycles: chains whose boundary lives on L.
-    full = D.M.boundary_matrix(n)
-    rel = full.rows_at([i for i, s in enumerate(D.M.simplices(n - 1))
-                        if s not in link_faces])
-    # rank(rel) from its transpose: eliminating n-simplex rows stays sparse,
-    # while face rows with two entries each chain along long paths.
-    if rel.cols - rel.transpose().rank() != 1:
+    # Relative n-cycles, the chains whose boundary lives on L, are the kernel
+    # of ∂_n read at the interior faces.  That matrix's rank comes from the
+    # rows of d^{n-1} = ±transpose(∂_n) at those columns: eliminating
+    # n-simplex rows stays sparse, while face rows with two entries each
+    # chain along long paths.
+    interior = [i for i, s in enumerate(D.M.simplices(n - 1)) if s not in link_faces]
+    rel = D.M.coboundary_matrix(n - 1).columns_at(interior)
+    if rel.rows - rel.rank() != 1:
         raise NotPseudomanifoldError(
             f"{D.name}: relative top cycles have dimension != 1")
     return mu

@@ -5,8 +5,9 @@ document: its decomposition, the fundamental chain, the complex's cochains,
 the pair complexes, and per cutoff and strategy the truncations,
 cotruncations and quotients of the link's cochains, the models' passes on
 their cutoff degree (each from its complement alone), the models, the chain
-complexes and cones of the oracle, the pairing forms and the link's
-truncated pairings.
+complexes and cones of the oracle (and C_*(X), whose ∂ the properties check
+reads with M's and L's), the pairing forms and the link's truncated
+pairings.
 No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
 Shared work lives with the object that owns it, so each piece is done once
@@ -106,7 +107,8 @@ class Workspace:
             cutoff=self.cutoff_pass(k, strategy)))
 
     def chains(self, which: str):
-        """C_*(M) or C_*(L), which is "M" or "L"."""
+        """C_*(X), C_*(M) or C_*(L), which is "X", "M" or "L": the oracle reads
+        M's and L's, and the properties check the ∂ of all three."""
         return self._once(("chains", which), lambda: simplicial_chains(
             getattr(self.decomposition(), which)))
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,46 @@ def test_perversity_that_is_not_a_str_rejected():
                                    "message": f"perversity must be a str, got {perversity!r}"}
         assert "checks" not in report
         assert json.loads(render_report(report, "json"))["error"]["code"] == "BAD_PERVERSITY"
+
+
+def test_target_that_is_not_a_str_rejected():
+    # Rejected up front with a report that renders, where Path() raised
+    # TypeError before.  A value the JSON writer cannot render is echoed as
+    # its repr.
+    for target, echoed in ((5, 5), (None, None), (["x2-cone-torus"], ["x2-cone-torus"]),
+                           (Path("x2-cone-torus"), repr(Path("x2-cone-torus")))):
+        report, status = run_verification(target)
+        assert status == 2
+        assert report["error"] == {"code": "PARSE",
+                                   "message": f"input must be a str, got {target!r}"}
+        assert report["config"]["input"] == echoed
+        assert "checks" not in report
+        assert json.loads(render_report(report, "json"))["config"]["input"] == echoed
+        assert render_report(report, "text").startswith("stratdual report")
+
+
+def test_checks_that_are_not_a_list_of_str_rejected():
+    # Rejected up front, where list() raised TypeError on an int before and
+    # split a str into its letters.
+    for checks, echoed in ((3, 3), ("model", "model"), (["model", 5], ["model", 5]),
+                           ({"model"}, repr({"model"}))):
+        report, status = run_verification("x2-cone-torus", checks=checks)
+        assert status == 2
+        assert report["error"] == {
+            "code": "PARSE", "message": f"checks must be a list or tuple of str, got {checks!r}"}
+        assert report["config"]["checks"] == echoed
+        assert "checks" not in report
+        assert json.loads(render_report(report, "json"))["error"]["code"] == "PARSE"
+    report, status = run_verification("disk-cone-s1", checks=("model",))
+    assert status == 0 and report["config"]["checks"] == ["model"]
+
+
+def test_an_inert_seed_of_another_type_is_echoed_so_the_report_renders():
+    # No check reads the seed, so any seed runs; one the JSON writer cannot
+    # render is echoed as its repr.
+    report, status = run_verification("disk-cone-s1", checks=["model"], seed=1.5)
+    assert status == 0 and report["config"]["seed"] == "1.5"
+    assert json.loads(render_report(report, "json"))["config"]["seed"] == "1.5"
 
 
 def test_cli_strategies_are_the_complement_strategies(capsys):
