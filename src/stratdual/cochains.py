@@ -57,7 +57,8 @@ class CochainComplex:
     proves this one's.  ``shared``, when given, has methods ``echelon(r)``
     and ``cohomology(r)`` that return this complex's pass or classes in
     degree r where other complexes already hold them, and None where this
-    complex computes its own (see ``model.build_model``).
+    complex computes its own (see ``model.build_model``,
+    ``cotruncation.truncate_below`` and ``cotruncation.cotruncate``).
     """
 
     __slots__ = ("name", "dims", "d", "_shared", "_cohomology_cache", "_echelon_cache",

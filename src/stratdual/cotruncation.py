@@ -69,19 +69,58 @@ def _whole(n: int) -> SubspaceBasis:
     return SubspaceBasis(RationalMatrix.identity(n), range(n))
 
 
+class _Shared:
+    """C's passes and classes, in the degrees where a truncation or a
+    cotruncation of C has them too (see ``truncate_below`` and
+    ``cotruncate``), as the ``shared`` lookup of ``CochainComplex``."""
+
+    __slots__ = ("C", "passes", "classes")
+
+    def __init__(self, C: CochainComplex, passes, classes):
+        self.C = C
+        self.passes = passes        # degree -> whether the pass there is C's
+        self.classes = classes      # degree -> whether the classes there are C's
+
+    def echelon(self, r: int):
+        return self.C.echelon(r) if self.passes(r) else None
+
+    def cohomology(self, r: int):
+        return self.C.cohomology(r) if self.classes(r) else None
+
+
 def truncate_below(C: CochainComplex, k: int) -> Truncation:
-    """Truncation subcomplex tau_{<k} with its canonical inclusion."""
+    """Truncation subcomplex tau_{<k} with its canonical inclusion.
+
+    It takes C's passes for r <= k - 2 and C's classes for r <= k - 1.
+    Below k its bases are C's unit bases, so d_sub^r = d^r for r <= k - 2,
+    and the pass on d^r, which reads d^r and the pivot rows of the pass
+    below, is C's by induction from r = -1.  The classes in degree r are
+    fixed by ker d^r and im d^{r-1} alone (see ``model._PairPasses``); at
+    r = k - 1, d_sub^{k-1} is d^{k-1} read in a basis of its image, so it
+    has the kernel of d^{k-1}.
+    """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
     bases = [_whole(C.dim(r)) if r < k
              else C.image(k - 1) if r == k
              else SubspaceBasis.from_vectors(C.dim(r), [])
              for r in range(C.top + 1)]
-    return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases))
+    shared = _Shared(C, lambda r: r <= k - 2, lambda r: r <= k - 1)
+    return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases, shared))
 
 
 def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotruncation:
-    """Standard cotruncation tau_{>=k}^D with D chosen by the strategy."""
+    """Standard cotruncation tau_{>=k}^D with D chosen by the strategy.
+
+    It takes C's passes and classes for r >= k + 1.  Above k its bases are
+    C's unit bases, so d_sub^r = d^r there.  d_sub^k is d^k on D, which has
+    the image of d^k, as C^k = D ⊕ im d^{k-1} and d^k kills im d^{k-1}.  The
+    pivot rows of a pass are the row-rank profile of its matrix, which its
+    column space fixes, so the pass at k has C's pivot rows, and the pass at
+    k + 1 reads d^{k+1} cleared of C's: it is C's, and so is every pass
+    above, by induction.  The classes in degree r >= k + 1 are fixed by
+    ker d^r and im d^{r-1} (see ``model._PairPasses``), which are C's.
+    """
     if k <= 0:
         raise ValueError("cotruncation cutoff must be positive")
     projection = None
@@ -104,7 +143,8 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
              else D if r == k
              else _whole(C.dim(r))
              for r in range(C.top + 1)]
-    sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases)
+    shared = _Shared(C, lambda r: r >= k + 1, lambda r: r >= k + 1)
+    sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases, shared)
     # The model lives one degree above the link and reads theta there too.
     return StandardCotruncation(k, D, sub, theta + (RationalMatrix.zeros(0, 0),),
                                 strategy, projection)

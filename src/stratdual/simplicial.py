@@ -2,16 +2,19 @@
 
 A complex is stored by its facets; all faces are derived by closure and kept
 sorted (vertices ascending inside a simplex, simplices lexicographic per
-degree), which fixes every downstream basis order.  ``decompose`` splits X
-into the exterior manifold M and the link L of the marked vertex and checks
-the pseudomanifold conditions; ``fundamental_chain`` propagates a coherent
-orientation over the facet adjacency graph.
+degree), which fixes every downstream basis order.  An input's facets are
+closed once: ``decompose`` reads the exterior manifold M and the link L of
+the marked vertex off X's face tables, and checks the pseudomanifold
+conditions of X, L and M on X's one count of cofacets.
+``fundamental_chain`` propagates a coherent orientation over the facet
+adjacency graph, read off the rows of d^{n-1}.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .errors import (
     LinkDisconnectedError,
@@ -45,6 +48,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets, name="complex") -> "SimplicialComplex":
+        """The pure complex closed from ``facets``, lists of distinct
+        non-negative int vertex ids, all of one size.
+
+        Closed top down: the faces of degree r - 1 are the faces of the
+        degree-r faces, deduplicated per degree, so a face is written once
+        per face of the degree above that holds it, not once per facet.
+        """
         norm = []
         for f in facets:
             fl = list(f)
@@ -61,20 +71,22 @@ class SimplicialComplex:
         sizes = {len(f) for f in norm}
         if len(sizes) != 1:
             raise ParseError(f"{name}: not pure, facet sizes {sorted(sizes)}")
-        norm = sorted(set(norm))
-        dimension = len(norm[0]) - 1
-        faces = {r: set() for r in range(dimension + 1)}
-        for f in norm:
-            for r in range(dimension + 1):
-                for s in combinations(f, r + 1):
-                    faces[r].add(s)
-        faces = {r: tuple(sorted(fs)) for r, fs in faces.items()}
+        tables = [tuple(sorted(set(norm)))]
+        for r in range(len(norm[0]) - 1, 0, -1):
+            tables.append(tuple(sorted(set(chain.from_iterable(
+                map(combinations, tables[-1], repeat(r)))))))
+        return cls._from_faces(name, tables[::-1])
+
+    @classmethod
+    def _from_faces(cls, name, tables) -> "SimplicialComplex":
+        """The complex whose faces of degree r are ``tables[r]``, each sorted
+        and closed under taking faces; its facets are the top table."""
         index = {}
-        for r, fs in faces.items():
-            for pos, s in enumerate(fs):
-                index[s] = pos
-        vertices = tuple(v for (v,) in faces[0])
-        return cls(name, dimension, vertices, tuple(norm), faces, index)
+        for fs in tables:
+            index.update(zip(fs, range(len(fs))))
+        dimension = len(tables) - 1
+        return cls(name, dimension, tuple(v for (v,) in tables[0]), tables[dimension],
+                   dict(enumerate(tables)), index)
 
     def simplices(self, r: int):
         return self.faces.get(r, ())
@@ -165,6 +177,8 @@ def parse_complex(document: dict) -> SimplicialComplex:
         raise ParseError("facets must be a list of vertex-id lists")
     if not _is_int(document["dimension"]):
         raise ParseError(f"dimension must be an integer, got {document['dimension']!r}")
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}")
     complex_ = SimplicialComplex.from_facets(facets, name=name)
     if complex_.dimension != document["dimension"]:
         raise ParseError(
@@ -173,22 +187,32 @@ def parse_complex(document: dict) -> SimplicialComplex:
 
 
 def link_of_vertex(K: SimplicialComplex, v: int) -> SimplicialComplex:
-    """Subcomplex {s : s ∪ {v} ∈ K, v ∉ s}."""
+    """Subcomplex {s : s ∪ {v} ∈ K, v ∉ s}.
+
+    Read off K's face tables: the faces of degree r are K's faces of degree
+    r + 1 through v, with v dropped.  They stay sorted, because dropping a
+    vertex that two simplices share keeps their lexicographic order.  A
+    vertex of a pure complex lies in a facet, so the link has one.
+    """
     if v not in K.vertices:
         raise ParseError(f"vertex {v} not in complex {K.name!r}")
-    link_facets = [tuple(w for w in f if w != v) for f in K.facets if v in f]
-    if not link_facets:
-        raise NotPseudomanifoldError(f"vertex {v} is isolated in {K.name!r}")
-    return SimplicialComplex.from_facets(link_facets, name=f"link({K.name},{v})")
+    if K.dimension == 0:
+        # The link of a point is the empty simplex alone.
+        raise ParseError(f"link({K.name},{v}): empty facet")
+    tables = []
+    for r in range(1, K.dimension + 1):
+        table = []
+        for s in K.faces[r]:
+            if v in s:
+                i = s.index(v)
+                table.append(s[:i] + s[i + 1:])
+        tables.append(tuple(table))
+    return SimplicialComplex._from_faces(f"link({K.name},{v})", tables)
 
 
-def cofacet_counts(K: SimplicialComplex):
+def cofacet_counts(K: SimplicialComplex) -> Counter:
     """Number of facets containing each codimension-1 simplex."""
-    counts = {s: 0 for s in K.simplices(K.dimension - 1)}
-    for f in K.facets:
-        for i in range(len(f)):
-            counts[f[:i] + f[i + 1:]] += 1
-    return counts
+    return Counter(chain.from_iterable(map(combinations, K.facets, repeat(K.dimension))))
 
 
 class PseudomanifoldDecomposition:
@@ -221,15 +245,29 @@ class PseudomanifoldDecomposition:
                 f"x={self.singular_vertex})")
 
 
-def _check_closed_pseudomanifold(L: SimplicialComplex, context: str):
-    for s, c in cofacet_counts(L).items():
-        if c != 2:
-            raise NotPseudomanifoldError(
-                f"{context}: simplex {s} lies in {c} top simplices, expected 2")
-
-
 def decompose(X: SimplicialComplex, x: int) -> PseudomanifoldDecomposition:
-    """Split X into exterior M and link L of x, validating all invariants."""
+    """Split X into exterior M and link L of x, validating all invariants.
+
+    M's face tables are X's faces that avoid x, and L's are X's faces
+    through x with x dropped (``link_of_vertex``).  Every pseudomanifold
+    check reads X's one ``cofacet_counts``, in the order of X's
+    (n-1)-faces:
+    - X away from x: each (n-1)-face that avoids x lies in 2 facets.
+    - L closed: L's count at an (n-2)-face t is X's count at t ∪ {x}, as
+      the facets of L through t are those of X through t ∪ {x} with x
+      dropped.  So each (n-1)-face through x lies in 2 facets.
+    - L connected, by L's edges.
+    L is pure of dimension n - 1, as X is pure of dimension n.  Once X's
+    count away from x holds, it proves the checks of M that the exterior
+    facets' own closure needed:
+    - M is the closure of X's facets that avoid x (M ∪ star(x) = X), and it
+      holds L.  An (n-1)-face g that avoids x lies in two facets, and at
+      most one of them, g ∪ {x}, holds x.  A lower face that avoids x lies
+      in a facet f; if x ∈ f, it lies in f less x, such a g.  L's faces
+      avoid x, so they are M's.  L has a facet, so M has one.
+    - ∂M = L.  M's count at an (n-1)-face s is X's count, less one if
+      s ∪ {x} is a facet: 1 exactly when s is a facet of L, else 2.
+    """
     if not _is_int(x):
         raise ParseError(f"singular vertex must be an integer vertex id, got {x!r}")
     n = X.dimension
@@ -240,40 +278,27 @@ def decompose(X: SimplicialComplex, x: int) -> PseudomanifoldDecomposition:
     if not X.is_connected():
         raise NotPseudomanifoldError(f"{X.name}: not connected")
 
-    # Pseudomanifold condition away from x.
-    for s, c in cofacet_counts(X).items():
-        if x not in s and c != 2:
-            raise NotPseudomanifoldError(
-                f"{X.name}: (n-1)-simplex {s} lies in {c} facets, expected 2")
-
+    counts = cofacet_counts(X)
+    link_fault = None
+    if set(counts.values()) != {2}:
+        for s in X.simplices(n - 1):
+            c = counts[s]
+            if c == 2:
+                continue
+            if x not in s:
+                raise NotPseudomanifoldError(
+                    f"{X.name}: (n-1)-simplex {s} lies in {c} facets, expected 2")
+            if link_fault is None:
+                link_fault = (tuple(v for v in s if v != x), c)
     L = link_of_vertex(X, x)
-    if L.dimension != n - 1:
+    if link_fault is not None:
         raise NotPseudomanifoldError(
-            f"{X.name}: link of {x} has dimension {L.dimension}, expected {n - 1}")
-    _check_closed_pseudomanifold(L, f"link of {x}")
+            f"link of {x}: simplex {link_fault[0]} lies in {link_fault[1]} top simplices, expected 2")
     if not L.is_connected():
         raise LinkDisconnectedError(f"{X.name}: link of {x} is disconnected")
 
-    exterior_facets = [f for f in X.facets if x not in f]
-    if not exterior_facets:
-        raise NotPseudomanifoldError(f"{X.name}: every facet contains {x}")
-    M = SimplicialComplex.from_facets(exterior_facets, name=f"{X.name}:exterior")
-
-    # M must pick up every simplex of X avoiding x (M ∪ star(x) = X).
-    for r in range(n + 1):
-        for s in X.simplices(r):
-            if x not in s and not M.has_simplex(s):
-                raise NotPseudomanifoldError(
-                    f"{X.name}: simplex {s} avoids {x} but lies only in its star")
-    if not M.contains_complex(L):
-        raise NotPseudomanifoldError(f"{X.name}: link of {x} not contained in the exterior")
-
-    # Boundary of M is exactly L.
-    boundary = {s for s, c in cofacet_counts(M).items() if c == 1}
-    if boundary != set(L.simplices(n - 1)):
-        raise NotPseudomanifoldError(
-            f"{X.name}: exterior boundary differs from the link of {x}")
-
+    M = SimplicialComplex._from_faces(f"{X.name}:exterior", [
+        tuple(s for s in X.simplices(r) if x not in s) for r in range(n + 1)])
     return PseudomanifoldDecomposition(X.name, X, x, M, L)
 
 
@@ -294,45 +319,66 @@ class FundamentalChain:
         self._boundary = None       # (complex, ∂ of the chain there)
 
 
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}
+
+
+def _orientation(K: SimplicialComplex):
+    """K's coherently oriented top chain, and the number of components of
+    its facet adjacency graph, from one breadth-first walk.
+
+    Facets are joined at the (n-1)-faces that lie in exactly two of them.
+    The walk reads the integer rows of d^{n-1} (``coboundary_matrix``), row
+    j holding (-1)^n (-1)^i at the face that drops vertex i of facet j, so
+    facets f and g that share a face induce cancelling orientations on it
+    when sign_g = -sign_f e_f e_g, with e_f and e_g their entries there.
+    Each component starts at its first unsigned facet with sign +1, and
+    each facet's faces are visited by the vertex dropped, ascending.  In
+    dimension 0, where d^{-1} has no columns, each point is a component.
+    """
+    n = K.dimension
+    rows = K.coboundary_matrix(n - 1).data
+    cofacets = [[] for _ in range(K.n_simplices(n - 1))]
+    for j, row in enumerate(rows):
+        for face in row:
+            cofacets[face].append(j)
+    signs = [0] * len(rows)
+    components = 0
+    for start in range(len(rows)):
+        if signs[start]:
+            continue
+        components += 1
+        signs[start] = 1
+        queue = [start]
+        for cur in queue:
+            row = rows[cur]
+            sign = signs[cur]
+            # A row lists its faces ascending, so the one that drops the
+            # last vertex first; reversed, they come by the vertex dropped.
+            for face in reversed(row):
+                pair = cofacets[face]
+                if len(pair) != 2:
+                    continue
+                other = pair[1] if pair[0] == cur else pair[0]
+                needed = -sign * row[face] * rows[other][face]
+                if signs[other]:
+                    if signs[other] != needed:
+                        raise NonOrientableError(
+                            f"{K.name}: orientation conflict at face {K.simplices(n - 1)[face]}")
+                else:
+                    signs[other] = needed
+                    queue.append(other)
+    return FundamentalChain(n, map(_UNIT.__getitem__, signs)), components
+
+
 def orient_top_chain(K: SimplicialComplex) -> FundamentalChain:
     """Coherently oriented top chain of a pure complex.
 
     Breadth-first propagation over the facet adjacency graph from the
     lexicographically smallest facet (sign +1); adjacent facets must induce
-    opposite orientations on their shared interior face.
+    opposite orientations on their shared interior face (see
+    ``_orientation``).
     """
-    n = K.dimension
-    facets = K.facets
-    by_face = {}
-    for idx, f in enumerate(facets):
-        for i in range(n + 1):
-            by_face.setdefault(f[:i] + f[i + 1:], []).append((idx, i))
-    signs = {}
-    for start in range(len(facets)):
-        if start in signs:
-            continue
-        signs[start] = 1
-        queue = [start]
-        for cur in queue:
-            f = facets[cur]
-            for i in range(n + 1):
-                face = f[:i] + f[i + 1:]
-                incidences = by_face[face]
-                if len(incidences) != 2:
-                    continue
-                for other, j in incidences:
-                    if other == cur:
-                        continue
-                    # Coherence: induced orientations on the shared face cancel.
-                    needed = -signs[cur] * (-1) ** (i + j)
-                    if other in signs:
-                        if signs[other] != needed:
-                            raise NonOrientableError(
-                                f"{K.name}: orientation conflict at face {face}")
-                    else:
-                        signs[other] = needed
-                        queue.append(other)
-    return FundamentalChain(n, tuple(Fraction(signs[i]) for i in range(len(facets))))
+    return _orientation(K)[0]
 
 
 def boundary_of_chain(K: SimplicialComplex, chain: FundamentalChain):
@@ -355,8 +401,20 @@ def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
 
     Validates that ∂mu is supported on L and that the relative class
     generates H_n(M, ∂M), i.e. that relative n-cycles are one-dimensional.
+    D is as ``decompose`` returns it, so each (n-1)-face of M lies in one
+    facet of M if it is L's and in two otherwise.
+
+    The relative n-cycles are the chains c whose boundary vanishes at every
+    interior face, the kernel of ∂_n read there.  At an interior face with
+    facets f and g, (∂c) there is ±(c_f e_f + c_g e_g), so it vanishes
+    exactly when c_g = -c_f e_f e_g, the rule of the orientation walk
+    (``_orientation``).  So a relative cycle is fixed on each component of
+    the walk by its value at one facet, and, as the walk found no conflict,
+    every value there extends to one, the walk's signs times it.  No face
+    joins two components, so the relative cycles have the dimension of the
+    walk's component count.
     """
-    mu = orient_top_chain(D.M)
+    mu, components = _orientation(D.M)
     n = D.n
     support = boundary_of_chain(D.M, mu)
     link_faces = set(D.L.simplices(n - 1))
@@ -364,14 +422,7 @@ def fundamental_chain(D: PseudomanifoldDecomposition) -> FundamentalChain:
         if s not in link_faces:
             raise NotPseudomanifoldError(
                 f"{D.name}: ∂mu touches interior simplex {s}")
-    # Relative n-cycles, the chains whose boundary lives on L, are the kernel
-    # of ∂_n read at the interior faces.  That matrix's rank comes from the
-    # rows of d^{n-1} = ±transpose(∂_n) at those columns: eliminating
-    # n-simplex rows stays sparse, while face rows with two entries each
-    # chain along long paths.
-    interior = [i for i, s in enumerate(D.M.simplices(n - 1)) if s not in link_faces]
-    rel = D.M.coboundary_matrix(n - 1).columns_at(interior)
-    if rel.rows - rel.rank() != 1:
+    if components != 1:
         raise NotPseudomanifoldError(
             f"{D.name}: relative top cycles have dimension != 1")
     return mu

@@ -236,6 +236,20 @@ def test_non_integer_vertex_or_dimension_rejected(tmp_path, capsys, key, value):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name", [None, 5, [1]])
+def test_a_name_that_is_not_a_str_rejected(tmp_path, capsys, name):
+    # Every complex name and error message carries the document's name, so
+    # a name of another JSON type would show there as its repr.
+    doc = dict(examples.get_document("disk-cone-s1"), name=name)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report, status = run_verification(str(path), checks=["model"])
+    assert status == 2
+    assert report["error"] == {"code": "PARSE", "message": f"name must be a string, got {name!r}"}
+    assert main(["verify", str(path), "--checks", "model"]) == 2
+    capsys.readouterr()
+
+
 def test_stokes_identity_detects_a_wrong_coboundary_sign(monkeypatch):
     # Negating d^0 of X keeps d∘d = 0, so the complex is valid but has the
     # wrong sign for Stokes; the exact identity must see it.

@@ -4,6 +4,8 @@
 pair C*(M, L) -> C*(M), except in degree k, and takes its pass on d^k from
 ``cutoff_pass``.  The reference is the model as it was computed
 before: the same differentials in a complex that runs every pass itself.
+The truncation and the cotruncations of C*(L) read C*(L)'s passes and
+classes outside their cutoff the same way, against the same reference.
 ``_check_model`` decides choice independence by the two strategies' cutoff
 passes; the reference is the Betti vectors of both strategies' full models.
 """
@@ -68,6 +70,36 @@ def test_shared_passes_and_classes_match_a_model_computed_from_scratch(name):
             assert m.complex.cohomology(r) is pair.rel.cohomology(r), (where, r)
         for r in range(k + 1, n + 2):
             assert m.complex.cohomology(r) is pair.full.cohomology(r), (where, r)
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_truncations_share_the_link_passes_outside_their_cutoff(name):
+    # At cutoff k the truncation takes C*(L)'s passes for r <= k - 2 and its
+    # classes for r <= k - 1; a cotruncation takes both for r >= k + 1.
+    ws = workspace(name)
+    link, n = ws.pair().sub, ws.decomposition().n
+    top = link.top
+    for k, strategy in product(range(1, n), STRATEGIES):
+        truncation = ws.truncation(k).complex
+        cotruncation = ws.cotruncation(k, strategy).complex
+        for which, C in (("truncation", truncation), ("cotruncation", cotruncation)):
+            reference = CochainComplex(C.name, C.dims, C.d, ambient=link)
+            where = (name, k, strategy, which)
+            assert C.betti() == reference.betti(), where
+            for r in range(-1, top + 2):
+                ours, theirs = C.echelon(r), reference.echelon(r)
+                assert (ours.rank, ours.pivots, ours.pivot_rows) == (
+                    theirs.rank, theirs.pivots, theirs.pivot_rows), (where, r)
+                assert C.representative_matrix(r) == reference.representative_matrix(r), (
+                    where, r)
+        where = (name, k, strategy)
+        for r in range(-1, k - 1):
+            assert truncation.echelon(r) is link.echelon(r), (where, r)
+        for r in range(-1, k):
+            assert truncation.cohomology(r) is link.cohomology(r), (where, r)
+        for r in range(k + 1, top + 2):
+            assert cotruncation.echelon(r) is link.echelon(r), (where, r)
+            assert cotruncation.cohomology(r) is link.cohomology(r), (where, r)
 
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
