@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -59,10 +60,12 @@ def resolve_input(ref: str):
 def resolve_perversity(text: str, n: int):
     if text in NAMED_PERVERSITIES:
         return named_perversity(text, n)
-    try:
-        values = [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise BadPerversityError(f"cannot parse perversity {text!r}") from exc
+    # Each field is an optional sign and ASCII digits, as validate_perversity
+    # reads its keys: int() would also take "0_0" and non-ASCII digits.
+    fields = [v.strip() for v in text.split(",")]
+    if not all(re.fullmatch("[+-]?[0-9]+", v) for v in fields):
+        raise BadPerversityError(f"cannot parse perversity {text!r}")
+    values = [int(v) for v in fields]
     if len(values) != n - 1:
         raise BadPerversityError(
             f"explicit perversity needs {n - 1} values for codimensions 2..{n}")

@@ -54,20 +54,27 @@ class CochainComplex:
 
     d∘d = 0 is checked by one product per degree, unless ``ambient`` is
     given: ``subcomplex`` passes the complex it reads d from, whose d∘d
-    proves this one's.  ``shared``, when given, has methods ``echelon(r)``
-    and ``cohomology(r)`` that return this complex's pass or classes in
-    degree r where other complexes already hold them, and None where this
-    complex computes its own (see ``model.build_model``,
+    proves this one's.  ``shared``, when given, has methods
+    ``differential(r)``, ``echelon(r)`` and ``cohomology(r)`` that return
+    this complex's d^r, pass or classes in degree r where other complexes
+    already hold them, and None where this complex reads or computes its
+    own (see ``subcomplex``, ``model.build_model``,
     ``cotruncation.truncate_below`` and ``cotruncation.cotruncate``).
+
+    ``maps`` keeps the induced maps and connecting maps read off this
+    complex (see ``induced_map`` and ``ShortExactSequence.connecting``).  A
+    subcomplex shares its ambient's, so every complex read off C*(M) in a
+    run, its models and C*(M, L) among them, keeps them in one place.
     """
 
-    __slots__ = ("name", "dims", "d", "_shared", "_cohomology_cache", "_echelon_cache",
-                 "_image_cache", "_complement_cache")
+    __slots__ = ("name", "dims", "d", "maps", "_shared", "_cohomology_cache",
+                 "_echelon_cache", "_image_cache", "_complement_cache")
 
     def __init__(self, name, dims, d, *, ambient=None, shared=None):
         self.name = name
         self.dims = tuple(dims)
         self.d = tuple(d)
+        self.maps = {} if ambient is None else ambient.maps
         self._shared = shared
         self._cohomology_cache = {}
         self._echelon_cache = {}
@@ -279,26 +286,50 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
     The differential is read as d_sub^r = coordinates of d^r theta^r in the
     basis of degree r + 1, the zero basis of Q^0 past the top; the product
     that checks each read is theta^{r+1} d_sub^r == d^r theta^r, which
-    proves the inclusion a cochain map.  The same products prove
-    d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
+    proves the inclusion a cochain map.  Two kinds of degree read nothing,
+    because that product has an empty or an identity factor there:
+    - a degree whose basis has no vectors, where d_sub^r is the empty map;
+    - a degree whose basis and the basis above are both the whole space,
+      which in reduced column echelon form is the identity, where d_sub^r
+      is C's own d^r.
+    A nonempty basis under an empty one is still read and checked, since
+    there the check is the real statement d^r theta^r = 0.  ``shared``
+    may supply d_sub^r as well (see ``CochainComplex``); its maker proves
+    the same identity for it.
+    In every degree, then, theta^{r+1} d_sub^r = d^r theta^r, and this
+    proves d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
     = d^{r+1} d^r theta^r = 0 by C's d∘d, and theta is injective (the
     identity at its pivot rows), so the complex does not multiply it again.
-    ``shared`` is handed to the complex (see ``CochainComplex``).
-    Returns (complex, inclusion).
+    ``shared`` is handed to the complex.  Returns (complex, inclusion).
     """
     if len(bases) != C.top + 1:
         raise ValueError(f"{name}: need one basis per degree 0..{C.top}")
     zero = SubspaceBasis.from_vectors(0, [])
     inclusion = tuple(basis.matrix() for basis in bases)
     d = []
-    for r, theta in enumerate(inclusion):
+    for r, (basis, theta) in enumerate(zip(bases, inclusion)):
         above = bases[r + 1] if r + 1 < len(bases) else zero
-        coords = above.coordinates(C.diff(r) @ theta)
-        if coords is None:
-            raise InternalExactnessError(f"{name}: inclusion fails to commute with d at {r}")
-        d.append(coords)
+        given = shared.differential(r) if shared else None
+        if given is not None:
+            d.append(given)
+        elif not basis.count:
+            d.append(RationalMatrix.zeros(above.count, 0))
+        elif _is_whole(basis) and _is_whole(above):
+            d.append(C.diff(r))
+        else:
+            coords = above.coordinates(C.diff(r) @ theta)
+            if coords is None:
+                raise InternalExactnessError(
+                    f"{name}: inclusion fails to commute with d at {r}")
+            d.append(coords)
     return (CochainComplex(name, [basis.count for basis in bases], d, ambient=C, shared=shared),
             inclusion)
+
+
+def _is_whole(basis: SubspaceBasis) -> bool:
+    """Whether the basis spans its whole space: its reduced column echelon
+    form is then the identity."""
+    return basis.count == basis.ambient_dim
 
 
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
@@ -319,27 +350,43 @@ class PairComplexes:
     The short exact sequence 0 -> C*(K,A) -> C*(K) -> C*(A) -> 0 is checked
     degreewise at construction time, and the restriction i* is proved a
     cochain map here, by one product per degree below the top.
+
+    It keeps what every model of the pair reads outside its cutoff (see
+    ``model.build_model``): the unit bases of C*(K, A) (``rel_bases``),
+    whose matrices are j; their transposes jᵀ (``project_rel``), the left
+    inverse of j; and the extension by zero i*ᵀ (``extend``), the right
+    inverse of i* that the surjectivity check builds.  The identities of
+    C^r(K) and of C^r(K, A), and C^r(K) as a basis of itself, are built on
+    first use, once per degree, on the rows of C^r(K)'s one identity.
     """
 
-    __slots__ = ("K", "A", "full", "cup", "sub", "sub_cup", "rel",
-                 "restrict", "include_rel", "_units")
+    __slots__ = ("K", "A", "full", "cup", "sub", "sub_cup", "rel", "restrict",
+                 "include_rel", "rel_bases", "project_rel", "extend",
+                 "_units", "_relative_units", "_wholes")
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex):
         self.K = K
         self.A = A
         self._units = {}
+        self._relative_units = {}
+        self._wholes = {}
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
         self.restrict = restriction_map(K, A)
         # C*(K, A) is spanned by the unit cochains at the simplices outside A.
+        project = []
         bases = []
         for r in range(K.dimension + 1):
             kept = [i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
-            bases.append(SubspaceBasis(self.unit_rows(r, kept).transpose(), kept))
+            project.append(self.unit_rows(r, kept))
+            bases.append(SubspaceBasis(project[r].transpose(), kept))
+        self.project_rel = tuple(project)
+        self.rel_bases = tuple(bases)
         self.rel, self.include_rel = subcomplex(f"C*({K.name},{A.name})", self.full, bases)
+        self.extend = tuple(rest.transpose() for rest in self.restrict)
         for r, rest in enumerate(self.restrict):
             # Extension by zero is a right inverse of a surjective restriction.
-            if rest @ rest.transpose() != RationalMatrix.identity(self.sub.dim(r)):
+            if rest @ self.extend[r] != RationalMatrix.identity(self.sub.dim(r)):
                 raise InternalExactnessError(f"restriction not surjective in degree {r}")
             if not (rest @ self.include_rel[r]).is_zero():
                 raise InternalExactnessError(f"pair sequence not a complex in degree {r}")
@@ -349,15 +396,33 @@ class PairComplexes:
             if self.restrict[r + 1] @ self.full.diff(r) != self.sub.diff(r) @ self.restrict[r]:
                 raise InternalExactnessError(f"restriction not a cochain map at degree {r}")
 
+    def identity(self, r: int) -> RationalMatrix:
+        """The identity of C^r(K), built once per degree."""
+        if r not in self._units:
+            self._units[r] = RationalMatrix.identity(self.full.dim(r))
+        return self._units[r]
+
+    def relative_identity(self, r: int) -> RationalMatrix:
+        """The identity of C^r(K, A), on the first rows of C^r(K)'s."""
+        if r not in self._relative_units:
+            size = self.rel.dim(r)
+            self._relative_units[r] = RationalMatrix.from_integer_rows(
+                size, self.identity(r).data[:size])
+        return self._relative_units[r]
+
+    def whole(self, r: int) -> SubspaceBasis:
+        """C^r(K) as a basis of itself: the identity, pivoted at every row."""
+        if r not in self._wholes:
+            self._wholes[r] = SubspaceBasis(self.identity(r), range(self.full.dim(r)))
+        return self._wholes[r]
+
     def unit_rows(self, r: int, rows) -> RationalMatrix:
         """The rows at ``rows`` of the identity of C^r(K).
 
-        The identity is built once per degree and the result shares its rows,
-        so the selections of all models of the pair cost one identity.
+        The result shares the identity's rows, so the selections of all
+        models of the pair cost one identity.
         """
-        if r not in self._units:
-            self._units[r] = RationalMatrix.identity(self.full.dim(r))
-        return self._units[r].rows_at(rows)
+        return self.identity(r).rows_at(rows)
 
 
 def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> RationalMatrix:
@@ -369,9 +434,23 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
     reads and the split's pi_k @ img == I (derived in
     ``quotient_by_cotruncation``, which multiplies nothing), and kappa, rho
     and eta in ``build_model``.
+
+    The matrix is a function of f^r and of the two complexes' classes in
+    degree r, so it is kept in ``source.maps``, keyed on those three objects
+    and held with them, so that no other object takes their ids.  Outside
+    their cutoffs the models of a run share their maps and classes with
+    the pair (see ``model.build_model``), so every model and strategy of
+    the run reads one matrix there.
     """
-    fr = f[r] if r < len(f) else RationalMatrix.zeros(target.dim(r), source.dim(r))
-    return target.express_class(fr @ source.representative_matrix(r), r)
+    if r >= len(f):
+        fr = RationalMatrix.zeros(target.dim(r), source.dim(r))
+        return target.express_class(fr @ source.representative_matrix(r), r)
+    fr, classes, image = f[r], source.cohomology(r), target.cohomology(r)
+    key = ("induced", id(fr), id(classes), id(image))
+    if key not in source.maps:
+        value = target.express_class(fr @ classes.matrix, r)
+        source.maps[key] = (value, fr, classes, image)
+    return source.maps[key][0]
 
 
 class ShortExactSequence:
@@ -416,20 +495,37 @@ class ShortExactSequence:
         """Connecting homomorphism H^r(W) -> H^{r+1}(U).
 
         Lift each representative through beta, apply d, pull back through
-        alpha; the class of the result is independent of the lift.  Computed
-        on each call: ``verify`` reads it in the ladder only, which keeps its
-        verdicts per model pair and degree, so no run asks for it twice.
+        alpha; the class of the result is independent of the lift.  The
+        matrix is a function of W's classes in degree r, the right inverse
+        and V's d there, the left inverse, alpha and U's classes in degree
+        r + 1, so it is kept in ``V.maps``, keyed on those six objects and
+        held with them, as ``induced_map`` keeps its matrices: the models of
+        a run share all six with the pair outside their cutoffs.  The
+        certificate ``alpha @ u == dv`` runs before any class of U is read,
+        so the pulled-back cocycles u are kept on the first five operands,
+        and their classes on U's.
         """
-        reps = self.W.representative_matrix(r)
-        if not reps.cols:
+        classes = self.W.cohomology(r)
+        if not classes.dimension:
             return RationalMatrix.zeros(self.U.cohomology(r + 1).dimension, 0)
-        dv = self.V.diff(r) @ (self.right[r] @ reps)
-        # left ∘ alpha = I, so u is the preimage of dv iff dv has one.  Then
-        # alpha d u = d d v = 0 with alpha injective, so u is a cocycle.
-        u = self._mat(self.left, r + 1, self.V, self.U) @ dv
-        if self.alpha_mat(r + 1) @ u != dv:
-            raise InternalExactnessError("SES: boundary not in the subcomplex")
-        return self.U.express_class(u, r + 1)
+        right, d = self.right[r], self.V.diff(r)
+        left = self._mat(self.left, r + 1, self.V, self.U)
+        alpha = self.alpha_mat(r + 1)
+        operands = (classes, right, d, left, alpha)
+        key = ("connecting",) + tuple(map(id, operands))
+        if key not in self.V.maps:
+            dv = d @ (right @ classes.matrix)
+            # left ∘ alpha = I, so u is the preimage of dv iff dv has one.  Then
+            # alpha d u = d d v = 0 with alpha injective, so u is a cocycle.
+            u = left @ dv
+            if alpha @ u != dv:
+                raise InternalExactnessError("SES: boundary not in the subcomplex")
+            self.V.maps[key] = (u, operands, {})
+        u, _, values = self.V.maps[key]
+        image = self.U.cohomology(r + 1)
+        if id(image) not in values:
+            values[id(image)] = (self.U.express_class(u, r + 1), image)
+        return values[id(image)][0]
 
 
 def integrate(phi, xi) -> Fraction:

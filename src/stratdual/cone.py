@@ -40,7 +40,8 @@ class ChainComplex:
     ``boundary`` (``SimplicialChains``) builds ∂_r on its first read.
     """
 
-    __slots__ = ("name", "dims", "_boundary", "_echelon_cache", "_cycles_cache", "_squares")
+    __slots__ = ("name", "dims", "_boundary", "_echelon_cache", "_cycles_cache", "_squares",
+                 "_units")
 
     def __init__(self, name, dims, boundary=None):
         self.name = name
@@ -49,6 +50,7 @@ class ChainComplex:
         self._echelon_cache = {}
         self._cycles_cache = {}
         self._squares = {}
+        self._units = {}
         if boundary is None:
             return
         if len(boundary) != len(self.dims):
@@ -111,6 +113,13 @@ class ChainComplex:
         first: all but those at the pivots of the pass on ∂_{r+1}."""
         skipped = set(self.echelon(r + 1).pivots) if r <= self.top else ()
         return [i for i in range(cells - 1, -1, -1) if i not in skipped]
+
+    def identity(self, r) -> RationalMatrix:
+        """The identity of C_r, built once per degree: every truncation of
+        this complex includes its degrees below the cutoff by this one."""
+        if r not in self._units:
+            self._units[r] = RationalMatrix.identity(self.dim(r))
+        return self._units[r]
 
     def cycles(self, r) -> SubspaceBasis:
         """Z_r = ker ∂_r, built once per degree."""
@@ -198,7 +207,7 @@ def chain_truncate(L: SimplicialComplex, k: int, strategy: str,
         if r < k:
             dims.append(C.dim(r))
             boundary.append(C.bnd(r))
-            inclusion.append(RationalMatrix.identity(C.dim(r)))
+            inclusion.append(C.identity(r))
         elif r == k:
             B = complement_basis(C.cycles(k), strategy).matrix()
             dims.append(B.cols)

@@ -70,9 +70,12 @@ def _whole(n: int) -> SubspaceBasis:
 
 
 class _Shared:
-    """C's passes and classes, in the degrees where a truncation or a
-    cotruncation of C has them too (see ``truncate_below`` and
-    ``cotruncate``), as the ``shared`` lookup of ``CochainComplex``."""
+    """C's differentials, passes and classes, in the degrees where a
+    truncation or a cotruncation of C has them too (see ``truncate_below``
+    and ``cotruncate``), as the ``shared`` lookup of ``CochainComplex``.
+    Where the pass is C's, the bases there and above are whole, so d^r is
+    C's too.
+    """
 
     __slots__ = ("C", "passes", "classes")
 
@@ -80,6 +83,9 @@ class _Shared:
         self.C = C
         self.passes = passes        # degree -> whether the pass there is C's
         self.classes = classes      # degree -> whether the classes there are C's
+
+    def differential(self, r: int):
+        return self.C.d[r] if self.passes(r) else None
 
     def echelon(self, r: int):
         return self.C.echelon(r) if self.passes(r) else None
@@ -91,10 +97,10 @@ class _Shared:
 def truncate_below(C: CochainComplex, k: int) -> Truncation:
     """Truncation subcomplex tau_{<k} with its canonical inclusion.
 
-    It takes C's passes for r <= k - 2 and C's classes for r <= k - 1.
-    Below k its bases are C's unit bases, so d_sub^r = d^r for r <= k - 2,
-    and the pass on d^r, which reads d^r and the pivot rows of the pass
-    below, is C's by induction from r = -1.  The classes in degree r are
+    It takes C's d^r and passes for r <= k - 2 and C's classes for
+    r <= k - 1.  Below k its bases are C's unit bases, so d_sub^r = d^r for
+    r <= k - 2, and the pass on d^r, which reads d^r and the pivot rows of
+    the pass below, is C's by induction from r = -1.  The classes in degree r are
     fixed by ker d^r and im d^{r-1} alone (see ``model._PairPasses``); at
     r = k - 1, d_sub^{k-1} is d^{k-1} read in a basis of its image, so it
     has the kernel of d^{k-1}.
@@ -112,8 +118,9 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
 def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotruncation:
     """Standard cotruncation tau_{>=k}^D with D chosen by the strategy.
 
-    It takes C's passes and classes for r >= k + 1.  Above k its bases are
-    C's unit bases, so d_sub^r = d^r there.  d_sub^k is d^k on D, which has
+    It takes C's d^r, passes and classes for r >= k + 1.  Above k its
+    bases are C's unit bases, so d_sub^r = d^r there; below k they are
+    empty, and ``subcomplex`` reads nothing.  d_sub^k is d^k on D, which has
     the image of d^k, as C^k = D ⊕ im d^{k-1} and d^k kills im d^{k-1}.  The
     pivot rows of a pass are the row-rank profile of its matrix, which its
     column space fixes, so the pass at k has C's pivot rows, and the pass at
@@ -157,8 +164,9 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
     Realized on the complementary summand, which is the truncation tau_{<k}:
     full below k, im d^{k-1} in degree k, zero above.  Returns
     (quotient, pi, section) with section the truncation's inclusion and pi,
-    per degree up to top + 1, the identity below k, the cotruncation's pi_k
-    in degree k and zero above.  ``truncation`` is truncate_below(C, k), as
+    per degree up to top + 1, the identity below k (the section's own, whose
+    bases are whole there), the cotruncation's pi_k in degree k and zero
+    above.  ``truncation`` is truncate_below(C, k), as
     ``workspace.Workspace.quotient`` passes it.
 
     Nothing is multiplied here: both statements about pi follow from the
@@ -175,7 +183,7 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
     k = ct.k
     if truncation.k != k:
         raise ValueError(f"truncation at cutoff {truncation.k} given for cutoff {k}")
-    pi = tuple(RationalMatrix.identity(C.dim(r)) if r < k
+    pi = tuple(truncation.inclusion[r] if r < k
                else ct.projection if r == k
                else RationalMatrix.zeros(0, C.dim(r))
                for r in range(C.top + 1)) + (RationalMatrix.zeros(0, 0),)

@@ -27,8 +27,11 @@ columns placed on L.  The model basis is read off them with no
 elimination, and each exactness statement follows from certificates checked
 where the maps are made (see ``build_model``), with no rank behind them.  A
 failed certificate is an engine bug and raises InternalExactnessError.
-Outside degree k the model's passes and cohomology classes are those of
-C*(M, L) and C*(M), which it shares (see ``_PairPasses``).
+Outside degree k the model's differentials, passes and cohomology classes
+are those of C*(M, L) and C*(M), which it shares (see ``_PairPasses``), and
+so are its structure maps and their one-sided inverses (see
+``build_model``), so the induced and connecting maps read off them are kept
+once per run.
 """
 
 from __future__ import annotations
@@ -174,8 +177,8 @@ def cutoff_pass(pair: PairComplexes, k: int, theta: RationalMatrix) -> Echelon:
 
 
 class _PairPasses:
-    """The passes and cohomology classes that a model at cutoff k reads off
-    its pair C*(M, L) -> C*(M), and its cutoff pass.
+    """The differentials, passes and cohomology classes that a model at
+    cutoff k reads off its pair C*(M, L) -> C*(M), and its cutoff pass.
 
     Why they are the model's own:
     - Bases.  The cotruncation is zero below k, so for r <= k - 1 A^r has the
@@ -187,6 +190,10 @@ class _PairPasses:
       is relative.  d_A^k has the image of d_M^k: for x in C^k(M), split
       i*x = d_L y + z with z in D, and extend y by zero to y' in C^{k-1}(M);
       then x - d y' restricts to z, so it lies in A^k, and d x = d(x - d y').
+      ``differential`` hands ``subcomplex`` the pair's own d^r objects in
+      the degrees where they are the model's: for r <= k - 2 the model's
+      bases are C*(M, L)'s objects, so its read there would be C*(M, L)'s
+      own read, already checked, and from k + 1 on both bases are whole.
     - Passes.  The pass on d^r reads d^r and the clearing set, the pivot
       rows of the pass on d^{r-1}.  ``pivot_rows`` are the row-rank profile,
       the rows independent of the rows before them, which depends on the
@@ -218,6 +225,13 @@ class _PairPasses:
         self.k = k
         self.cutoff = cutoff
 
+    def differential(self, r: int):
+        if r <= self.k - 2:
+            return self.pair.rel.d[r]
+        if r >= self.k + 1:
+            return self.pair.full.d[r]
+        return None
+
     def echelon(self, r: int):
         k = self.k
         if r <= k - 2:
@@ -247,6 +261,21 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     iota by ``subcomplex``'s reads, kappa = pi i* as a composite of two
     proved maps, and rho and eta by those squares, theta and iota injective.
 
+    Outside the cutoff the model is its pair, and takes the pair's blocks
+    (see ``_PairPasses``):
+    - r < k.  A^r is C^r(M, L), with the pair's basis object, so iota = j;
+      pi is the identity, so kappa = i* and the lift is the extension by
+      zero; theta has no columns, so rho and the placed columns are empty,
+      and eta, read at the basis's rows, is the identity.
+    - r > k.  A^r is all of C^r(M), so iota is the pair's identity; pi has
+      no rows, so kappa is empty, and the section no columns, so neither
+      has the lift; theta is the identity, so rho = i* and the placed
+      columns are the extension by zero; eta = j.
+    Every product this skips has an identity or an empty factor, or is one
+    the pair makes on the same objects: the fiber square below k is the
+    pair's i* j = 0, and the reads of d below k - 1 are C*(M, L)'s.  Only
+    degree k, and the read of d at k - 1, read, multiply and check.
+
     Both sequences are exact by construction, so ``ShortExactSequence``
     checks only their dimension counts.  The rest follows from the fiber
     square (read at theta's pivot rows, it forces theta's columns to be unit
@@ -271,7 +300,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     ``quotient_by_cotruncation`` and ``cutoff_pass`` return them;
     ``workspace.Workspace.model`` wires them.  Only the cotruncation's cutoff
     and strategy are checked against the model's: nothing checks a pi or a
-    pass made elsewhere.  In degree n the link has no cochains, so every map
+    pass made elsewhere, and outside degree k neither pi, the section nor
+    theta is read.  In degree n the link has no cochains, so every map
     there is the empty matrix.
     """
     n = D.n
@@ -283,61 +313,56 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
                          f"model at cutoff {k} ({strategy})")
     quotient, pi, section = quotient
 
-    # A^r is spanned by unit cochains: those of the simplices outside L and
+    # A^k is spanned by unit cochains: those of the simplices outside L and
     # the cotruncation's columns placed on L.  Ordered by their pivot rows
-    # they are the reduced column echelon basis of ker kappa^r, so each
-    # degree's basis is the one an elimination of kappa^r would give.
-    bases = []
-    kappa = []
-    placed = []
-    lifts = []
-    for r in range(n + 1):
-        kappa_r = pi[r] @ pair.restrict[r]
-        extend = pair.restrict[r].transpose()
-        placed_r = extend @ ct.inclusion[r]
-        lift = (extend @ section[r] if r < len(section)
-                else RationalMatrix.zeros(pair.full.dim(r), 0))
-        _, rows = _basis_rows(pair, ct.inclusion[r], r)
-        bases.append(SubspaceBasis(pair.unit_rows(r, rows).transpose(), rows))
-        kappa.append(kappa_r)
-        placed.append(placed_r)
-        lifts.append(lift)
-    kappa = tuple(kappa)
-    # d is read at the bases' pivot rows and checked by multiplying back, so
-    # no basis is eliminated again; the same products prove iota a cochain map.
+    # they are the reduced column echelon basis of ker kappa^k, the basis an
+    # elimination of kappa^k would give.
+    theta = ct.inclusion[k]
+    extend = pair.extend[k]
+    _, rows = _basis_rows(pair, theta, k)
+    basis = SubspaceBasis(pair.unit_rows(k, rows).transpose(), rows)
+    bases = pair.rel_bases[:k] + (basis,) + tuple(pair.whole(r) for r in range(k + 1, n + 1))
+    # d is read at k - 1 and k, and checked by multiplying back, so no basis
+    # is eliminated again; the same products prove iota a cochain map there.
     complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases,
                                 shared=_PairPasses(pair, k, cutoff))
 
-    rho = []
-    eta = []
-    for r in range(n + 1):
-        restricted = pair.restrict[r] @ iota[r]
-        # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.  The
-        # columns of theta are unit cochains at distinct rows, so rho is read
-        # at those rows and the product checks the square.
-        theta = ct.inclusion[r]
-        rho_r = SubspaceBasis(theta, _pivot_rows(theta)).coordinates(restricted)
-        if rho_r is None:
-            raise InternalExactnessError(f"restriction escapes the cotruncation at degree {r}")
-        rho.append(rho_r)
-        # iota ∘ eta = j*, checked by coordinates.
-        eta_r = bases[r].coordinates(pair.include_rel[r])
-        if eta_r is None:
-            raise InternalExactnessError(f"relative cochains escape the model at degree {r}")
-        eta.append(eta_r)
-    rho, eta = tuple(rho), tuple(eta)
+    # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.  The
+    # columns of theta are unit cochains at distinct rows, so rho is read at
+    # those rows and the product checks the square.
+    rho_k = SubspaceBasis(theta, _pivot_rows(theta)).coordinates(pair.restrict[k] @ iota[k])
+    if rho_k is None:
+        raise InternalExactnessError(f"restriction escapes the cotruncation at degree {k}")
+    # iota ∘ eta = j*, checked by coordinates.
+    eta_k = basis.coordinates(pair.include_rel[k])
+    if eta_k is None:
+        raise InternalExactnessError(f"relative cochains escape the model at degree {k}")
+    placed_k = extend @ theta
+
+    def by_degree(below, at_k, above):
+        return tuple(below(r) for r in range(k)) + (at_k,) + tuple(
+            above(r) for r in range(k + 1, n + 1))
+
+    kappa = by_degree(lambda r: pair.restrict[r], pi[k] @ pair.restrict[k],
+                      lambda r: RationalMatrix.zeros(0, pair.full.dim(r)))
+    rho = by_degree(lambda r: RationalMatrix.zeros(0, pair.rel.dim(r)), rho_k,
+                    lambda r: pair.restrict[r])
+    eta = by_degree(pair.relative_identity, eta_k, lambda r: pair.include_rel[r])
 
     # The one-sided inverses the docstring proves: iotaᵀ and jᵀ iota read
     # rows already held, and rho and kappa are split by the placed columns
     # and the extended section.
     ses_eta_rho = ShortExactSequence(
         pair.rel, complex_, ct.complex, eta, rho,
-        left=[pair.include_rel[r].transpose() @ iota[r] for r in range(n + 1)],
-        right=[placed_r.rows_at(basis.pivot_rows) for placed_r, basis in zip(placed, bases)])
+        left=by_degree(pair.relative_identity, pair.project_rel[k] @ iota[k],
+                       lambda r: pair.project_rel[r]),
+        right=by_degree(lambda r: RationalMatrix.zeros(pair.rel.dim(r), 0),
+                        placed_k.rows_at(rows), lambda r: pair.extend[r]))
     ses_iota_kappa = ShortExactSequence(
         complex_, pair.full, quotient, iota, kappa,
-        left=[pair.unit_rows(r, basis.pivot_rows) for r, basis in enumerate(bases)],
-        right=lifts)
+        left=by_degree(lambda r: pair.project_rel[r], pair.unit_rows(k, rows), pair.identity),
+        right=by_degree(lambda r: pair.extend[r], extend @ section[k],
+                        lambda r: RationalMatrix.zeros(pair.full.dim(r), 0)))
 
     return IntersectionModel(
         decomposition=D, k=k, strategy=strategy, pair=pair,
@@ -350,7 +375,7 @@ def _basis_rows(pair: PairComplexes, theta: RationalMatrix, r: int):
     """The rows of C^r(M, L)'s unit basis in C^r(M), and the rows of A^r's:
     those and the rows where theta's columns, unit cochains of the link, are
     placed in M, each read off i* by index with no product; both sorted."""
-    relative = [i for i, row in enumerate(pair.include_rel[r].data) if row]
+    relative = list(pair.rel_bases[r].pivot_rows)
     placed = [next(iter(pair.restrict[r].data[i])) for i in _pivot_rows(theta)]
     return relative, sorted(relative + placed)
 

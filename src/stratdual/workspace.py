@@ -18,6 +18,9 @@ the decomposition its inclusion L -> M, so every cone of a run extends the
 one pass of C_*(M) in each degree (see ``cone.MappingCone``), both
 strategies' truncations at a cutoff complement one Z_k(L), and no cone
 builds the inclusion again.
+Outside its cutoff a model takes the pair's blocks, and the induced and
+connecting maps of a run are kept with the complexes read off C*(M) (see
+``cochains.induced_map``), so every model and strategy shares them.
 The library's builders take every object they read as an argument and
 build none of those themselves, so this class is the one place that wires
 the model's diagram.  Each object is built on first request from the ones

@@ -44,6 +44,23 @@ def test_bad_perversity_error():
     assert report["error"]["code"] == "BAD_PERVERSITY"
 
 
+@pytest.mark.parametrize("perversity", ["0_0,1", "0,\uff11", "0,\u0661", "0,1_0"])
+def test_explicit_perversity_fields_are_ascii_decimal_integers(perversity):
+    # int() reads "0_0" as 0 and fullwidth or Arabic-Indic digits as ASCII
+    # ones; each field must be an optional sign and ASCII digits.
+    report, status = run_verification("x2-cone-torus", perversity, checks=["model"])
+    assert status == 2
+    assert report["error"] == {"code": "BAD_PERVERSITY",
+                               "message": f"cannot parse perversity {perversity!r}"}
+
+
+@pytest.mark.parametrize("perversity, values", [(" 0,0", [0, 0]), ("0, 1", [0, 1])])
+def test_explicit_perversity_fields_may_carry_whitespace(perversity, values):
+    report, status = run_verification("x2-cone-torus", perversity, checks=["model"])
+    assert status == 0
+    assert report["perversity_values"]["p"] == values
+
+
 def test_parse_error_for_unknown_input():
     report, status = run_verification("never-heard-of-it")
     assert status == 2

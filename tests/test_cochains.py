@@ -419,6 +419,34 @@ def test_connecting_independent_of_lift():
             assert classes.column(0) == classes.column(1)
 
 
+def test_kept_induced_maps_are_keyed_on_the_target_classes():
+    # One map from one source into two targets that differ only in d^0: e1
+    # is a coboundary in the first and not in the second, so the class of
+    # f(e1) is zero in one target only, though the source keeps both maps.
+    S = CochainComplex("S", (0, 1), (RationalMatrix.zeros(1, 0), RationalMatrix.zeros(0, 1)))
+    f = (RationalMatrix.zeros(1, 0), RationalMatrix.from_rows([[1], [0]]))
+    targets = [CochainComplex(name, (1, 2),
+                              (RationalMatrix.from_rows(d), RationalMatrix.zeros(0, 2)))
+               for name, d in (("T1", [[1], [0]]), ("T2", [[0], [1]]))]
+    assert induced_map(f, S, targets[0], 1).is_zero()
+    assert not induced_map(f, S, targets[1], 1).is_zero()
+
+
+def test_kept_connecting_maps_are_keyed_on_the_left_inverse():
+    # Two sequences that share every operand but the left inverse in degree
+    # 2, which is zero in the second: its certificate must fail, and the
+    # map that the first kept must not answer for it.
+    D = examples.get_decomposition("x2-cone-torus")
+    pair = PairComplexes(D.M, D.L)
+    ses = pair_sequence(pair)
+    assert not ses.connecting(1).is_zero()
+    left = list(ses.left)
+    left[2] = RationalMatrix.zeros(left[2].rows, left[2].cols)
+    other = ShortExactSequence(ses.U, ses.V, ses.W, ses.alpha, ses.beta, left, ses.right)
+    with pytest.raises(InternalExactnessError, match="^SES: boundary not in the subcomplex$"):
+        other.connecting(1)
+
+
 def test_integrate_dual_basis_and_bilinearity():
     K = examples.get_complex("disk")
     C, _ = simplicial_cochains(K)

@@ -6,6 +6,10 @@ pair C*(M, L) -> C*(M), except in degree k, and takes its pass on d^k from
 before: the same differentials in a complex that runs every pass itself.
 The truncation and the cotruncations of C*(L) read C*(L)'s passes and
 classes outside their cutoff the same way, against the same reference.
+Outside degrees k - 1 and k the model's blocks are the pair's objects; the
+reference is the per-degree loop that read, multiplied and checked every
+degree.  The induced and connecting maps that the ladder reads are kept per
+run; the reference is the same map computed uncached.
 ``_check_model`` decides choice independence by the two strategies' cutoff
 passes; the reference is the Betti vectors of both strategies' full models.
 """
@@ -16,9 +20,10 @@ from itertools import product
 import pytest
 
 from stratdual import cli, examples
-from stratdual.cochains import CochainComplex
-from stratdual.errors import StratdualError
+from stratdual.cochains import CochainComplex, induced_map
+from stratdual.errors import InternalExactnessError, StratdualError
 from stratdual.model import cutoff_pass
+from stratdual.rational import RationalMatrix, SubspaceBasis
 from stratdual.workspace import Workspace
 
 from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
@@ -26,7 +31,8 @@ from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
 STRATEGIES = ("lex", "reverse-lex")
 
 INPUTS = {name: examples.get_document(name) for name in examples.decomposition_names()}
-INPUTS["x2-cone-torus-sd1"] = examples.subdivide(examples.get_document("x2-cone-torus"), 1)
+INPUTS.update({f"{name}-sd1": examples.subdivide(examples.get_document(name), 1)
+               for name in examples.decomposition_names()})
 INPUTS.update(DIMENSION_FOUR)
 
 
@@ -165,3 +171,143 @@ def test_another_rank_at_the_cutoff_breaks_choice_independence(side, cutoff, str
     # The run's own models read the unpatched passes.
     assert {key: model[key] for key in ("betti_p", "betti_q", "complementarity_symmetric")} == {
         key: clean[key] for key in ("betti_p", "betti_q", "complementarity_symmetric")}
+
+
+def per_degree_blocks(ws, m):
+    """The model's blocks as the loop that read, multiplied and checked
+    every degree built them, before the model took its pair's blocks."""
+    pair, ct, n = m.pair, m.cotruncation, m.decomposition.n
+    _, pi, section = ws.quotient(m.k, m.strategy)
+    bases, kappa, placed, lifts = [], [], [], []
+    for r in range(n + 1):
+        kappa.append(pi[r] @ pair.restrict[r])
+        extend = pair.restrict[r].transpose()
+        placed.append(extend @ ct.inclusion[r])
+        lifts.append(extend @ section[r] if r < len(section)
+                     else RationalMatrix.zeros(pair.full.dim(r), 0))
+        relative = [i for i, row in enumerate(pair.include_rel[r].data) if row]
+        rows = sorted(relative + [next(iter(pair.restrict[r].data[i]))
+                                  for i in pivot_rows(ct.inclusion[r])])
+        units = RationalMatrix.identity(pair.full.dim(r)).rows_at(rows)
+        bases.append(SubspaceBasis(units.transpose(), rows))
+    iota = [basis.matrix() for basis in bases]
+    zero = SubspaceBasis.from_vectors(0, [])
+    d = []
+    for r, theta in enumerate(iota):
+        above = bases[r + 1] if r + 1 <= n else zero
+        d.append(above.coordinates(pair.full.diff(r) @ theta))
+    rho, eta = [], []
+    for r in range(n + 1):
+        theta = ct.inclusion[r]
+        rho.append(SubspaceBasis(theta, pivot_rows(theta)).coordinates(
+            pair.restrict[r] @ iota[r]))
+        eta.append(bases[r].coordinates(pair.include_rel[r]))
+    identity = [RationalMatrix.identity(pair.full.dim(r)) for r in range(n + 1)]
+    return {
+        "d": d, "iota": iota, "kappa": kappa, "rho": rho, "eta": eta,
+        "eta-rho left": [pair.include_rel[r].transpose() @ iota[r] for r in range(n + 1)],
+        "eta-rho right": [p.rows_at(b.pivot_rows) for p, b in zip(placed, bases)],
+        "iota-kappa left": [i.rows_at(b.pivot_rows) for i, b in zip(identity, bases)],
+        "iota-kappa right": lifts,
+    }
+
+
+def pivot_rows(m):
+    return [min(column) for column in m.transpose().data]
+
+
+def model_blocks(m):
+    return {
+        "d": m.complex.d, "iota": m.iota, "kappa": m.kappa, "rho": m.rho, "eta": m.eta,
+        "eta-rho left": m.ses_eta_rho.left, "eta-rho right": m.ses_eta_rho.right,
+        "iota-kappa left": m.ses_iota_kappa.left, "iota-kappa right": m.ses_iota_kappa.right,
+    }
+
+
+# block -> (the pair's object below k, above k), None where the block is empty.
+PAIR_BLOCKS = {
+    "iota": (lambda p, r: p.include_rel[r], lambda p, r: p.identity(r)),
+    "kappa": (lambda p, r: p.restrict[r], None),
+    "rho": (None, lambda p, r: p.restrict[r]),
+    "eta": (lambda p, r: p.relative_identity(r), lambda p, r: p.include_rel[r]),
+    "eta-rho left": (lambda p, r: p.relative_identity(r), lambda p, r: p.project_rel[r]),
+    "eta-rho right": (None, lambda p, r: p.extend[r]),
+    "iota-kappa left": (lambda p, r: p.project_rel[r], lambda p, r: p.identity(r)),
+    "iota-kappa right": (lambda p, r: p.extend[r], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_shared_blocks_equal_a_per_degree_build(name):
+    ws = workspace(name)
+    pair, n = ws.pair(), ws.decomposition().n
+    for k, strategy in product(range(1, n), STRATEGIES):
+        m = ws.model(k, strategy)
+        ours, theirs = model_blocks(m), per_degree_blocks(ws, m)
+        for block, maps in ours.items():
+            assert len(maps) == n + 1, (name, k, strategy, block)
+            for r in range(n + 1):
+                assert maps[r] == theirs[block][r], (name, k, strategy, block, r)
+        for r in set(range(n + 1)) - {k - 1, k}:
+            where = (name, k, strategy, r)
+            d = pair.rel.d[r] if r < k else pair.full.d[r]
+            assert m.complex.d[r] is d, where
+            for block, sides in PAIR_BLOCKS.items():
+                side = sides[0] if r < k else sides[1]
+                if side is None:
+                    assert not (ours[block][r].rows and ours[block][r].cols), (where, block)
+                else:
+                    assert ours[block][r] is side(pair, r), (where, block)
+        # At k - 1 only d is read; every other block is the pair's.
+        for block, (below, _) in PAIR_BLOCKS.items():
+            if below is not None:
+                assert ours[block][k - 1] is below(pair, k - 1), (name, k, strategy, block)
+
+
+def uncached_connecting(ses, r):
+    """The connecting map by the lift, computed anew."""
+    reps = ses.W.representative_matrix(r)
+    if not reps.cols:
+        return RationalMatrix.zeros(ses.U.cohomology(r + 1).dimension, 0)
+    dv = ses.V.diff(r) @ (ses.right[r] @ reps)
+    left = ses.left[r + 1] if r + 1 < len(ses.left) else RationalMatrix.zeros(
+        ses.U.dim(r + 1), ses.V.dim(r + 1))
+    u = left @ dv
+    if ses.alpha_mat(r + 1) @ u != dv:
+        raise InternalExactnessError("SES: boundary not in the subcomplex")
+    return ses.U.express_class(u, r + 1)
+
+
+def ladder_maps(mp, mq, r):
+    """The induced maps the ladder reads at degree r, as (f, source, target, degree)."""
+    n, pair = mp.decomposition.n, mp.pair
+    return {"iota": (mp.iota, mp.complex, pair.full, r),
+            "kappa": (mp.kappa, pair.full, mp.quotient, r),
+            "rho": (mq.rho, mq.complex, mq.cotruncation.complex, n - r),
+            "eta": (mq.eta, pair.rel, mq.complex, n - r)}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_kept_ladder_maps_equal_uncached_ones(name):
+    ws = workspace(name)
+    n = ws.decomposition().n
+    for k, strategy in product(range(1, n), STRATEGIES):
+        mp, mq = ws.model(k, strategy), ws.model(n - k, strategy)
+        for r in range(n + 1):
+            where = (name, k, strategy, r)
+            for which, (f, source, target, s) in ladder_maps(mp, mq, r).items():
+                expected = target.express_class(f[s] @ source.representative_matrix(s), s)
+                assert induced_map(f, source, target, s) == expected, (where, which)
+            for ses, s in ((mp.ses_iota_kappa, r - 1), (mq.ses_eta_rho, n - r - 1)):
+                assert ses.connecting(s) == uncached_connecting(ses, s), (where, s)
+    # Outside its cutoff a model's iota and eta are the pair's objects, and
+    # so are its classes: both strategies' models read one kept matrix there.
+    pair = ws.pair()
+    for k, r in product(range(1, n), range(n + 1)):
+        if r == k:
+            continue
+        lex, other = (ws.model(k, s) for s in STRATEGIES)
+        assert (induced_map(lex.iota, lex.complex, pair.full, r)
+                is induced_map(other.iota, other.complex, pair.full, r)), (name, k, r)
+        assert (induced_map(lex.eta, pair.rel, lex.complex, r)
+                is induced_map(other.eta, pair.rel, other.complex, r)), (name, k, r)
