@@ -68,7 +68,8 @@ class CochainComplex:
     """
 
     __slots__ = ("name", "dims", "d", "maps", "_shared", "_cohomology_cache",
-                 "_echelon_cache", "_image_cache", "_complement_cache")
+                 "_echelon_cache", "_image_cache", "_complement_cache", "_identities",
+                 "_wholes")
 
     def __init__(self, name, dims, d, *, ambient=None, shared=None):
         self.name = name
@@ -80,6 +81,8 @@ class CochainComplex:
         self._echelon_cache = {}
         self._image_cache = {}
         self._complement_cache = {}
+        self._identities = {}
+        self._wholes = {}
         if len(self.d) != len(self.dims):
             raise ValueError("need one differential per degree (top maps to 0)")
         for r, mat in enumerate(self.d):
@@ -137,6 +140,19 @@ class CochainComplex:
         if key not in self._complement_cache:
             self._complement_cache[key] = complement_basis(self.image(r - 1), strategy)
         return self._complement_cache[key]
+
+    def identity(self, r: int) -> RationalMatrix:
+        """The identity of C^r, built once per degree."""
+        if r not in self._identities:
+            self._identities[r] = RationalMatrix.identity(self.dim(r))
+        return self._identities[r]
+
+    def whole(self, r: int) -> SubspaceBasis:
+        """C^r as a basis of itself: the identity, pivoted at every row,
+        built once per degree for every truncation and cotruncation."""
+        if r not in self._wholes:
+            self._wholes[r] = SubspaceBasis(self.identity(r), range(self.dim(r)))
+        return self._wholes[r]
 
     def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:
@@ -355,21 +371,19 @@ class PairComplexes:
     ``model.build_model``): the unit bases of C*(K, A) (``rel_bases``),
     whose matrices are j; their transposes jᵀ (``project_rel``), the left
     inverse of j; and the extension by zero i*ᵀ (``extend``), the right
-    inverse of i* that the surjectivity check builds.  The identities of
-    C^r(K) and of C^r(K, A), and C^r(K) as a basis of itself, are built on
-    first use, once per degree, on the rows of C^r(K)'s one identity.
+    inverse of i* that the surjectivity check builds.  The identity of
+    C^r(K, A) is built on first use, once per degree, on the rows of
+    C^r(K)'s one identity (``CochainComplex.identity``); the surjectivity
+    check reads C^r(A)'s.
     """
 
     __slots__ = ("K", "A", "full", "cup", "sub", "sub_cup", "rel", "restrict",
-                 "include_rel", "rel_bases", "project_rel", "extend",
-                 "_units", "_relative_units", "_wholes")
+                 "include_rel", "rel_bases", "project_rel", "extend", "_relative_units")
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex):
         self.K = K
         self.A = A
-        self._units = {}
         self._relative_units = {}
-        self._wholes = {}
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
         self.restrict = restriction_map(K, A)
@@ -386,7 +400,7 @@ class PairComplexes:
         self.extend = tuple(rest.transpose() for rest in self.restrict)
         for r, rest in enumerate(self.restrict):
             # Extension by zero is a right inverse of a surjective restriction.
-            if rest @ self.extend[r] != RationalMatrix.identity(self.sub.dim(r)):
+            if rest @ self.extend[r] != self.sub.identity(r):
                 raise InternalExactnessError(f"restriction not surjective in degree {r}")
             if not (rest @ self.include_rel[r]).is_zero():
                 raise InternalExactnessError(f"pair sequence not a complex in degree {r}")
@@ -398,9 +412,7 @@ class PairComplexes:
 
     def identity(self, r: int) -> RationalMatrix:
         """The identity of C^r(K), built once per degree."""
-        if r not in self._units:
-            self._units[r] = RationalMatrix.identity(self.full.dim(r))
-        return self._units[r]
+        return self.full.identity(r)
 
     def relative_identity(self, r: int) -> RationalMatrix:
         """The identity of C^r(K, A), on the first rows of C^r(K)'s."""
@@ -409,12 +421,6 @@ class PairComplexes:
             self._relative_units[r] = RationalMatrix.from_integer_rows(
                 size, self.identity(r).data[:size])
         return self._relative_units[r]
-
-    def whole(self, r: int) -> SubspaceBasis:
-        """C^r(K) as a basis of itself: the identity, pivoted at every row."""
-        if r not in self._wholes:
-            self._wholes[r] = SubspaceBasis(self.identity(r), range(self.full.dim(r)))
-        return self._wholes[r]
 
     def unit_rows(self, r: int, rows) -> RationalMatrix:
         """The rows at ``rows`` of the identity of C^r(K).
@@ -440,7 +446,9 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
     and held with them, so that no other object takes their ids.  Outside
     their cutoffs the models of a run share their maps and classes with
     the pair (see ``model.build_model``), so every model and strategy of
-    the run reads one matrix there.
+    the run reads one matrix there.  A target without classes in degree r
+    gets the empty map, kept the same way, with no product: its rows are
+    the coordinates in H^r of the target, which has none.
     """
     if r >= len(f):
         fr = RationalMatrix.zeros(target.dim(r), source.dim(r))
@@ -448,7 +456,10 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
     fr, classes, image = f[r], source.cohomology(r), target.cohomology(r)
     key = ("induced", id(fr), id(classes), id(image))
     if key not in source.maps:
-        value = target.express_class(fr @ classes.matrix, r)
+        if image.dimension:
+            value = target.express_class(fr @ classes.matrix, r)
+        else:
+            value = RationalMatrix.zeros(0, classes.dimension)
         source.maps[key] = (value, fr, classes, image)
     return source.maps[key][0]
 

@@ -64,11 +64,6 @@ class StandardCotruncation:
         self.projection = projection
 
 
-def _whole(n: int) -> SubspaceBasis:
-    """Q^n itself: the identity, pivoted at every row."""
-    return SubspaceBasis(RationalMatrix.identity(n), range(n))
-
-
 class _Shared:
     """C's differentials, passes and classes, in the degrees where a
     truncation or a cotruncation of C has them too (see ``truncate_below``
@@ -107,7 +102,7 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
     """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
-    bases = [_whole(C.dim(r)) if r < k
+    bases = [C.whole(r) if r < k
              else C.image(k - 1) if r == k
              else SubspaceBasis.from_vectors(C.dim(r), [])
              for r in range(C.top + 1)]
@@ -137,7 +132,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
         # D, which fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
         img = C.image(k - 1)
         D = C.complement(k, strategy)
-        units = RationalMatrix.identity(C.dim(k))
+        units = C.identity(k)
         reduced = img.forward_pass(COMPLEMENT_LEAD[strategy]).normal_form(units)
         projection = (units - reduced).transpose().rows_at(img.pivot_rows)
         if (D.count + img.count != C.dim(k)
@@ -148,7 +143,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
         D = SubspaceBasis.from_vectors(0, [])
     bases = [SubspaceBasis.from_vectors(C.dim(r), []) if r < k
              else D if r == k
-             else _whole(C.dim(r))
+             else C.whole(r)
              for r in range(C.top + 1)]
     shared = _Shared(C, lambda r: r >= k + 1, lambda r: r >= k + 1)
     sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases, shared)

@@ -321,7 +321,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     extend = pair.extend[k]
     _, rows = _basis_rows(pair, theta, k)
     basis = SubspaceBasis(pair.unit_rows(k, rows).transpose(), rows)
-    bases = pair.rel_bases[:k] + (basis,) + tuple(pair.whole(r) for r in range(k + 1, n + 1))
+    bases = (pair.rel_bases[:k] + (basis,)
+             + tuple(pair.full.whole(r) for r in range(k + 1, n + 1)))
     # d is read at k - 1 and k, and checked by multiplying back, so no basis
     # is eliminated again; the same products prove iota a cochain map there.
     complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases,

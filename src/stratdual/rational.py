@@ -153,6 +153,8 @@ class RationalMatrix:
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if not (self.rows and self.cols and other.cols):
+            return RationalMatrix.zeros(self.rows, other.cols)
         right = other.data
         if not any(right) or not any(self.data):
             return RationalMatrix.zeros(self.rows, other.cols)
@@ -207,6 +209,8 @@ class RationalMatrix:
         return tuple(Fraction(x, den) if x else ZERO for x in out)
 
     def transpose(self) -> "RationalMatrix":
+        if not (self.rows and self.cols):
+            return RationalMatrix.zeros(self.cols, self.rows)
         data = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.data):
             for j, v in row.items():
@@ -432,21 +436,26 @@ class Echelon:
     in the span of the columns past it in the lead's order, change neither
     the pivots, nor the rank, nor the pivot rows.  ``kernel`` and
     ``normal_form`` are those of the matrix made of the entered rows without
-    the cleared columns.
+    the cleared columns.  A matrix with no rows or no columns has no pivot
+    and no pivot row, so its pass copies and enters nothing.
     """
 
     __slots__ = ("cols", "lead", "cleared", "pivots", "pivot_rows", "_rows")
 
     def __init__(self, m: RationalMatrix, lead=min, order=None, cleared=frozenset()):
+        self.cols = m.cols
+        self.lead = lead
+        self.cleared = cleared
+        if not (m.rows and m.cols):
+            self._rows = {}
+            self.pivots = self.pivot_rows = ()
+            return
         data = m.data if order is None else [m.data[i] for i in order]
         if cleared:
             rows = [{j: v for j, v in row.items() if j not in cleared} for row in data]
         else:
             rows = [dict(row) for row in data]
         self._rows, _ = _forward(rows, m.cols, lead)
-        self.cols = m.cols
-        self.lead = lead
-        self.cleared = cleared
         self.pivots = tuple(sorted(self._rows))
         # A row that depends on the rows before it is reduced to empty.
         if order is None:
@@ -538,16 +547,20 @@ class Echelon:
                 _eliminate(row, reduced[k], k)
             reduced[c] = row
         den = lcm(*(row[c] for c, row in reduced.items()))
+        # Rows of at most one entry are shared by content, as a product
+        # shares its right factor's rows: no row is mutated once it is held.
+        shared = {}
         data = []
         for j in range(self.cols):
             if j in position:
-                data.append({position[j]: den})
+                row = {position[j]: den}
             elif j in reduced:
                 row = reduced[j]
                 f = den // row[j]
-                data.append({position[k]: -f * v for k, v in row.items() if k != j})
+                row = {position[k]: -f * v for k, v in row.items() if k != j}
             else:
-                data.append({})
+                row = {}
+            data.append(shared.setdefault(tuple(row.items()), row) if len(row) < 2 else row)
         return RationalMatrix.from_integer_rows(len(free), data, den)
 
 
@@ -706,7 +719,8 @@ class QuotientBasis:
     ``boundaries`` is the echelon form of im e led by the highest position,
     and a vector's normal form modulo it is supported on the ``chosen``
     positions (indices into ``lead``): its values there are the vector's
-    class coordinates.
+    class coordinates.  Where im e is zero ``boundaries`` is None, every
+    position is chosen, and the coordinates are the values at ``lead``.
     """
 
     __slots__ = ("matrix", "lead", "boundaries", "chosen")
@@ -729,7 +743,10 @@ class QuotientBasis:
         """Class coordinates of the columns of z (not checked to lie in ker d)."""
         if not self.chosen:
             return RationalMatrix.zeros(0, z.cols)
-        normal = self.boundaries.normal_form(z.rows_at(self.lead).transpose())
+        at_lead = z.rows_at(self.lead)
+        if self.boundaries is None:
+            return at_lead
+        normal = self.boundaries.normal_form(at_lead.transpose())
         return normal.transpose().rows_at(self.chosen)
 
     def __repr__(self):
@@ -749,7 +766,21 @@ def quotient_basis(w: RationalMatrix, e: RationalMatrix, lead,
     whichever basis of W ``w`` holds.  None when W and the chosen positions
     differ in count or Q is singular, which d∘e = 0 and correct pivots rule
     out.
+
+    With no spanning columns im e is zero, so P is empty and W is ker d.
+    There is no boundary to reduce by: every position of ``lead`` is chosen,
+    and a vector's coordinates are its values at ``lead``.  Then ``w`` must
+    be ker d's reduced echelon basis, which ``Echelon.kernel`` gives for the
+    pass on d cleared of P: with nothing cleared, ``lead`` is that pass's
+    free columns, where the kernel is the identity.  So Q = I, and the
+    representatives are ``w`` itself, with no pass, normal form, solve or
+    product.  The count still decides: a pass cleared of columns that are
+    not pivot rows of im e leaves them in ``lead`` but not in W.
     """
+    if not spanning:
+        if len(lead) != w.cols:
+            return None
+        return QuotientBasis(w, lead, None, list(range(len(lead))))
     boundaries = Echelon(e.rows_at(lead).transpose(), max, order=spanning)
     trailing = set(boundaries.pivots)
     chosen = [i for i in range(len(lead)) if i not in trailing]

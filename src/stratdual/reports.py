@@ -17,31 +17,36 @@ def fraction_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def matrix_jsonable(m: RationalMatrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[fraction_str(v) for v in m.row(i)] for i in range(m.rows)],
-    }
-
-
 class PairingMatrix:
-    __slots__ = ("degree", "matrix", "rank", "nondegenerate")
+    """A pairing's matrix with its rank.  The entries' "p/q" strings are
+    made on the first render and kept, so rendering a kept pairing again
+    makes none; every render hands out fresh lists."""
+
+    __slots__ = ("degree", "matrix", "rank", "nondegenerate", "_entries")
 
     def __init__(self, degree: int, matrix: RationalMatrix):
         self.degree = degree
         self.matrix = matrix
         self.rank = matrix.rank()
         self.nondegenerate = (matrix.rows == matrix.cols == self.rank)
+        self._entries = None
 
     def to_jsonable(self) -> dict:
+        m = self.matrix
+        if self._entries is None:
+            self._entries = tuple(tuple(fraction_str(v) for v in m.row(i))
+                                  for i in range(m.rows))
         return {
             "degree": self.degree,
-            "left_dim": self.matrix.rows,
-            "right_dim": self.matrix.cols,
+            "left_dim": m.rows,
+            "right_dim": m.cols,
             "rank": self.rank,
             "nondegenerate": self.nondegenerate,
-            "matrix": matrix_jsonable(self.matrix),
+            "matrix": {
+                "rows": m.rows,
+                "cols": m.cols,
+                "entries": [list(row) for row in self._entries],
+            },
         }
 
 

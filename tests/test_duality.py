@@ -1,10 +1,11 @@
 import copy
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from stratdual import examples
-from stratdual import duality
+from stratdual import duality, reports
 from stratdual.cochains import PairComplexes, ShortExactSequence
 from stratdual.duality import (
     PairingForms,
@@ -18,6 +19,7 @@ from stratdual.duality import (
 )
 from stratdual.errors import NotComplementaryError, NotPseudomanifoldError
 from stratdual.rational import RationalMatrix
+from stratdual.reports import PairingMatrix
 from stratdual.simplicial import (
     SimplicialComplex,
     FundamentalChain,
@@ -275,3 +277,22 @@ def test_boundary_link_chain_is_link_cycle():
     boundary = D.L.boundary_matrix(D.n - 1).apply(lam)
     assert all(v == 0 for v in boundary)
     assert any(v != 0 for v in lam)
+
+
+def test_pairing_strings_are_made_once_and_handed_out_fresh(monkeypatch):
+    matrix = RationalMatrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
+    entries = [["1/2", "0/1"], ["3/1", "-2/3"]]
+    pairing = PairingMatrix(1, matrix)
+    made = Counter()
+    real = reports.fraction_str
+    monkeypatch.setattr(reports, "fraction_str", lambda x: made.update([x]) or real(x))
+    first = pairing.to_jsonable()
+    assert first["matrix"] == {"rows": 2, "cols": 2, "entries": entries}
+    assert sum(made.values()) == 4
+    # A caller that mutates its report leaves the next render as it was.
+    first["matrix"]["entries"][0][0] = "9/1"
+    first["matrix"]["entries"].append([])
+    second = pairing.to_jsonable()
+    assert second["matrix"]["entries"] == entries
+    assert sum(made.values()) == 4
+    assert second == PairingMatrix(1, matrix).to_jsonable()
