@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -57,13 +56,20 @@ def resolve_input(ref: str):
     raise ParseError(f"input {ref!r} is neither a file nor a bundled example")
 
 
+def _is_ascii_integer(field: str) -> bool:
+    """Whether ``field`` is at most one sign followed by ASCII digits only.
+    An ASCII str is a digit exactly where it is one of 0-9."""
+    digits = field[1:] if field[:1] in ("+", "-") else field
+    return digits.isascii() and digits.isdigit()
+
+
 def resolve_perversity(text: str, n: int):
     if text in NAMED_PERVERSITIES:
         return named_perversity(text, n)
     # Each field is an optional sign and ASCII digits, as validate_perversity
     # reads its keys: int() would also take "0_0" and non-ASCII digits.
     fields = [v.strip() for v in text.split(",")]
-    if not all(re.fullmatch("[+-]?[0-9]+", v) for v in fields):
+    if not all(_is_ascii_integer(v) for v in fields):
         raise BadPerversityError(f"cannot parse perversity {text!r}")
     values = [int(v) for v in fields]
     if len(values) != n - 1:

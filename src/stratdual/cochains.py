@@ -135,7 +135,8 @@ class CochainComplex:
     def complement(self, r: int, strategy: str) -> SubspaceBasis:
         """The standard-basis complement of im d^{r-1} in C^r that
         ``complement_basis`` picks for the strategy, built once per degree and
-        strategy: a cotruncation and a model's cutoff pass read one D."""
+        strategy: a cotruncation and a model's cutoff pass read one D, and the
+        cotruncation takes the pass that D holds (see ``cotruncate``)."""
         key = (r, strategy)
         if key not in self._complement_cache:
             self._complement_cache[key] = complement_basis(self.image(r - 1), strategy)

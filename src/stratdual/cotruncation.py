@@ -6,10 +6,10 @@ complement D of that image in degree k and everything above.  D is selected
 by a forward pass over the image's basis, led as the strategy says, so two
 strategies ('lex' / 'reverse-lex') give two reproducible but genuinely
 different choices, which is what makes choice-independence a runnable test.
-A cochain's normal form by that pass lies in D; the rest is its image part.
-The pass is kept by the complex's cached image basis, so D read alone (as a
-model's pass on its cutoff degree reads it) and the cotruncation's pi_k come
-from one pass per image and strategy.
+The projection pi_k onto the image along D is read off that pass's pivot
+rows (see ``cotruncate``), so D read alone (as a model's pass on its cutoff
+degree reads it) and the cotruncation's pi_k come from at most one pass per
+image and strategy, and none is kept once pi_k is built.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .cochains import (
 from .errors import InternalExactnessError
 from .rational import (
     COMPLEMENT_LEAD,
+    Echelon,
     RationalMatrix,
     SubspaceBasis,
     vec_is_zero,
@@ -122,19 +123,29 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
     k + 1 reads d^{k+1} cleared of C's: it is C's, and so is every pass
     above, by induction.  The classes in degree r >= k + 1 are fixed by
     ker d^r and im d^{r-1} (see ``model._PairPasses``), which are C's.
+
+    pi_k reads each unit cochain's image part at the image basis's pivot
+    rows, which are its coordinates in that basis, the identity there.  For
+    'lex' the pass that picks D has those rows as its pivots and eliminates
+    nothing (see ``rational.complement_basis``), so a unit cochain's image
+    part is itself at a pivot row and 0 elsewhere: pi_k is the rows of C's
+    identity at those rows.  For 'reverse-lex' it is ``Echelon.projection``
+    of the pass that picked D.  That pi_k inverts the image and kills D,
+    which fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
     """
     if k <= 0:
         raise ValueError("cotruncation cutoff must be positive")
     projection = None
     if k <= C.top:
-        # pi_k reads a unit cochain's image part, by the pass that picks D, at
-        # the image basis's pivot rows.  That pi_k inverts the image and kills
-        # D, which fill C^k by count, is the certificate of D ⊕ im(d^{k-1}) = C^k.
         img = C.image(k - 1)
         D = C.complement(k, strategy)
-        units = C.identity(k)
-        reduced = img.forward_pass(COMPLEMENT_LEAD[strategy]).normal_form(units)
-        projection = (units - reduced).transpose().rows_at(img.pivot_rows)
+        lead = COMPLEMENT_LEAD[strategy]
+        if lead is min:
+            projection = C.identity(k).rows_at(img.pivot_rows)
+        else:
+            # D holds its pass until here, unless an earlier cotruncation took it.
+            picked = D.take_pass() or Echelon(img.matrix().transpose(), lead)
+            projection = picked.projection(img.pivot_rows)
         if (D.count + img.count != C.dim(k)
                 or projection @ img.matrix() != RationalMatrix.identity(img.count)
                 or not (projection @ D.matrix()).is_zero()):

@@ -527,25 +527,33 @@ class Echelon:
             reduced.append((row.pop(cols + i), row))
         return _scaled_rows(m.rows, cols, reduced)
 
-    def kernel(self) -> RationalMatrix:
-        """A basis of the kernel, zero at the cleared columns, as columns.
+    def _back_substituted(self) -> dict:
+        """Copies of the pivot rows, by lead column, each cleared at every
+        other pivot column.
 
-        One column per free column f (neither pivot nor cleared), in order:
-        1 at f, 0 at the other free columns, and at each pivot column c the
-        value that solves c's pivot row.  Back-substitution on copies of the
-        pivot rows, lowest lead first for ``lead=max`` (highest for min):
-        each row reaches only pivots already reduced to their lead and free
-        columns, so clearing one entry never refills another.
+        Back-substitution, lowest lead first for ``lead=max`` (highest for
+        min): each row reaches only pivots already reduced to their lead and
+        free columns, so clearing one entry never refills another.
         """
         pivots = self._rows
-        free = [j for j in range(self.cols) if j not in pivots and j not in self.cleared]
-        position = {f: i for i, f in enumerate(free)}
         reduced = {}
         for c in sorted(pivots, key=self._lead_first, reverse=True):
             row = dict(pivots[c])
             for k in [k for k in row if k != c and k in pivots]:
                 _eliminate(row, reduced[k], k)
             reduced[c] = row
+        return reduced
+
+    def kernel(self) -> RationalMatrix:
+        """A basis of the kernel, zero at the cleared columns, as columns.
+
+        One column per free column f (neither pivot nor cleared), in order:
+        1 at f, 0 at the other free columns, and at each pivot column c the
+        value that solves c's back-substituted pivot row.
+        """
+        free = [j for j in range(self.cols) if j not in self._rows and j not in self.cleared]
+        position = {f: i for i, f in enumerate(free)}
+        reduced = self._back_substituted()
         den = lcm(*(row[c] for c, row in reduced.items()))
         # Rows of at most one entry are shared by content, as a product
         # shares its right factor's rows: no row is mutated once it is held.
@@ -563,21 +571,46 @@ class Echelon:
             data.append(shared.setdefault(tuple(row.items()), row) if len(row) < 2 else row)
         return RationalMatrix.from_integer_rows(len(free), data, den)
 
+    def projection(self, at) -> RationalMatrix:
+        """The projection of Q^cols onto the row space along the unit vectors
+        at the non-pivot columns, for a pass with nothing cleared, read at
+        the positions ``at``: column c is the row space's part of the unit
+        vector at c, at those positions.
+
+        A unit vector at a non-pivot column lies in the complement, so its
+        part is 0.  At a pivot column c, the back-substituted pivot row R_c
+        lies in the row space and vanishes at every other pivot column, so
+        R_c / R_c[c] minus the unit vector lies at non-pivot columns only:
+        R_c / R_c[c] is the part.
+        """
+        position = {i: j for j, i in enumerate(at)}
+        reduced = self._back_substituted()
+        den = lcm(*(row[c] for c, row in reduced.items()))
+        data = [{} for _ in position]
+        for c, row in reduced.items():
+            f = den // row[c]
+            for i, v in row.items():
+                j = position.get(i)
+                if j is not None:
+                    data[j][c] = f * v
+        return RationalMatrix.from_integer_rows(self.cols, data, den)
+
 
 class SubspaceBasis:
     """Canonical basis of a subspace of Q^ambient_dim.
 
     The basis is the reduced column echelon form, one ``RationalMatrix``
     with pivot rows strictly increasing, so two SubspaceBasis objects
-    describe the same subspace iff they compare equal.
+    describe the same subspace iff they compare equal.  ``pivot_rows`` is
+    kept as given when it is a ``range``, as for a whole space, and as a
+    tuple otherwise.
     """
 
-    __slots__ = ("_matrix", "pivot_rows", "_passes")
+    __slots__ = ("_matrix", "pivot_rows")
 
     def __init__(self, matrix: RationalMatrix, pivot_rows):
         self._matrix = matrix
-        self.pivot_rows = tuple(pivot_rows)
-        self._passes = {}
+        self.pivot_rows = pivot_rows if type(pivot_rows) is range else tuple(pivot_rows)
 
     @classmethod
     def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector],
@@ -608,13 +641,6 @@ class SubspaceBasis:
 
     def matrix(self) -> RationalMatrix:
         return self._matrix
-
-    def forward_pass(self, lead=min) -> Echelon:
-        """The forward pass over the basis vectors, led by ``lead``, run once
-        per lead: a complement is picked and normal forms are taken by one pass."""
-        if lead not in self._passes:
-            self._passes[lead] = Echelon(self._matrix.transpose(), lead)
-        return self._passes[lead]
 
     def coordinates(self, m: RationalMatrix) -> Optional[RationalMatrix]:
         """X with basis @ X == m, or None when a column of m is outside the span.
@@ -658,23 +684,48 @@ def image_basis(m: RationalMatrix) -> SubspaceBasis:
 COMPLEMENT_LEAD = {"lex": min, "reverse-lex": max}
 
 
-def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> SubspaceBasis:
+class Complement(SubspaceBasis):
+    """A complement as ``complement_basis`` picks it, with the forward pass
+    over the subspace's basis vectors that picked it, held until its reader
+    takes it (``take_pass``): None for ``lex``, which runs no pass, and once
+    taken."""
+
+    __slots__ = ("_pass",)
+
+    def __init__(self, matrix: RationalMatrix, pivot_rows, picked_by: Optional[Echelon]):
+        super().__init__(matrix, pivot_rows)
+        self._pass = picked_by
+
+    def take_pass(self) -> Optional[Echelon]:
+        """The pass that picked this complement, released here: a second
+        call returns None."""
+        picked, self._pass = self._pass, None
+        return picked
+
+
+def complement_basis(sub: SubspaceBasis, strategy: str = "lex") -> Complement:
     """Standard-basis complement of ``sub``: sub ⊕ complement = ambient.
 
     The unit vectors at the rows outside the pivots of the forward pass
     over sub's basis vectors, led as ``COMPLEMENT_LEAD`` says: ``lex`` by
-    the lowest row, whose pivots are sub's pivot rows, and ``reverse-lex``
-    by the highest.
+    the lowest row and ``reverse-lex`` by the highest.  The basis is in
+    reduced column echelon form, so each basis vector leads at its own
+    pivot row, and those differ: the pass led by the lowest row eliminates
+    nothing, and its pivots are sub's pivot rows.  So ``lex`` runs no pass
+    and reads them; ``reverse-lex`` runs its pass, and the complement holds
+    it for ``cotruncation.cotruncate``.
     """
     n = sub.ambient_dim
     if strategy not in COMPLEMENT_LEAD:
         raise ValueError(f"unknown complement strategy {strategy!r}")
-    pivot_rows = set(sub.forward_pass(COMPLEMENT_LEAD[strategy]).pivots)
+    lead = COMPLEMENT_LEAD[strategy]
+    picked = None if lead is min else Echelon(sub.matrix().transpose(), lead)
+    pivot_rows = set(sub.pivot_rows if picked is None else picked.pivots)
     free = [i for i in range(n) if i not in pivot_rows]
     position = {i: c for c, i in enumerate(free)}
     units = RationalMatrix.from_integer_rows(len(free), [
         {position[i]: 1} if i in position else {} for i in range(n)])
-    return SubspaceBasis(units, free)
+    return Complement(units, free, picked)
 
 
 class Solver:

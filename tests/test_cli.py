@@ -44,10 +44,12 @@ def test_bad_perversity_error():
     assert report["error"]["code"] == "BAD_PERVERSITY"
 
 
-@pytest.mark.parametrize("perversity", ["0_0,1", "0,\uff11", "0,\u0661", "0,1_0"])
+@pytest.mark.parametrize("perversity", ["0_0,1", "0,\uff11", "0,\u0661", "0,1_0",
+                                        "\u00b2", "+", "+-1", ""])
 def test_explicit_perversity_fields_are_ascii_decimal_integers(perversity):
     # int() reads "0_0" as 0 and fullwidth or Arabic-Indic digits as ASCII
-    # ones; each field must be an optional sign and ASCII digits.
+    # ones, and str.isdigit() takes a superscript two; each field must be at
+    # most one sign followed by ASCII digits, and at least one digit.
     report, status = run_verification("x2-cone-torus", perversity, checks=["model"])
     assert status == 2
     assert report["error"] == {"code": "BAD_PERVERSITY",

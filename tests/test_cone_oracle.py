@@ -248,6 +248,26 @@ def test_cone_rejects_a_map_that_is_not_a_chain_map():
     assert doubled == 5
 
 
+def test_cone_rejects_a_map_zeroed_in_one_degree():
+    # Zeroing g_r leaves ∂ g_r zero, which the square reads with no product,
+    # while g_{r-1} ∂ does not vanish where t's r-cells have boundaries.
+    D = examples.get_decomposition("x2-cone-torus")
+    m_chains = simplicial_chains(D.M)
+    l_chains = simplicial_chains(D.L)
+    zeroed = 0
+    for k in (1, 2):
+        t = chain_truncate(D.L, k, "lex", l_chains)
+        g = _comparison_map(D, t)
+        for r in range(1, max(t.complex.top + 1, m_chains.top)):
+            if (g[r - 1] @ t.complex.bnd(r)).is_zero():
+                continue
+            bad = [RationalMatrix.zeros(m.rows, m.cols) if s == r else m for s, m in enumerate(g)]
+            with pytest.raises(InternalExactnessError):
+                mapping_cone(t, bad, m_chains)
+            zeroed += 1
+    assert zeroed == 3
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("the cone oracle ran an elimination beyond the forward pass")
 
@@ -261,3 +281,16 @@ def test_cone_runs_no_rref_and_no_solver(monkeypatch):
         for k in range(1, D.n):
             for strategy in ("lex", "reverse-lex"):
                 intersection_space_cone(D, k, strategy, m_chains, l_chains)
+
+
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+@pytest.mark.parametrize("name", examples.decomposition_names())
+def test_cones_build_no_boundary_of_m_and_no_pass_of_l(name, strategy):
+    # The chain-map certificates read ∂_M's columns at the simplices that g
+    # reaches off C*(M)'s coboundary rows, and the truncation's signature
+    # reads rank ∂_k off Z_k(L): neither builds ∂_M or runs C_*(L)'s passes.
+    ws = workspace(name)
+    for k in range(1, ws.decomposition().n):
+        ws.cone(k, strategy)
+    assert ws.chains("M")._boundary == {}
+    assert ws.chains("L")._echelon_cache == {}

@@ -11,10 +11,11 @@ from stratdual.cotruncation import (
     truncate_below,
     truncated_duality,
 )
-from stratdual.rational import Echelon, RationalMatrix, Solver, complement_basis
+from stratdual.rational import Echelon, RationalMatrix, Solver
 from stratdual.simplicial import decompose, orient_top_chain, parse_complex
 
 from helpers import pairing
+from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
 
 
 def torus():
@@ -99,24 +100,39 @@ def reference_projection(img, D):
     return split.solve_matrix(RationalMatrix.identity(img.ambient_dim)).rows_at(range(img.count))
 
 
+def projection_links():
+    """The bundled links, their sd¹ (x2-cone-torus and octahedron-marked
+    among them) and the links of both n = 4 documents."""
+    yield from bundled_links()
+    for document in DIMENSION_FOUR.values():
+        yield decompose(parse_complex(document), document["singular_vertex"]).L
+
+
 @pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
 def test_projection_matches_the_solved_split(strategy):
-    for L in bundled_links():
+    links = 0
+    for L in projection_links():
+        links += 1
         C, _ = simplicial_cochains(L)
-        for k in range(1, C.top + 1):
+        for k in range(1, C.top + 2):
             ct = cotruncate(C, k, strategy)
+            if k > C.top:
+                assert ct.projection is None, (L.name, k)
+                continue
             img = C.image(k - 1)
             assert ct.projection == reference_projection(img, ct.D), (L.name, k)
             if strategy == "lex":
                 # D is the unit cochains off the image's pivot rows.
                 units = RationalMatrix.identity(C.dim(k)).rows_at(img.pivot_rows)
                 assert ct.projection == units, (L.name, k)
+    assert links == 2 * len(examples.decomposition_names()) + len(DIMENSION_FOUR)
 
 
 @pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
 def test_a_complement_and_its_cotruncation_share_one_pass(strategy, monkeypatch):
-    # complement_basis keeps its pass over the image basis with the complex's
-    # cached image, so cotruncate takes pi_k from that pass and runs none anew.
+    # A lex complement reads the image basis's pivot rows and runs no pass.
+    # A reverse-lex complement runs one, which its cotruncation takes for
+    # pi_k and runs none anew; once pi_k is built, D holds no pass.
     passes = []
     init = Echelon.__init__
 
@@ -128,11 +144,13 @@ def test_a_complement_and_its_cotruncation_share_one_pass(strategy, monkeypatch)
         C, _ = simplicial_cochains(L)
         for k in range(1, C.top + 1):
             img = C.image(k - 1)
-            complement_basis(img, strategy)
             with monkeypatch.context() as patch:
                 patch.setattr(Echelon, "__init__", counted)
-                cotruncate(C, k, strategy)
-            assert img.matrix().transpose() not in passes, (L.name, k)
+                D = C.complement(k, strategy)
+                ct = cotruncate(C, k, strategy)
+            over_image = [m for m in passes if m == img.matrix().transpose()]
+            assert len(over_image) == (strategy == "reverse-lex"), (L.name, k)
+            assert ct.D is D and D.take_pass() is None, (L.name, k)
             passes.clear()
 
 
@@ -309,7 +327,7 @@ def test_truncated_duality_well_defined_under_perturbations():
 
 @pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
 def test_cotruncate_runs_one_pass_over_the_image(monkeypatch, strategy):
-    # The pass that picks D also gives pi_k's normal forms.
+    # The pass that picks D also gives pi_k: lex runs none, reverse-lex one.
     C, _ = simplicial_cochains(torus())
     init = Echelon.__init__
     for k in range(1, C.top + 1):
@@ -323,4 +341,5 @@ def test_cotruncate_runs_one_pass_over_the_image(monkeypatch, strategy):
         with monkeypatch.context() as patch:
             patch.setattr(Echelon, "__init__", counted)
             cotruncate(C, k, strategy)
-        assert passes == [(C.image(k - 1).count, C.dim(k))], k
+        want = [(C.image(k - 1).count, C.dim(k))] if strategy == "reverse-lex" else []
+        assert passes == want, k

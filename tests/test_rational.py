@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+from stratdual import examples
+from stratdual.cochains import simplicial_cochains
 from stratdual.rational import (
     Echelon,
     RationalMatrix,
@@ -183,6 +185,72 @@ def test_complement_direct_sum_random():
             assert sub.count + comp.count == n
             assembled = sub.matrix().hstack(comp.matrix())
             assert assembled.rank() == n
+
+
+def random_subspaces(seed, count):
+    """Image bases of random sparse matrices with entries in {-3..3}."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        cols = rng.randint(0, n)
+        yield image_basis(RationalMatrix(n, cols, {
+            (i, j): rng.randint(-3, 3)
+            for i in range(n) for j in range(cols) if rng.random() < 0.5}))
+
+
+def test_lex_complement_reads_the_pivot_rows_of_the_pass_it_skips():
+    # The pass led by the lowest row over a basis in reduced column echelon
+    # form has the basis's pivot rows as its pivots, so lex runs none.
+    for sub in random_subspaces(13, 200):
+        full = Echelon(sub.matrix().transpose(), min)
+        assert full.pivots == sub.pivot_rows
+        free = [i for i in range(sub.ambient_dim) if i not in full.pivots]
+        lex = complement_basis(sub, "lex")
+        assert lex.pivot_rows == tuple(free)
+        assert lex.matrix() == RationalMatrix.identity(sub.ambient_dim).columns_at(free)
+        assert lex.take_pass() is None
+
+
+def test_projection_is_the_solved_split_along_the_non_pivot_units():
+    # Echelon.projection read at the pivot rows against the image
+    # coordinates that solving [sub | units off the pivots] X = I gives.
+    for sub in random_subspaces(17, 200):
+        n = sub.ambient_dim
+        for lead in (min, max):
+            echelon = Echelon(sub.matrix().transpose(), lead)
+            units = RationalMatrix.identity(n).columns_at(
+                [i for i in range(n) if i not in echelon.pivots])
+            split = Solver(sub.matrix().hstack(units)).solve_matrix(RationalMatrix.identity(n))
+            want = split.rows_at(range(sub.count))
+            assert echelon.projection(sub.pivot_rows) == want, (n, lead.__name__)
+
+
+def test_reverse_lex_complement_holds_its_pass_until_taken():
+    for sub in random_subspaces(19, 50):
+        rev = complement_basis(sub, "reverse-lex")
+        picked = rev.take_pass()
+        assert picked.lead is max and picked.cols == sub.ambient_dim
+        assert rev.pivot_rows == tuple(i for i in range(sub.ambient_dim)
+                                       if i not in picked.pivots)
+        assert rev.take_pass() is None
+
+
+def test_a_whole_basis_keeps_its_range():
+    # A range of pivot rows is kept as given, and read as its tuple would be.
+    n = 5
+    whole = SubspaceBasis(RationalMatrix.identity(n), range(n))
+    listed = SubspaceBasis(RationalMatrix.identity(n), list(range(n)))
+    assert type(whole.pivot_rows) is range and listed.pivot_rows == tuple(range(n))
+    m = M([[1, 2, 0], [0, Fraction(1, 3), 0], [4, 0, 0], [0, 0, 5], [1, 1, 1]])
+    assert m.rows_at(whole.pivot_rows) == m.rows_at(listed.pivot_rows) == m
+    assert whole.coordinates(m) == listed.coordinates(m) == m
+    assert all((i in whole.pivot_rows) == (i in listed.pivot_rows) for i in range(-2, n + 2))
+    assert set(whole.pivot_rows) == set(listed.pivot_rows)
+    for strategy in ("lex", "reverse-lex"):
+        assert complement_basis(whole, strategy) == complement_basis(listed, strategy)
+    # A complex's whole bases, which its truncations and cotruncations read.
+    C, _ = simplicial_cochains(examples.get_complex("t2-7"))
+    assert all(C.whole(r).pivot_rows == range(C.dim(r)) for r in range(C.top + 1))
 
 
 def test_solve_identity():

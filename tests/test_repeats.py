@@ -44,8 +44,6 @@ RUNS = {
 #   (a model at its cutoff, a truncation or cotruncation at theirs) whose
 #   boundaries or 1 x 1 solves equal another complex's.  A degree without
 #   boundaries takes its cocycle basis as its classes and makes neither.
-# - echelon cone.py:echelon: a truncation's rank at its cutoff equals a
-#   pass of C_*(L).
 # - matmul cochains.py:__init__: the restriction's cochain-map proof in its
 #   top degree, whose zero-row factor is also d∘d's at C*(M)'s top.
 # - matmul cochains.py:subcomplex: a model's read of d at k - 1 multiplies
@@ -60,8 +58,8 @@ RUNS = {
 #   duality.py:_ladder_record: products of one side's representatives and
 #   forms of equal content in the two windows of the truncated pairing, and
 #   the ladder squares' empty and 1 x 1 products.
-# - matmul cone.py: the cones' comparison maps and their chain-map squares
-#   on equal blocks of two cutoffs.
+# - matmul cone.py:intersection_space_cone: the cones' comparison maps on
+#   equal blocks of two cutoffs.
 # - matmul model.py:build_model and rational.py:coordinates: products at a
 #   model's cutoff whose factors equal another cutoff's.
 ALLOWED = {
@@ -90,7 +88,6 @@ ALLOWED = {
     },
     "s1-x-d3 zero/lex": {
         "echelon cochains.py:echelon": 16,
-        "echelon cone.py:echelon": 1,
         "echelon rational.py:quotient_basis": 1,
         "matmul cochains.py:__init__": 2,
         "matmul cochains.py:connecting": 10,
@@ -98,7 +95,6 @@ ALLOWED = {
         "matmul cochains.py:mapped_representatives": 6,
         "matmul cochains.py:pairing_matrix": 5,
         "matmul cochains.py:subcomplex": 4,
-        "matmul cone.py:commutes": 1,
         "matmul cone.py:intersection_space_cone": 1,
         "matmul duality.py:_ladder_record": 24,
         "matmul model.py:build_model": 1,

@@ -203,6 +203,54 @@ def test_a_run_picks_each_complement_once(name, strategy, monkeypatch):
             picked), picked
 
 
+def _fingerprint(echelon):
+    return (echelon.lead, echelon.cols, echelon.pivots, tuple(
+        (c, tuple(sorted(row.items()))) for c, row in sorted(echelon._rows.items())))
+
+
+@pytest.mark.parametrize("strategy, checks", [
+    ("lex", STRUCTURAL_CHECKS), ("lex", STRUCTURAL_CHECKS[1:]),
+    ("reverse-lex", STRUCTURAL_CHECKS)])
+@pytest.mark.parametrize("name", ["x2-cone-torus", "octahedron-marked"])
+def test_complement_passes_end_with_their_projection(name, strategy, checks, monkeypatch):
+    # A lex complement eliminates nothing; a reverse-lex one runs one pass
+    # over the image basis, which its cotruncation releases once pi_k is
+    # built.  So a lex run eliminates an image basis only for the model
+    # check, which picks the reverse-lex complement for choice independence
+    # and builds no reverse-lex cotruncation, and a reverse-lex run keeps no
+    # complement's pass.  The oracle's truncations complement Z_k(L) and keep
+    # the complement's matrix alone.  A pass is followed by its id and
+    # content, so that the spy holds none.
+    passes = []
+    init = rational.Echelon.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if sys._getframe(1).f_code is rational.complement_basis.__code__:
+            passes.append((id(self), _fingerprint(self)))
+
+    monkeypatch.setattr(rational.Echelon, "__init__", spy)
+    monkeypatch.setattr(cli, "_workspace", None)
+    report, status = run_verification(name, "zero", strategy, checks)
+    assert status == 0
+    C = cli._workspace.pair().sub
+    values = report["perversity_values"]
+    cutoffs = {values["cutoff_p"], values["cutoff_q"]}
+    images = [C.image(k - 1).matrix().transpose() for k in cutoffs]
+    gc.collect()
+    alive = {(id(o), _fingerprint(o)) for o in gc.get_objects()
+             if isinstance(o, rational.Echelon)}
+    held = [fingerprint for key, fingerprint in passes if (key, fingerprint) in alive]
+    assert all(fingerprint[0] is max for _, fingerprint in passes)
+    if strategy == "lex":
+        want = [_fingerprint(rational.Echelon(m, max)) for m in images] if "model" in checks else []
+        assert sorted(fingerprint for _, fingerprint in passes) == sorted(held) == sorted(want)
+    else:
+        assert len(passes) > len(images) and held == []
+    for k in cutoffs:
+        assert C.complement(k, "lex").take_pass() is None
+
+
 def test_repeated_runs_build_each_evaluation_form_once(monkeypatch):
     # Every pairing of one degree over mu, or over ∂mu, reads one form, and
     # the workspace keeps it for the next call on the document.
