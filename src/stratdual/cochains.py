@@ -54,12 +54,9 @@ class CochainComplex:
 
     d∘d = 0 is checked by one product per degree, unless ``ambient`` is
     given: ``subcomplex`` passes the complex it reads d from, whose d∘d
-    proves this one's.  ``shared``, when given, has methods
-    ``differential(r)``, ``echelon(r)`` and ``cohomology(r)`` that return
-    this complex's d^r, pass or classes in degree r where other complexes
-    already hold them, and None where this complex reads or computes its
-    own (see ``subcomplex``, ``model.build_model``,
-    ``cotruncation.truncate_below`` and ``cotruncation.cotruncate``).
+    proves this one's, and whose identity lends this one its first rows.
+    ``shared`` is ``subcomplex``'s table of the degrees whose pass and
+    classes other complexes already hold.
 
     ``maps`` keeps the induced maps and connecting maps read off this
     complex (see ``induced_map`` and ``ShortExactSequence.connecting``).  A
@@ -67,7 +64,7 @@ class CochainComplex:
     run, its models and C*(M, L) among them, keeps them in one place.
     """
 
-    __slots__ = ("name", "dims", "d", "maps", "_shared", "_cohomology_cache",
+    __slots__ = ("name", "dims", "d", "maps", "_ambient", "_shared", "_cohomology_cache",
                  "_echelon_cache", "_image_cache", "_complement_cache", "_identities",
                  "_wholes")
 
@@ -76,7 +73,8 @@ class CochainComplex:
         self.dims = tuple(dims)
         self.d = tuple(d)
         self.maps = {} if ambient is None else ambient.maps
-        self._shared = shared
+        self._ambient = ambient
+        self._shared = shared or {}
         self._cohomology_cache = {}
         self._echelon_cache = {}
         self._image_cache = {}
@@ -116,14 +114,19 @@ class CochainComplex:
         puts column i in the span of the columns above it.  Its rank is
         rank d^r; its non-pivot columns are the lead positions of the
         kernel's reduced echelon basis; its pivot rows are the pivot rows
-        of im d^r in degree r + 1; its kernel is ker d^r ∩ {x_P = 0}.
+        of im d^r in degree r + 1; its kernel is ker d^r ∩ {x_P = 0}.  A
+        degree in the ``shared`` table takes the pass it names instead.
         """
         if r not in self._echelon_cache:
-            echelon = self._shared.echelon(r) if self._shared else None
-            if echelon is None:
+            entry = self._shared.get(r)
+            if entry is None:
                 cleared = frozenset(self.echelon(r - 1).pivot_rows) if r > 0 else frozenset()
-                echelon = Echelon(self.diff(r), max, cleared=cleared)
-            self._echelon_cache[r] = echelon
+                entry = Echelon(self.diff(r), max, cleared=cleared)
+            elif type(entry) is tuple:
+                S, names = entry
+                entry = S.echelon(r) if names is None else S.echelon(r).with_pivot_rows(
+                    sorted(names))
+            self._echelon_cache[r] = entry
         return self._echelon_cache[r]
 
     def image(self, r: int) -> SubspaceBasis:
@@ -143,9 +146,14 @@ class CochainComplex:
         return self._complement_cache[key]
 
     def identity(self, r: int) -> RationalMatrix:
-        """The identity of C^r, built once per degree."""
+        """The identity of C^r, built once per degree; a subcomplex's is the
+        first rows of its ambient's, so the complexes read off one share it."""
         if r not in self._identities:
-            self._identities[r] = RationalMatrix.identity(self.dim(r))
+            if self._ambient is None:
+                self._identities[r] = RationalMatrix.identity(self.dim(r))
+            else:
+                self._identities[r] = RationalMatrix.from_integer_rows(
+                    self.dim(r), self._ambient.identity(r).data[:self.dim(r)])
         return self._identities[r]
 
     def whole(self, r: int) -> SubspaceBasis:
@@ -157,8 +165,9 @@ class CochainComplex:
 
     def cohomology(self, r: int) -> QuotientBasis:
         if r not in self._cohomology_cache:
-            basis = self._shared.cohomology(r) if self._shared else None
-            self._cohomology_cache[r] = _cohomology_basis(self, r) if basis is None else basis
+            entry = self._shared.get(r)
+            self._cohomology_cache[r] = (entry[0].cohomology(r) if type(entry) is tuple
+                                         else _cohomology_basis(self, r))
         return self._cohomology_cache[r]
 
     def betti_number(self, r: int) -> int:
@@ -262,10 +271,11 @@ class CupStructure:
 def pairing_matrix(form, left: RationalMatrix, right: RationalMatrix) -> RationalMatrix:
     """left^T G right for the evaluation form G = form().
 
-    ``form`` returns a ``cup.evaluation_form(n, r, chain)``; the columns of
-    ``left`` are degree-r cochains and those of ``right`` degree-(n-r)
-    cochains of the cup's complex.  A side without columns gives the zero
-    matrix without building the form or reading the other side's shape.
+    ``form`` returns a ``CupStructure.evaluation_form(n, r, chain)``; the
+    columns of ``left`` are degree-r cochains and those of ``right``
+    degree-(n-r) cochains of the cup's complex.  A side without columns
+    gives the zero matrix without building the form or reading the other
+    side's shape.
     """
     if left.cols == 0 or right.cols == 0:
         return RationalMatrix.zeros(left.cols, right.cols)
@@ -285,10 +295,11 @@ def mapped_representatives(maps, complex_: "CochainComplex", r: int) -> Rational
 def simplicial_cochains(K: SimplicialComplex):
     """Cochain complex plus cup structure of a pure simplicial complex.
 
-    d^r = -(-1)^r transpose(∂_{r+1}) is ``K.coboundary_matrix(r)``, written
-    from the face index, row j holding the signed r-faces of the
-    (r+1)-simplex j, once per degree and complex: the passes of
-    ``cone.simplicial_chains`` read the same rows.  The complex proves d∘d = 0 on them.
+    d^r = -(-1)^r transpose(∂_{r+1}) is K's
+    ``SimplicialComplex.coboundary_matrix``, written from the face index, row
+    j holding the signed r-faces of the (r+1)-simplex j, once per degree and
+    complex: the passes of ``cone.simplicial_chains`` read the same rows.
+    The complex proves d∘d = 0 on them.
     """
     top = K.dimension
     dims = [K.n_simplices(r) for r in range(top + 1)]
@@ -310,14 +321,34 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
       which in reduced column echelon form is the identity, where d_sub^r
       is C's own d^r.
     A nonempty basis under an empty one is still read and checked, since
-    there the check is the real statement d^r theta^r = 0.  ``shared``
-    may supply d_sub^r as well (see ``CochainComplex``); its maker proves
-    the same identity for it.
+    there the check is the real statement d^r theta^r = 0.
     In every degree, then, theta^{r+1} d_sub^r = d^r theta^r, and this
     proves d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
     = d^{r+1} d^r theta^r = 0 by C's d∘d, and theta is injective (the
     identity at its pivot rows), so the complex does not multiply it again.
-    ``shared`` is handed to the complex.  Returns (complex, inclusion).
+
+    ``shared`` is a table, degree -> entry, of the degrees whose pass and
+    classes a complex S already holds; a degree it leaves out is the
+    complex's own.  An entry is (S, None): d_sub^r, the pass and the classes
+    are S's objects; or (S, names): d_sub^r is read, the pass is S's with
+    its pivot rows renamed to ``names`` (``Echelon.with_pivot_rows``), and
+    the classes are S's; or an Echelon: the pass on d_sub^r, run by the
+    table's maker.  The table covers degrees -1 and top + 1 too.
+    Its maker proves, for an S entry at r, that d_sub^r has S's d^r's rows
+    in order, but for rows that are zero or in the span of the rows before
+    them, with S's pivot rows at ``names`` (or in place), and that
+    d_sub^{r-1} has S's image.  That makes the entry right.  The pass on
+    d^r drops the columns at the pivot rows of the pass on d^{r-1}, the
+    row-rank profile of im d^{r-1}, which the image alone fixes: S's.  It
+    enters the rows in order, and a row in the span of the rows before it
+    enters nothing, so S's pivot rows enter in the same order and reduce
+    alike: the pass has S's pivot entries, pivots and rank, and S's pivot
+    rows under their new names, which keep their order.  The classes are
+    the cocycles that vanish at the pivot rows of im d^{r-1}, with unit
+    coordinates at the kernel's lead positions, and a class's coordinates
+    are its normal form modulo im d^{r-1}: they depend on ker d^r and
+    im d^{r-1} alone, which are S's.
+    Returns (complex, inclusion).
     """
     if len(bases) != C.top + 1:
         raise ValueError(f"{name}: need one basis per degree 0..{C.top}")
@@ -326,12 +357,12 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
     d = []
     for r, (basis, theta) in enumerate(zip(bases, inclusion)):
         above = bases[r + 1] if r + 1 < len(bases) else zero
-        given = shared.differential(r) if shared else None
-        if given is not None:
-            d.append(given)
+        entry = shared.get(r) if shared else None
+        if type(entry) is tuple and entry[1] is None:
+            d.append(entry[0].d[r])
         elif not basis.count:
             d.append(RationalMatrix.zeros(above.count, 0))
-        elif _is_whole(basis) and _is_whole(above):
+        elif basis.count == basis.ambient_dim and above.count == above.ambient_dim:
             d.append(C.diff(r))
         else:
             coords = above.coordinates(C.diff(r) @ theta)
@@ -341,12 +372,6 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
             d.append(coords)
     return (CochainComplex(name, [basis.count for basis in bases], d, ambient=C, shared=shared),
             inclusion)
-
-
-def _is_whole(basis: SubspaceBasis) -> bool:
-    """Whether the basis spans its whole space: its reduced column echelon
-    form is then the identity."""
-    return basis.count == basis.ambient_dim
 
 
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
@@ -371,20 +396,17 @@ class PairComplexes:
     It keeps what every model of the pair reads outside its cutoff (see
     ``model.build_model``): the unit bases of C*(K, A) (``rel_bases``),
     whose matrices are j; their transposes jᵀ (``project_rel``), the left
-    inverse of j; and the extension by zero i*ᵀ (``extend``), the right
-    inverse of i* that the surjectivity check builds.  The identity of
-    C^r(K, A) is built on first use, once per degree, on the rows of
-    C^r(K)'s one identity (``CochainComplex.identity``); the surjectivity
-    check reads C^r(A)'s.
+    inverse of j, on the rows of C^r(K)'s one identity; and the extension
+    by zero i*ᵀ (``extend``), the right inverse of i* that the surjectivity
+    check builds.
     """
 
     __slots__ = ("K", "A", "full", "cup", "sub", "sub_cup", "rel", "restrict",
-                 "include_rel", "rel_bases", "project_rel", "extend", "_relative_units")
+                 "include_rel", "rel_bases", "project_rel", "extend")
 
     def __init__(self, K: SimplicialComplex, A: SimplicialComplex):
         self.K = K
         self.A = A
-        self._relative_units = {}
         self.full, self.cup = simplicial_cochains(K)
         self.sub, self.sub_cup = simplicial_cochains(A)
         self.restrict = restriction_map(K, A)
@@ -393,7 +415,7 @@ class PairComplexes:
         bases = []
         for r in range(K.dimension + 1):
             kept = [i for i, s in enumerate(K.simplices(r)) if not A.has_simplex(s)]
-            project.append(self.unit_rows(r, kept))
+            project.append(self.full.identity(r).rows_at(kept))
             bases.append(SubspaceBasis(project[r].transpose(), kept))
         self.project_rel = tuple(project)
         self.rel_bases = tuple(bases)
@@ -410,26 +432,6 @@ class PairComplexes:
         for r in range(K.dimension):
             if self.restrict[r + 1] @ self.full.diff(r) != self.sub.diff(r) @ self.restrict[r]:
                 raise InternalExactnessError(f"restriction not a cochain map at degree {r}")
-
-    def identity(self, r: int) -> RationalMatrix:
-        """The identity of C^r(K), built once per degree."""
-        return self.full.identity(r)
-
-    def relative_identity(self, r: int) -> RationalMatrix:
-        """The identity of C^r(K, A), on the first rows of C^r(K)'s."""
-        if r not in self._relative_units:
-            size = self.rel.dim(r)
-            self._relative_units[r] = RationalMatrix.from_integer_rows(
-                size, self.identity(r).data[:size])
-        return self._relative_units[r]
-
-    def unit_rows(self, r: int, rows) -> RationalMatrix:
-        """The rows at ``rows`` of the identity of C^r(K).
-
-        The result shares the identity's rows, so the selections of all
-        models of the pair cost one identity.
-        """
-        return self.identity(r).rows_at(rows)
 
 
 def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> RationalMatrix:

@@ -165,8 +165,8 @@ class SimplicialChains(ChainComplex):
     The pass in degree r enters the rows of K's coboundary
     d^{r-1} = -(-1)^{r-1} transpose(∂_r), the matrix C*(K) holds, so no
     transpose is built: the sign scales every row alike.  ∂_r itself is
-    built by ``K.boundary_matrix(r)`` on the first ``bnd(r)``, which only
-    the truncations and the cycles read, and kept.  The cones' certificates
+    built by ``SimplicialComplex.boundary_matrix`` on the first ``bnd(r)``,
+    which only the truncations and the cycles read, and kept.  The cones' certificates
     read the columns of ∂_r at the cells that g reaches off the same rows
     (``columns``), so a structural run builds no ∂_r of M.  Nothing is
     multiplied: its ∂∘∂ is the transpose of the d∘d of C*(K) that
@@ -371,8 +371,8 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> MappingCone:
     transposes of d∘d products already checked, and the lower-left block is
     proved zero here, one identity ∂ g_r == g_{r-1} ∂ per degree below the
     top; t has no cells in the top degree, where it holds trivially.  Each
-    identity is multiplied once per set of operands by ``target.commutes``,
-    which keeps the verdict: below the cutoff g is the decomposition's
+    identity is multiplied once per set of operands by
+    ``ChainComplex.commutes``, which keeps the verdict: below the cutoff g is the decomposition's
     inclusion and ∂t is L's own ∂, the same objects in every cone of a run,
     so only the first cone to reach such a degree multiplies it.  A failure
     names the cone and the degree of the cone's ∂∘∂ it breaks.  ``target``'s

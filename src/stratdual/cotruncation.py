@@ -9,7 +9,7 @@ different choices, which is what makes choice-independence a runnable test.
 The projection pi_k onto the image along D is read off that pass's pivot
 rows (see ``cotruncate``), so D read alone (as a model's pass on its cutoff
 degree reads it) and the cotruncation's pi_k come from at most one pass per
-image and strategy, and none is kept once pi_k is built.
+image and strategy, which D holds until a cotruncation takes it.
 """
 
 from __future__ import annotations
@@ -65,64 +65,37 @@ class StandardCotruncation:
         self.projection = projection
 
 
-class _Shared:
-    """C's differentials, passes and classes, in the degrees where a
-    truncation or a cotruncation of C has them too (see ``truncate_below``
-    and ``cotruncate``), as the ``shared`` lookup of ``CochainComplex``.
-    Where the pass is C's, the bases there and above are whole, so d^r is
-    C's too.
-    """
-
-    __slots__ = ("C", "passes", "classes")
-
-    def __init__(self, C: CochainComplex, passes, classes):
-        self.C = C
-        self.passes = passes        # degree -> whether the pass there is C's
-        self.classes = classes      # degree -> whether the classes there are C's
-
-    def differential(self, r: int):
-        return self.C.d[r] if self.passes(r) else None
-
-    def echelon(self, r: int):
-        return self.C.echelon(r) if self.passes(r) else None
-
-    def cohomology(self, r: int):
-        return self.C.cohomology(r) if self.classes(r) else None
-
-
 def truncate_below(C: CochainComplex, k: int) -> Truncation:
     """Truncation subcomplex tau_{<k} with its canonical inclusion.
 
-    It takes C's d^r and passes for r <= k - 2 and C's classes for
-    r <= k - 1.  Below k its bases are C's unit bases, so d_sub^r = d^r for
-    r <= k - 2, and the pass on d^r, which reads d^r and the pivot rows of
-    the pass below, is C's by induction from r = -1.  The classes in degree r are
-    fixed by ker d^r and im d^{r-1} alone (see ``model._PairPasses``); at
-    r = k - 1, d_sub^{k-1} is d^{k-1} read in a basis of its image, so it
-    has the kernel of d^{k-1}.
+    Its table (see ``cochains.subcomplex``) takes C's d^r, pass and classes
+    for r <= k - 2, where its bases and the bases above are C's unit bases,
+    so d_sub^r = d^r.  At k - 1 the read d_sub^{k-1} is d^{k-1} in the
+    basis of its image, whose coordinates are d^{k-1}'s rows at the image's
+    pivot rows: it drops only rows in the span of the rows before them, and
+    C's pivot rows become its rows 0..rank - 1.  So it takes C's pass there,
+    renamed onto ``range(rank)``, and C's classes, and eliminates nothing
+    below its cutoff.
     """
     if k <= 0:
         raise ValueError("truncation cutoff must be positive")
+    img = C.image(k - 1)
     bases = [C.whole(r) if r < k
-             else C.image(k - 1) if r == k
+             else img if r == k
              else SubspaceBasis.from_vectors(C.dim(r), [])
              for r in range(C.top + 1)]
-    shared = _Shared(C, lambda r: r <= k - 2, lambda r: r <= k - 1)
+    shared = {r: (C, None) if r < k - 1 else (C, range(img.count)) for r in range(-1, k)}
     return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases, shared))
 
 
 def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotruncation:
     """Standard cotruncation tau_{>=k}^D with D chosen by the strategy.
 
-    It takes C's d^r, passes and classes for r >= k + 1.  Above k its
-    bases are C's unit bases, so d_sub^r = d^r there; below k they are
-    empty, and ``subcomplex`` reads nothing.  d_sub^k is d^k on D, which has
-    the image of d^k, as C^k = D ⊕ im d^{k-1} and d^k kills im d^{k-1}.  The
-    pivot rows of a pass are the row-rank profile of its matrix, which its
-    column space fixes, so the pass at k has C's pivot rows, and the pass at
-    k + 1 reads d^{k+1} cleared of C's: it is C's, and so is every pass
-    above, by induction.  The classes in degree r >= k + 1 are fixed by
-    ker d^r and im d^{r-1} (see ``model._PairPasses``), which are C's.
+    Its table (see ``cochains.subcomplex``) takes C's d^r, pass and classes
+    for r >= k + 1, where its bases are C's unit bases, so d_sub^r = d^r;
+    at k + 1, d_sub^k is d^k on D, which has the image of d^k, as
+    C^k = D ⊕ im d^{k-1} and d^k kills im d^{k-1}.  Below k its bases are
+    empty, and ``subcomplex`` reads nothing.
 
     pi_k reads each unit cochain's image part at the image basis's pivot
     rows, which are its coordinates in that basis, the identity there.  For
@@ -156,7 +129,7 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
              else D if r == k
              else C.whole(r)
              for r in range(C.top + 1)]
-    shared = _Shared(C, lambda r: r >= k + 1, lambda r: r >= k + 1)
+    shared = {r: (C, None) for r in range(k + 1, C.top + 2)}
     sub, theta = subcomplex(f"tau_>={k}({C.name})", C, bases, shared)
     # The model lives one degree above the link and reads theta there too.
     return StandardCotruncation(k, D, sub, theta + (RationalMatrix.zeros(0, 0),),

@@ -28,10 +28,9 @@ elimination, and each exactness statement follows from certificates checked
 where the maps are made (see ``build_model``), with no rank behind them.  A
 failed certificate is an engine bug and raises InternalExactnessError.
 Outside degree k the model's differentials, passes and cohomology classes
-are those of C*(M, L) and C*(M), which it shares (see ``_PairPasses``), and
-so are its structure maps and their one-sided inverses (see
-``build_model``), so the induced and connecting maps read off them are kept
-once per run.
+are those of C*(M, L) and C*(M), which it shares, and so are its structure
+maps and their one-sided inverses (see ``build_model``), so the induced and
+connecting maps read off them are kept once per run.
 """
 
 from __future__ import annotations
@@ -167,85 +166,13 @@ def cutoff_pass(pair: PairComplexes, k: int, theta: RationalMatrix) -> Echelon:
     as ``CochainComplex.echelon`` leads, and clears the columns at the pivot
     rows of the relative pass on d^{k-1}, re-indexed into A^k: those are the
     pivot rows of d_A^{k-1}, which is d_rel^{k-1} with zero rows at D's
-    places (see ``_PairPasses``).  ``cols`` is dim A^k and ``rank`` is
+    places (see ``build_model``).  ``cols`` is dim A^k and ``rank`` is
     rank d_A^k.
     """
     relative, rows = _basis_rows(pair, theta, k)
     position = {row: i for i, row in enumerate(rows)}
     cleared = frozenset(position[relative[i]] for i in pair.rel.echelon(k - 1).pivot_rows)
     return Echelon(pair.full.diff(k).columns_at(rows), max, cleared=cleared)
-
-
-class _PairPasses:
-    """The differentials, passes and cohomology classes that a model at
-    cutoff k reads off its pair C*(M, L) -> C*(M), and its cutoff pass.
-
-    Why they are the model's own:
-    - Bases.  The cotruncation is zero below k, so for r <= k - 1 A^r has the
-      unit basis of C^r(M, L), in the same order.  It is all of C^r(L) above
-      k, and C^n(L) = 0, so for r >= k + 1 A^r has the unit basis of C^r(M).
-    - Differentials.  Read in those bases, d_A^r is d_rel^r for r <= k - 2
-      and d_M^r for r >= k + 1.  d_A^{k-1} is d_rel^{k-1} with zero rows at
-      the placed rows of A^k, because the coboundary of a relative cochain
-      is relative.  d_A^k has the image of d_M^k: for x in C^k(M), split
-      i*x = d_L y + z with z in D, and extend y by zero to y' in C^{k-1}(M);
-      then x - d y' restricts to z, so it lies in A^k, and d x = d(x - d y').
-      ``differential`` hands ``subcomplex`` the pair's own d^r objects in
-      the degrees where they are the model's: for r <= k - 2 the model's
-      bases are C*(M, L)'s objects, so its read there would be C*(M, L)'s
-      own read, already checked, and from k + 1 on both bases are whole.
-    - Passes.  The pass on d^r reads d^r and the clearing set, the pivot
-      rows of the pass on d^{r-1}.  ``pivot_rows`` are the row-rank profile,
-      the rows independent of the rows before them, which depends on the
-      column space of d^{r-1} alone and not on its clearing; ``pivots`` and
-      ``rank`` do not depend on the clearing either.
-      * r <= k - 2: d^r agrees, and so does the clearing set, by induction
-        from the empty set at r = 0.  So the pass is the relative one.
-      * r = k - 1: the same nonzero rows enter in the same order, and the
-        zero rows enter nothing and are never pivot rows.  So the pass is the
-        relative one, with its pivot rows renamed into A^k's positions: the
-        cutoff pass's cleared columns.
-      * r = k: the cutoff pass, which is this pass by definition.
-      * r >= k + 1: d^r is d_M^r, and the clearing set is the row-rank
-        profile of im d^{r-1}, which is im d_M^{r-1} at r = k + 1 too.  So
-        the pass is C*(M)'s.
-    - Classes.  The representatives in degree r are the cocycles that vanish
-      at the pivot rows of im d^{r-1}, with unit class coordinates at the
-      kernel's lead positions, and a class's coordinates are its cocycle's
-      normal form modulo im d^{r-1}.  So they depend on ker d^r and
-      im d^{r-1} alone.  For r <= k - 1 those are C*(M, L)'s, as the zero
-      rows of d_A^{k-1} do not change its kernel.  For r >= k + 1 they are
-      C*(M)'s.  Only degree k computes its own.
-    """
-
-    __slots__ = ("pair", "k", "cutoff")
-
-    def __init__(self, pair: PairComplexes, k: int, cutoff: Echelon):
-        self.pair = pair
-        self.k = k
-        self.cutoff = cutoff
-
-    def differential(self, r: int):
-        if r <= self.k - 2:
-            return self.pair.rel.d[r]
-        if r >= self.k + 1:
-            return self.pair.full.d[r]
-        return None
-
-    def echelon(self, r: int):
-        k = self.k
-        if r <= k - 2:
-            return self.pair.rel.echelon(r)
-        if r == k - 1:
-            return self.pair.rel.echelon(r).with_pivot_rows(sorted(self.cutoff.cleared))
-        if r == k:
-            return self.cutoff
-        return self.pair.full.echelon(r)
-
-    def cohomology(self, r: int):
-        if r == self.k:
-            return None
-        return (self.pair.rel if r < self.k else self.pair.full).cohomology(r)
 
 
 def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: PairComplexes,
@@ -261,38 +188,43 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     iota by ``subcomplex``'s reads, kappa = pi i* as a composite of two
     proved maps, and rho and eta by those squares, theta and iota injective.
 
-    Outside the cutoff the model is its pair, and takes the pair's blocks
-    (see ``_PairPasses``):
-    - r < k.  A^r is C^r(M, L), with the pair's basis object, so iota = j;
-      pi is the identity, so kappa = i* and the lift is the extension by
-      zero; theta has no columns, so rho and the placed columns are empty,
-      and eta, read at the basis's rows, is the identity.
-    - r > k.  A^r is all of C^r(M), so iota is the pair's identity; pi has
-      no rows, so kappa is empty, and the section no columns, so neither
-      has the lift; theta is the identity, so rho = i* and the placed
-      columns are the extension by zero; eta = j.
+    Outside the cutoff the model is its pair.  The cotruncation is zero
+    below k, so A^r is C^r(M, L), with the pair's basis object; it is all
+    of C^r(L) above k, and C^n(L) = 0, so A^r is all of C^r(M).  Hence:
+    - The table of ``subcomplex`` takes C*(M, L)'s d^r, pass and classes for
+      r <= k - 2 and C*(M)'s for r >= k + 1.  d_A^{k-1} is d_rel^{k-1} with
+      zero rows at the placed rows of A^k, because the coboundary of a
+      relative cochain is relative, so at k - 1 it takes C*(M, L)'s pass,
+      its pivot rows renamed into A^k's positions (the cutoff pass's
+      cleared columns), and classes.  At k + 1, d_A^k has the image of
+      d_M^k: for x in C^k(M), split i*x = d_L y + z with z in D, and extend
+      y by zero to y' in C^{k-1}(M); then x - d y' restricts to z, so it
+      lies in A^k, and d x = d(x - d y').  The pass at k is ``cutoff``, so
+      the model eliminates only at its cutoff, and every other degree's
+      pass and classes are the pair's, which Lefschetz reads anyway.
+    - One of the two sequences is the pair's, (j, i*) with the inverses
+      (jᵀ, i*ᵀ), and the other is the identity sequence of A^r: below k,
+      eta is the identity and ses_iota_kappa the pair's (pi is the identity,
+      so kappa = i*, and theta has no columns, so rho is empty); above k,
+      iota is the identity and ses_eta_rho the pair's (pi has no rows, so
+      kappa is empty, and theta is the identity, so rho = i*).  An identity
+      sequence is exact, and ``PairComplexes`` proves the pair's.
     Every product this skips has an identity or an empty factor, or is one
-    the pair makes on the same objects: the fiber square below k is the
-    pair's i* j = 0, and the reads of d below k - 1 are C*(M, L)'s.  Only
-    degree k, and the read of d at k - 1, read, multiply and check.
+    the pair makes on the same objects.  Only degree k, and the read of d
+    at k - 1, read, multiply and check.
 
     Both sequences are exact by construction, so ``ShortExactSequence``
-    checks only their dimension counts.  The rest follows from the fiber
-    square (read at theta's pivot rows, it forces theta's columns to be unit
-    cochains), the pair's i* i*ᵀ = I and i* j = 0, and the split's
+    checks only their dimension counts.  At k the rest follows from the
+    fiber square (read at theta's pivot rows, it forces theta's columns to
+    be unit cochains), the pair's i* i*ᵀ = I and i* j = 0, and the split's
     pi_k @ D == 0:
     - ses_iota_kappa.  iota has unit columns at distinct rows, so iotaᵀ is
       its left inverse.  kappa's right inverse is the extended section:
       pi i* i*ᵀ section = pi section = I.  kappa iota = pi theta rho = 0, as
-      theta has no columns below k, pi_k kills D at k and pi has no rows
-      above k.
+      pi_k kills D.
     - ses_eta_rho.  jᵀ iota eta = jᵀ j = I.  rho's right inverse is the
       placed columns in A's coordinates: theta rho right = i* i*ᵀ theta =
       theta.  theta rho eta = i* j = 0.  Both cancel theta, which is injective.
-
-    The model eliminates only at its cutoff: ``cutoff`` is its pass on d^k,
-    and every other degree's pass and classes are the pair's (see
-    ``_PairPasses``), which Lefschetz reads anyway.
 
     ``pair`` is C*(M, L) -> C*(M) of D, and ``cotruncation``, ``quotient``
     and ``cutoff`` are its cotruncation, quotient and cutoff pass at the
@@ -320,56 +252,59 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     theta = ct.inclusion[k]
     extend = pair.extend[k]
     _, rows = _basis_rows(pair, theta, k)
-    basis = SubspaceBasis(pair.unit_rows(k, rows).transpose(), rows)
+    units = pair.full.identity(k).rows_at(rows)
+    basis = SubspaceBasis(units.transpose(), rows)
     bases = (pair.rel_bases[:k] + (basis,)
              + tuple(pair.full.whole(r) for r in range(k + 1, n + 1)))
+    shared = {r: (pair.rel, None) if r < k - 1 else (pair.rel, cutoff.cleared) if r == k - 1
+              else cutoff if r == k else (pair.full, None) for r in range(-1, n + 2)}
     # d is read at k - 1 and k, and checked by multiplying back, so no basis
     # is eliminated again; the same products prove iota a cochain map there.
-    complex_, iota = subcomplex(f"model[k={k}]({D.name})", pair.full, bases,
-                                shared=_PairPasses(pair, k, cutoff))
+    complex_, inclusion = subcomplex(f"model[k={k}]({D.name})", pair.full, bases, shared)
+    iota_k = inclusion[k]
 
     # Square of the reduced fiber product: i* ∘ iota = theta ∘ rho.  The
     # columns of theta are unit cochains at distinct rows, so rho is read at
     # those rows and the product checks the square.
-    rho_k = SubspaceBasis(theta, _pivot_rows(theta)).coordinates(pair.restrict[k] @ iota[k])
+    rho_k = SubspaceBasis(theta, _pivot_rows(theta)).coordinates(pair.restrict[k] @ iota_k)
     if rho_k is None:
         raise InternalExactnessError(f"restriction escapes the cotruncation at degree {k}")
     # iota ∘ eta = j*, checked by coordinates.
     eta_k = basis.coordinates(pair.include_rel[k])
     if eta_k is None:
         raise InternalExactnessError(f"relative cochains escape the model at degree {k}")
-    placed_k = extend @ theta
 
-    def by_degree(below, at_k, above):
-        return tuple(below(r) for r in range(k)) + (at_k,) + tuple(
-            above(r) for r in range(k + 1, n + 1))
-
-    kappa = by_degree(lambda r: pair.restrict[r], pi[k] @ pair.restrict[k],
-                      lambda r: RationalMatrix.zeros(0, pair.full.dim(r)))
-    rho = by_degree(lambda r: RationalMatrix.zeros(0, pair.rel.dim(r)), rho_k,
-                    lambda r: pair.restrict[r])
-    eta = by_degree(pair.relative_identity, eta_k, lambda r: pair.include_rel[r])
-
-    # The one-sided inverses the docstring proves: iotaᵀ and jᵀ iota read
-    # rows already held, and rho and kappa are split by the placed columns
-    # and the extended section.
-    ses_eta_rho = ShortExactSequence(
-        pair.rel, complex_, ct.complex, eta, rho,
-        left=by_degree(pair.relative_identity, pair.project_rel[k] @ iota[k],
-                       lambda r: pair.project_rel[r]),
-        right=by_degree(lambda r: RationalMatrix.zeros(pair.rel.dim(r), 0),
-                        placed_k.rows_at(rows), lambda r: pair.extend[r]))
-    ses_iota_kappa = ShortExactSequence(
-        complex_, pair.full, quotient, iota, kappa,
-        left=by_degree(lambda r: pair.project_rel[r], pair.unit_rows(k, rows), pair.identity),
-        right=by_degree(lambda r: pair.extend[r], extend @ section[k],
-                        lambda r: RationalMatrix.zeros(pair.full.dim(r), 0)))
+    # Per degree, (alpha, beta, left, right) of ses_eta_rho and of
+    # ses_iota_kappa.  At k the inverses the docstring proves: jᵀ iota and
+    # iotaᵀ read rows already held, and rho and kappa are split by the
+    # placed columns and the extended section.
+    at_k = ((eta_k, rho_k, pair.project_rel[k] @ iota_k, (extend @ theta).rows_at(rows)),
+            (iota_k, pi[k] @ pair.restrict[k], units, extend @ section[k]))
+    blocks = [at_k if r == k else _outside(pair, r, r < k) for r in range(n + 1)]
+    eta, rho, *eta_rho_inverses = zip(*(eta_rho for eta_rho, _ in blocks))
+    iota, kappa, *iota_kappa_inverses = zip(*(iota_kappa for _, iota_kappa in blocks))
+    ses_eta_rho = ShortExactSequence(pair.rel, complex_, ct.complex, eta, rho,
+                                     *eta_rho_inverses)
+    ses_iota_kappa = ShortExactSequence(complex_, pair.full, quotient, iota, kappa,
+                                        *iota_kappa_inverses)
 
     return IntersectionModel(
         decomposition=D, k=k, strategy=strategy, pair=pair,
         cotruncation=ct, complex_=complex_, iota=iota, rho=rho, eta=eta,
         kappa=kappa, quotient=quotient, section=section,
         ses_eta_rho=ses_eta_rho, ses_iota_kappa=ses_iota_kappa)
+
+
+def _outside(pair: PairComplexes, r: int, below: bool):
+    """(alpha, beta, left, right) of ses_eta_rho and of ses_iota_kappa in a
+    degree r outside the cutoff: the pair's sequence and the identity
+    sequence of A^r, which is C^r(M, L) below the cutoff and C^r(M) above."""
+    A = pair.rel if below else pair.full
+    identity = A.identity(r)
+    ones = (identity, RationalMatrix.zeros(0, A.dim(r)), identity,
+            RationalMatrix.zeros(A.dim(r), 0))
+    pairs = (pair.include_rel[r], pair.restrict[r], pair.project_rel[r], pair.extend[r])
+    return (ones, pairs) if below else (pairs, ones)
 
 
 def _basis_rows(pair: PairComplexes, theta: RationalMatrix, r: int):

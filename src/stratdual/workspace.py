@@ -12,16 +12,19 @@ No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
 Shared work lives with the object that owns it, so each piece is done once
 per run: C*(L) picks one complement per cutoff and strategy, which the
-cotruncation and the cutoff pass of that strategy both read, and a
-reverse-lex complement holds its pass only until the cotruncation has built
-pi_k from it.  The oracle's chain complexes keep C_*(M)'s passes and L's
-cycles per degree, and the decomposition its inclusion L -> M, so every cone
-of a run extends the one pass of C_*(M) in each degree (see
-``cone.MappingCone``), both strategies' truncations at a cutoff complement
-one Z_k(L), and no cone builds the inclusion again.
-Outside its cutoff a model takes the pair's blocks, and the induced and
-connecting maps of a run are kept with the complexes read off C*(M) (see
-``cochains.induced_map``), so every model and strategy shares them.
+cotruncation and the cutoff pass of that strategy both read.  A reverse-lex
+complement holds its pass until a reverse-lex cotruncation builds pi_k from
+it, so a lex run whose model check reads it holds it to the end.  The
+oracle's chain complexes keep C_*(M)'s passes and L's cycles per degree, and
+the decomposition its inclusion L -> M, so every cone of a run extends the
+one pass of C_*(M) in each degree (see ``cone.MappingCone``), both
+strategies' truncations at a cutoff complement one Z_k(L), and no cone
+builds the inclusion again.
+Outside their cutoffs the truncations, cotruncations and models take their
+ambient's passes and classes by one table (see ``cochains.subcomplex``), and
+the induced and connecting maps of a run are kept with the complexes read
+off C*(M) (see ``cochains.induced_map``), so every model and strategy
+shares them.
 The library's builders take every object they read as an argument and
 build none of those themselves, so this class is the one place that wires
 the model's diagram.  Each object is built on first request from the ones

@@ -101,6 +101,12 @@ def test_truncations_share_the_link_passes_outside_their_cutoff(name):
         where = (name, k, strategy)
         for r in range(-1, k - 1):
             assert truncation.echelon(r) is link.echelon(r), (where, r)
+        # At k - 1 the truncation's pass is C*(L)'s, its pivot rows renamed
+        # onto the image basis's positions 0..rank - 1, sharing its entries.
+        ours, theirs = truncation.echelon(k - 1), link.echelon(k - 1)
+        assert (ours.pivots, ours.rank) == (theirs.pivots, theirs.rank), where
+        assert ours.pivot_rows == tuple(range(ours.rank)), where
+        assert ours._rows is theirs._rows, where
         for r in range(-1, k):
             assert truncation.cohomology(r) is link.cohomology(r), (where, r)
         for r in range(k + 1, top + 2):
@@ -226,13 +232,13 @@ def model_blocks(m):
 
 # block -> (the pair's object below k, above k), None where the block is empty.
 PAIR_BLOCKS = {
-    "iota": (lambda p, r: p.include_rel[r], lambda p, r: p.identity(r)),
+    "iota": (lambda p, r: p.include_rel[r], lambda p, r: p.full.identity(r)),
     "kappa": (lambda p, r: p.restrict[r], None),
     "rho": (None, lambda p, r: p.restrict[r]),
-    "eta": (lambda p, r: p.relative_identity(r), lambda p, r: p.include_rel[r]),
-    "eta-rho left": (lambda p, r: p.relative_identity(r), lambda p, r: p.project_rel[r]),
+    "eta": (lambda p, r: p.rel.identity(r), lambda p, r: p.include_rel[r]),
+    "eta-rho left": (lambda p, r: p.rel.identity(r), lambda p, r: p.project_rel[r]),
     "eta-rho right": (None, lambda p, r: p.extend[r]),
-    "iota-kappa left": (lambda p, r: p.project_rel[r], lambda p, r: p.identity(r)),
+    "iota-kappa left": (lambda p, r: p.project_rel[r], lambda p, r: p.full.identity(r)),
     "iota-kappa right": (lambda p, r: p.extend[r], None),
 }
 
@@ -258,6 +264,12 @@ def test_shared_blocks_equal_a_per_degree_build(name):
                     assert not (ours[block][r].rows and ours[block][r].cols), (where, block)
                 else:
                     assert ours[block][r] is side(pair, r), (where, block)
+        # Every complex read off C*(M) shares the rows of its one identity.
+        for C in (pair.rel, m.complex):
+            for r in range(n + 1):
+                rows = C.identity(r).data
+                assert all(a is b for a, b in zip(rows, pair.full.identity(r).data)), (
+                    name, k, strategy, C.name, r)
         # At k - 1 only d is read; every other block is the pair's.
         for block, (below, _) in PAIR_BLOCKS.items():
             if below is not None:
