@@ -443,9 +443,8 @@ def main(argv=None) -> int:
             sys.stdout.write(render_report(examples.catalog(), "json"))
             return 0
         if args.name not in examples.DECOMPOSITION_DOCUMENTS:
-            sys.stdout.write(json.dumps(
-                {"error": {"code": "PARSE", "message": f"unknown example {args.name!r}"}},
-                sort_keys=True) + "\n")
+            error = {"code": "PARSE", "message": f"unknown example {args.name!r}"}
+            sys.stdout.write(render_report({"error": error}, "json"))
             return 2
         sys.stdout.write(render_report(examples.get_document(args.name), "json"))
         return 0

@@ -58,10 +58,10 @@ class CochainComplex:
     ``shared`` is ``subcomplex``'s table of the degrees whose pass and
     classes other complexes already hold.
 
-    ``maps`` keeps the induced maps and connecting maps read off this
-    complex (see ``induced_map`` and ``ShortExactSequence.connecting``).  A
-    subcomplex shares its ambient's, so every complex read off C*(M) in a
-    run, its models and C*(M, L) among them, keeps them in one place.
+    ``maps`` keeps the induced maps read off this complex (see
+    ``induced_map``).  A subcomplex shares its ambient's, so every complex
+    read off C*(M) in a run, its models and C*(M, L) among them, keeps them
+    in one place.
     """
 
     __slots__ = ("name", "dims", "d", "maps", "_ambient", "_shared", "_cohomology_cache",
@@ -510,36 +510,18 @@ class ShortExactSequence:
 
         Lift each representative through beta, apply d, pull back through
         alpha; the class of the result is independent of the lift.  The
-        matrix is a function of W's classes in degree r, the right inverse
-        and V's d there, the left inverse, alpha and U's classes in degree
-        r + 1, so it is kept in ``V.maps``, keyed on those six objects and
-        held with them, as ``induced_map`` keeps its matrices: the models of
-        a run share all six with the pair outside their cutoffs.  The
-        certificate ``alpha @ u == dv`` runs before any class of U is read,
-        so the pulled-back cocycles u are kept on the first five operands,
-        and their classes on U's.
+        certificate ``alpha @ u == dv`` runs before any class of U is read.
         """
         classes = self.W.cohomology(r)
         if not classes.dimension:
             return RationalMatrix.zeros(self.U.cohomology(r + 1).dimension, 0)
-        right, d = self.right[r], self.V.diff(r)
-        left = self._mat(self.left, r + 1, self.V, self.U)
-        alpha = self.alpha_mat(r + 1)
-        operands = (classes, right, d, left, alpha)
-        key = ("connecting",) + tuple(map(id, operands))
-        if key not in self.V.maps:
-            dv = d @ (right @ classes.matrix)
-            # left ∘ alpha = I, so u is the preimage of dv iff dv has one.  Then
-            # alpha d u = d d v = 0 with alpha injective, so u is a cocycle.
-            u = left @ dv
-            if alpha @ u != dv:
-                raise InternalExactnessError("SES: boundary not in the subcomplex")
-            self.V.maps[key] = (u, operands, {})
-        u, _, values = self.V.maps[key]
-        image = self.U.cohomology(r + 1)
-        if id(image) not in values:
-            values[id(image)] = (self.U.express_class(u, r + 1), image)
-        return values[id(image)][0]
+        dv = self.V.diff(r) @ (self.right[r] @ classes.matrix)
+        # left ∘ alpha = I, so u is the preimage of dv iff dv has one.  Then
+        # alpha d u = d d v = 0 with alpha injective, so u is a cocycle.
+        u = self._mat(self.left, r + 1, self.V, self.U) @ dv
+        if self.alpha_mat(r + 1) @ u != dv:
+            raise InternalExactnessError("SES: boundary not in the subcomplex")
+        return self.U.express_class(u, r + 1)
 
 
 def integrate(phi, xi) -> Fraction:

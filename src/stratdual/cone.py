@@ -13,11 +13,10 @@ the ∂∘∂ of its two ends.
 The cones of one run share what they read of M and L: C_*(M)'s pass in
 each degree, which every cone's pass extends by the truncation's rows alone
 (see ``MappingCone``), the cycles Z_k(L) of each cutoff, which both
-strategies' truncations complement, the decomposition's inclusion L -> M,
-and the certificate that it is a chain map below their cutoffs.  A cone
-keeps its blocks and stacks ∂_r only when ``bnd`` is asked.  The passes of
-C_*(M) and C_*(L) read the coboundary rows that C*(M) and C*(L) hold (see
-``SimplicialChains``).
+strategies' truncations complement, and the decomposition's inclusion
+L -> M.  A cone keeps its blocks and stacks ∂_r only when ``bnd`` is
+asked.  The passes of C_*(M) and C_*(L) read the coboundary rows that
+C*(M) and C*(L) hold (see ``SimplicialChains``).
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ class ChainComplex:
     ``boundary`` (``SimplicialChains``) builds ∂_r on its first read.
     """
 
-    __slots__ = ("name", "dims", "_boundary", "_echelon_cache", "_cycles_cache", "_squares",
-                 "_units")
+    __slots__ = ("name", "dims", "_boundary", "_echelon_cache", "_cycles_cache", "_units")
 
     def __init__(self, name, dims, boundary=None):
         self.name = name
@@ -49,7 +47,6 @@ class ChainComplex:
         self._boundary = {}
         self._echelon_cache = {}
         self._cycles_cache = {}
-        self._squares = {}
         self._units = {}
         if boundary is None:
             return
@@ -137,22 +134,13 @@ class ChainComplex:
 
         ∂_r f reads only the columns of ∂_r at the r-cells where f has a
         nonzero row, times those rows, and is zero with no product where f
-        has none.  Multiplied once per set of operands and kept with them:
-        matrices are immutable, so the same four objects give the same
-        verdict, and the cones of a run, whose comparison maps and truncation
-        boundaries are the same objects below their cutoffs, share it.
+        has none.
         """
-        key = (r, id(f), id(f_below), id(source_bnd))
-        if key not in self._squares:
-            right = f_below @ source_bnd
-            reached = [i for i, row in enumerate(f.data) if row]
-            if reached:
-                verdict = self.columns(r, reached) @ f.rows_at(reached) == right
-            else:
-                verdict = right.is_zero()
-            # The operands stay alive with the verdict, so no other object takes their ids.
-            self._squares[key] = (verdict, f, f_below, source_bnd)
-        return self._squares[key][0]
+        right = f_below @ source_bnd
+        reached = [i for i, row in enumerate(f.data) if row]
+        if reached:
+            return self.columns(r, reached) @ f.rows_at(reached) == right
+        return right.is_zero()
 
     def homology_dims(self):
         return tuple(self.dim(r) - self.echelon(r).rank - self.echelon(r + 1).rank
@@ -371,12 +359,9 @@ def mapping_cone(t: ChainTruncation, g, target: ChainComplex) -> MappingCone:
     transposes of d∘d products already checked, and the lower-left block is
     proved zero here, one identity ∂ g_r == g_{r-1} ∂ per degree below the
     top; t has no cells in the top degree, where it holds trivially.  Each
-    identity is multiplied once per set of operands by
-    ``ChainComplex.commutes``, which keeps the verdict: below the cutoff g is the decomposition's
-    inclusion and ∂t is L's own ∂, the same objects in every cone of a run,
-    so only the first cone to reach such a degree multiplies it.  A failure
-    names the cone and the degree of the cone's ∂∘∂ it breaks.  ``target``'s
-    passes are the ones the cone's extend (see ``MappingCone``).
+    identity is decided by ``ChainComplex.commutes``.  A failure names the
+    cone and the degree of the cone's ∂∘∂ it breaks.  ``target``'s passes
+    are the ones the cone's extend (see ``MappingCone``).
     """
     tc = t.complex
     top = max(tc.top + 1, target.top)

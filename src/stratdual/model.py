@@ -29,8 +29,8 @@ where the maps are made (see ``build_model``), with no rank behind them.  A
 failed certificate is an engine bug and raises InternalExactnessError.
 Outside degree k the model's differentials, passes and cohomology classes
 are those of C*(M, L) and C*(M), which it shares, and so are its structure
-maps and their one-sided inverses (see ``build_model``), so the induced and
-connecting maps read off them are kept once per run.
+maps and their one-sided inverses (see ``build_model``), so the induced
+maps read off them are kept once per run.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ strategies' truncations at a cutoff complement one Z_k(L), and no cone
 builds the inclusion again.
 Outside their cutoffs the truncations, cotruncations and models take their
 ambient's passes and classes by one table (see ``cochains.subcomplex``), and
-the induced and connecting maps of a run are kept with the complexes read
-off C*(M) (see ``cochains.induced_map``), so every model and strategy
-shares them.
+the induced maps of a run are kept with the complexes read off C*(M) (see
+``cochains.induced_map``), so every model and strategy shares them.
 The library's builders take every object they read as an argument and
 build none of those themselves, so this class is the one place that wires
 the model's diagram.  Each object is built on first request from the ones

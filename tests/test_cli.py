@@ -219,6 +219,10 @@ def test_examples_show(capsys):
     assert doc["singular_vertex"] == 7
     assert len(doc["facets"]) == 21
     assert main(["examples", "show", "missing"]) == 2
+    out = capsys.readouterr().out
+    assert out == ('{\n  "error": {\n    "code": "PARSE",\n'
+                   '    "message": "unknown example \'missing\'"\n  }\n}\n')
+    assert json.loads(out)["error"]["code"] == "PARSE"
 
 
 def test_csv_and_text_render():

@@ -432,10 +432,10 @@ def test_kept_induced_maps_are_keyed_on_the_target_classes():
     assert not induced_map(f, S, targets[1], 1).is_zero()
 
 
-def test_kept_connecting_maps_are_keyed_on_the_left_inverse():
+def test_connecting_certificate_rejects_a_zero_left_inverse():
     # Two sequences that share every operand but the left inverse in degree
-    # 2, which is zero in the second: its certificate must fail, and the
-    # map that the first kept must not answer for it.
+    # 2, which is zero in the second: the first has a nonzero connecting map
+    # in degree 1, and the second's certificate must fail.
     D = examples.get_decomposition("x2-cone-torus")
     pair = PairComplexes(D.M, D.L)
     ses = pair_sequence(pair)

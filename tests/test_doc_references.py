@@ -29,7 +29,7 @@ NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?")
 
 # References that are not package names: error codes, which the reports
 # spell, and fields read through a function's own argument.
-ALLOWED = {"PARSE", "BAD_PERVERSITY", "V.maps", "source.maps"}
+ALLOWED = {"PARSE", "BAD_PERVERSITY", "source.maps"}
 
 
 def references():

@@ -238,6 +238,24 @@ def test_ladder_x2_all_degrees():
     assert ladder_check(mp, mq, 1, forms).bs_sign == -1
 
 
+def test_ladder_bottom_square_fails_on_a_doubled_kappa(monkeypatch):
+    # At r = 1 the bottom square of x2-cone-torus is nonzero, so doubling
+    # H(kappa_p) matches neither side nor its negative.
+    D, forms, mp, mq = models_for("x2-cone-torus")
+    real = duality.induced_map
+
+    def doubled_kappa(f, source, target, r):
+        value = real(f, source, target, r)
+        return value.scaled(2) if f is mp.kappa else value
+
+    monkeypatch.setattr(duality, "induced_map", doubled_kappa)
+    rec = ladder_check(mp, mq, 1, forms)
+    assert rec.ts_commutes and rec.ms_commutes
+    assert rec.bs_commutes is False
+    assert rec.bs_sign == 0
+    assert rec.passed is False
+
+
 def test_ladder_octahedron_all_degrees():
     D, forms, mp, mq = models_for("octahedron-marked")
     for r in range(D.n + 1):

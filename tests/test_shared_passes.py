@@ -8,8 +8,9 @@ The truncation and the cotruncations of C*(L) read C*(L)'s passes and
 classes outside their cutoff the same way, against the same reference.
 Outside degrees k - 1 and k the model's blocks are the pair's objects; the
 reference is the per-degree loop that read, multiplied and checked every
-degree.  The induced and connecting maps that the ladder reads are kept per
-run; the reference is the same map computed uncached.
+degree.  The induced maps that the ladder reads are kept per run, and its
+connecting maps are made where asked; the reference for each is the map
+computed anew.
 ``_check_model`` decides choice independence by the two strategies' cutoff
 passes; the reference is the Betti vectors of both strategies' full models.
 """
