@@ -45,7 +45,13 @@ ALL_CHECKS = ("model", "duality", "ladder", "lefschetz",
 
 def resolve_input(ref: str):
     path = Path(ref)
-    if path.exists():
+    try:
+        found = path.exists()
+    except OSError as exc:
+        # pathlib re-raises what stat says beyond "no such file", such as a
+        # name too long: that input can be neither read nor bundled.
+        raise ParseError(f"cannot read input document: {exc}") from exc
+    if found:
         try:
             document = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -316,6 +322,8 @@ def render_json_direct(value) -> str:
     Dispatches on exact type: dicts with str keys (in sorted order), lists,
     tuples, str, bool, int and None.  Anything else, a float, a set or a
     non-str key among them, raises ``TypeError``: a report holds no floats.
+    ``json.dumps`` with ``indent`` runs its pure-Python encoder below
+    Python 3.13, which this pass outruns.
     """
     parts = []
     _write_json(value, "\n", parts.append)

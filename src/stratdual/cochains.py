@@ -298,7 +298,7 @@ def simplicial_cochains(K: SimplicialComplex):
     d^r = -(-1)^r transpose(∂_{r+1}) is K's
     ``SimplicialComplex.coboundary_matrix``, written from the face index, row
     j holding the signed r-faces of the (r+1)-simplex j, once per degree and
-    complex: the passes of ``cone.simplicial_chains`` read the same rows.
+    complex: the passes of ``cone.SimplicialChains`` read the same rows.
     The complex proves d∘d = 0 on them.
     """
     top = K.dimension
@@ -352,7 +352,7 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
     """
     if len(bases) != C.top + 1:
         raise ValueError(f"{name}: need one basis per degree 0..{C.top}")
-    zero = SubspaceBasis.from_vectors(0, [])
+    zero = SubspaceBasis(RationalMatrix.zeros(0, 0), ())
     inclusion = tuple(basis.matrix() for basis in bases)
     d = []
     for r, (basis, theta) in enumerate(zip(bases, inclusion)):
@@ -511,6 +511,7 @@ class ShortExactSequence:
         Lift each representative through beta, apply d, pull back through
         alpha; the class of the result is independent of the lift.  The
         certificate ``alpha @ u == dv`` runs before any class of U is read.
+        The map is made where it is asked and kept by no one.
         """
         classes = self.W.cohomology(r)
         if not classes.dimension:

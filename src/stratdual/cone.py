@@ -180,11 +180,6 @@ class SimplicialChains(ChainComplex):
         return (rows if r % 2 == 0 else -rows).transpose()
 
 
-def simplicial_chains(K: SimplicialComplex) -> SimplicialChains:
-    """C_*(K), on the coboundary matrices that C*(K) shares."""
-    return SimplicialChains(K)
-
-
 class ChainTruncation:
     """t_{<k}: full below k, a complement of the k-cycles in degree k, zero above."""
 
@@ -201,7 +196,7 @@ def chain_truncate(L: SimplicialComplex, k: int, strategy: str,
                    chains: ChainComplex) -> ChainTruncation:
     """Moore-style truncation: H_r iso below k, zero at and above k.
 
-    ``chains`` is simplicial_chains(L).  Nothing is multiplied for ∂∘∂:
+    ``chains`` is SimplicialChains(L).  Nothing is multiplied for ∂∘∂:
     below k it is L's, and at k it is ∂_{k-1} ∂_k B = 0.
     """
     if k <= 0:
@@ -382,9 +377,9 @@ def intersection_space_cone(D: PseudomanifoldDecomposition, k: int, strategy: st
                             m_chains: ChainComplex, l_chains: ChainComplex) -> MappingCone:
     """Cone over L_{<k} -> L = ∂M -> M for a decomposition.
 
-    ``m_chains`` and ``l_chains`` are simplicial_chains of M and of L, as
-    ``workspace.Workspace.cone`` passes them.  The cones over them share
-    their passes and cycles, and D's inclusion L -> M.
+    ``m_chains`` and ``l_chains`` are the ``SimplicialChains`` of M and of
+    L, as ``workspace.Workspace.cone`` passes them.  The cones over them
+    share their passes and cycles, and D's inclusion L -> M.
     """
     t = chain_truncate(D.L, k, strategy, l_chains)
     # g_r is the inclusion after t's, which is the identity below k.

@@ -82,7 +82,7 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
     img = C.image(k - 1)
     bases = [C.whole(r) if r < k
              else img if r == k
-             else SubspaceBasis.from_vectors(C.dim(r), [])
+             else SubspaceBasis(RationalMatrix.zeros(C.dim(r), 0), ())
              for r in range(C.top + 1)]
     shared = {r: (C, None) if r < k - 1 else (C, range(img.count)) for r in range(-1, k)}
     return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases, shared))
@@ -124,8 +124,8 @@ def cotruncate(C: CochainComplex, k: int, strategy: str = "lex") -> StandardCotr
                 or not (projection @ D.matrix()).is_zero()):
             raise InternalExactnessError("complement does not split the cotruncation degree")
     else:
-        D = SubspaceBasis.from_vectors(0, [])
-    bases = [SubspaceBasis.from_vectors(C.dim(r), []) if r < k
+        D = SubspaceBasis(RationalMatrix.zeros(0, 0), ())
+    bases = [SubspaceBasis(RationalMatrix.zeros(C.dim(r), 0), ()) if r < k
              else D if r == k
              else C.whole(r)
              for r in range(C.top + 1)]

@@ -242,7 +242,10 @@ def _perturb(model: IntersectionModel, r: int, rep, rng):
 
 
 class LadderRecord:
-    """Commutation verdicts of the three ladder squares at one degree."""
+    """Commutation verdicts of the three ladder squares at one degree.
+
+    ``to_jsonable`` returns a new dict on every call, so no two reports
+    share one, though ``PairingForms`` keeps the record."""
 
     __slots__ = ("degree", "ts_commutes", "ms_commutes", "bs_commutes",
                  "bs_sign", "five_lemma_consistent")

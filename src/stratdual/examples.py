@@ -1,16 +1,14 @@
 """Bundled triangulations.
 
-Decomposition inputs (pseudomanifolds with a marked vertex) double as CLI
-fixtures; the plain complexes back the Lefschetz and truncated-duality tests.
-Everything here is small enough to verify by exact rank computations in well
+Decomposition inputs (pseudomanifolds with a marked vertex), which the CLI
+lists and verifies by name, and their barycentric subdivisions.  Every
+bundled input is small enough to verify by exact rank computations in well
 under a second.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
-
-from .simplicial import SimplicialComplex, decompose, parse_complex
 
 
 def _cyclic_solid_torus_facets():
@@ -28,12 +26,6 @@ def _octahedron_facets():
     # Antipodal pairs (0,5), (1,3), (2,4).
     return [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1],
             [5, 1, 2], [5, 2, 3], [5, 3, 4], [5, 4, 1]]
-
-
-def _annulus_facets():
-    # Outer square 0..3, inner square 4..7, eight triangles.
-    return [[0, 1, 5], [0, 5, 4], [1, 2, 6], [1, 6, 5],
-            [2, 3, 7], [2, 7, 6], [3, 0, 4], [3, 4, 7]]
 
 
 def _mobius_facets():
@@ -75,37 +67,12 @@ DECOMPOSITION_DOCUMENTS = {
     },
 }
 
-# name -> plain complex fixtures
-_COMPLEX_FACETS = {
-    "s1-triangle": [[0, 1], [1, 2], [0, 2]],
-    "s1-square": [[1, 2], [2, 3], [3, 4], [1, 4]],
-    "t2-7": _torus7_facets(),
-    "disk": [[0, 1, 2]],
-    "annulus": _annulus_facets(),
-    "solid-torus": _cyclic_solid_torus_facets(),
-    "mobius": _mobius_facets(),
-}
-
-
-def complex_names():
-    return sorted(_COMPLEX_FACETS)
-
-
-def get_complex(name: str) -> SimplicialComplex:
-    return SimplicialComplex.from_facets(_COMPLEX_FACETS[name], name=name)
-
-
 def decomposition_names():
     return sorted(DECOMPOSITION_DOCUMENTS)
 
 
 def get_document(name: str) -> dict:
     return DECOMPOSITION_DOCUMENTS[name]
-
-
-def get_decomposition(name: str):
-    doc = DECOMPOSITION_DOCUMENTS[name]
-    return decompose(parse_complex(doc), doc["singular_vertex"])
 
 
 def catalog():

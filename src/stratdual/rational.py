@@ -1,22 +1,23 @@
 """Exact sparse linear algebra over the rationals.
 
 A matrix is a tuple of sparse rows ``{col: int}`` of nonzero integer
-numerators over one positive denominator, which is the layout the elimination
-kernel works on: an elimination copies each row once, a product walks the
-right factor's rows directly, and products, sums and ``apply`` run in ints
-with one gcd normalization per result.  Matrices share rows (a restriction to
-rows, a unit factor, a solve), so no row is ever mutated once a matrix holds
-it; the kernel works on copies.  ``fractions.Fraction`` appears only in the
-public constructors and the entry, row, column, ``apply`` and
-``transpose_apply`` outputs; ``from_integer_rows`` takes the layout itself,
-unchecked, from code that writes it directly.  Every
-rank, echelon form, kernel, image and solve goes through one elimination
-kernel: the forward pass clears one lead column at a time, the lowest or
-the highest, by integer row combinations divided by the gcd of their
-entries, and reduced rows come out over the lcm of their leads.  The
-reduced row echelon form is unique, so every derived basis is reproducible
-bit for bit.  Subspaces are one sparse matrix in reduced column echelon
-form, which makes subspace equality a syntactic comparison.
+numerators over one positive denominator, which is the layout the
+elimination kernel works on: an elimination copies each row once, a product
+walks the right factor's rows directly, and products and ``apply`` run in
+ints with one gcd normalization per result; a product or a transpose with a
+zero dimension is ``RationalMatrix.zeros`` at once.  Matrices share rows (a
+restriction to rows, a unit factor, a solve), so no row is ever mutated once
+a matrix holds it; the kernel works on copies.  ``fractions.Fraction``
+appears only in the public constructors and the entry, row, column,
+``apply`` and ``transpose_apply`` outputs; ``from_integer_rows`` takes the
+layout itself, unchecked, from code that writes it directly.  Every rank,
+echelon form, kernel, image and solve goes through one elimination kernel:
+the forward pass clears one lead column at a time, the lowest or the
+highest, by integer row combinations divided by the gcd of their entries,
+and reduced rows come out over the lcm of their leads.  The reduced row
+echelon form is unique, so every derived basis is reproducible bit for bit.
+Subspaces are one sparse matrix in reduced column echelon form, which makes
+subspace equality a comparison of matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Vector = tuple  # tuple[Fraction, ...]
 
@@ -47,10 +48,11 @@ class RationalMatrix:
 
     ``data`` holds one dict ``{col: int}`` of nonzero int numerators per
     row; ``den`` is positive and shares no factor with all of them, so equal
-    matrices are equal field by field (dict equality ignores column order,
-    and the hash reads each row sorted).  A row dict may be shared with
-    other matrices, and empty rows with each other, because no row is ever
-    mutated once a matrix holds it.
+    matrices are equal field by field (dict equality ignores column order).
+    Matrices compare by value and are not hashable, so none can key a
+    store by accident.  A row dict may be shared with other matrices, and
+    empty rows with each other, because no row is ever mutated once a
+    matrix holds it.
     """
 
     __slots__ = ("rows", "cols", "den", "data")
@@ -77,14 +79,6 @@ class RationalMatrix:
         self.data = tuple(data)
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows_of_values: Sequence[Sequence]) -> "RationalMatrix":
-        cols = len(rows_of_values[0]) if rows_of_values else 0
-        if any(len(row) != cols for row in rows_of_values):
-            raise ValueError("ragged rows")
-        return cls(len(rows_of_values), cols, {
-            (i, j): v for i, row in enumerate(rows_of_values) for j, v in enumerate(row)})
-
     @classmethod
     def from_integer_rows(cls, cols: int, data, den: int = 1) -> "RationalMatrix":
         """Wrap rows of nonzero int numerators (columns below ``cols``) over
@@ -248,28 +242,6 @@ class RationalMatrix:
         return RationalMatrix.from_integer_rows(self.cols, _times(self.data, c.numerator),
                                                 self.den * c.denominator)
 
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        den, left, right = self._common(other)
-        data = []
-        for a, b in zip(left, right):
-            if not a or not b:
-                data.append(a or b)
-                continue
-            a = dict(a)
-            for k, v in b.items():
-                s = a.get(k, 0) + v
-                if s:
-                    a[k] = s
-                else:
-                    del a[k]
-            data.append(a)
-        return RationalMatrix.from_integer_rows(self.cols, data, den)
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "RationalMatrix":
         return self.scaled(-1)
 
@@ -277,10 +249,6 @@ class RationalMatrix:
         return (isinstance(other, RationalMatrix)
                 and self.cols == other.cols and self.den == other.den
                 and self.data == other.data)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.den,
-                     tuple(tuple(sorted(row.items())) for row in self.data)))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, {sum(map(len, self.data))} entries)"
@@ -389,6 +357,21 @@ def _scaled_rows(rows: int, cols: int, scaled: list, offset: int = 0) -> Rationa
     return RationalMatrix.from_integer_rows(cols, data, den)
 
 
+def _back_substitute(pivots: dict, lead) -> dict:
+    """Clear each pivot row of a pass led by ``lead`` at every other pivot
+    column, in place, and return ``pivots``.
+
+    Lowest lead first for ``lead=max`` (highest for min): each row reaches
+    only pivots already reduced to their lead and free columns, so clearing
+    one entry never refills another.
+    """
+    for c in sorted(pivots, reverse=lead is min):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            _eliminate(row, pivots[k], k)
+    return pivots
+
+
 def rref(m: RationalMatrix, transform: bool = False):
     """Unique reduced row echelon form of ``m``.
 
@@ -397,14 +380,8 @@ def rref(m: RationalMatrix, transform: bool = False):
     """
     cols = m.cols
     pivots, rest = _forward(_integer_rows(m, transform), cols)
+    _back_substitute(pivots, min)
     order = sorted(pivots)
-    # Back-substitution, last pivot first: every later pivot row is already
-    # zero at all pivot columns but its own, so clearing one entry never
-    # refills another.
-    for c in reversed(order):
-        row = pivots[c]
-        for k in [k for k in row if k in pivots and k != c]:
-            _eliminate(row, pivots[k], k)
     # Each pivot row divided by its lead; the rows of T ride along past cols.
     led = [(pivots[c][c], pivots[c]) for c in order]
     reduced = _scaled_rows(m.rows, cols, led)
@@ -529,20 +506,8 @@ class Echelon:
 
     def _back_substituted(self) -> dict:
         """Copies of the pivot rows, by lead column, each cleared at every
-        other pivot column.
-
-        Back-substitution, lowest lead first for ``lead=max`` (highest for
-        min): each row reaches only pivots already reduced to their lead and
-        free columns, so clearing one entry never refills another.
-        """
-        pivots = self._rows
-        reduced = {}
-        for c in sorted(pivots, key=self._lead_first, reverse=True):
-            row = dict(pivots[c])
-            for k in [k for k in row if k != c and k in pivots]:
-                _eliminate(row, reduced[k], k)
-            reduced[c] = row
-        return reduced
+        other pivot column."""
+        return _back_substitute({c: dict(row) for c, row in self._rows.items()}, self.lead)
 
     def kernel(self) -> RationalMatrix:
         """A basis of the kernel, zero at the cleared columns, as columns.
@@ -600,8 +565,8 @@ class SubspaceBasis:
     """Canonical basis of a subspace of Q^ambient_dim.
 
     The basis is the reduced column echelon form, one ``RationalMatrix``
-    with pivot rows strictly increasing, so two SubspaceBasis objects
-    describe the same subspace iff they compare equal.  ``pivot_rows`` is
+    with pivot rows strictly increasing, so two bases describe the same
+    subspace iff their matrices compare equal.  ``pivot_rows`` is
     kept as given when it is a ``range``, as for a whole space, and as a
     tuple otherwise.
     """
@@ -613,22 +578,9 @@ class SubspaceBasis:
         self.pivot_rows = pivot_rows if type(pivot_rows) is range else tuple(pivot_rows)
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Sequence[Vector],
-                     require_independent: bool = True) -> "SubspaceBasis":
-        vectors = [vec(v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vectors):
-            raise ValueError("vector does not live in the ambient space")
-        if not vectors:
-            return cls(RationalMatrix.zeros(ambient_dim, 0), ())
-        return cls.row_space(RationalMatrix.from_rows(vectors), require_independent)
-
-    @classmethod
-    def row_space(cls, m: RationalMatrix,
-                  require_independent: bool = True) -> "SubspaceBasis":
+    def row_space(cls, m: RationalMatrix) -> "SubspaceBasis":
         """Canonical basis of the span of the rows of ``m``."""
         pivots, reduced = rref(m)
-        if require_independent and len(pivots) != m.rows:
-            raise ValueError("vectors are linearly dependent")
         return cls(reduced.rows_at(range(len(pivots))).transpose(), pivots)
 
     @property
@@ -651,12 +603,6 @@ class SubspaceBasis:
         x = m.rows_at(self.pivot_rows)
         return x if self._matrix @ x == m else None
 
-    def __eq__(self, other):
-        return isinstance(other, SubspaceBasis) and self._matrix == other._matrix
-
-    def __hash__(self):
-        return hash(self._matrix)
-
     def __repr__(self):
         return f"SubspaceBasis(dim {self.count} in Q^{self.ambient_dim})"
 
@@ -677,7 +623,7 @@ def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
 
 def image_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of the column space of m."""
-    return SubspaceBasis.row_space(m.transpose(), require_independent=False)
+    return SubspaceBasis.row_space(m.transpose())
 
 
 # Each strategy's lead in the pass over a subspace's basis that picks its complement.

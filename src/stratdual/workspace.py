@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 
 from .cochains import PairComplexes, simplicial_cochains
-from .cone import intersection_space_cone, simplicial_chains
+from .cone import SimplicialChains, intersection_space_cone
 from .cotruncation import cotruncate, quotient_by_cotruncation, truncate_below
 from .duality import PairingForms
 from .errors import ParseError
@@ -115,7 +115,7 @@ class Workspace:
     def chains(self, which: str):
         """C_*(X), C_*(M) or C_*(L), which is "X", "M" or "L": the oracle reads
         M's and L's, and the properties check the ∂ of all three."""
-        return self._once(("chains", which), lambda: simplicial_chains(
+        return self._once(("chains", which), lambda: SimplicialChains(
             getattr(self.decomposition(), which)))
 
     def cone(self, k: int, strategy: str):

@@ -32,7 +32,7 @@ from stratdual.rational import RationalMatrix
 from stratdual.simplicial import SimplicialComplex, orient_top_chain
 from stratdual.workspace import Workspace
 
-from helpers import pairing
+from helpers import get_complex, get_decomposition, pairing
 
 MAIN_EXAMPLES = ("octahedron-marked", "x2-cone-torus")
 ALL_EXAMPLES = ("disk-cone-s1", "octahedron-marked", "x2-cone-torus")
@@ -116,7 +116,7 @@ def test_criterion_4_lefschetz():
         if name == "solid-torus":
             forms = Workspace(examples.get_document("x2-cone-torus")).forms()
         else:
-            K = examples.get_complex(name)
+            K = get_complex(name)
             A = SimplicialComplex.from_facets(boundary, name=f"bd({name})")
             forms = PairingForms(PairComplexes(K, A), orient_top_chain(K))
         report = lefschetz_pairing(forms)
@@ -131,7 +131,7 @@ def test_criterion_5_truncated_duality():
     ok = True
     for name, windows in (("s1-triangle", ((1, 1),)),
                           ("t2-7", ((1, 2), (2, 1)))):
-        L = examples.get_complex(name)
+        L = get_complex(name)
         cochains = simplicial_cochains(L)
         for (k, l) in windows:
             report = truncated_duality(L, k, l, cochains)
@@ -146,7 +146,7 @@ def test_criterion_5_truncated_duality():
     # and invertible; at r >= k both sides vanish.  For k + l = c + 1 (the
     # case the duality proof consumes) the window covers every degree.
     for name in ("s1-triangle", "t2-7"):
-        L = examples.get_complex(name)
+        L = get_complex(name)
         C, cup = simplicial_cochains(L)
         lam = orient_top_chain(L)
         c = L.dimension
@@ -182,9 +182,9 @@ def test_criterion_5_truncated_duality():
 
 def test_criterion_6_stokes():
     rng = random.Random(2024)
-    complexes = [examples.get_complex(n) for n in
+    complexes = [get_complex(n) for n in
                  ("s1-triangle", "s1-square", "t2-7", "disk", "annulus", "solid-torus")]
-    complexes += [examples.get_decomposition(n).X for n in ALL_EXAMPLES]
+    complexes += [get_decomposition(n).X for n in ALL_EXAMPLES]
     failures = 0
     for K in complexes:
         C, _ = simplicial_cochains(K)
@@ -202,7 +202,7 @@ def test_criterion_6_stokes():
 
 
 def test_criterion_7_product_vanishing():
-    L = examples.get_complex("t2-7")
+    L = get_complex("t2-7")
     C, cup = simplicial_cochains(L)
     cts = {k: cotruncate(C, k) for k in (1, 2, 3)}
     nonzero = 0

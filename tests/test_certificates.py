@@ -39,6 +39,8 @@ from stratdual.rational import (
 )
 from stratdual.workspace import Workspace
 
+from helpers import from_rows, get_decomposition, reference_connecting
+
 STRATEGIES = ("lex", "reverse-lex")
 
 
@@ -57,17 +59,6 @@ def reference_maps(m):
            for r in range(n + 1)]
     eta = [Solver(iota[r]).solve_matrix(pair.include_rel[r]) for r in range(n + 1)]
     return iota, d, rho, eta
-
-
-def reference_connecting(ses, r):
-    """H^r(W) -> H^{r+1}(U) by elimination: lift each representative by a
-    solve through beta, apply d, and solve through alpha."""
-    reps = ses.W.representative_matrix(r)
-    if not reps.cols:
-        return RationalMatrix.zeros(ses.U.cohomology(r + 1).dimension, 0)
-    v = Solver(ses.beta[r]).solve_matrix(reps)
-    u = Solver(ses.alpha_mat(r + 1)).solve_matrix(ses.V.diff(r) @ v)
-    return ses.U.express_class(u, r + 1)
 
 
 def forbidden(*args, **kwargs):
@@ -152,13 +143,13 @@ def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex(monkeypat
     # from 1 to 0: then W has a class whose lift's coboundary leaves alpha's image.
     one = RationalMatrix.identity(1)
     U = CochainComplex("U", (0, 1), (RationalMatrix.zeros(1, 0), RationalMatrix.zeros(0, 1)))
-    V = CochainComplex("V", (1, 2), (RationalMatrix.from_rows([[1], [1]]),
+    V = CochainComplex("V", (1, 2), (from_rows([[1], [1]]),
                                      RationalMatrix.zeros(0, 2)))
     W = CochainComplex("W", (1, 1), (RationalMatrix.zeros(1, 1), RationalMatrix.zeros(0, 1)))
-    alpha = (RationalMatrix.zeros(1, 0), RationalMatrix.from_rows([[1], [0]]))
-    beta = (one, RationalMatrix.from_rows([[0, 1]]))
-    left = (RationalMatrix.zeros(0, 1), RationalMatrix.from_rows([[1, 0]]))
-    right = (one, RationalMatrix.from_rows([[0], [1]]))
+    alpha = (RationalMatrix.zeros(1, 0), from_rows([[1], [0]]))
+    beta = (one, from_rows([[0, 1]]))
+    left = (RationalMatrix.zeros(0, 1), from_rows([[1, 0]]))
+    right = (one, from_rows([[0], [1]]))
     ses = ShortExactSequence(U, V, W, alpha, beta, left, right)
     W.cohomology(0)
     with eliminations_forbidden(monkeypatch), pytest.raises(
@@ -167,7 +158,7 @@ def test_connecting_certificate_sees_a_boundary_outside_the_subcomplex(monkeypat
 
 
 def test_corrupted_restriction_raises_as_by_rank(monkeypatch):
-    D = examples.get_decomposition("x2-cone-torus")
+    D = get_decomposition("x2-cone-torus")
     restriction_map = cochains.restriction_map
 
     def corrupted(K, A):
@@ -185,7 +176,7 @@ def test_corrupted_restriction_raises_as_not_a_cochain_map(monkeypatch, degree):
     # Swapping two rows of the restriction keeps it a surjection onto C*(L)
     # that kills C*(M, L), so only the cochain-map proof sees it, at the
     # first square the swapped degree enters.
-    D = examples.get_decomposition("x2-cone-torus")
+    D = get_decomposition("x2-cone-torus")
     restriction_map = cochains.restriction_map
 
     def corrupted(K, A):

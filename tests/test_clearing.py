@@ -13,16 +13,18 @@ from fractions import Fraction
 
 from stratdual import examples
 from stratdual.cochains import CochainComplex, PairComplexes, simplicial_cochains
-from stratdual.cone import ChainComplex, intersection_space_cone, simplicial_chains
+from stratdual.cone import ChainComplex, SimplicialChains, intersection_space_cone
 from stratdual.rational import Echelon, RationalMatrix
 from stratdual.simplicial import decompose, parse_complex
+
+from helpers import complex_names, from_rows, get_complex, get_decomposition
 
 STRATEGIES = ("lex", "reverse-lex")
 
 
 def _decompositions():
     for name in examples.decomposition_names():
-        yield examples.get_decomposition(name)
+        yield get_decomposition(name)
     for name in ("disk-cone-s1", "octahedron-marked"):
         doc = examples.subdivide(examples.get_document(name), 1)
         yield decompose(parse_complex(doc), doc["singular_vertex"])
@@ -74,7 +76,7 @@ def _random_cochain_complex(rng, index):
                     for i in range(dims[r + 1])]
         if dims[r] and dims[r + 1]:
             dense = _dense_product(_dense_product(bases[r + 1][0], standard), bases[r][1])
-            d.append(RationalMatrix.from_rows(dense))
+            d.append(from_rows(dense))
         else:
             d.append(RationalMatrix.zeros(dims[r + 1], dims[r]))
     d.append(RationalMatrix.zeros(0, dims[top]))
@@ -87,8 +89,8 @@ def _random_complexes():
 
 
 def _cochain_complexes():
-    complexes = [simplicial_cochains(examples.get_complex(name))[0]
-                 for name in examples.complex_names()]
+    complexes = [simplicial_cochains(get_complex(name))[0]
+                 for name in complex_names()]
     for D in _decompositions():
         pair = PairComplexes(D.M, D.L)
         complexes += [pair.full, pair.sub, pair.rel]
@@ -103,10 +105,10 @@ def _as_chains(C: CochainComplex) -> ChainComplex:
 
 
 def _chain_complexes():
-    complexes = [simplicial_chains(examples.get_complex(name))
-                 for name in examples.complex_names()]
+    complexes = [SimplicialChains(get_complex(name))
+                 for name in complex_names()]
     for D in _decompositions():
-        m_chains, l_chains = simplicial_chains(D.M), simplicial_chains(D.L)
+        m_chains, l_chains = SimplicialChains(D.M), SimplicialChains(D.L)
         complexes += [m_chains, l_chains]
         for k in range(1, D.n):
             complexes += [intersection_space_cone(D, k, s, m_chains, l_chains)

@@ -175,6 +175,16 @@ def test_non_utf8_file_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "PARSE"
 
 
+@pytest.mark.parametrize("target", ["a" * 5000, "x/" * 3000], ids=["long-name", "long-path"])
+def test_input_whose_path_cannot_be_stat_ed_is_rejected(target, capsys):
+    # stat fails with "File name too long", which pathlib re-raises.
+    report, status = run_verification(target, "zero", "lex", ["model"], 0)
+    assert status == 2
+    assert report["error"]["code"] == "PARSE"
+    assert main(["verify", target, "--checks", "model"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "PARSE"
+
+
 def test_disconnected_link_error(tmp_path):
     doc = {
         "name": "wedge",

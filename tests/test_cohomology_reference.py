@@ -16,9 +16,11 @@ import pytest
 
 from stratdual import examples
 from stratdual.cochains import CochainComplex, simplicial_cochains
-from stratdual.cone import ChainComplex, chain_truncate, simplicial_chains
+from stratdual.cone import ChainComplex, SimplicialChains, chain_truncate
 from stratdual.rational import RationalMatrix, Solver, image_basis, kernel_basis, rref
 from stratdual.workspace import Workspace
+
+from helpers import complex_names, get_complex
 
 DECOMPOSITIONS = ("disk-cone-s1", "octahedron-marked", "x2-cone-torus")
 
@@ -31,9 +33,12 @@ def reference_representatives(d: RationalMatrix, e: RationalMatrix) -> RationalM
         return cycles
     pivots, _ = rref(boundaries.matrix().hstack(cycles))
     chosen = cycles.columns_at([j - boundaries.count for j in pivots if j >= boundaries.count])
-    # The boundary basis is the identity at its pivot rows, so this clears
-    # them and changes each column by a boundary only.
-    return chosen - boundaries.matrix() @ chosen.rows_at(boundaries.pivot_rows)
+    # The boundary basis B is the identity at its pivot rows P, so
+    # chosen - B @ chosen[P], the block product [chosen | B] @ [I; -chosen[P]],
+    # clears them and changes each column by a boundary only.
+    unit = RationalMatrix.identity(chosen.cols)
+    return chosen.hstack(boundaries.matrix()) @ unit.vstack(
+        -chosen.rows_at(boundaries.pivot_rows))
 
 
 def reference_coordinates(reps: RationalMatrix, e: RationalMatrix,
@@ -61,8 +66,9 @@ def sample_cycles(d, e, reps, rng):
     cycles = kernel_basis(d).matrix()
     cycles = cycles.columns_at(sorted(rng.sample(range(cycles.cols), min(cycles.cols, 4))))
     extra = rng.randint(1, 3)
-    mixed = (reps @ _random_matrix(rng, reps.cols, extra, 0.7)
-             + e @ _random_matrix(rng, e.cols, extra, 0.5))
+    # reps @ X + e @ Y, as one block product.
+    mixed = reps.hstack(e) @ _random_matrix(rng, reps.cols, extra, 0.7).vstack(
+        _random_matrix(rng, e.cols, extra, 0.5))
     return cycles.hstack(mixed)
 
 
@@ -113,10 +119,10 @@ def test_random_complexes_match_reference():
 
 def test_fixture_complexes_match_reference():
     rng = random.Random(6062)
-    for name in examples.complex_names():
-        K = examples.get_complex(name)
+    for name in complex_names():
+        K = get_complex(name)
         check_cochains(simplicial_cochains(K)[0], rng)
-        check_chains(simplicial_chains(K))
+        check_chains(SimplicialChains(K))
 
 
 def workspace(name, level):

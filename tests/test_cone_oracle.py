@@ -5,15 +5,17 @@ import pytest
 from stratdual import cone as cone_module
 from stratdual import examples, rational
 from stratdual.cone import (
+    SimplicialChains,
     chain_truncate,
     compare,
     intersection_space_cone,
     mapping_cone,
-    simplicial_chains,
 )
 from stratdual.errors import InternalExactnessError
 from stratdual.rational import RationalMatrix, SubspaceBasis, complement_basis, kernel_basis
 from stratdual.workspace import Workspace
+
+from helpers import get_complex, get_decomposition
 
 
 def workspace(name):
@@ -21,20 +23,20 @@ def workspace(name):
 
 
 def test_chain_homology_of_fixtures():
-    assert simplicial_chains(examples.get_complex("s1-triangle")).homology_dims() == (1, 1)
-    assert simplicial_chains(examples.get_complex("t2-7")).homology_dims() == (1, 2, 1)
-    assert simplicial_chains(examples.get_complex("solid-torus")).homology_dims() == (1, 1, 0, 0)
+    assert SimplicialChains(get_complex("s1-triangle")).homology_dims() == (1, 1)
+    assert SimplicialChains(get_complex("t2-7")).homology_dims() == (1, 2, 1)
+    assert SimplicialChains(get_complex("solid-torus")).homology_dims() == (1, 1, 0, 0)
 
 
 def test_chain_truncate_circle():
-    L = examples.get_complex("s1-triangle")
-    t = chain_truncate(L, 1, "lex", simplicial_chains(L))
+    L = get_complex("s1-triangle")
+    t = chain_truncate(L, 1, "lex", SimplicialChains(L))
     assert t.complex.homology_dims() == (1, 0)
 
 
 def test_chain_truncate_torus():
-    L = examples.get_complex("t2-7")
-    chains = simplicial_chains(L)
+    L = get_complex("t2-7")
+    chains = SimplicialChains(L)
     t = chain_truncate(L, 2, "lex", chains)
     assert t.complex.homology_dims() == (1, 2, 0)
     t1 = chain_truncate(L, 1, "lex", chains)
@@ -42,15 +44,15 @@ def test_chain_truncate_torus():
 
 
 def test_chain_truncate_above_dimension_keeps_everything():
-    L = examples.get_complex("t2-7")
-    t = chain_truncate(L, L.dimension + 1, "lex", simplicial_chains(L))
+    L = get_complex("t2-7")
+    t = chain_truncate(L, L.dimension + 1, "lex", SimplicialChains(L))
     assert t.complex.homology_dims() == (1, 2, 1)
 
 
 def test_chain_truncate_signature_all_cutoffs():
     for name in ("s1-triangle", "s1-square", "t2-7"):
-        L = examples.get_complex(name)
-        chains = simplicial_chains(L)
+        L = get_complex(name)
+        chains = SimplicialChains(L)
         ambient = chains.homology_dims()
         for k in range(1, L.dimension + 2):
             t = chain_truncate(L, k, "lex", chains)
@@ -60,8 +62,8 @@ def test_chain_truncate_signature_all_cutoffs():
 
 
 def test_cone_of_identity_is_acyclic():
-    L = examples.get_complex("t2-7")
-    chains = simplicial_chains(L)
+    L = get_complex("t2-7")
+    chains = SimplicialChains(L)
     t = chain_truncate(L, L.dimension + 1, "lex", chains)
     g = [t.inclusion[r] for r in range(L.dimension + 1)]
     cone = mapping_cone(t, g, chains)
@@ -149,10 +151,10 @@ def test_cone_les_rank_identities():
 def test_cone_of_half_scaled_map_matches_fraction_blocks():
     # Every bundled comparison map has ±1 entries; g/2 is still a chain map,
     # and its cone joins blocks over the denominators 1 and 2.
-    D = examples.get_decomposition("x2-cone-torus")
-    m_chains = simplicial_chains(D.M)
+    D = get_decomposition("x2-cone-torus")
+    m_chains = SimplicialChains(D.M)
     for k in (1, 2):
-        t = chain_truncate(D.L, k, "lex", simplicial_chains(D.L))
+        t = chain_truncate(D.L, k, "lex", SimplicialChains(D.L))
         tc = t.complex
         g = []
         for r in range(D.M.dimension + 1):
@@ -181,9 +183,9 @@ def test_cone_of_half_scaled_map_matches_fraction_blocks():
 
 
 def test_chain_truncate_rejects_bad_cutoff():
-    L = examples.get_complex("t2-7")
+    L = get_complex("t2-7")
     with pytest.raises(ValueError):
-        chain_truncate(L, 0, "lex", simplicial_chains(L))
+        chain_truncate(L, 0, "lex", SimplicialChains(L))
 
 
 def _corrupted_complement(kind):
@@ -207,8 +209,8 @@ def test_corrupted_truncation_raises_at_its_degree(monkeypatch, kind, name, k):
         message = f"truncation leaves H_{k} != 0 on {name}"
     else:
         message = f"truncation changes H_{k - 1} of {name}"
-    L = examples.get_complex(name)
-    chains = simplicial_chains(L)
+    L = get_complex(name)
+    chains = SimplicialChains(L)
     monkeypatch.setattr(cone_module, "complement_basis", _corrupted_complement(kind))
     with pytest.raises(InternalExactnessError) as err:
         chain_truncate(L, k, "lex", chains)
@@ -229,9 +231,9 @@ def _comparison_map(D, t):
 def test_cone_rejects_a_map_that_is_not_a_chain_map():
     # Doubling g in one degree breaks ∂g = g∂ there, which the cone's ∂∘∂
     # check reports.
-    D = examples.get_decomposition("x2-cone-torus")
-    m_chains = simplicial_chains(D.M)
-    l_chains = simplicial_chains(D.L)
+    D = get_decomposition("x2-cone-torus")
+    m_chains = SimplicialChains(D.M)
+    l_chains = SimplicialChains(D.L)
     doubled = 0
     for k in (1, 2):
         t = chain_truncate(D.L, k, "lex", l_chains)
@@ -251,9 +253,9 @@ def test_cone_rejects_a_map_that_is_not_a_chain_map():
 def test_cone_rejects_a_map_zeroed_in_one_degree():
     # Zeroing g_r leaves ∂ g_r zero, which the square reads with no product,
     # while g_{r-1} ∂ does not vanish where t's r-cells have boundaries.
-    D = examples.get_decomposition("x2-cone-torus")
-    m_chains = simplicial_chains(D.M)
-    l_chains = simplicial_chains(D.L)
+    D = get_decomposition("x2-cone-torus")
+    m_chains = SimplicialChains(D.M)
+    l_chains = SimplicialChains(D.L)
     zeroed = 0
     for k in (1, 2):
         t = chain_truncate(D.L, k, "lex", l_chains)

@@ -36,6 +36,7 @@ from stratdual.simplicial import (
     parse_complex,
 )
 
+from helpers import COMPLEX_FACETS
 from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
 from test_relabelled_sweeps import relabel
 
@@ -251,7 +252,7 @@ def broken_documents():
             yield {**document, "facets": facets[:i] + facets[i + 1:]}
 
 
-SMALL = [examples._COMPLEX_FACETS[name] for name in ("disk", "annulus", "mobius", "t2-7",
+SMALL = [COMPLEX_FACETS[name] for name in ("disk", "annulus", "mobius", "t2-7",
                                                        "solid-torus", "s1-square")]
 
 

@@ -27,11 +27,11 @@ from stratdual.simplicial import (
 )
 from stratdual.workspace import Workspace
 
-from helpers import pairing
+from helpers import from_rows, get_complex, pairing
 
 
 def manifold_pair(name, boundary_facets):
-    K = examples.get_complex(name)
+    K = get_complex(name)
     A = SimplicialComplex.from_facets(boundary_facets, name=f"bd({name})")
     return PairComplexes(K, A), orient_top_chain(K)
 
@@ -153,6 +153,15 @@ def test_well_definedness_probe():
         assert well_definedness_probe(mp, mq, forms.mu, trials=25, seed=7)
 
 
+def on_first_simplex(iota):
+    """iota with 1 added to every entry of its first row: each model cochain
+    also lands on the first simplex.  That is iota + E as the block product
+    [iota | E] @ [I; I]."""
+    ones = RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
+    unit = RationalMatrix.identity(iota.cols)
+    return iota.hstack(ones) @ unit.vstack(unit)
+
+
 def test_well_definedness_identity_detects_a_corrupted_iota():
     # No bundled model has cochains one degree below a paired class, which
     # leaves the coboundary terms empty; one subdivision gives them columns.
@@ -163,9 +172,7 @@ def test_well_definedness_identity_detects_a_corrupted_iota():
     assert well_definedness_identity(mp, mq, forms)
     # Every model cochain of degree 2 also lands on the first 2-simplex of M.
     bad = copy.copy(mp)
-    iota = mp.iota[2]
-    shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
-    bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
+    bad.iota = mp.iota[:2] + (on_first_simplex(mp.iota[2]),) + mp.iota[3:]
     assert not well_definedness_identity(bad, mq, forms)
     assert not well_definedness_probe(bad, mq, mu, trials=3)
 
@@ -211,9 +218,7 @@ def test_well_definedness_verdict_is_kept_per_model_pair(monkeypatch):
     assert well_definedness_identity(mp, mq, forms)
     assert counts == Counter()
     bad = copy.copy(mp)
-    iota = mp.iota[2]
-    shifted = iota + RationalMatrix(iota.rows, iota.cols, {(0, j): 1 for j in range(iota.cols)})
-    bad.iota = mp.iota[:2] + (shifted,) + mp.iota[3:]
+    bad.iota = mp.iota[:2] + (on_first_simplex(mp.iota[2]),) + mp.iota[3:]
     assert not well_definedness_identity(bad, mq, forms)
     assert counts["__matmul__"] > 0
     assert well_definedness_identity(mp, mq, forms)
@@ -298,7 +303,7 @@ def test_boundary_link_chain_is_link_cycle():
 
 
 def test_pairing_strings_are_made_once_and_handed_out_fresh(monkeypatch):
-    matrix = RationalMatrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
+    matrix = from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
     entries = [["1/2", "0/1"], ["3/1", "-2/3"]]
     pairing = PairingMatrix(1, matrix)
     made = Counter()

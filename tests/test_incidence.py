@@ -20,7 +20,7 @@ from stratdual.cochains import (
     restriction_map,
     simplicial_cochains,
 )
-from stratdual.cone import simplicial_chains
+from stratdual.cone import SimplicialChains
 from stratdual.duality import boundary_link_chain
 from stratdual.rational import RationalMatrix
 from stratdual.simplicial import (
@@ -78,7 +78,7 @@ def test_boundaries_and_coboundaries(name):
     D = decomposition(name)
     for K in (D.X, D.M, D.L):
         C = simplicial_cochains(K)[0]
-        chains = simplicial_chains(K)
+        chains = SimplicialChains(K)
         for r in range(K.dimension + 1):
             want = fields(reference_coboundary(K, r))
             assert fields(C.diff(r)) == want, (K.name, r)

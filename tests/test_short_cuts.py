@@ -23,6 +23,7 @@ from stratdual.errors import StratdualError
 from stratdual.rational import Echelon, RationalMatrix, Solver, _forward, quotient_basis
 from stratdual.workspace import Workspace
 
+from helpers import from_rows
 from test_dimension_four import DOCUMENTS as DIMENSION_FOUR
 
 STRUCTURAL = ["model", "duality", "ladder", "lefschetz", "truncated-duality", "oracle"]
@@ -43,7 +44,7 @@ def fields(m: RationalMatrix):
 def random_matrix(rng, rows, cols) -> RationalMatrix:
     if not rows:
         return RationalMatrix.zeros(0, cols)
-    return RationalMatrix.from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return from_rows([[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                       for _ in range(cols)] for _ in range(rows)])
 
 
@@ -183,9 +184,9 @@ def test_a_count_mismatch_without_boundaries_is_refused():
 def test_kernel_rows_of_one_entry_are_shared_by_content():
     """Without boundaries the kernel basis is kept as the classes, so its
     rows are shared as a product with the identity would share them."""
-    d = RationalMatrix.from_rows([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, 0, 0]])
+    d = from_rows([[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, 0, 0]])
     w = Echelon(d, max).kernel()
-    assert w == RationalMatrix.from_rows([[1, 0], [1, 0], [1, 0], [0, 1]])
+    assert w == from_rows([[1, 0], [1, 0], [1, 0], [0, 1]])
     assert w.data[0] is w.data[1] is w.data[2]
     assert fields(w) == fields(general_matmul(w, RationalMatrix.identity(2)))
 

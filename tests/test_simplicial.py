@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from stratdual import examples
 from stratdual.errors import (
     LinkDisconnectedError,
     NonOrientableError,
@@ -18,6 +17,8 @@ from stratdual.simplicial import (
     orient_top_chain,
     parse_complex,
 )
+
+from helpers import get_complex, get_decomposition
 
 
 def test_parse_triangle_boundary():
@@ -48,21 +49,21 @@ def test_parse_declared_dimension_mismatch():
 
 
 def test_link_of_triangle_boundary_vertex():
-    K = examples.get_complex("s1-triangle")
+    K = get_complex("s1-triangle")
     link = link_of_vertex(K, 0)
     assert link.dimension == 0
     assert link.faces[0] == ((1,), (2,))
 
 
 def test_link_in_solid_triangle():
-    K = examples.get_complex("disk")
+    K = get_complex("disk")
     link = link_of_vertex(K, 0)
     assert link.facets == ((1, 2),)
 
 
 def test_link_unknown_vertex():
     with pytest.raises(ParseError):
-        link_of_vertex(examples.get_complex("disk"), 9)
+        link_of_vertex(get_complex("disk"), 9)
 
 
 def test_link_of_cone_apex_recovers_base():
@@ -82,7 +83,7 @@ def test_link_of_cone_apex_recovers_base():
 
 
 def test_decompose_octahedron():
-    D = examples.get_decomposition("octahedron-marked")
+    D = get_decomposition("octahedron-marked")
     assert D.n == 2
     assert D.L.dimension == 1 and len(D.L.facets) == 4
     assert len(D.M.facets) == 4
@@ -90,7 +91,7 @@ def test_decompose_octahedron():
 
 
 def test_decompose_cone_torus():
-    D = examples.get_decomposition("x2-cone-torus")
+    D = get_decomposition("x2-cone-torus")
     assert D.n == 3
     assert len(D.L.facets) == 14 and len(D.L.vertices) == 7
     assert len(D.M.facets) == 7
@@ -115,13 +116,13 @@ def test_decompose_rejects_bad_cofacets():
 
 
 def test_decompose_rejects_low_dimension():
-    X = examples.get_complex("s1-triangle")
+    X = get_complex("s1-triangle")
     with pytest.raises(NotPseudomanifoldError):
         decompose(X, 0)
 
 
 def test_fundamental_chain_disk():
-    K = examples.get_complex("disk")
+    K = get_complex("disk")
     mu = orient_top_chain(K)
     assert mu.coefficients == (1,)
     support = boundary_of_chain(K, mu)
@@ -129,7 +130,7 @@ def test_fundamental_chain_disk():
 
 
 def test_fundamental_chain_annulus():
-    K = examples.get_complex("annulus")
+    K = get_complex("annulus")
     mu = orient_top_chain(K)
     assert all(c in (1, -1) for c in mu.coefficients)
     support = boundary_of_chain(K, mu)
@@ -141,12 +142,12 @@ def test_fundamental_chain_annulus():
 
 def test_fundamental_chain_mobius_fails():
     with pytest.raises(NonOrientableError):
-        orient_top_chain(examples.get_complex("mobius"))
+        orient_top_chain(get_complex("mobius"))
 
 
 def test_fundamental_chain_of_decompositions():
     for name in ("disk-cone-s1", "octahedron-marked", "x2-cone-torus"):
-        D = examples.get_decomposition(name)
+        D = get_decomposition(name)
         mu = fundamental_chain(D)
         assert all(c in (1, -1) for c in mu.coefficients)
         support = boundary_of_chain(D.M, mu)
@@ -159,13 +160,13 @@ def test_fundamental_chain_of_decompositions():
 
 
 def test_fundamental_chain_mobius_marked_decomposition():
-    D = examples.get_decomposition("mobius-marked")
+    D = get_decomposition("mobius-marked")
     with pytest.raises(NonOrientableError):
         fundamental_chain(D)
 
 
 def test_closed_surfaces_have_empty_chain_boundary():
     for name in ("t2-7",):
-        K = examples.get_complex(name)
+        K = get_complex(name)
         mu = orient_top_chain(K)
         assert boundary_of_chain(K, mu) == {}
