@@ -27,7 +27,7 @@ from .duality import (
     main_pairing,
     well_definedness_identity,
 )
-from .errors import BadPerversityError, ParseError, StratdualError
+from .errors import BadPerversityError, ParseError, ResourceExhaustedError, StratdualError
 from .model import (
     NAMED_PERVERSITIES,
     complementary,
@@ -84,7 +84,7 @@ def resolve_perversity(text: str, n: int):
     return validate_perversity(values)
 
 
-def _check_model(ws, mp, mq, strategy):
+def _check_model(mp, mq):
     """Betti numbers of both models, and their independence of the complement.
 
     The two strategies' models at one cutoff k differ only in A^k: below k
@@ -94,14 +94,23 @@ def _check_model(ws, mp, mq, strategy):
     both sides.  So b_r agrees for r outside k and k + 1, and
     b_k = dim A^k - rank d^k - rank d^{k-1} and
     b_{k+1} = dim C^{k+1}(M) - rank d^{k+1} - rank d^k agree exactly when
-    dim A^k and rank d^k do.  Those are the cutoff pass's ``cols`` and
-    ``rank``, so the other strategy's model is not built here.
+    dim A^k and rank d^k do.  Neither depends on the complement:
+    dim A^k = dim C^k(M, L) + dim C^k(L) - rank d_L^{k-1}, as the complement
+    fills C^k(L) beside im d_L^{k-1}, and rank d_A^k = rank d_M^k, as
+    im d_A^k = im d_M^k (see ``model.build_model``).  So the model's own
+    cutoff pass, whose ``cols`` and ``rank`` are dim A^k and rank d_A^k, is
+    checked against those two quantities, read off the pair's passes, and
+    no complement, pass, cotruncation or model of the other strategy is
+    built.
     """
     D = mp.decomposition
-    other = "reverse-lex" if strategy == "lex" else "lex"
     betti_p, betti_q = list(mp.betti()), list(mq.betti())
-    passes = [(ws.cutoff_pass(k, strategy), ws.cutoff_pass(k, other)) for k in (mp.k, mq.k)]
-    choice_independent = all((a.cols, a.rank) == (b.cols, b.rank) for a, b in passes)
+    choice_independent = True
+    for m in (mp, mq):
+        pair, k, cutoff = m.pair, m.k, m.complex.echelon(m.k)
+        choice_independent = choice_independent and (cutoff.cols, cutoff.rank) == (
+            pair.rel.dim(k) + pair.sub.dim(k) - pair.sub.echelon(k - 1).rank,
+            pair.full.echelon(k).rank)
     symmetric = all(betti_p[r] == betti_q[D.n - r] for r in range(D.n + 1))
     ok = (choice_independent and symmetric
           and betti_p[0] == 0 and betti_q[0] == 0)
@@ -247,7 +256,12 @@ def run_verification(target: str, perversity: str = "zero",
     ``perversity`` that is not a str with ``BAD_PERVERSITY``.  The report's
     config echoes every argument, as its repr where the JSON writer cannot
     render it.
+
+    A run that runs out of memory drops the workspace and returns a
+    RESOURCE_EXHAUSTED report, with exit status 2, that names the check
+    that was running (None before the first check).
     """
+    global _workspace
     listed = checks is None or (isinstance(checks, (list, tuple))
                                 and all(type(c) is str for c in checks))
     if listed:
@@ -260,6 +274,7 @@ def run_verification(target: str, perversity: str = "zero",
         "seed": _echo(seed),
     }
     report = {"schema_version": SCHEMA_VERSION, "config": config}
+    running = None
     try:
         if type(target) is not str:
             raise ParseError(f"input must be a str, got {target!r}")
@@ -290,8 +305,9 @@ def run_verification(target: str, perversity: str = "zero",
         mq = ws.model(k_q, strategy)
         results = {}
         for check in checks:
+            running = check
             if check == "model":
-                results[check] = _check_model(ws, mp, mq, strategy)
+                results[check] = _check_model(mp, mq)
             elif check == "oracle":
                 results[check] = _check_oracle(ws, mp, mq, strategy)
             elif check == "duality":
@@ -311,6 +327,18 @@ def run_verification(target: str, perversity: str = "zero",
         report["error"] = {"code": exc.code, "message": str(exc)}
         report["pass"] = False
         return report, 2
+    except MemoryError:
+        pass
+    # Out of memory.  The handler has ended, and with it the traceback that
+    # held the frames of the failed call; the workspace goes too, so that the
+    # next call starts cold, and this frame's own references to it end with
+    # the return, before the report is rendered.
+    _workspace = None
+    where = f"in the {running} check" if running else "before the first check"
+    error = ResourceExhaustedError(f"out of memory {where}")
+    report["error"] = {"code": error.code, "message": str(error), "check": running}
+    report["pass"] = False
+    return report, 2
 
 
 _escape = json.encoder.encode_basestring_ascii

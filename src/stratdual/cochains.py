@@ -123,9 +123,9 @@ class CochainComplex:
                 cleared = frozenset(self.echelon(r - 1).pivot_rows) if r > 0 else frozenset()
                 entry = Echelon(self.diff(r), max, cleared=cleared)
             elif type(entry) is tuple:
-                S, names = entry
-                entry = S.echelon(r) if names is None else S.echelon(r).with_pivot_rows(
-                    sorted(names))
+                S, placed = entry
+                entry = S.echelon(r) if placed is None else S.echelon(r).with_pivot_rows(
+                    [placed[i] for i in S.echelon(r).pivot_rows])
             self._echelon_cache[r] = entry
         return self._echelon_cache[r]
 
@@ -321,7 +321,8 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
       which in reduced column echelon form is the identity, where d_sub^r
       is C's own d^r.
     A nonempty basis under an empty one is still read and checked, since
-    there the check is the real statement d^r theta^r = 0.
+    there the check is the real statement d^r theta^r = 0.  A degree in
+    ``shared`` reads nothing either: its d_sub^r is S's d^r, placed.
     In every degree, then, theta^{r+1} d_sub^r = d^r theta^r, and this
     proves d_sub∘d_sub = 0: theta^{r+2} d_sub^{r+1} d_sub^r
     = d^{r+1} d^r theta^r = 0 by C's d∘d, and theta is injective (the
@@ -330,24 +331,27 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
     ``shared`` is a table, degree -> entry, of the degrees whose pass and
     classes a complex S already holds; a degree it leaves out is the
     complex's own.  An entry is (S, None): d_sub^r, the pass and the classes
-    are S's objects; or (S, names): d_sub^r is read, the pass is S's with
-    its pivot rows renamed to ``names`` (``Echelon.with_pivot_rows``), and
-    the classes are S's; or an Echelon: the pass on d_sub^r, run by the
-    table's maker.  The table covers degrees -1 and top + 1 too.
-    Its maker proves, for an S entry at r, that d_sub^r has S's d^r's rows
-    in order, but for rows that are zero or in the span of the rows before
-    them, with S's pivot rows at ``names`` (or in place), and that
-    d_sub^{r-1} has S's image.  That makes the entry right.  The pass on
-    d^r drops the columns at the pivot rows of the pass on d^{r-1}, the
-    row-rank profile of im d^{r-1}, which the image alone fixes: S's.  It
-    enters the rows in order, and a row in the span of the rows before it
-    enters nothing, so S's pivot rows enter in the same order and reduce
-    alike: the pass has S's pivot entries, pivots and rank, and S's pivot
-    rows under their new names, which keep their order.  The classes are
-    the cocycles that vanish at the pivot rows of im d^{r-1}, with unit
-    coordinates at the kernel's lead positions, and a class's coordinates
-    are its normal form modulo im d^{r-1}: they depend on ker d^r and
-    im d^{r-1} alone, which are S's.
+    are S's objects; or (S, placed): d_sub^r is S's d^r with its row i at
+    row ``placed[i]``, for each i in ``placed``, and zero rows elsewhere,
+    the pass is S's with its pivot rows renamed the same way
+    (``Echelon.with_pivot_rows``), and the classes are S's; or an Echelon:
+    the pass on d_sub^r, run by the table's maker.  The table covers
+    degrees -1 and top + 1 too.
+    Its maker proves, for an S entry at r, that this d_sub^r satisfies
+    theta^{r+1} d_sub^r = d^r theta^r, that ``placed`` keeps the order of
+    S's rows, that every row of S it leaves out lies in the span of the
+    rows before it, and that d_sub^{r-1} has S's image.  That makes the
+    entry right.  The pass on d^r drops the columns at the pivot rows of
+    the pass on d^{r-1}, the row-rank profile of im d^{r-1}, which the
+    image alone fixes: S's.  It enters the rows in order, and a zero row,
+    or a row in the span of the rows before it, enters nothing, so S's
+    pivot rows enter in the same order and reduce alike: the pass has S's
+    pivot entries, pivots and rank, and S's pivot rows under their new
+    names, which keep their order.  The classes are the cocycles that
+    vanish at the pivot rows of im d^{r-1}, with unit coordinates at the
+    kernel's lead positions, and a class's coordinates are its normal form
+    modulo im d^{r-1}: they depend on ker d^r and im d^{r-1} alone, which
+    are S's.
     Returns (complex, inclusion).
     """
     if len(bases) != C.top + 1:
@@ -358,8 +362,9 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
     for r, (basis, theta) in enumerate(zip(bases, inclusion)):
         above = bases[r + 1] if r + 1 < len(bases) else zero
         entry = shared.get(r) if shared else None
-        if type(entry) is tuple and entry[1] is None:
-            d.append(entry[0].d[r])
+        if type(entry) is tuple:
+            S, placed = entry
+            d.append(S.d[r] if placed is None else _placed_rows(S.d[r], placed, above.count))
         elif not basis.count:
             d.append(RationalMatrix.zeros(above.count, 0))
         elif basis.count == basis.ambient_dim and above.count == above.ambient_dim:
@@ -372,6 +377,15 @@ def subcomplex(name, C: CochainComplex, bases, shared=None):
             d.append(coords)
     return (CochainComplex(name, [basis.count for basis in bases], d, ambient=C, shared=shared),
             inclusion)
+
+
+def _placed_rows(m: RationalMatrix, placed: dict, rows: int) -> RationalMatrix:
+    """The ``rows``-row matrix with m's row i at row ``placed[i]``, for each
+    i in ``placed``, and zero rows elsewhere, sharing m's rows."""
+    data = [{}] * rows
+    for i, j in placed.items():
+        data[j] = m.data[i]
+    return RationalMatrix.from_integer_rows(m.cols, data, m.den)
 
 
 def restriction_map(K: SimplicialComplex, A: SimplicialComplex):
@@ -439,8 +453,8 @@ def induced_map(f, source: CochainComplex, target: CochainComplex, r: int) -> Ra
 
     ``f`` is the per-degree sequence of matrices of a cochain map, proved
     where it is made and not checked here: the inclusions theta, iota and j
-    by ``subcomplex``'s reads, i* by ``PairComplexes``, pi by the truncation's
-    reads and the split's pi_k @ img == I (derived in
+    by ``subcomplex``'s table, i* by ``PairComplexes``, pi by the truncation's
+    rows and the split's pi_k @ img == I (derived in
     ``quotient_by_cotruncation``, which multiplies nothing), and kappa, rho
     and eta in ``build_model``.
 

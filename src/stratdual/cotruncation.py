@@ -70,11 +70,14 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
 
     Its table (see ``cochains.subcomplex``) takes C's d^r, pass and classes
     for r <= k - 2, where its bases and the bases above are C's unit bases,
-    so d_sub^r = d^r.  At k - 1 the read d_sub^{k-1} is d^{k-1} in the
-    basis of its image, whose coordinates are d^{k-1}'s rows at the image's
-    pivot rows: it drops only rows in the span of the rows before them, and
-    C's pivot rows become its rows 0..rank - 1.  So it takes C's pass there,
-    renamed onto ``range(rank)``, and C's classes, and eliminates nothing
+    so d_sub^r = d^r.  At k - 1, d_sub^{k-1} is d^{k-1} in the basis of its
+    image, placed with no product: the image basis is the identity at its
+    pivot rows, which are the pivot rows of C's pass on d^{k-1}, and every
+    column of d^{k-1} lies in the image, so its coordinates are d^{k-1}'s
+    rows at those pivot rows, and img d_sub^{k-1} = d^{k-1}.  That drops
+    only rows in the span of the rows before them, and C's pivot rows
+    become its rows 0..rank - 1.  So it takes C's pass there, renamed onto
+    them, and C's classes, and reads, multiplies and eliminates nothing
     below its cutoff.
     """
     if k <= 0:
@@ -84,7 +87,8 @@ def truncate_below(C: CochainComplex, k: int) -> Truncation:
              else img if r == k
              else SubspaceBasis(RationalMatrix.zeros(C.dim(r), 0), ())
              for r in range(C.top + 1)]
-    shared = {r: (C, None) if r < k - 1 else (C, range(img.count)) for r in range(-1, k)}
+    placed = {row: i for i, row in enumerate(img.pivot_rows)}
+    shared = {r: (C, None) if r < k - 1 else (C, placed) for r in range(-1, k)}
     return Truncation(k, *subcomplex(f"tau_<{k}({C.name})", C, bases, shared))
 
 
@@ -149,14 +153,14 @@ def quotient_by_cotruncation(C: CochainComplex, ct: StandardCotruncation,
     ``workspace.Workspace.quotient`` passes it.
 
     Nothing is multiplied here: both statements about pi follow from the
-    certificates of ``cotruncate`` and of the truncation's reads.
+    certificates of ``cotruncate`` and from how the truncation is read.
     - pi ∘ section = I.  Below k both are the identity.  At k it is
       ``cotruncate``'s pi_k @ img == I on the same matrices, img being the
       basis of im d^{k-1} that the section includes.  Above k the quotient
       has no cochains.
     - pi is a cochain map.  Below k - 1 pi and the section are the identity,
-      so the certified read section^{r+1} d_sub^r == d^r section^r says
-      d_sub^r = d^r.  At k - 1 the read is img @ d_sub == d^{k-1}, so
+      and d_sub^r = d^r.  At k - 1 the truncation's placed rows give
+      img d_sub == d^{k-1} (see ``truncate_below``), so
       pi_k d^{k-1} = pi_k img d_sub = d_sub.  From k on the quotient is zero.
     """
     k = ct.k

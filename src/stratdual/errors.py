@@ -34,6 +34,13 @@ class NotComplementaryError(StratdualError):
     code = "NOT_COMPLEMENTARY"
 
 
+class ResourceExhaustedError(StratdualError):
+    """The run ran out of memory: the input is too large for this process,
+    which is neither bad input nor an engine bug."""
+
+    code = "RESOURCE_EXHAUSTED"
+
+
 class InternalExactnessError(StratdualError):
     """An exactness or commutation invariant failed at build time.
 

@@ -168,11 +168,19 @@ def cutoff_pass(pair: PairComplexes, k: int, theta: RationalMatrix) -> Echelon:
     pivot rows of d_A^{k-1}, which is d_rel^{k-1} with zero rows at D's
     places (see ``build_model``).  ``cols`` is dim A^k and ``rank`` is
     rank d_A^k.
+
+    It enters only the rows at the pivot rows of C*(M)'s pass on d_M^k.
+    im d_A^k = im d_M^k (see ``build_model``), and the pivot rows of a pass,
+    with or without cleared columns, are the row-rank profile of its
+    matrix's image, so d_A^k and d_M^k have the same ones.  Every other row
+    of d_A^k lies in the span of the rows before it, so it would reduce to
+    zero and become no pivot: leaving it out keeps the pivots, the rank,
+    the pivot rows and their entries of the pass over all rows.
     """
-    relative, rows = _basis_rows(pair, theta, k)
-    position = {row: i for i, row in enumerate(rows)}
-    cleared = frozenset(position[relative[i]] for i in pair.rel.echelon(k - 1).pivot_rows)
-    return Echelon(pair.full.diff(k).columns_at(rows), max, cleared=cleared)
+    rows, relative = _basis_rows(pair, theta, k)
+    cleared = frozenset(relative[i] for i in pair.rel.echelon(k - 1).pivot_rows)
+    return Echelon(pair.full.diff(k).columns_at(rows), max,
+                   order=pair.full.echelon(k).pivot_rows, cleared=cleared)
 
 
 def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: PairComplexes,
@@ -185,7 +193,7 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     read at theta's pivot rows and checked by the fiber square
     theta rho = i* iota, and eta is read at the basis's rows and checked by
     iota eta = j.  So each structure map is a cochain map by construction:
-    iota by ``subcomplex``'s reads, kappa = pi i* as a composite of two
+    iota by ``subcomplex``'s table, kappa = pi i* as a composite of two
     proved maps, and rho and eta by those squares, theta and iota injective.
 
     Outside the cutoff the model is its pair.  The cotruncation is zero
@@ -193,10 +201,12 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     of C^r(L) above k, and C^n(L) = 0, so A^r is all of C^r(M).  Hence:
     - The table of ``subcomplex`` takes C*(M, L)'s d^r, pass and classes for
       r <= k - 2 and C*(M)'s for r >= k + 1.  d_A^{k-1} is d_rel^{k-1} with
-      zero rows at the placed rows of A^k, because the coboundary of a
-      relative cochain is relative, so at k - 1 it takes C*(M, L)'s pass,
-      its pivot rows renamed into A^k's positions (the cutoff pass's
-      cleared columns), and classes.  At k + 1, d_A^k has the image of
+      its rows at A^k's positions of the relative rows and zero rows at the
+      placed rows, with no product: the coboundary of a relative cochain is
+      relative, so iota^k d_A^{k-1} = j d_rel^{k-1} = d_M^{k-1} iota^{k-1},
+      by C*(M, L)'s own read.  So at k - 1 it takes C*(M, L)'s pass, its
+      pivot rows renamed into A^k's positions (the cutoff pass's cleared
+      columns), and classes.  At k + 1, d_A^k has the image of
       d_M^k: for x in C^k(M), split i*x = d_L y + z with z in D, and extend
       y by zero to y' in C^{k-1}(M); then x - d y' restricts to z, so it
       lies in A^k, and d x = d(x - d y').  The pass at k is ``cutoff``, so
@@ -210,8 +220,8 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
       kappa is empty, and theta is the identity, so rho = i*).  An identity
       sequence is exact, and ``PairComplexes`` proves the pair's.
     Every product this skips has an identity or an empty factor, or is one
-    the pair makes on the same objects.  Only degree k, and the read of d
-    at k - 1, read, multiply and check.
+    the pair makes on the same objects.  Only degree k reads, multiplies
+    and checks.
 
     Both sequences are exact by construction, so ``ShortExactSequence``
     checks only their dimension counts.  At k the rest follows from the
@@ -251,15 +261,15 @@ def build_model(D: PseudomanifoldDecomposition, k: int, strategy: str, pair: Pai
     # elimination of kappa^k would give.
     theta = ct.inclusion[k]
     extend = pair.extend[k]
-    _, rows = _basis_rows(pair, theta, k)
+    rows, relative = _basis_rows(pair, theta, k)
     units = pair.full.identity(k).rows_at(rows)
     basis = SubspaceBasis(units.transpose(), rows)
     bases = (pair.rel_bases[:k] + (basis,)
              + tuple(pair.full.whole(r) for r in range(k + 1, n + 1)))
-    shared = {r: (pair.rel, None) if r < k - 1 else (pair.rel, cutoff.cleared) if r == k - 1
+    shared = {r: (pair.rel, None) if r < k - 1 else (pair.rel, relative) if r == k - 1
               else cutoff if r == k else (pair.full, None) for r in range(-1, n + 2)}
-    # d is read at k - 1 and k, and checked by multiplying back, so no basis
-    # is eliminated again; the same products prove iota a cochain map there.
+    # d is read at k alone, and checked by multiplying back, so no basis is
+    # eliminated again; the same product proves iota a cochain map there.
     complex_, inclusion = subcomplex(f"model[k={k}]({D.name})", pair.full, bases, shared)
     iota_k = inclusion[k]
 
@@ -308,12 +318,15 @@ def _outside(pair: PairComplexes, r: int, below: bool):
 
 
 def _basis_rows(pair: PairComplexes, theta: RationalMatrix, r: int):
-    """The rows of C^r(M, L)'s unit basis in C^r(M), and the rows of A^r's:
-    those and the rows where theta's columns, unit cochains of the link, are
-    placed in M, each read off i* by index with no product; both sorted."""
-    relative = list(pair.rel_bases[r].pivot_rows)
+    """The rows of A^r's unit basis in C^r(M), sorted: the rows of
+    C^r(M, L)'s and the rows where theta's columns, unit cochains of the
+    link, are placed in M, each read off i* by index with no product.  And
+    for each row i of C^r(M, L)'s basis, its position among them."""
+    relative = pair.rel_bases[r].pivot_rows
     placed = [next(iter(pair.restrict[r].data[i])) for i in _pivot_rows(theta)]
-    return relative, sorted(relative + placed)
+    rows = sorted([*relative, *placed])
+    position = {row: i for i, row in enumerate(rows)}
+    return rows, {i: position[row] for i, row in enumerate(relative)}
 
 
 def _pivot_rows(m: RationalMatrix):

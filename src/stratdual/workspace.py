@@ -12,9 +12,10 @@ No object is keyed on a perversity: a model is a function of its cutoff,
 so perversities with equal cutoffs share one.
 Shared work lives with the object that owns it, so each piece is done once
 per run: C*(L) picks one complement per cutoff and strategy, which the
-cotruncation and the cutoff pass of that strategy both read.  A reverse-lex
-complement holds its pass until a reverse-lex cotruncation builds pi_k from
-it, so a lex run whose model check reads it holds it to the end.  The
+cotruncation and the cutoff pass of that strategy both read.  A run picks
+complements in its own strategy alone (the model check reads its own
+cutoff passes), and a reverse-lex complement holds its pass until the
+reverse-lex cotruncation that reads it builds pi_k from it.  The
 oracle's chain complexes keep C_*(M)'s passes and L's cycles per degree, and
 the decomposition its inclusion L -> M, so every cone of a run extends the
 one pass of C_*(M) in each degree (see ``cone.MappingCone``), both
@@ -98,10 +99,10 @@ class Workspace:
 
     def cutoff_pass(self, k: int, strategy: str):
         """The forward pass on d^k of the model at cutoff k, the one its
-        ``model`` eliminates in degree k and that ``choice_independent`` reads.
-        It reads the strategy's complement D alone, the one the cotruncation
-        of that strategy reads, so a run that checks the other strategy's
-        pass builds no cotruncation of that strategy."""
+        ``model`` eliminates in degree k and that the model check reads for
+        ``choice_independent``.  It reads the strategy's complement D, the one
+        the cotruncation of that strategy reads, and C*(M)'s pass on d_M^k,
+        whose pivot rows are the rows it enters (see ``model.cutoff_pass``)."""
         pair = self.pair()
         return self._once(("cutoff pass", k, strategy), lambda: cutoff_pass(
             pair, k, pair.sub.complement(k, strategy).matrix()))

@@ -1,4 +1,7 @@
-"""Constructors, fixtures and references that only the tests use."""
+"""Constructors, fixtures and references that only the tests use, and the
+generators of the n = 4 inputs, which ``bench/frontier.py`` reads too."""
+
+from itertools import combinations
 
 from stratdual.examples import (
     DECOMPOSITION_DOCUMENTS,
@@ -74,3 +77,47 @@ def get_complex(name: str) -> SimplicialComplex:
 def get_decomposition(name: str):
     doc = DECOMPOSITION_DOCUMENTS[name]
     return decompose(parse_complex(doc), doc["singular_vertex"])
+
+
+CIRCLE = [[0, 1], [1, 2], [0, 2]]
+
+
+def product(facets_a, facets_b):
+    """The staircase triangulation of the product of two ordered complexes:
+    one facet per lattice path through a pair of facets, with the vertex
+    pairs relabelled in sorted order."""
+    cells = set()
+    for a in facets_a:
+        for b in facets_b:
+            steps = len(a) + len(b) - 2
+            for rights in combinations(range(steps), len(a) - 1):
+                i = j = 0
+                path = [(a[0], b[0])]
+                for step in range(steps):
+                    if step in rights:
+                        i += 1
+                    else:
+                        j += 1
+                    path.append((a[i], b[j]))
+                cells.add(tuple(path))
+    label = {v: i for i, v in enumerate(sorted({v for cell in cells for v in cell}))}
+    return sorted([label[v] for v in cell] for cell in cells)
+
+
+def cone_on_boundary(name, facets):
+    """M plus the cone on its boundary, the faces of codimension one that
+    lie in one facet only; the cone's fresh apex is the singular vertex."""
+    count = {}
+    for facet in facets:
+        for face in combinations(facet, len(facet) - 1):
+            count[face] = count.get(face, 0) + 1
+    apex = max(v for facet in facets for v in facet) + 1
+    cone = [list(face) + [apex] for face in sorted(count) if count[face] == 1]
+    return {"name": name, "dimension": len(facets[0]) - 1,
+            "facets": facets + cone, "singular_vertex": apex}
+
+
+DIMENSION_FOUR = {
+    "s1-x-d3": cone_on_boundary("s1-x-d3", product(CIRCLE, [[0, 1, 2, 3]])),
+    "d2-x-t2": cone_on_boundary("d2-x-t2", product(product([[0, 1, 2]], CIRCLE), CIRCLE)),
+}

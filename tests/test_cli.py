@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from stratdual import examples
+from stratdual import cli, examples
 from stratdual.cli import main, render_report, run_verification
 from stratdual.rational import COMPLEMENT_LEAD
 
@@ -327,3 +330,39 @@ def test_schema_v2_properties_keys(name):
     assert set(report["checks"]["properties"]) == {
         "pass", "stokes_identity", "product_vanishing",
         "boundary_products_vanish", "euler_characteristic"}
+
+
+def test_running_out_of_memory_in_a_check_is_an_error_report(monkeypatch):
+    # The report names the running check, and the workspace is dropped, so
+    # the next call on the document starts cold and passes.
+    def exhausted(mp, mq, forms):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_check_ladder", exhausted)
+    report, status = run_verification("x2-cone-torus", "zero", "lex", ["model", "ladder"])
+    assert status == 2
+    assert report["error"] == {"code": "RESOURCE_EXHAUSTED", "check": "ladder",
+                               "message": "out of memory in the ladder check"}
+    assert report["pass"] is False and "checks" not in report
+    assert cli._workspace is None
+    monkeypatch.undo()
+    assert run_verification("x2-cone-torus", "zero", "lex", ["model", "ladder"])[1] == 0
+
+
+def test_running_out_of_memory_exits_2_without_a_traceback(tmp_path):
+    # x2-cone-torus subdivided twice needs about 170 MB; the child gets 120 MB
+    # of address space, a limit on that process alone.
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "x2-cone-torus-sd2.json"
+    path.write_text(json.dumps(examples.subdivide(examples.get_document("x2-cone-torus"), 2)))
+    limit = 120 * 2 ** 20
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    source = str(Path(examples.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "stratdual.cli", "verify", str(path)],
+                          capture_output=True, text=True, preexec_fn=limited, timeout=120,
+                          env={**os.environ, "PYTHONPATH": source})
+    assert (done.returncode, done.stderr) == (2, "")
+    assert json.loads(done.stdout)["error"]["code"] == "RESOURCE_EXHAUSTED"

@@ -106,10 +106,10 @@ def test_equal_perversity_values_share_one_model():
     models = [key for key in cli._workspace._built if key[0] == "model"]
     passes = [key for key in cli._workspace._built if key[0] == "cutoff pass"]
     # The cutoffs 2 and 1 of zero and top, whichever of them is p, in the
-    # runs' strategy; the model check reads the other strategy's cutoff
-    # passes alone.
+    # runs' strategy alone: the model check reads the models' own cutoff
+    # passes.
     assert sorted(models) == [("model", k, "lex") for k in (1, 2)]
-    assert sorted(passes) == [("cutoff pass", k, s) for k in (1, 2) for s in ("lex", "reverse-lex")]
+    assert sorted(passes) == [("cutoff pass", k, "lex") for k in (1, 2)]
 
 
 def _count_link_builds(monkeypatch):
@@ -162,12 +162,41 @@ def test_a_run_cotruncates_in_its_own_strategy_only(name, strategy, checks, monk
     assert {key[2] for key in counts if key[0] == "cotruncate"} <= {strategy}, counts
 
 
+@pytest.mark.parametrize("checks", [["model"], None])
+@pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
+@pytest.mark.parametrize("name", decomposition_names())
+def test_a_run_builds_nothing_in_the_other_strategy(name, strategy, checks, monkeypatch):
+    # Choice independence is read off the run's own cutoff passes, so no
+    # complement, cutoff pass, cotruncation or model of the other strategy
+    # is built, by the model check or any other.
+    picked = []
+    complement_basis = rational.complement_basis
+
+    def counted(sub, strategy="lex"):
+        picked.append(strategy)
+        return complement_basis(sub, strategy)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "stratdual" or module_name.startswith("stratdual."):
+            if vars(module).get("complement_basis") is complement_basis:
+                monkeypatch.setattr(module, "complement_basis", counted)
+    monkeypatch.setattr(cli, "_workspace", None)
+    counts = _count_link_builds(monkeypatch)
+    _, status = run_verification(name, "zero", strategy, checks)
+    other = "reverse-lex" if strategy == "lex" else "lex"
+    assert other not in picked, picked
+    assert not [key for key in counts if other in key], counts
+    assert not [key for key in cli._workspace._built if other in key], list(cli._workspace._built)
+    if status != 2:
+        assert strategy in picked and ("cutoff pass", 1, strategy) in cli._workspace._built
+
+
 @pytest.mark.parametrize("strategy", ["lex", "reverse-lex"])
 @pytest.mark.parametrize("name", decomposition_names())
 def test_a_run_picks_each_complement_once(name, strategy, monkeypatch):
     # A cotruncation and the model's cutoff pass read one D per cutoff and
-    # strategy, the model check reads the other strategy's D alone, and the
-    # oracle's truncation at a cutoff complements the run's one Z_k(L).
+    # strategy, the oracle's truncation at a cutoff complements the run's one
+    # Z_k(L), and no complement is picked in the other strategy.
     calls = collections.Counter()
     kept = []
     complement_basis = rational.complement_basis
@@ -196,11 +225,10 @@ def test_a_run_picks_each_complement_once(name, strategy, monkeypatch):
     picked = collections.Counter({(*labels[sub], s): n for (sub, s), n in calls.items()})
     assert sum(picked.values()) == sum(calls.values()), calls
     assert all(n == 1 for n in picked.values()), picked
+    assert {s for *_, s in picked} == {strategy}, picked
     values = report["perversity_values"]
-    other = "reverse-lex" if strategy == "lex" else "lex"
     for k in {values["cutoff_p"], values["cutoff_q"]}:
-        assert {("image", k, strategy), ("image", k, other), ("cycles", k, strategy)} <= set(
-            picked), picked
+        assert {("image", k, strategy), ("cycles", k, strategy)} <= set(picked), picked
 
 
 def _fingerprint(echelon):
@@ -215,9 +243,8 @@ def _fingerprint(echelon):
 def test_complement_passes_end_with_their_projection(name, strategy, checks, monkeypatch):
     # A lex complement eliminates nothing; a reverse-lex one runs one pass
     # over the image basis, which its cotruncation releases once pi_k is
-    # built.  So a lex run eliminates an image basis only for the model
-    # check, which picks the reverse-lex complement for choice independence
-    # and builds no reverse-lex cotruncation, and a reverse-lex run keeps no
+    # built.  A run picks no complement in the other strategy, so a lex run
+    # runs no such pass and ends holding none, and a reverse-lex run keeps no
     # complement's pass.  The oracle's truncations complement Z_k(L) and keep
     # the complement's matrix alone.  A pass is followed by its id and
     # content, so that the spy holds none.
@@ -236,17 +263,16 @@ def test_complement_passes_end_with_their_projection(name, strategy, checks, mon
     C = cli._workspace.pair().sub
     values = report["perversity_values"]
     cutoffs = {values["cutoff_p"], values["cutoff_q"]}
-    images = [C.image(k - 1).matrix().transpose() for k in cutoffs]
     gc.collect()
     alive = {(id(o), _fingerprint(o)) for o in gc.get_objects()
              if isinstance(o, rational.Echelon)}
     held = [fingerprint for key, fingerprint in passes if (key, fingerprint) in alive]
     assert all(fingerprint[0] is max for _, fingerprint in passes)
+    assert held == []
     if strategy == "lex":
-        want = [_fingerprint(rational.Echelon(m, max)) for m in images] if "model" in checks else []
-        assert sorted(fingerprint for _, fingerprint in passes) == sorted(held) == sorted(want)
+        assert passes == []
     else:
-        assert len(passes) > len(images) and held == []
+        assert len(passes) > len(cutoffs)
     for k in cutoffs:
         assert C.complement(k, "lex").take_pass() is None
 
